@@ -65,9 +65,11 @@ bool Schedule::full_vector() const {
 
 void Schedule::rescale_elements(std::size_t new_elements) {
   require(new_elements >= 1, "rescale_elements: need at least one element");
-  require(full_vector(),
-          "rescale_elements: schedule '" + algorithm_ +
-              "' has chunked transfers; only full-vector schedules rescale");
+  if (!full_vector()) {
+    throw InvalidArgument(
+        "rescale_elements: schedule '" + algorithm_ +
+        "' has chunked transfers; only full-vector schedules rescale");
+  }
   for (Step& step : steps_) {
     for (Transfer& t : step.transfers) t.count = new_elements;
   }
@@ -94,13 +96,19 @@ std::size_t Schedule::max_transfer_elements(std::size_t step) const {
 void Schedule::validate() const {
   for (std::size_t s = 0; s < steps_.size(); ++s) {
     for (const auto& t : steps_[s].transfers) {
-      require(t.src < num_nodes_ && t.dst < num_nodes_,
-              "Schedule: node id out of range in step " + std::to_string(s));
-      require(t.src != t.dst,
-              "Schedule: self-transfer in step " + std::to_string(s));
-      require(t.count >= 1 && t.offset + t.count <= elements_,
-              "Schedule: element range out of bounds in step " +
-                  std::to_string(s));
+      if (t.src >= num_nodes_ || t.dst >= num_nodes_) {
+        throw InvalidArgument("Schedule: node id out of range in step " +
+                              std::to_string(s));
+      }
+      if (t.src == t.dst) {
+        throw InvalidArgument("Schedule: self-transfer in step " +
+                              std::to_string(s));
+      }
+      if (t.count < 1 || t.offset + t.count > elements_) {
+        throw InvalidArgument(
+            "Schedule: element range out of bounds in step " +
+            std::to_string(s));
+      }
     }
   }
 }

@@ -6,7 +6,7 @@ namespace wrht {
 
 CsvWriter::CsvWriter(const std::string& path, std::vector<std::string> header)
     : out_(path), arity_(header.size()) {
-  require(out_.good(), "CsvWriter: cannot open " + path);
+  if (!out_.good()) throw InvalidArgument("CsvWriter: cannot open " + path);
   add_row(header);
 }
 

@@ -37,7 +37,12 @@ class ConstraintViolation : public Error {
 };
 
 /// Throws InvalidArgument with `message` unless `condition` holds.
-inline void require(bool condition, const std::string& message) {
+///
+/// The message is a literal so a passing check costs one branch and no
+/// allocation. A check whose message is computed spells out the branch at
+/// the call site instead: `if (!cond) throw InvalidArgument(...)`, which
+/// builds the string only on the failure path.
+inline void require(bool condition, const char* message) {
   if (!condition) throw InvalidArgument(message);
 }
 

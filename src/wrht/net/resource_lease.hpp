@@ -62,13 +62,17 @@ struct ResourceLease {
   /// inside a `fabric`-wavelength fiber.
   void validate(std::uint32_t fabric) const {
     if (full()) return;
-    require(w_lo < w_hi, "ResourceLease: empty slice [" +
-                             std::to_string(w_lo) + ", " +
-                             std::to_string(w_hi) + ")");
-    require(w_hi <= fabric,
-            "ResourceLease: slice [" + std::to_string(w_lo) + ", " +
-                std::to_string(w_hi) + ") exceeds the fabric's " +
-                std::to_string(fabric) + " wavelengths");
+    if (w_lo >= w_hi) {
+      throw InvalidArgument("ResourceLease: empty slice [" +
+                            std::to_string(w_lo) + ", " +
+                            std::to_string(w_hi) + ")");
+    }
+    if (w_hi > fabric) {
+      throw InvalidArgument("ResourceLease: slice [" + std::to_string(w_lo) +
+                            ", " + std::to_string(w_hi) +
+                            ") exceeds the fabric's " +
+                            std::to_string(fabric) + " wavelengths");
+    }
   }
 
   /// "full" or "[lo, hi)@tenant" for logs and error messages.

@@ -27,11 +27,14 @@ void Counters::observe(const std::string& name, double value,
   const std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = values_.try_emplace(name, Entry{0, Kind::kHist,
                                                         Histogram(spec)});
-  require(it->second.kind == Kind::kHist,
-          "Counters: observe() on non-histogram '" + name + "'");
-  require(it->second.hist->spec() == spec,
-          "Counters: histogram '" + name +
-              "' observed with a different bucket spec");
+  if (it->second.kind != Kind::kHist) {
+    throw InvalidArgument("Counters: observe() on non-histogram '" + name +
+                          "'");
+  }
+  if (!(it->second.hist->spec() == spec)) {
+    throw InvalidArgument("Counters: histogram '" + name +
+                          "' observed with a different bucket spec");
+  }
   it->second.hist->observe(value);
   // Mirror the count into the scalar slot so value()/snapshot()/CSV see
   // histogram entries without a special case.
@@ -84,9 +87,10 @@ void Counters::merge(const Counters& other) {
     auto [it, inserted] = values_.try_emplace(name, entry);
     if (inserted) continue;
     if (entry.kind == Kind::kHist || it->second.kind == Kind::kHist) {
-      require(entry.kind == it->second.kind,
-              "Counters: merging histogram '" + name +
-                  "' into a scalar counter (or vice versa)");
+      if (entry.kind != it->second.kind) {
+        throw InvalidArgument("Counters: merging histogram '" + name +
+                              "' into a scalar counter (or vice versa)");
+      }
       it->second.hist->merge(*entry.hist);
       it->second.value = it->second.hist->count();
     } else if (entry.kind == Kind::kMax || it->second.kind == Kind::kMax) {

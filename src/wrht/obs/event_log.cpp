@@ -91,11 +91,15 @@ class LineParser {
   std::string raw(const std::string& key) const {
     const std::string needle = "\"" + key + "\":";
     const std::size_t at = line_.find(needle);
-    require(at != std::string::npos,
-            "EventLog: missing field '" + key + "' in: " + line_);
+    if (at == std::string::npos) {
+      throw InvalidArgument("EventLog: missing field '" + key +
+                            "' in: " + line_);
+    }
     std::size_t i = at + needle.size();
     while (i < line_.size() && line_[i] == ' ') ++i;
-    require(i < line_.size(), "EventLog: empty value for '" + key + "'");
+    if (i >= line_.size()) {
+      throw InvalidArgument("EventLog: empty value for '" + key + "'");
+    }
     if (line_[i] == '"') {
       // String value: scan to the closing unescaped quote.
       std::size_t j = i + 1;
@@ -107,8 +111,10 @@ class LineParser {
         if (line_[j] == '"') break;
         ++j;
       }
-      require(j < line_.size(), "EventLog: unterminated string for '" + key +
-                                    "' in: " + line_);
+      if (j >= line_.size()) {
+        throw InvalidArgument("EventLog: unterminated string for '" + key +
+                              "' in: " + line_);
+      }
       return unescape(line_.substr(i + 1, j - i - 1));
     }
     std::size_t j = i;
@@ -196,8 +202,10 @@ EventLog EventLog::read_jsonl(std::istream& in) {
   std::uint64_t declared = 0;
   try {
     const LineParser header(line);
-    require(header.raw("schema") == kSchema,
-            "expected schema '" + std::string(kSchema) + "', got: " + line);
+    if (header.raw("schema") != kSchema) {
+      throw InvalidArgument("expected schema '" + std::string(kSchema) +
+                            "', got: " + line);
+    }
     log.context_.fabric_wavelengths =
         static_cast<std::uint32_t>(header.u64("fabric_wavelengths"));
     log.context_.policy = header.raw("policy");

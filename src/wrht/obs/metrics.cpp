@@ -140,13 +140,14 @@ MetricsRegistry::Id MetricsRegistry::intern(const std::string& name,
   require(!name.empty(), "MetricsRegistry: empty instrument name");
   for (Id id = 0; id < instruments_.size(); ++id) {
     if (instruments_[id].name != name) continue;
-    require(instruments_[id].kind == kind,
-            "MetricsRegistry: instrument '" + name + "' already registered "
-            "as a " + obs::to_string(instruments_[id].kind));
-    if (spec != nullptr) {
-      require(instruments_[id].hist->spec() == *spec,
-              "MetricsRegistry: histogram '" + name +
-                  "' re-registered with a different bucket spec");
+    if (instruments_[id].kind != kind) {
+      throw InvalidArgument("MetricsRegistry: instrument '" + name +
+                            "' already registered as a " +
+                            obs::to_string(instruments_[id].kind));
+    }
+    if (spec != nullptr && !(instruments_[id].hist->spec() == *spec)) {
+      throw InvalidArgument("MetricsRegistry: histogram '" + name +
+                            "' re-registered with a different bucket spec");
     }
     return id;
   }
@@ -171,21 +172,15 @@ MetricsRegistry::Id MetricsRegistry::histogram(const std::string& name,
 }
 
 // The accessors below sit on the FabricService hot path (every event hook
-// and every sampler tick). require() builds its message string before
-// testing the condition, so happy-path calls would pay a heap allocation
-// per check — these spell out the branch and only construct the message
-// when actually throwing.
+// and every sampler tick), so their computed messages are built only when
+// a check fails.
 const MetricsRegistry::Instrument& MetricsRegistry::at(Id id) const {
-  if (id >= instruments_.size()) {
-    throw InvalidArgument("MetricsRegistry: unknown instrument id");
-  }
+  require(id < instruments_.size(), "MetricsRegistry: unknown instrument id");
   return instruments_[id];
 }
 
 MetricsRegistry::Instrument& MetricsRegistry::at(Id id) {
-  if (id >= instruments_.size()) {
-    throw InvalidArgument("MetricsRegistry: unknown instrument id");
-  }
+  require(id < instruments_.size(), "MetricsRegistry: unknown instrument id");
   return instruments_[id];
 }
 
@@ -232,8 +227,10 @@ const TimeSeries& MetricsRegistry::series(Id id) const { return at(id).series; }
 
 const Histogram& MetricsRegistry::histogram_at(Id id) const {
   const Instrument& inst = at(id);
-  require(inst.kind == InstrumentKind::kHistogram,
-          "MetricsRegistry: '" + inst.name + "' is not a histogram");
+  if (inst.kind != InstrumentKind::kHistogram) {
+    throw InvalidArgument("MetricsRegistry: '" + inst.name +
+                          "' is not a histogram");
+  }
   return *inst.hist;
 }
 

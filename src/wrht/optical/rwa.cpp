@@ -17,6 +17,14 @@ namespace wrht::optics {
 
 namespace {
 
+void require_nonempty_slice(const RwaOptions& options) {
+  if (options.wavelength_lo >= options.wavelengths) {
+    throw InvalidArgument("RWA: leased slice [" +
+                          std::to_string(options.wavelength_lo) + ", " +
+                          std::to_string(options.wavelengths) + ") is empty");
+  }
+}
+
 /// Occupancy bookkeeping: one lazily-allocated per-segment bitmap per
 /// (direction, fiber, wavelength), so a conflict check costs O(hops) no
 /// matter how many lightpaths are already placed.
@@ -141,9 +149,7 @@ RwaResult assign_wavelengths(const topo::Ring& ring,
   const prof::ScopedTimer timer("optical.rwa.assign");
   require(options.wavelengths >= 1 && options.fibers_per_direction >= 1,
           "RWA: need at least one wavelength and fiber");
-  require(options.wavelength_lo < options.wavelengths,
-          "RWA: leased slice [" + std::to_string(options.wavelength_lo) +
-              ", " + std::to_string(options.wavelengths) + ") is empty");
+  require_nonempty_slice(options);
   RwaResult result;
   result.paths.resize(transfers.size());
   OccupancyMap occupancy(ring.size(), options);
@@ -164,9 +170,7 @@ RwaResult assign_wavelengths(const topo::Ring& ring,
 RoundsResult assign_rounds(const topo::Ring& ring,
                            std::span<const coll::Transfer> transfers,
                            const RwaOptions& options, Rng* rng) {
-  require(options.wavelength_lo < options.wavelengths,
-          "RWA: leased slice [" + std::to_string(options.wavelength_lo) +
-              ", " + std::to_string(options.wavelengths) + ") is empty");
+  require_nonempty_slice(options);
   RoundsResult result;
   std::vector<std::size_t> remaining = order_by_hops(ring, transfers);
 

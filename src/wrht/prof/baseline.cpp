@@ -24,7 +24,7 @@ double parse_double(const std::string& field, const std::string& context) {
   try {
     std::size_t consumed = 0;
     const double value = std::stod(field, &consumed);
-    require(consumed == field.size(), context);
+    if (consumed != field.size()) throw InvalidArgument(context);
     return value;
   } catch (const std::logic_error&) {
     throw Error(context + ": '" + field + "' is not a number");
@@ -58,10 +58,12 @@ Baseline Baseline::load(const std::string& path) {
     std::stringstream row(line);
     std::string field;
     while (std::getline(row, field, ',')) fields.push_back(field);
-    require(fields.size() == 4, "Baseline: '" + path + "' line " +
-                                    std::to_string(line_no) +
-                                    ": expected 4 fields, got " +
-                                    std::to_string(fields.size()));
+    if (fields.size() != 4) {
+      throw InvalidArgument("Baseline: '" + path + "' line " +
+                            std::to_string(line_no) +
+                            ": expected 4 fields, got " +
+                            std::to_string(fields.size()));
+    }
     BaselineEntry entry;
     entry.metric = fields[0];
     entry.value = parse_double(fields[1], "Baseline: '" + path + "' line " +
@@ -70,9 +72,11 @@ Baseline Baseline::load(const std::string& path) {
     entry.max_rel_drift =
         parse_double(fields[2], "Baseline: '" + path + "' line " +
                                     std::to_string(line_no) + " drift");
-    require(entry.max_rel_drift >= 0.0,
-            "Baseline: '" + path + "' line " + std::to_string(line_no) +
-                ": max_rel_drift must be >= 0");
+    if (!(entry.max_rel_drift >= 0.0)) {
+      throw InvalidArgument("Baseline: '" + path + "' line " +
+                            std::to_string(line_no) +
+                            ": max_rel_drift must be >= 0");
+    }
     if (fields[3] == "lower") {
       entry.direction = Direction::kLowerIsBetter;
     } else if (fields[3] == "higher") {

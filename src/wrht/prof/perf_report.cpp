@@ -41,7 +41,9 @@ void PerfReport::add_metric(const std::string& metric_name, double value,
 void PerfReport::add_sample_metrics(const std::string& base,
                                     const std::vector<double>& samples,
                                     const std::string& unit) {
-  require(!samples.empty(), "PerfReport: no samples for " + base);
+  if (samples.empty()) {
+    throw InvalidArgument("PerfReport: no samples for " + base);
+  }
   add_metric(base + ".median", percentile(samples, 0.5), unit);
   add_metric(base + ".p90", percentile(samples, 0.9), unit);
 }

@@ -87,9 +87,10 @@ ReplaySummary replay_events(const obs::EventLog& log) {
     ++index;
     // Names the offending JSONL line (header is line 1) so a corrupted
     // log points at itself instead of at the replay.
-    const std::string at =
-        " (event " + std::to_string(index) + ", line " +
-        std::to_string(index + 1) + ")";
+    const auto at = [index] {
+      return " (event " + std::to_string(index) + ", line " +
+             std::to_string(index + 1) + ")";
+    };
     if (!any) first = e.time;
     last = e.time;
     any = true;
@@ -103,11 +104,15 @@ ReplaySummary replay_events(const obs::EventLog& log) {
         break;
       }
       case obs::ServiceEvent::Kind::kAdmit: {
-        require(pending.count(e.job) != 0,
-                "replay_events: admit of job " + std::to_string(e.job) +
-                    " without a submit" + at);
-        require(depth > 0,
-                "replay_events: admit from an empty queue" + at);
+        if (pending.count(e.job) == 0) {
+          throw InvalidArgument("replay_events: admit of job " +
+                                std::to_string(e.job) + " without a submit" +
+                                at());
+        }
+        if (depth == 0) {
+          throw InvalidArgument("replay_events: admit from an empty queue" +
+                                at());
+        }
         --depth;
         break;
       }
@@ -117,9 +122,11 @@ ReplaySummary replay_events(const obs::EventLog& log) {
       }
       case obs::ServiceEvent::Kind::kGrant: {
         const auto it = pending.find(e.job);
-        require(it != pending.end(),
-                "replay_events: grant of job " + std::to_string(e.job) +
-                    " without a submit" + at);
+        if (it == pending.end()) {
+          throw InvalidArgument("replay_events: grant of job " +
+                                std::to_string(e.job) + " without a submit" +
+                                at());
+        }
         it->second.grant = e.time;
         it->second.w_lo = e.w_lo;
         it->second.w_hi = e.w_hi;
@@ -132,9 +139,11 @@ ReplaySummary replay_events(const obs::EventLog& log) {
         break;
       case obs::ServiceEvent::Kind::kComplete: {
         const auto it = pending.find(e.job);
-        require(it != pending.end() && it->second.granted,
-                "replay_events: complete of job " + std::to_string(e.job) +
-                    " without a grant" + at);
+        if (it == pending.end() || !it->second.granted) {
+          throw InvalidArgument("replay_events: complete of job " +
+                                std::to_string(e.job) + " without a grant" +
+                                at());
+        }
         const Pending& p = it->second;
         JobRecord record;
         record.job.id = e.job;
@@ -145,8 +154,10 @@ ReplaySummary replay_events(const obs::EventLog& log) {
         record.grant = p.grant;
         record.completion = e.time;
         records.push_back(std::move(record));
-        require(in_use >= p.w_hi - p.w_lo,
-                "replay_events: release exceeds wavelengths in use" + at);
+        if (in_use < p.w_hi - p.w_lo) {
+          throw InvalidArgument(
+              "replay_events: release exceeds wavelengths in use" + at());
+        }
         in_use -= p.w_hi - p.w_lo;
         pending.erase(it);
         break;
@@ -159,9 +170,10 @@ ReplaySummary replay_events(const obs::EventLog& log) {
     out.queue_depth.push(e.time, static_cast<double>(depth));
     out.wavelengths_in_use.push(e.time, static_cast<double>(in_use));
   }
-  require(pending.empty(),
-          "replay_events: " + std::to_string(pending.size()) +
-              " job(s) never completed in the log");
+  if (!pending.empty()) {
+    throw InvalidArgument("replay_events: " + std::to_string(pending.size()) +
+                          " job(s) never completed in the log");
+  }
 
   out.report = summarize_records(policy_from_string(log.context().policy),
                                  fabric, std::move(records));

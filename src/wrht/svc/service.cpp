@@ -525,9 +525,11 @@ std::pair<Seconds, plan::CandidateKind> FabricService::price_iteration(
       best = {c.predicted_time, kind};
     }
   }
-  require(best.has_value(), "FabricService: no feasible all-reduce plan for "
-                            "job at width " +
-                                std::to_string(job.width));
+  if (!best) {
+    throw InvalidArgument(
+        "FabricService: no feasible all-reduce plan for job at width " +
+        std::to_string(job.width));
+  }
   return *best;
 }
 
@@ -593,11 +595,12 @@ ServiceReport FabricService::run(const std::vector<Job>& jobs) {
   for (const Job& job : jobs) {
     require(job.num_nodes >= 2, "FabricService: job needs >= 2 nodes");
     require(job.iterations >= 1, "FabricService: job needs >= 1 iteration");
-    require(job.width >= 1 &&
-                job.width <= config_.fabric_wavelengths,
-            "FabricService: job " + std::to_string(job.id) + " wants " +
-                std::to_string(job.width) + " of " +
-                std::to_string(config_.fabric_wavelengths) + " wavelengths");
+    if (job.width < 1 || job.width > config_.fabric_wavelengths) {
+      throw InvalidArgument("FabricService: job " + std::to_string(job.id) +
+                            " wants " + std::to_string(job.width) + " of " +
+                            std::to_string(config_.fabric_wavelengths) +
+                            " wavelengths");
+    }
     simulator_.schedule_at(job.arrival, [this, job]() {
       queue_.push_back(job);
       if (config_.counters != nullptr) config_.counters->add("svc.arrivals", 1);

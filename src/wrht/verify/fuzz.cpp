@@ -186,9 +186,11 @@ FuzzCase FuzzCase::parse(const std::string& line) {
   std::string policy;
   in >> c.algorithm >> c.num_nodes >> c.elements >> c.group_size >>
       c.wavelengths >> policy;
-  require(!in.fail(),
-          "FuzzCase::parse: malformed line '" + line +
-              "' (want: algorithm N elements m w policy [w_lo w_hi])");
+  if (in.fail()) {
+    throw InvalidArgument(
+        "FuzzCase::parse: malformed line '" + line +
+        "' (want: algorithm N elements m w policy [w_lo w_hi])");
+  }
   // Optional lease slice: exactly two more integer tokens.
   std::string lo_token;
   if (in >> lo_token) {
@@ -196,20 +198,27 @@ FuzzCase FuzzCase::parse(const std::string& line) {
     lease >> c.w_lo;
     const bool lo_ok = !lease.fail() && lease.eof();
     in >> c.w_hi;
-    require(lo_ok && !in.fail(),
-            "FuzzCase::parse: malformed lease tokens in '" + line +
-                "' (want: w_lo w_hi)");
-    require(c.w_lo < c.w_hi, "FuzzCase::parse: empty lease slice in '" +
-                                 line + "'");
+    if (!lo_ok || in.fail()) {
+      throw InvalidArgument("FuzzCase::parse: malformed lease tokens in '" +
+                            line + "' (want: w_lo w_hi)");
+    }
+    if (c.w_lo >= c.w_hi) {
+      throw InvalidArgument("FuzzCase::parse: empty lease slice in '" + line +
+                            "'");
+    }
     std::string rest;
     in >> rest;
-    require(rest.empty(),
-            "FuzzCase::parse: trailing tokens in '" + line + "'");
+    if (!rest.empty()) {
+      throw InvalidArgument("FuzzCase::parse: trailing tokens in '" + line +
+                            "'");
+    }
   }
   c.reconfig_policy = parse_policy(policy);
-  require(c.num_nodes >= 2 && c.elements >= 1 && c.group_size >= 2 &&
-              c.wavelengths >= 1,
-          "FuzzCase::parse: out-of-domain values in '" + line + "'");
+  if (!(c.num_nodes >= 2 && c.elements >= 1 && c.group_size >= 2 &&
+        c.wavelengths >= 1)) {
+    throw InvalidArgument("FuzzCase::parse: out-of-domain values in '" + line +
+                          "'");
+  }
   return c;
 }
 
