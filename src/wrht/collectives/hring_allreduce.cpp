@@ -37,6 +37,16 @@ Schedule hring_allreduce(std::uint32_t num_nodes, std::size_t elements,
   const std::uint32_t num_groups = static_cast<std::uint32_t>(groups.size());
   std::uint32_t max_size = 0;
   for (const auto& g : groups) max_size = std::max(max_size, g.size);
+  sched.reserve_steps(hring_builder_steps(num_nodes, group_size));
+  // Intra step t moves one chunk per member of every group still running
+  // its ring (groups of size > t + 1).
+  auto intra_transfers = [&](std::uint32_t t) {
+    std::size_t count = 0;
+    for (const auto& g : groups) {
+      if (t + 1 < g.size) count += g.size;
+    }
+    return count;
+  };
 
   // Stage A: ring all-reduce within every group concurrently. Group-local
   // neighbour transfers go clockwise; the wrap transfer (last member back to
@@ -47,6 +57,7 @@ Schedule hring_allreduce(std::uint32_t num_nodes, std::size_t elements,
   };
   for (std::uint32_t t = 0; t + 1 < max_size; ++t) {
     Step& step = sched.add_step("intra reduce-scatter " + std::to_string(t));
+    step.transfers.reserve(intra_transfers(t));
     for (const auto& g : groups) {
       if (g.size < 2 || t + 1 >= g.size) continue;
       for (std::uint32_t j = 0; j < g.size; ++j) {
@@ -62,6 +73,7 @@ Schedule hring_allreduce(std::uint32_t num_nodes, std::size_t elements,
   }
   for (std::uint32_t t = 0; t + 1 < max_size; ++t) {
     Step& step = sched.add_step("intra all-gather " + std::to_string(t));
+    step.transfers.reserve(intra_transfers(t));
     for (const auto& g : groups) {
       if (g.size < 2 || t + 1 >= g.size) continue;
       for (std::uint32_t j = 0; j < g.size; ++j) {
@@ -81,6 +93,7 @@ Schedule hring_allreduce(std::uint32_t num_nodes, std::size_t elements,
     // transfers travel clockwise; their arcs tile the ring without overlap.
     for (std::uint32_t t = 0; t + 1 < num_groups; ++t) {
       Step& step = sched.add_step("inter reduce-scatter " + std::to_string(t));
+      step.transfers.reserve(num_groups);
       for (std::uint32_t j = 0; j < num_groups; ++j) {
         const std::uint32_t chunk = (j + num_groups - t % num_groups) %
                                     num_groups;
@@ -94,6 +107,7 @@ Schedule hring_allreduce(std::uint32_t num_nodes, std::size_t elements,
     }
     for (std::uint32_t t = 0; t + 1 < num_groups; ++t) {
       Step& step = sched.add_step("inter all-gather " + std::to_string(t));
+      step.transfers.reserve(num_groups);
       for (std::uint32_t j = 0; j < num_groups; ++j) {
         const std::uint32_t chunk = (j + 1 + num_groups - t % num_groups) %
                                     num_groups;
@@ -110,6 +124,7 @@ Schedule hring_allreduce(std::uint32_t num_nodes, std::size_t elements,
     // optical step; members left of the leader are reached counterclockwise,
     // members right of it clockwise, so paths stay inside the group's arc.
     Step& step = sched.add_step("leader broadcast");
+    step.transfers.reserve(num_nodes - num_groups);
     for (const auto& g : groups) {
       const NodeId leader = g.leader();
       for (std::uint32_t j = 0; j < g.size; ++j) {

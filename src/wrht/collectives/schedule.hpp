@@ -34,7 +34,7 @@ namespace wrht::coll {
 using NodeId = topo::NodeId;
 
 /// What the receiver does with the payload.
-enum class TransferKind {
+enum class TransferKind : std::uint8_t {
   kReduce,  ///< receiver accumulates (element-wise sum) into its buffer
   kCopy,    ///< receiver overwrites its buffer range
 };
@@ -52,6 +52,9 @@ struct Transfer {
   /// wavelengths; when absent the RWA engine picks the shortest direction.
   std::optional<topo::Direction> direction;
 };
+// kind and direction share the last word: a ring at N=4096 holds 33.5 M
+// transfers, so every byte here is 33.5 MB of schedule.
+static_assert(sizeof(Transfer) == 32, "Transfer must stay 32 bytes");
 
 /// Per-step transfer storage. Default-constructed (null-arena) lists behave
 /// exactly like std::vector<Transfer>; lists handed out by Schedule point at
@@ -100,7 +103,8 @@ class Schedule {
            std::size_t elements);
 
   /// Copies rebuild the step/transfer data on the copy's own fresh storage
-  /// (per the current thread-local mode); the source arena is untouched.
+  /// (per the current thread-local mode), in one arena chunk sized to the
+  /// source's transfers; the source arena is untouched.
   Schedule(const Schedule& other);
   Schedule& operator=(const Schedule& other);
   Schedule(Schedule&&) noexcept = default;
@@ -114,9 +118,13 @@ class Schedule {
   [[nodiscard]] std::size_t num_steps() const { return steps_.size(); }
 
   /// Appends a step whose transfer list is bound to this schedule's
-  /// storage. Builders that know their step count should reserve_steps()
-  /// first and `transfers.reserve()` per step: growth inside a monotonic
-  /// arena abandons the outgrown block until the schedule dies.
+  /// storage. Reserve contract: a builder that knows its step count calls
+  /// reserve_steps() first, and one that knows a step's transfer count
+  /// calls `transfers.reserve()` before the first push_back. Growth inside
+  /// a monotonic arena abandons the outgrown block until the schedule
+  /// dies, so an unreserved build holds about twice its transfers. The
+  /// ring, H-Ring and WRHT builders reserve exactly: their arenas hold
+  /// Σ transfers × sizeof(Transfer) bytes.
   Step& add_step(std::string label = {});
 
   void reserve_steps(std::size_t n) { steps_.reserve(n); }
@@ -154,6 +162,10 @@ class Schedule {
   void validate() const;
 
  private:
+  /// `first_chunk_bytes` sizes the arena's first chunk (common::Arena).
+  Schedule(std::string algorithm, std::uint32_t num_nodes,
+           std::size_t elements, std::size_t first_chunk_bytes);
+
   [[nodiscard]] common::ArenaAllocator<Transfer> transfer_allocator() const {
     return common::ArenaAllocator<Transfer>(arena_.get());
   }

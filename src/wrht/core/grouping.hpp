@@ -8,6 +8,7 @@
 // (ceil(k^2/8) <= w, Liang & Shen's ring all-to-all bound).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -27,6 +28,13 @@ struct Group {
 
 struct Level {
   std::vector<Group> groups;
+  /// Members that are not their group's rep: the transfers one reduce or
+  /// broadcast step over this level moves, Σ(group size − 1).
+  [[nodiscard]] std::size_t non_rep_members() const {
+    std::size_t count = 0;
+    for (const Group& group : groups) count += group.members.size() - 1;
+    return count;
+  }
 };
 
 /// The full reduce-stage plan.

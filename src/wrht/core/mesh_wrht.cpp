@@ -33,6 +33,8 @@ void emit_row_levels(Schedule& sched, const topo::Mesh& mesh,
     Step& step = sched.add_step(
         std::string(broadcast ? "row broadcast level " : "row reduce level ") +
         std::to_string(l));
+    step.transfers.reserve(std::size_t{mesh.rows()} *
+                           rows.levels[l].non_rep_members());
     for (std::uint32_t r = 0; r < mesh.rows(); ++r) {
       for (const Group& group : rows.levels[l].groups) {
         const std::uint32_t rep_col = group.rep();
@@ -74,6 +76,7 @@ coll::Schedule mesh_wrht_allreduce(const topo::Mesh& mesh,
   if (topo::line_all_to_all_wavelengths(k) <= row_options.wavelengths) {
     // One-stage line model: every row root exchanges with every other.
     Step& step = sched.add_step("column line all-to-all");
+    step.transfers.reserve(std::size_t{k} * (k - 1));
     for (std::uint32_t a = 0; a < k; ++a) {
       for (std::uint32_t b = 0; b < k; ++b) {
         if (a == b) continue;
@@ -94,6 +97,7 @@ coll::Schedule mesh_wrht_allreduce(const topo::Mesh& mesh,
         /*allow_all_to_all=*/false);
     for (std::size_t l = 0; l < col.levels.size(); ++l) {
       Step& step = sched.add_step("column reduce level " + std::to_string(l));
+      step.transfers.reserve(col.levels[l].non_rep_members());
       for (const Group& g : col.levels[l].groups) {
         for (const NodeId member : g.members) {
           if (member == g.rep()) continue;
@@ -106,6 +110,7 @@ coll::Schedule mesh_wrht_allreduce(const topo::Mesh& mesh,
     for (std::size_t l = col.levels.size(); l-- > 0;) {
       Step& step = sched.add_step("column broadcast level " +
                                   std::to_string(l));
+      step.transfers.reserve(col.levels[l].non_rep_members());
       for (const Group& g : col.levels[l].groups) {
         for (const NodeId member : g.members) {
           if (member == g.rep()) continue;

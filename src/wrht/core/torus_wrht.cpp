@@ -42,6 +42,8 @@ coll::Schedule torus_wrht_allreduce(const topo::Torus& torus,
   // Phase 1: per-row reduce; all rows execute each level concurrently.
   for (std::size_t l = 0; l < rows.levels.size(); ++l) {
     Step& step = sched.add_step("row reduce level " + std::to_string(l));
+    step.transfers.reserve(std::size_t{torus.rows()} *
+                           rows.levels[l].non_rep_members());
     for (std::uint32_t r = 0; r < torus.rows(); ++r) {
       for (const Group& group : rows.levels[l].groups) {
         const std::uint32_t rep_col = group.rep();
@@ -70,6 +72,7 @@ coll::Schedule torus_wrht_allreduce(const topo::Torus& torus,
         column, torus.size(), elements, col_options);
     for (const Step& s : column_sched.steps()) {
       Step& step = sched.add_step("column " + s.label);
+      step.transfers.reserve(s.transfers.size());
       for (Transfer t : s.transfers) {
         // Direction hints are ring-specific; drop them on the torus.
         t.direction = std::nullopt;
@@ -81,6 +84,8 @@ coll::Schedule torus_wrht_allreduce(const topo::Torus& torus,
   // Phase 3: per-row broadcast, reverse of phase 1.
   for (std::size_t l = rows.levels.size(); l-- > 0;) {
     Step& step = sched.add_step("row broadcast level " + std::to_string(l));
+    step.transfers.reserve(std::size_t{torus.rows()} *
+                           rows.levels[l].non_rep_members());
     for (std::uint32_t r = 0; r < torus.rows(); ++r) {
       for (const Group& group : rows.levels[l].groups) {
         const std::uint32_t rep_col = group.rep();

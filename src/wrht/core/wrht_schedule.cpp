@@ -28,6 +28,7 @@ void append_reduce_steps(Schedule& sched, const Hierarchy& hierarchy,
                          std::size_t elements, const topo::Ring& ring) {
   for (std::size_t l = 0; l < hierarchy.levels.size(); ++l) {
     Step& step = sched.add_step("reduce level " + std::to_string(l));
+    step.transfers.reserve(hierarchy.levels[l].non_rep_members());
     for (const Group& group : hierarchy.levels[l].groups) {
       const NodeId rep = group.rep();
       for (const NodeId member : group.members) {
@@ -40,6 +41,8 @@ void append_reduce_steps(Schedule& sched, const Hierarchy& hierarchy,
   }
   if (hierarchy.final_all_to_all) {
     Step& step = sched.add_step("all-to-all exchange");
+    const std::size_t k = hierarchy.final_reps.size();
+    step.transfers.reserve(k * (k - 1));
     // Shortest-direction routing per unordered pair. An antipodal pair
     // (cw == ccw) sends BOTH of its directed transfers in the SAME
     // direction: the two arcs a->b and b->a then tile the ring without
@@ -83,6 +86,7 @@ void append_broadcast_steps(Schedule& sched, const Hierarchy& hierarchy,
                             std::size_t elements) {
   for (std::size_t l = hierarchy.levels.size(); l-- > 0;) {
     Step& step = sched.add_step("broadcast level " + std::to_string(l));
+    step.transfers.reserve(hierarchy.levels[l].non_rep_members());
     for (const Group& group : hierarchy.levels[l].groups) {
       const NodeId rep = group.rep();
       for (const NodeId member : group.members) {
@@ -112,6 +116,8 @@ coll::Schedule wrht_allreduce(const std::vector<NodeId>& nodes,
 
   Schedule sched("wrht", ring_size, elements);
   const topo::Ring ring(ring_size);
+  sched.reserve_steps(2 * hierarchy.levels.size() +
+                      (hierarchy.final_all_to_all ? 1 : 0));
   append_reduce_steps(sched, hierarchy, elements, ring);
   append_broadcast_steps(sched, hierarchy, elements);
   return sched;
@@ -143,6 +149,7 @@ WrhtRootedSchedule wrht_reduce(std::uint32_t num_nodes, std::size_t elements,
   const Hierarchy hierarchy = rooted_hierarchy(num_nodes, options);
   Schedule sched("wrht_reduce", num_nodes, elements);
   const topo::Ring ring(num_nodes);
+  sched.reserve_steps(hierarchy.levels.size());
   append_reduce_steps(sched, hierarchy, elements, ring);
   return WrhtRootedSchedule{std::move(sched), hierarchy.final_reps[0]};
 }
@@ -152,6 +159,7 @@ WrhtRootedSchedule wrht_broadcast(std::uint32_t num_nodes,
                                   const WrhtOptions& options) {
   const Hierarchy hierarchy = rooted_hierarchy(num_nodes, options);
   Schedule sched("wrht_broadcast", num_nodes, elements);
+  sched.reserve_steps(hierarchy.levels.size());
   append_broadcast_steps(sched, hierarchy, elements);
   return WrhtRootedSchedule{std::move(sched), hierarchy.final_reps[0]};
 }

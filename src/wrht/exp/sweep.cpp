@@ -115,23 +115,51 @@ coll::Schedule build_schedule(const Series& series, const SweepPoint& point) {
   return coll::Registry::instance().build(series.algorithm, params);
 }
 
+/// The key every element count of one (series, N, m, w) structure shares.
+ScheduleKey structural_key(ScheduleKey key) {
+  key.elements = 0;
+  return key;
+}
+
 /// Schedule reuse across grid points (see ScheduleCacheMode).
 ///
-/// kExact tier: points sharing (series, elements, N, m, w) — e.g. one
-/// curve swept over wavelengths it does not depend on — build once;
-/// concurrent requesters wait on the first builder's future, and build
-/// failures propagate to every waiter.
+/// Exact tier: points sharing (series, elements, N, m, w) — e.g. one
+/// algorithm run on two backends — build once; concurrent requesters wait
+/// on the first builder's future, and build failures propagate to every
+/// waiter.
 ///
-/// kIncremental tier: the first registry build of a (series, N, m, w)
-/// structure is additionally remembered under an elements-agnostic key.
-/// A later point differing only in elements copies that build and
-/// rescales the transfer counts (coll::Schedule::rescale_elements) when
-/// the base is full-vector; chunked bases and failed pioneer builds fall
-/// back to a full build, so patching can only save work, never change
-/// results or surface different errors.
+/// Structural tier: the first registry build (the pioneer) of a
+/// (series, N, m, w) structure is offered to the structure's other element
+/// counts. A sibling copies it and rescales the transfer counts
+/// (coll::Schedule::rescale_elements) when the base is full-vector;
+/// chunked bases and failed pioneer builds fall back to a full build, so
+/// patching can only save work, never change results or surface different
+/// errors.
+///
+/// Lifetime: the cache is built from the expanded grid, so it knows how
+/// many points will ask for each exact key and how many exact keys will
+/// consult each structure. An exact entry is erased when its last point
+/// has asked (callers keep their own SchedulePtr while they run it). A
+/// structural entry is erased after its last sibling has consulted it, or
+/// as soon as its pioneer fails or turns out not to be full-vector,
+/// because such a base can never be patched. A sweep therefore holds a
+/// schedule only while a grid point still needs it.
 class ScheduleCache {
  public:
-  explicit ScheduleCache(ScheduleCacheMode mode) : mode_(mode) {}
+  ScheduleCache(const SweepSpec& spec, const std::vector<SweepPoint>& points)
+      : mode_(spec.schedule_cache) {
+    if (mode_ == ScheduleCacheMode::kOff) return;
+    for (const SweepPoint& point : points) {
+      const Series& series = spec.series[point.series_index];
+      const ScheduleKey key = schedule_key(series, point);
+      if (++memo_[key].uses_left == 1 && !series.builder) {
+        ++structural_[structural_key(key)].uses_left;
+      }
+    }
+    // A structure built at one element count has no sibling to serve.
+    std::erase_if(structural_,
+                  [](const auto& entry) { return entry.second.uses_left < 2; });
+  }
 
   SchedulePtr get_or_build(const Series& series, const SweepPoint& point) {
     if (mode_ == ScheduleCacheMode::kOff) {
@@ -141,34 +169,44 @@ class ScheduleCache {
           build_schedule(series, point));
     }
 
+    const ScheduleKey key = schedule_key(series, point);
     std::promise<SchedulePtr> promise;
     std::shared_future<SchedulePtr> future;
     std::shared_future<SchedulePtr> sibling;  // same structure, other elements
     bool build_here = false;
+    bool pioneer = false;
     {
-      const ScheduleKey key = schedule_key(series, point);
       const std::lock_guard<std::mutex> lock(mutex_);
       const auto it = memo_.find(key);
-      if (it == memo_.end()) {
-        future = promise.get_future().share();
-        memo_.emplace(key, future);
-        build_here = true;
-        if (mode_ == ScheduleCacheMode::kIncremental && !series.builder) {
-          ScheduleKey structural = key;
-          structural.elements = 0;
-          const auto [sit, inserted] =
-              structural_.try_emplace(structural, future);
-          if (!inserted) sibling = sit->second;
-        }
-      } else {
-        future = it->second;
+      require(it != memo_.end(), "ScheduleCache: point outside the grid");
+      Entry& entry = it->second;
+      if (entry.schedule.valid()) {
         hits_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        entry.schedule = promise.get_future().share();
+        build_here = true;
+        const auto sit = series.builder ? structural_.end()
+                                        : structural_.find(structural_key(key));
+        if (sit != structural_.end()) {
+          if (sit->second.schedule.valid()) {
+            sibling = sit->second.schedule;
+          } else {
+            sit->second.schedule = entry.schedule;
+            pioneer = true;
+          }
+          if (--sit->second.uses_left == 0) structural_.erase(sit);
+        }
       }
+      future = entry.schedule;
+      if (--entry.uses_left == 0) memo_.erase(it);
     }
     if (build_here) {
       try {
-        promise.set_value(materialize(series, point, sibling));
+        SchedulePtr schedule = materialize(series, point, sibling);
+        if (pioneer && !schedule->full_vector()) drop_structural(key);
+        promise.set_value(std::move(schedule));
       } catch (...) {
+        if (pioneer) drop_structural(key);
         promise.set_exception(std::current_exception());
       }
     }
@@ -187,6 +225,19 @@ class ScheduleCache {
   }
 
  private:
+  /// A cached (or in-flight) build and the requests still to come for it.
+  struct Entry {
+    std::shared_future<SchedulePtr> schedule;
+    std::size_t uses_left = 0;
+  };
+
+  /// Forgets a pioneer that cannot serve as a patch base; siblings that
+  /// consult the structure afterwards build from scratch.
+  void drop_structural(const ScheduleKey& key) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    structural_.erase(structural_key(key));
+  }
+
   SchedulePtr materialize(const Series& series, const SweepPoint& point,
                           const std::shared_future<SchedulePtr>& sibling) {
     if (sibling.valid()) {
@@ -214,12 +265,11 @@ class ScheduleCache {
 
   ScheduleCacheMode mode_;
   std::mutex mutex_;
-  std::unordered_map<ScheduleKey, std::shared_future<SchedulePtr>,
-                     ScheduleKeyHash>
-      memo_;
-  std::unordered_map<ScheduleKey, std::shared_future<SchedulePtr>,
-                     ScheduleKeyHash>
-      structural_;
+  /// Exact (series, elements, N, m, w) keys; uses_left counts grid points.
+  std::unordered_map<ScheduleKey, Entry, ScheduleKeyHash> memo_;
+  /// Element-agnostic keys of registry builds; uses_left counts the exact
+  /// keys still to consult the entry.
+  std::unordered_map<ScheduleKey, Entry, ScheduleKeyHash> structural_;
   std::atomic<std::uint64_t> builds_{0};
   std::atomic<std::uint64_t> patches_{0};
   std::atomic<std::uint64_t> hits_{0};
@@ -336,7 +386,7 @@ std::vector<SweepRow> SweepRunner::run(const SweepSpec& spec) const {
 
   const std::vector<SweepPoint> points = expand_grid(spec);
   std::vector<SweepRow> rows(points.size());
-  ScheduleCache cache(spec.schedule_cache);
+  ScheduleCache cache(spec, points);
 
   std::optional<LockedTraceSink> locked;
   if (spec.trace != nullptr) locked.emplace(*spec.trace);

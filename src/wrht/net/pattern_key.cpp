@@ -1,30 +1,22 @@
 #include "wrht/net/pattern_key.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
-#include <vector>
 
 namespace wrht::net {
 
 namespace {
 
-/// Steps with at most this many transfers hash from a stack buffer; the
-/// signature is called once per step on every execute(), so avoiding the
-/// heap allocation matters for schedules with millions of small steps.
-constexpr std::size_t kSmallStep = 64;
-
-std::uint64_t hash_keys(std::uint64_t* keys, std::size_t n) {
-  std::sort(keys, keys + n);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t k = keys[i];
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (k >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
+/// murmur3's 64-bit finalizer: a bijection on 64-bit words whose every
+/// output bit depends on every input bit, so a plain sum of mixed keys
+/// is a multiset hash.
+std::uint64_t fmix64(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdull;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ull;
+  k ^= k >> 33;
+  return k;
 }
 
 std::uint64_t transfer_key(const coll::Transfer& t, bool include_direction) {
@@ -39,23 +31,13 @@ std::uint64_t transfer_key(const coll::Transfer& t, bool include_direction) {
 }  // namespace
 
 std::uint64_t step_signature(const coll::Step& step, bool include_direction) {
-  const std::size_t n = step.transfers.size() + 1;
-  std::array<std::uint64_t, kSmallStep + 1> small;
-  std::vector<std::uint64_t> spill;
-  std::uint64_t* keys = small.data();
-  if (n > small.size()) {
-    spill.resize(n);
-    keys = spill.data();
-  }
-
+  std::uint64_t h = 0;
   std::size_t max_count = 0;
-  std::size_t i = 0;
-  for (const auto& t : step.transfers) {
-    keys[i++] = transfer_key(t, include_direction);
+  for (const coll::Transfer& t : step.transfers) {
+    h += fmix64(transfer_key(t, include_direction));
     max_count = std::max(max_count, t.count);
   }
-  keys[i++] = 0x8000'0000'0000'0000ull | max_count;
-  return hash_keys(keys, i);
+  return h + fmix64(0x8000'0000'0000'0000ull | max_count);
 }
 
 }  // namespace wrht::net

@@ -15,7 +15,8 @@ namespace wrht::topo {
 
 using NodeId = std::uint32_t;
 
-enum class Direction { kClockwise, kCounterClockwise };
+/// One byte, so an optional<Direction> packs into coll::Transfer's tail.
+enum class Direction : std::uint8_t { kClockwise, kCounterClockwise };
 
 [[nodiscard]] constexpr Direction opposite(Direction d) {
   return d == Direction::kClockwise ? Direction::kCounterClockwise

@@ -4,7 +4,8 @@
 // invariants plus a sampled data-level proof on a 1-element vector — WRHT
 // schedules are full-vector, so the element axis is structure-free and one
 // element proves the same linear combination), and hold the whole run
-// under a hard peak-RSS budget read from prof::peak_rss_bytes.
+// under a hard peak-RSS budget read from prof::peak_rss_bytes. A Fig. 5-
+// shaped sweep of N = 1024 rings holds the sweep cache to the same budget.
 //
 // These run as their own single-shard Release CI job: they are memory- and
 // minutes-scale, not unit-test-scale.
@@ -12,11 +13,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "wrht/collectives/schedule.hpp"
 #include "wrht/core/planner.hpp"
 #include "wrht/core/torus_wrht.hpp"
 #include "wrht/core/wrht_schedule.hpp"
+#include "wrht/dnn/zoo.hpp"
+#include "wrht/exp/sweep.hpp"
+#include "wrht/obs/counters.hpp"
 #include "wrht/prof/prof.hpp"
 #include "wrht/topo/torus.hpp"
 #include "wrht/verify/invariants.hpp"
@@ -32,7 +37,8 @@ constexpr std::uint32_t kWavelengths = 64;
 /// Hard budget for the whole binary (both schedules and their verifiers):
 /// the N = 10^5 ring schedule holds ~10^5-scale transfer lists on its
 /// arena, the 256x256 torus one is of comparable size, and the sampled
-/// oracle keeps one double per node. Measured peak is ~38 MB; the
+/// oracle keeps one double per node. Measured peak is ~25 MB for those
+/// tests and ~73 MB for the ring sweep (one 67 MB ring in flight); the
 /// headroom absorbs allocator and libc variance across runners without
 /// letting an accidental O(N^2) path slip through.
 constexpr std::size_t kPeakRssBudgetBytes = 256ull * 1024 * 1024;
@@ -109,6 +115,35 @@ TEST(ScaleSmoke, Ring100kRescaleStaysInBudget) {
   EXPECT_EQ(schedule.num_steps(), steps_before);
   EXPECT_EQ(schedule.elements(), 25557032u);
   EXPECT_TRUE(schedule.full_vector());
+  EXPECT_LE(prof::peak_rss_bytes(), kPeakRssBudgetBytes);
+}
+
+/// Fig. 5's Ring series at full size: 4 payloads x N = 1024 x 4 wavelength
+/// budgets, 16 rings of 2.1 M transfers (67 MB) each, all distinct points.
+/// The sweep cache must let go of each ring once its point has run, so the
+/// sweep peaks at one ring; holding all 16 would take over 1 GB.
+TEST(ScaleSmoke, Fig5ShapedRingSweepHoldsOneRingAtATime) {
+  exp::SweepSpec spec;
+  for (const dnn::Model& model : dnn::paper_workloads()) {
+    spec.workloads.push_back(exp::Workload{
+        model.name(), static_cast<std::size_t>(model.parameter_count())});
+  }
+  spec.nodes = {1024};
+  spec.wavelengths = {4, 16, 64, 256};
+  exp::Series ring;
+  ring.name = "ring";
+  ring.algorithm = "ring";
+  ring.backend = "schedule-only";
+  spec.series = {ring};
+  obs::Counters counters;
+  spec.counters = &counters;
+
+  const std::vector<exp::SweepRow> rows = exp::SweepRunner(1).run(spec);
+  ASSERT_EQ(rows.size(), 16u);
+  for (const exp::SweepRow& row : rows) {
+    EXPECT_EQ(row.report.steps, 2u * (1024 - 1));
+  }
+  EXPECT_EQ(counters.value("sweep.schedule.builds"), 16u);
   EXPECT_LE(prof::peak_rss_bytes(), kPeakRssBudgetBytes);
 }
 

@@ -2,7 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "wrht/collectives/hring_allreduce.hpp"
+#include "wrht/collectives/ring_allreduce.hpp"
+#include "wrht/collectives/ring_primitives.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/core/mesh_wrht.hpp"
+#include "wrht/core/torus_wrht.hpp"
+#include "wrht/core/wrht_schedule.hpp"
+#include "wrht/topo/mesh.hpp"
+#include "wrht/topo/torus.hpp"
 
 namespace wrht::coll {
 namespace {
@@ -179,6 +191,68 @@ TEST(ReconfigDeltas, DuplicateTransfersShareOneCircuit) {
   const auto deltas = reconfig_deltas(s);
   ASSERT_EQ(deltas.size(), 1u);
   EXPECT_EQ(deltas[0].added.size(), 1u);
+}
+
+/// Bytes the transfers of `s` occupy: all an exactly reserving builder
+/// takes from the schedule's arena.
+std::size_t transfer_bytes(const Schedule& s) {
+  std::size_t transfers = 0;
+  for (const Step& step : s.steps()) transfers += step.transfers.size();
+  return transfers * sizeof(Transfer);
+}
+
+// The reserve contract of Schedule::add_step: a builder that reserves
+// every step leaves no outgrown vector block behind in its arena. A
+// builder that lets the vectors double holds about twice its transfers.
+TEST(ScheduleArena, ReservingBuildersHoldExactlyTheirTransfers) {
+  std::vector<Schedule> built;
+  for (const std::uint32_t n : {2u, 5u, 16u, 33u}) {
+    built.push_back(ring_allreduce(n, 1000));
+    built.push_back(ring_reduce_scatter(n, 1000));
+    built.push_back(ring_allgather(n, 1000));
+    built.push_back(hring_allreduce(n, 1000, 2));
+    built.push_back(hring_allreduce(n, 1000, 3));  // ragged last group
+    built.push_back(hring_allreduce(n, 1000, 8));
+    for (const bool all_to_all : {true, false}) {
+      core::WrhtOptions options;
+      options.group_size = 3;
+      options.wavelengths = 2;
+      options.allow_all_to_all = all_to_all;
+      built.push_back(core::wrht_allreduce(n, 1000, options));
+    }
+  }
+  core::WrhtOptions grid;
+  grid.group_size = 3;
+  grid.wavelengths = 4;
+  built.push_back(core::torus_wrht_allreduce(topo::Torus(4, 4), 64, grid));
+  built.push_back(core::torus_wrht_allreduce(topo::Torus(6, 7), 64, grid));
+  built.push_back(core::mesh_wrht_allreduce(topo::Mesh(4, 7), 64, grid));
+  grid.wavelengths = 1;  // the column reduces and broadcasts by levels
+  built.push_back(core::mesh_wrht_allreduce(topo::Mesh(9, 4), 64, grid));
+
+  for (const Schedule& s : built) {
+    ASSERT_NE(s.arena(), nullptr);
+    EXPECT_GT(transfer_bytes(s), 0u) << s.algorithm();
+    EXPECT_EQ(s.arena()->bytes_allocated(), transfer_bytes(s))
+        << s.algorithm() << " N=" << s.num_nodes();
+  }
+}
+
+// A copy (the sweep cache's patch path) lays its transfers out exactly,
+// in one arena chunk, whatever its source did.
+TEST(ScheduleArena, CopiesHoldExactlyTheirTransfersInOneChunk) {
+  Schedule s("test", 1000, 16);
+  for (int k = 0; k < 3; ++k) {
+    Step& step = s.add_step();
+    for (NodeId i = 0; i + 1 < 1000; ++i) {
+      step.transfers.push_back({i, i + 1, 0, 16, TransferKind::kReduce, {}});
+    }
+  }
+  ASSERT_GT(s.arena()->bytes_allocated(), transfer_bytes(s));
+  ASSERT_GT(s.arena()->chunks(), 1u);
+  const Schedule copy(s);
+  EXPECT_EQ(copy.arena()->bytes_allocated(), transfer_bytes(copy));
+  EXPECT_EQ(copy.arena()->chunks(), 1u);
 }
 
 }  // namespace

@@ -209,6 +209,36 @@ TEST(Sweep, CountersAttachToRowsAndMergeIntoSpec) {
   EXPECT_EQ(merged.value("net.executions"), rows.size());
 }
 
+TEST(Sweep, CacheCountsEveryBuildPatchAndHitOnce) {
+  // The cache drops each schedule after the last point that needs it. A
+  // drop one point too early would show up here as an extra build, a lost
+  // patch or a lost hit.
+  exp::SweepSpec spec;
+  spec.workloads = {exp::Workload{"a", 256}, exp::Workload{"b", 512},
+                    exp::Workload{"c", 1024}};
+  spec.nodes = {4, 8};
+  spec.wavelengths = {2, 4};
+  spec.series = {
+      exp::Series{.name = "o_ring", .algorithm = "ring"},
+      exp::Series{.name = "e_ring", .algorithm = "ring",
+                  .backend = "electrical-flow"},
+      exp::Series{.name = "btree", .algorithm = "btree"},
+      exp::Series{.name = "wrht", .algorithm = "wrht"}};
+  for (const unsigned threads : {1u, 3u}) {
+    obs::Counters counters;
+    spec.counters = &counters;
+    const auto rows = exp::SweepRunner(threads).run(spec);
+    ASSERT_EQ(rows.size(), 48u);
+    // Rings are chunked: 12 (elements, N, w) builds, each shared by the
+    // optical and the electrical series. btree and wrht are full-vector:
+    // one build per (N, w), patched for the two other element counts.
+    EXPECT_EQ(counters.value("sweep.schedule.builds"), 12u + 4u + 4u)
+        << threads;
+    EXPECT_EQ(counters.value("sweep.schedule.patches"), 8u + 8u) << threads;
+    EXPECT_EQ(counters.value("sweep.schedule.hits"), 12u) << threads;
+  }
+}
+
 TEST(Sweep, ExplicitThreadsWinOverEnvironment) {
   EXPECT_EQ(exp::SweepRunner(3).threads(), 3u);
   EXPECT_GE(exp::SweepRunner(0).threads(), 1u);
