@@ -13,12 +13,10 @@
 // row structure are identical to the full run.
 #pragma once
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <map>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -30,8 +28,6 @@
 #include "wrht/exp/sweep.hpp"
 #include "wrht/obs/counters.hpp"
 #include "wrht/obs/run_report.hpp"
-#include "wrht/prof/perf_report.hpp"
-#include "wrht/prof/prof.hpp"
 
 namespace wrht::bench {
 
@@ -52,49 +48,11 @@ inline bool tiny() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-/// True when WRHT_BENCH_PERF is set: every sweep launched through
-/// run_sweep() profiles itself (wall clock + wrht::prof phase accounting)
-/// and write_metrics_csv() also emits BENCH_<name>.json — the
-/// machine-readable perf result wrht_perf and the baseline tooling read.
-inline bool perf_enabled() {
-  const char* env = std::getenv("WRHT_BENCH_PERF");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-/// The bench's process-wide profiling registry; installed around each
-/// sweep (and the CSV writes) when perf_enabled().
-inline prof::ProfRegistry& perf_registry() {
-  static prof::ProfRegistry registry;
-  return registry;
-}
-
-namespace detail {
-/// Whole-sweep wall samples + total grid points, accumulated by
-/// run_sweep() for the BENCH_<name>.json throughput metrics.
-struct PerfSamples {
-  std::vector<double> sweep_wall_s;
-  std::size_t grid_points = 0;
-};
-inline PerfSamples& perf_samples() {
-  static PerfSamples samples;
-  return samples;
-}
-}  // namespace detail
-
 /// Runs `spec` through a SweepRunner with the process-wide metrics()
-/// registry attached. Under WRHT_BENCH_PERF the run executes with the
-/// perf registry installed and records a whole-sweep wall sample.
+/// registry attached.
 inline std::vector<exp::SweepRow> run_sweep(exp::SweepSpec spec) {
   spec.counters = &metrics();
-  if (!perf_enabled()) return exp::SweepRunner().run(spec);
-  const prof::ScopedProfiling profiling(perf_registry());
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<exp::SweepRow> rows = exp::SweepRunner().run(spec);
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - start;
-  detail::perf_samples().sweep_wall_s.push_back(wall.count());
-  detail::perf_samples().grid_points += rows.size();
-  return rows;
+  return exp::SweepRunner().run(spec);
 }
 
 /// The row at (workload, nodes, wavelengths, series); throws when the
@@ -151,44 +109,11 @@ inline std::string csv_path(const std::string& bench_name) {
 }
 
 /// Dumps the accumulated metrics() counters to `<bench>_metrics.csv`
-/// alongside the figure CSV, and — under WRHT_BENCH_PERF — also emits
-/// BENCH_<bench>.json with the sweep wall samples (median/p90),
-/// grid-point throughput, pool thread efficiency, merged phase table and
-/// peak RSS.
+/// alongside the figure CSV.
 inline void write_metrics_csv(const std::string& bench_name) {
   const std::string path = bench_name + "_metrics.csv";
-  if (!perf_enabled()) {
-    metrics().write_csv(path);
-    std::printf("metrics CSV written to %s\n", path.c_str());
-    return;
-  }
-  const prof::ScopedProfiling profiling(perf_registry());
-  {
-    const prof::ScopedTimer timer("io.csv.write");
-    metrics().write_csv(path);
-  }
+  metrics().write_csv(path);
   std::printf("metrics CSV written to %s\n", path.c_str());
-
-  const detail::PerfSamples& samples = detail::perf_samples();
-  prof::PerfReport report;
-  report.name = bench_name;
-  report.repetitions = static_cast<std::uint32_t>(samples.sweep_wall_s.size());
-  report.threads = exp::SweepRunner().threads();
-  report.wall_time_s = std::accumulate(samples.sweep_wall_s.begin(),
-                                       samples.sweep_wall_s.end(), 0.0);
-  report.peak_rss_bytes = prof::peak_rss_bytes();
-  if (!samples.sweep_wall_s.empty()) {
-    report.add_sample_metrics("sweep.wall_s", samples.sweep_wall_s, "s");
-  }
-  if (report.wall_time_s > 0.0 && samples.grid_points > 0) {
-    report.add_metric(
-        "grid_points_per_s",
-        static_cast<double>(samples.grid_points) / report.wall_time_s, "/s");
-  }
-  report.capture(perf_registry());
-  const std::string json_path = "BENCH_" + bench_name + ".json";
-  report.write_json_file(json_path);
-  std::printf("perf report written to %s\n", json_path.c_str());
 }
 
 }  // namespace wrht::bench

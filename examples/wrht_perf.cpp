@@ -1,9 +1,10 @@
 // wrht_perf: the host-side performance harness. Runs a pinned micro-suite
-// (the same hot paths bench_micro exercises: schedule construction, RWA,
-// all four execution backends, the verification oracle, the event kernel
-// and a small parallel sweep), aggregates repetitions into median/p90
-// metrics, and writes the machine-readable BENCH_micro.json that the
-// baseline tooling consumes.
+// (schedule construction, RWA, all four execution backends, the planner,
+// the verification oracle, blame, the event kernel, the service and a
+// small parallel sweep, plus the two observability contracts: the cost of
+// a ScopedTimer with profiling off and the price of attaching a probe),
+// aggregates repetitions into median/p90 metrics, and writes the
+// machine-readable BENCH_micro.json that the baseline tooling consumes.
 //
 //   $ wrht_perf [--scale] [--tiny] [--reps N] [--out PATH]
 //               [--baseline PATH] [--write-baseline PATH] [--drift X]
@@ -22,6 +23,7 @@
 // --write-baseline snapshots the measurement as a new baseline with a
 // uniform --drift threshold (default 3.0: a 4x slowdown regresses; see
 // EXPERIMENTS.md for the refresh workflow).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +41,7 @@
 #include "wrht/core/wrht_schedule.hpp"
 #include "wrht/exp/sweep.hpp"
 #include "wrht/net/registry.hpp"
+#include "wrht/obs/trace.hpp"
 #include "wrht/obs/transfer_log.hpp"
 #include "wrht/optical/rwa.hpp"
 #include "wrht/plan/schedule_planner.hpp"
@@ -155,7 +158,6 @@ int run_scale(const Options& opt) {
   std::size_t sweep_volume = 0;
   {
     const prof::ScopedProfiling profiling(registry);
-    prof::set_thread_label("main");
 
     // Full schedule build at N~10^5 (the arena path; elements=1 because
     // full-vector structure is element-independent).
@@ -435,9 +437,25 @@ int main(int argc, char** argv) {
   report.threads = exp::SweepRunner().threads();
 
   const auto suite_start = std::chrono::steady_clock::now();
+
+  // The off-by-default contract: with no registry installed a ScopedTimer
+  // is one pointer test and nothing else (prof.hpp). Timed before the
+  // suite installs its own registry; 2^20 timers put the total in ms.
+  {
+    std::vector<double> samples;
+    samples.reserve(opt.reps);
+    for (std::uint32_t r = 0; r < opt.reps; ++r) {
+      samples.push_back(time_once([] {
+        for (int i = 0; i < (1 << 20); ++i) {
+          const prof::ScopedTimer timer("suite.scoped_timer_off");
+        }
+      }));
+    }
+    report.add_sample_metrics("scoped_timer_off.wall_s", samples, "s");
+  }
+
   {
     const prof::ScopedProfiling profiling(registry);
-    prof::set_thread_label("main");
 
     for (const Micro& micro : suite) {
       std::vector<double> samples;
@@ -447,6 +465,35 @@ int main(int argc, char** argv) {
         samples.push_back(time_once(micro.run));
       }
       report.add_sample_metrics(micro.name + ".wall_s", samples, "s");
+    }
+
+    // The price of observation: the optical_ring_execute run with a trace
+    // sink and counters attached, over the same run unobserved. Min of 3
+    // interleaved runs per side and rep, as svc_telemetry_tick does.
+    {
+      net::BackendConfig config;
+      config.num_nodes = optical_n;
+      config.wavelengths = 16;
+      const std::unique_ptr<net::Backend> backend =
+          net::BackendRegistry::instance().create("optical-ring", config);
+      std::vector<double> ratios;
+      for (std::uint32_t r = 0; r < opt.reps; ++r) {
+        const prof::ScopedTimer timer("suite.probe_overhead");
+        double wall_off = 1e9, wall_on = 1e9;
+        for (int k = 0; k < 3; ++k) {
+          wall_off = std::min(wall_off, time_once([&] {
+            (void)backend->execute(optical_sched, obs::Probe{});
+          }));
+          wall_on = std::min(wall_on, time_once([&] {
+            obs::MemoryTraceSink sink;
+            obs::Counters counters;
+            (void)backend->execute(optical_sched,
+                                   obs::Probe{&sink, &counters, 0});
+          }));
+        }
+        ratios.push_back(wall_on / (wall_off > 0.0 ? wall_off : 1e-12));
+      }
+      report.add_sample_metrics("probe_overhead.ratio", ratios, "x");
     }
 
     // Event kernel: wall time plus simulated-event throughput.

@@ -11,8 +11,7 @@
 # would only obscure the culprit. ablation_overlap.csv additionally gets
 # its full column schema pinned here (the overlap/planner columns feed the
 # reconfigure-or-not analysis, and the checked-in reference would follow a
-# silently drifted writer). Finishes with a 1-repetition bench_micro pass
-# so the microbenchmarks cannot rot either.
+# silently drifted writer).
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: ./build)
 set -euo pipefail
@@ -68,7 +67,7 @@ declare -A EXPECTED_ROWS=(
 
 targets=()
 for b in "${BENCHES[@]}"; do targets+=("${BIN_OVERRIDE[$b]:-bench_$b}"); done
-targets+=(bench_micro wrht_analyze)
+targets+=(wrht_analyze)
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${targets[@]}"
 
 WORK="$(mktemp -d)"
@@ -204,20 +203,8 @@ cp svc_events.jsonl svc_telemetry_timeseries.csv svc_trace.json \
    "$BUILD_DIR/telemetry_artifacts/"
 echo "OK: telemetry artifacts staged in $BUILD_DIR/telemetry_artifacts"
 
-# Microbenchmark smoke: one repetition at minimal min_time just proves every
-# registered benchmark still runs to completion.
-echo "--- bench_micro (1 repetition)"
-if ! "$BUILD_DIR/bench/bench_micro" --benchmark_min_time=0.01 \
-    --benchmark_repetitions=1 > bench_micro.log 2>&1; then
-  echo "FAIL: bench_micro exited non-zero; last lines:"
-  tail -n 20 bench_micro.log
-  fail=1
-else
-  echo "OK: bench_micro ($(grep -c '^BM_' bench_micro.log || true) benchmark lines)"
-fi
-
 if [[ $fail -ne 0 ]]; then
   echo "bench smoke FAILED"
   exit 1
 fi
-echo "bench smoke passed: ${#BENCHES[@]} benches + bench_micro, all CSVs match"
+echo "bench smoke passed: ${#BENCHES[@]} benches, all CSVs match"

@@ -3,7 +3,8 @@
 # and checks four contracts:
 #
 #   1. BENCH_micro.json exists and carries the wrht-perf-1 schema markers
-#      (schema id, phase table, thread efficiency, peak RSS).
+#      (schema id, phase table, thread efficiency, peak RSS) and the two
+#      observability-contract metrics (scoped_timer_off, probe_overhead).
 #   2. The measurement passes the checked-in tiny baseline
 #      (bench/baselines/micro-tiny.baseline) — a real perf regression or a
 #      metric-schema drift fails the script.
@@ -41,7 +42,8 @@ echo "--- wrht_perf tiny vs checked-in baseline"
 
 echo "--- BENCH_micro.json schema markers"
 for marker in '"schema": "wrht-perf-1"' '"phases"' '"thread_efficiency"' \
-              '"peak_rss_bytes"' '"metrics"'; do
+              '"peak_rss_bytes"' '"metrics"' 'scoped_timer_off' \
+              'probe_overhead'; do
   if ! grep -qF "$marker" BENCH_micro.json; then
     echo "FAIL: BENCH_micro.json is missing $marker"
     exit 1

@@ -47,7 +47,7 @@ struct WrhtStepPlan {
 struct TimeModel {
   Seconds per_step_overhead{25e-6 + 497e-15};  ///< a = MRR reconfig + O/E/O
   /// Bytes drained per second per transfer; defaults to the paper's
-  /// numeric convention (see optics::OpticalConfig::RateConvention).
+  /// numeric convention (see net::RateConvention).
   double bytes_per_second = 40e9;
 };
 

@@ -41,6 +41,9 @@ std::vector<Segment> replay_allocator(const svc::ServiceReport& report,
   std::vector<AllocEvent> events;
   events.reserve(report.records.size() * 2);
   for (const svc::JobRecord& r : report.records) {
+    // A lease held for no time opens no segment; replaying it would
+    // release before claiming, since releases sort first.
+    if (r.completion <= r.grant) continue;
     events.push_back(AllocEvent{r.grant.count(), true, r.lease.w_lo,
                                 r.job.width});
     events.push_back(AllocEvent{r.completion.count(), false, r.lease.w_lo,
@@ -52,40 +55,22 @@ std::vector<Segment> replay_allocator(const svc::ServiceReport& report,
               return a.grant < b.grant;  // releases first
             });
 
-  std::vector<bool> occupied(fabric, false);
-  const auto measure = [&](Segment* segment) {
-    std::uint32_t free = 0;
-    std::uint32_t largest = 0;
-    std::uint32_t run = 0;
-    for (std::uint32_t w = 0; w < fabric; ++w) {
-      if (occupied[w]) {
-        run = 0;
-        continue;
-      }
-      ++free;
-      ++run;
-      largest = std::max(largest, run);
-    }
-    segment->free_width = free;
-    segment->largest_free = largest;
-  };
-
+  svc::WavelengthAllocator lanes(fabric);
   std::vector<Segment> segments;
   double cursor = 0.0;
   std::size_t i = 0;
   while (i < events.size()) {
     const double t = events[i].time;
     if (t > cursor) {
-      Segment segment;
-      segment.t0 = cursor;
-      segment.t1 = t;
-      measure(&segment);
-      segments.push_back(segment);
+      segments.push_back(
+          Segment{cursor, t, lanes.free_width(), lanes.largest_free()});
     }
     while (i < events.size() && events[i].time == t) {
       const AllocEvent& e = events[i];
-      for (std::uint32_t w = e.w_lo; w < e.w_lo + e.width; ++w) {
-        occupied[w] = e.grant;
+      if (e.grant) {
+        lanes.claim(e.w_lo, e.width);
+      } else {
+        lanes.release(e.w_lo, e.width);
       }
       ++i;
     }
@@ -96,14 +81,19 @@ std::vector<Segment> replay_allocator(const svc::ServiceReport& report,
 
 /// Seconds of [t0, t1) during which the fabric was fragmented for a job of
 /// `width`: enough free width in total, no contiguous slice wide enough.
+/// The segments tile the run in time order, so only those from the first
+/// still open at t0 up to the first opening at or after t1 can overlap.
 double fragmented_wait(const std::vector<Segment>& segments, double t0,
                        double t1, std::uint32_t width) {
   double fragmented = 0.0;
-  for (const Segment& segment : segments) {
-    const double lo = std::max(t0, segment.t0);
-    const double hi = std::min(t1, segment.t1);
+  for (auto it = std::upper_bound(
+           segments.begin(), segments.end(), t0,
+           [](double t, const Segment& segment) { return t < segment.t1; });
+       it != segments.end() && it->t0 < t1; ++it) {
+    const double lo = std::max(t0, it->t0);
+    const double hi = std::min(t1, it->t1);
     if (hi <= lo) continue;
-    if (segment.free_width >= width && segment.largest_free < width) {
+    if (it->free_width >= width && it->largest_free < width) {
       fragmented += hi - lo;
     }
   }

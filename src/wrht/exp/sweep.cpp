@@ -413,7 +413,6 @@ std::vector<SweepRow> SweepRunner::run(const SweepSpec& spec) const {
   auto worker = [&](unsigned id) {
     // wall covers the worker's whole life, busy only run_point: the merged
     // busy/wall ratio is the pool efficiency WRHT_SWEEP_THREADS bought.
-    prof::set_thread_label("sweep-worker-" + std::to_string(id));
     const prof::ScopedTimer wall("sweep.worker.wall");
     while (true) {
       const std::size_t i = next.fetch_add(1);

@@ -6,7 +6,8 @@
 // and the data-level executor posts logical-time spans. The default is no
 // sink at all — instrumentation sites hold a possibly-null Probe and every
 // emission is guarded by one pointer test, so a run without observers costs
-// nothing but untaken branches (verified against bench_micro).
+// nothing but untaken branches (wrht_perf's probe_overhead.ratio gates the
+// price of attaching a sink and counters against that unobserved run).
 #pragma once
 
 #include <cstdint>

@@ -41,10 +41,8 @@ struct OpticalConfig {
   Bytes packet_size{72};
   std::uint32_t bytes_per_element = 4;     ///< float32 gradients
 
-  /// The Eq. (6) rate convention (see net/rate_convention.hpp); the alias
-  /// keeps the historical OpticalConfig::RateConvention spelling working.
-  using RateConvention = net::RateConvention;
-  RateConvention convention = RateConvention::kPaperConvention;
+  /// The Eq. (6) rate convention (see net/rate_convention.hpp).
+  net::RateConvention convention = net::RateConvention::kPaperConvention;
 
   RwaPolicy rwa_policy = RwaPolicy::kFirstFit;
   /// Split wavelength-starved steps into sequential rounds instead of
@@ -78,9 +76,6 @@ struct OpticalConfig {
   ///   kOverlapped - round k+1's retune proceeds during round k's
   ///                 transmission; only the residual delay is charged
   ///                 (bench_ablation_overlap).
-  /// The alias keeps the historical OpticalConfig::ReconfigAccounting
-  /// spelling working, mirroring the RateConvention unification.
-  using ReconfigAccounting = net::ReconfigPolicy;
   net::ReconfigPolicy reconfig_policy = net::ReconfigPolicy::kEveryRound;
 
   /// Effective serialization rate in bytes per second.
@@ -120,7 +115,7 @@ struct OpticalConfig {
     bytes_per_element = v;
     return *this;
   }
-  OpticalConfig& with_convention(RateConvention v) {
+  OpticalConfig& with_convention(net::RateConvention v) {
     convention = v;
     return *this;
   }
@@ -159,14 +154,6 @@ struct OpticalConfig {
     return *this;
   }
   OpticalConfig& with_reconfig_policy(net::ReconfigPolicy v) {
-    reconfig_policy = v;
-    return *this;
-  }
-  /// Deprecated alias of with_reconfig_policy(), kept for one release so
-  /// pre-unification call sites compile (ReconfigAccounting is now an
-  /// alias of net::ReconfigPolicy, so the old enumerators still resolve).
-  [[deprecated("use with_reconfig_policy")]] OpticalConfig&
-  with_reconfig_accounting(ReconfigAccounting v) {
     reconfig_policy = v;
     return *this;
   }

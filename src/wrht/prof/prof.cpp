@@ -20,7 +20,6 @@ std::atomic<std::uint64_t> g_epoch{0};
 /// itself is guarded by the registry mutex (snapshots walk it from other
 /// threads); the cells are accumulated into lock-free.
 struct ProfRegistry::ThreadRecord {
-  std::string label;
   std::map<std::string, PhaseCell*> cells;
   std::deque<PhaseCell> storage;
 };
@@ -59,7 +58,6 @@ ProfRegistry::ThreadRecord* ProfRegistry::this_thread_record() {
   if (cache.epoch != epoch_) {
     const std::lock_guard<std::mutex> lock(mutex_);
     records_.push_back(std::make_unique<ThreadRecord>());
-    records_.back()->label = "thread-" + std::to_string(records_.size() - 1);
     cache.epoch = epoch_;
     cache.record = records_.back().get();
     cache.cells.clear();
@@ -89,12 +87,6 @@ ProfRegistry::PhaseCell* ProfRegistry::cell(std::string_view phase) {
   return resolved;
 }
 
-void ProfRegistry::label_this_thread(const std::string& label) {
-  ThreadRecord* record = this_thread_record();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  record->label = label;
-}
-
 std::map<std::string, PhaseTotals> ProfRegistry::phase_totals() const {
   std::map<std::string, PhaseTotals> out;
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -110,47 +102,11 @@ std::map<std::string, PhaseTotals> ProfRegistry::phase_totals() const {
   return out;
 }
 
-std::vector<ProfRegistry::ThreadTotals> ProfRegistry::thread_totals() const {
-  std::vector<ThreadTotals> out;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  out.reserve(records_.size());
-  for (const auto& record : records_) {
-    ThreadTotals totals;
-    totals.label = record->label;
-    for (const auto& [name, cell] : record->cells) {
-      totals.phases[name] = PhaseTotals{
-          cell->calls.load(std::memory_order_relaxed),
-          static_cast<double>(cell->nanos.load(std::memory_order_relaxed)) *
-              1e-9};
-    }
-    out.push_back(std::move(totals));
-  }
-  return out;
-}
-
-void ProfRegistry::note_allocation(std::size_t bytes) {
-  alloc_count_.fetch_add(1, std::memory_order_relaxed);
-  alloc_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-std::uint64_t ProfRegistry::allocation_count() const {
-  return alloc_count_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t ProfRegistry::allocated_bytes() const {
-  return alloc_bytes_.load(std::memory_order_relaxed);
-}
-
 ScopedProfiling::ScopedProfiling(ProfRegistry& registry)
     : previous_(g_current.exchange(&registry, std::memory_order_acq_rel)) {}
 
 ScopedProfiling::~ScopedProfiling() {
   g_current.store(previous_, std::memory_order_release);
-}
-
-void set_thread_label(const std::string& label) {
-  ProfRegistry* registry = ProfRegistry::current();
-  if (registry != nullptr) registry->label_this_thread(label);
 }
 
 std::size_t peak_rss_bytes() {

@@ -10,7 +10,7 @@
 // installed unless a tool opts in, every instrumentation site is a
 // ScopedTimer whose constructor performs exactly one relaxed pointer load
 // when profiling is off, and nothing else happens — no string copies, no
-// clock reads, no allocation (bench_micro's BM_ScopedTimerOff guards
+// clock reads, no allocation (wrht_perf's scoped_timer_off.wall_s gates
 // this). When a registry is installed, each thread accumulates into its
 // own lock-free cells (relaxed atomics on pre-resolved pointers; the only
 // lock is taken once per (thread, phase) on first use) and the registry
@@ -76,26 +76,6 @@ class ProfRegistry {
   /// was spread over threads.
   [[nodiscard]] std::map<std::string, PhaseTotals> phase_totals() const;
 
-  /// Per-thread totals, in thread registration order. `label` is
-  /// "thread-<k>" unless the thread called set_thread_label (the sweep
-  /// pool labels its workers "sweep-worker-<k>").
-  struct ThreadTotals {
-    std::string label;
-    std::map<std::string, PhaseTotals> phases;
-  };
-  [[nodiscard]] std::vector<ThreadTotals> thread_totals() const;
-
-  /// Optional allocation accounting. The library deliberately ships no
-  /// global operator new replacement (it would perturb every benchmark it
-  /// is meant to measure); arena-style allocators and tools call this
-  /// hook directly.
-  void note_allocation(std::size_t bytes);
-  [[nodiscard]] std::uint64_t allocation_count() const;
-  [[nodiscard]] std::uint64_t allocated_bytes() const;
-
-  /// Labels the calling thread's totals in this registry.
-  void label_this_thread(const std::string& label);
-
  private:
   friend class ScopedTimer;
   friend class ScopedProfiling;
@@ -118,8 +98,6 @@ class ProfRegistry {
   const std::uint64_t epoch_;  ///< disambiguates reused addresses in TLS
   mutable std::mutex mutex_;   ///< guards records_ and each record's map
   std::vector<std::unique_ptr<ThreadRecord>> records_;
-  std::atomic<std::uint64_t> alloc_count_{0};
-  std::atomic<std::uint64_t> alloc_bytes_{0};
 };
 
 /// Installs a registry as ProfRegistry::current() for its scope and
@@ -134,10 +112,6 @@ class ScopedProfiling {
  private:
   ProfRegistry* previous_;
 };
-
-/// Labels the calling thread in the current registry; no-op when
-/// profiling is off.
-void set_thread_label(const std::string& label);
 
 /// Times one phase from construction to destruction. When no registry is
 /// installed the constructor is a single pointer test and the destructor

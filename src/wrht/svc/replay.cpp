@@ -75,6 +75,9 @@ ReplaySummary replay_events(const obs::EventLog& log) {
   std::vector<JobRecord> records;            // completion order
 
   std::uint64_t depth = 0;
+  // Recorded grants replayed on the live run's lane model: a log whose
+  // leases overlap or leave the fabric is rejected, not summed.
+  WavelengthAllocator lanes(fabric);
   std::uint32_t in_use = 0;
   TimeWeightedMean depth_mean;
   TimeWeightedMean util_mean;
@@ -85,83 +88,77 @@ ReplaySummary replay_events(const obs::EventLog& log) {
   std::size_t index = 0;  // 0-based event index; JSONL line = index + 2
   for (const obs::ServiceEvent& e : log.events()) {
     ++index;
-    // Names the offending JSONL line (header is line 1) so a corrupted
-    // log points at itself instead of at the replay.
-    const auto at = [index] {
-      return " (event " + std::to_string(index) + ", line " +
-             std::to_string(index + 1) + ")";
-    };
     if (!any) first = e.time;
     last = e.time;
     any = true;
     ++out.event_counts[obs::to_string(e.kind)];
-    switch (e.kind) {
-      case obs::ServiceEvent::Kind::kSubmit: {
-        Pending& p = pending[e.job];
-        p.arrival = e.time;
-        p.tenant = e.tenant;
-        ++depth;
-        break;
-      }
-      case obs::ServiceEvent::Kind::kAdmit: {
-        if (pending.count(e.job) == 0) {
-          throw InvalidArgument("replay_events: admit of job " +
-                                std::to_string(e.job) + " without a submit" +
-                                at());
+    try {
+      switch (e.kind) {
+        case obs::ServiceEvent::Kind::kSubmit: {
+          Pending& p = pending[e.job];
+          p.arrival = e.time;
+          p.tenant = e.tenant;
+          ++depth;
+          break;
         }
-        if (depth == 0) {
-          throw InvalidArgument("replay_events: admit from an empty queue" +
-                                at());
+        case obs::ServiceEvent::Kind::kAdmit: {
+          if (pending.count(e.job) == 0) {
+            throw InvalidArgument("admit of job " + std::to_string(e.job) +
+                                  " without a submit");
+          }
+          require(depth > 0, "admit from an empty queue");
+          --depth;
+          break;
         }
-        --depth;
-        break;
-      }
-      case obs::ServiceEvent::Kind::kPreempt: {
-        ++depth;  // back to the queue
-        break;
-      }
-      case obs::ServiceEvent::Kind::kGrant: {
-        const auto it = pending.find(e.job);
-        if (it == pending.end()) {
-          throw InvalidArgument("replay_events: grant of job " +
-                                std::to_string(e.job) + " without a submit" +
-                                at());
+        case obs::ServiceEvent::Kind::kPreempt: {
+          ++depth;  // back to the queue
+          break;
         }
-        it->second.grant = e.time;
-        it->second.w_lo = e.w_lo;
-        it->second.w_hi = e.w_hi;
-        it->second.granted = true;
-        in_use += e.w_hi - e.w_lo;
-        break;
-      }
-      case obs::ServiceEvent::Kind::kStart:
-      case obs::ServiceEvent::Kind::kRetune:
-        break;
-      case obs::ServiceEvent::Kind::kComplete: {
-        const auto it = pending.find(e.job);
-        if (it == pending.end() || !it->second.granted) {
-          throw InvalidArgument("replay_events: complete of job " +
-                                std::to_string(e.job) + " without a grant" +
-                                at());
+        case obs::ServiceEvent::Kind::kGrant: {
+          const auto it = pending.find(e.job);
+          if (it == pending.end()) {
+            throw InvalidArgument("grant of job " + std::to_string(e.job) +
+                                  " without a submit");
+          }
+          lanes.claim(e.w_lo, e.w_hi - e.w_lo);
+          in_use = fabric - lanes.free_width();
+          it->second.grant = e.time;
+          it->second.w_lo = e.w_lo;
+          it->second.w_hi = e.w_hi;
+          it->second.granted = true;
+          break;
         }
-        const Pending& p = it->second;
-        JobRecord record;
-        record.job.id = e.job;
-        record.job.tenant = p.tenant;
-        record.job.width = p.w_hi - p.w_lo;
-        record.job.arrival = p.arrival;
-        record.lease = net::slice_lease(p.w_lo, p.w_hi - p.w_lo, p.tenant);
-        record.grant = p.grant;
-        record.completion = e.time;
-        records.push_back(std::move(record));
-        if (in_use < p.w_hi - p.w_lo) {
-          throw InvalidArgument(
-              "replay_events: release exceeds wavelengths in use" + at());
+        case obs::ServiceEvent::Kind::kStart:
+        case obs::ServiceEvent::Kind::kRetune:
+          break;
+        case obs::ServiceEvent::Kind::kComplete: {
+          const auto it = pending.find(e.job);
+          if (it == pending.end() || !it->second.granted) {
+            throw InvalidArgument("complete of job " + std::to_string(e.job) +
+                                  " without a grant");
+          }
+          const Pending& p = it->second;
+          JobRecord record;
+          record.job.id = e.job;
+          record.job.tenant = p.tenant;
+          record.job.width = p.w_hi - p.w_lo;
+          record.job.arrival = p.arrival;
+          record.lease = net::slice_lease(p.w_lo, p.w_hi - p.w_lo, p.tenant);
+          record.grant = p.grant;
+          record.completion = e.time;
+          records.push_back(std::move(record));
+          lanes.release(p.w_lo, p.w_hi - p.w_lo);
+          in_use = fabric - lanes.free_width();
+          pending.erase(it);
+          break;
         }
-        in_use -= p.w_hi - p.w_lo;
-        pending.erase(it);
-        break;
       }
+    } catch (const Error& err) {
+      // Names the offending JSONL line (header is line 1) so a corrupted
+      // log points at itself instead of at the replay.
+      throw InvalidArgument("replay_events: " + std::string(err.what()) +
+                            " (event " + std::to_string(index) + ", line " +
+                            std::to_string(index + 1) + ")");
     }
     out.peak_queue_depth = std::max(out.peak_queue_depth, depth);
     depth_mean.step(e.time, static_cast<double>(depth));

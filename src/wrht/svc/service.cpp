@@ -42,6 +42,23 @@ std::optional<std::uint32_t> WavelengthAllocator::allocate(
   return std::nullopt;
 }
 
+void WavelengthAllocator::claim(std::uint32_t w_lo, std::uint32_t width) {
+  require(width >= 1 && w_lo <= fabric_ && width <= fabric_ - w_lo,
+          "WavelengthAllocator: claim outside the fabric");
+  // The only free interval that can hold the slice is the last one
+  // starting at or below w_lo; split it around the slice.
+  const auto next = std::upper_bound(
+      free_.begin(), free_.end(), w_lo,
+      [](std::uint32_t w, const Interval& iv) { return w < iv.lo; });
+  require(next != free_.begin() && std::prev(next)->hi >= w_lo + width,
+          "WavelengthAllocator: claim over busy lanes");
+  const std::ptrdiff_t i = (next - free_.begin()) - 1;
+  const Interval right{w_lo + width, free_[i].hi};
+  free_[i].hi = w_lo;
+  if (right.lo < right.hi) free_.insert(free_.begin() + i + 1, right);
+  if (free_[i].lo == free_[i].hi) free_.erase(free_.begin() + i);
+}
+
 void WavelengthAllocator::release(std::uint32_t w_lo, std::uint32_t width) {
   require(width >= 1 && w_lo + width <= fabric_,
           "WavelengthAllocator: release outside the fabric");
@@ -74,6 +91,12 @@ std::uint32_t WavelengthAllocator::largest_free() const {
   std::uint32_t widest = 0;
   for (const Interval& iv : free_) widest = std::max(widest, iv.hi - iv.lo);
   return widest;
+}
+
+double WavelengthAllocator::fragmentation() const {
+  const std::uint32_t total = free_width();
+  if (total == 0) return 1.0;
+  return static_cast<double>(largest_free()) / static_cast<double>(total);
 }
 
 std::string TenantStats::bottleneck() const {
@@ -272,17 +295,6 @@ void FabricService::telemetry_sample() {
   }
 }
 
-namespace {
-
-double fragmentation_of(const WavelengthAllocator& allocator) {
-  const std::uint32_t total = allocator.free_width();
-  if (total == 0) return 1.0;
-  return static_cast<double>(allocator.largest_free()) /
-         static_cast<double>(total);
-}
-
-}  // namespace
-
 void FabricService::on_submit(const Job& job) {
   Telemetry& t = *telemetry_;
   const Seconds now = simulator_.now();
@@ -330,7 +342,7 @@ void FabricService::on_grant(const JobRecord& record) {
   t.metrics.add(t.granted);
   t.metrics.set(t.in_use, static_cast<double>(config_.fabric_wavelengths -
                                               allocator_.free_width()));
-  t.metrics.set(t.fragmentation, fragmentation_of(allocator_));
+  t.metrics.set(t.fragmentation, allocator_.fragmentation());
   if (t.record_events) {
     const std::string alg = "alg=" + plan::to_string(record.algorithm);
     t.events.record(obs::ServiceEvent{obs::ServiceEvent::Kind::kGrant, now,
@@ -348,7 +360,7 @@ void FabricService::on_complete(const JobRecord& record) {
   t.metrics.add(t.completed);
   t.metrics.set(t.in_use, static_cast<double>(config_.fabric_wavelengths -
                                               allocator_.free_width()));
-  t.metrics.set(t.fragmentation, fragmentation_of(allocator_));
+  t.metrics.set(t.fragmentation, allocator_.fragmentation());
   t.metrics.observe(t.wait_hist, record.queue_wait().count());
   t.metrics.observe(t.service_hist, record.service_time().count());
   t.metrics.observe(t.jct_hist, record.jct().count());
@@ -410,26 +422,14 @@ void FabricService::build_trace() const {
   };
   std::map<std::uint64_t, Open> open;
 
-  // Lane occupancy replica: fragmentation needs the free-interval shape,
-  // not just the free count. Integer counts make the reconstructed
-  // ratios bit-identical to what the live hooks computed.
-  std::vector<std::uint8_t> used(config_.fabric_wavelengths, 0);
-  const auto fragmentation = [&used]() -> double {
-    std::uint32_t free_total = 0, largest = 0, run = 0;
-    for (const std::uint8_t u : used) {
-      if (u == 0) {
-        ++free_total;
-        largest = std::max(largest, ++run);
-      } else {
-        run = 0;
-      }
-    }
-    if (free_total == 0) return 1.0;
-    return static_cast<double>(largest) / static_cast<double>(free_total);
+  // The recorded grants replayed on the live run's lane model, so the
+  // in-use and fragmentation tracks are the values the hooks computed.
+  WavelengthAllocator lanes(config_.fabric_wavelengths);
+  const auto in_use = [&lanes] {
+    return static_cast<double>(lanes.fabric_width() - lanes.free_width());
   };
 
   std::uint64_t depth = 0;
-  std::uint32_t in_use = 0;
   // A grant recorded at the same instant as a preceding completion was
   // caused by it (the completion's release re-ran admission); a flow
   // arrow makes that head-of-line dependency visible in the trace.
@@ -454,14 +454,13 @@ void FabricService::build_trace() const {
         Open& o = open[e.job];
         o.grant = e.time;
         o.alg = &e.cause;
-        for (std::uint32_t w = e.w_lo; w < e.w_hi; ++w) used[w] = 1;
-        in_use += e.w_hi - e.w_lo;
+        lanes.claim(e.w_lo, e.w_hi - e.w_lo);
         t.trace.counter(obs::CounterSample{
             "queue depth", e.time, static_cast<double>(depth), 0});
-        t.trace.counter(obs::CounterSample{
-            "wavelengths in use", e.time, static_cast<double>(in_use), 0});
         t.trace.counter(
-            obs::CounterSample{"fragmentation", e.time, fragmentation(), 0});
+            obs::CounterSample{"wavelengths in use", e.time, in_use(), 0});
+        t.trace.counter(obs::CounterSample{"fragmentation", e.time,
+                                           lanes.fragmentation(), 0});
         if (last_complete != nullptr && last_complete->time == e.time) {
           obs::FlowArrow arrow;
           arrow.name = "release->grant";
@@ -495,12 +494,11 @@ void FabricService::build_trace() const {
         span.num_args.emplace_back("w_hi", static_cast<double>(e.w_hi));
         span.num_args.emplace_back("wait_s", (o.grant - o.submit).count());
         t.trace.span(std::move(span));
-        for (std::uint32_t w = e.w_lo; w < e.w_hi; ++w) used[w] = 0;
-        in_use -= std::min(in_use, e.w_hi - e.w_lo);
-        t.trace.counter(obs::CounterSample{
-            "wavelengths in use", e.time, static_cast<double>(in_use), 0});
+        lanes.release(e.w_lo, e.w_hi - e.w_lo);
         t.trace.counter(
-            obs::CounterSample{"fragmentation", e.time, fragmentation(), 0});
+            obs::CounterSample{"wavelengths in use", e.time, in_use(), 0});
+        t.trace.counter(obs::CounterSample{"fragmentation", e.time,
+                                           lanes.fragmentation(), 0});
         open.erase(it);
         last_complete = &e;
         break;

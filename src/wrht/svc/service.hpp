@@ -34,7 +34,10 @@ namespace wrht::svc {
 
 /// First-fit allocator of contiguous wavelength slices over [0, width).
 /// Free intervals are kept sorted and coalesced, so fits()/allocate() scan
-/// O(intervals) and release() merges with both neighbours.
+/// O(intervals) and release() merges with both neighbours. It is the one
+/// lane model of the service layer: the live run allocates on it, and the
+/// trace builder, event-log replay and service blame replay recorded
+/// grants on it with claim().
 class WavelengthAllocator {
  public:
   explicit WavelengthAllocator(std::uint32_t fabric_width);
@@ -43,6 +46,10 @@ class WavelengthAllocator {
   [[nodiscard]] bool fits(std::uint32_t width) const;
   /// Lowest w_lo of a free [w_lo, w_lo + width) slice, or nullopt.
   [[nodiscard]] std::optional<std::uint32_t> allocate(std::uint32_t width);
+  /// Takes the given slice [w_lo, w_lo + width), as a replay of a
+  /// recorded grant does; throws when any lane of it is busy or outside
+  /// the fabric.
+  void claim(std::uint32_t w_lo, std::uint32_t width);
   /// Returns a slice allocated earlier; throws on double-free or overlap.
   void release(std::uint32_t w_lo, std::uint32_t width);
   /// Total free wavelengths (not necessarily contiguous).
@@ -51,6 +58,9 @@ class WavelengthAllocator {
   /// with free_width() this gives the fragmentation signal: a fabric with
   /// lots of free width but a small largest slice cannot admit wide jobs.
   [[nodiscard]] std::uint32_t largest_free() const;
+  /// largest_free() / free_width(): 1 when the free lanes form one slice,
+  /// and 1 on a full fabric by convention.
+  [[nodiscard]] double fragmentation() const;
 
  private:
   struct Interval {

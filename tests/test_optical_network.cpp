@@ -17,7 +17,7 @@ OpticalConfig paper_config() { return OpticalConfig{}; }
 TEST(OpticalConfig, RateConventions) {
   OpticalConfig c;
   EXPECT_DOUBLE_EQ(c.bytes_per_second(), 40e9);  // paper convention
-  c.convention = OpticalConfig::RateConvention::kStrictBits;
+  c.convention = net::RateConvention::kStrictBits;
   EXPECT_DOUBLE_EQ(c.bytes_per_second(), 5e9);
 }
 
@@ -108,7 +108,7 @@ TEST(RingNetwork, SplittingDisabledThrows) {
 TEST(RingNetwork, StrictBitsSlowsSerializationOnly) {
   OpticalConfig paper = paper_config();
   OpticalConfig strict = paper_config();
-  strict.convention = OpticalConfig::RateConvention::kStrictBits;
+  strict.convention = net::RateConvention::kStrictBits;
   const std::size_t elements = 10'000'000;
   const auto sched = core::wrht_allreduce(16, elements, core::WrhtOptions{5, 8});
   const RingNetwork net_p(16, paper);

@@ -29,15 +29,12 @@ void spin(int iters = 1000) {
 TEST(Prof, OffByDefaultNothingIsCurrentAndTimersRecordNothing) {
   ASSERT_EQ(prof::ProfRegistry::current(), nullptr);
   {
-    // Timers and labels outside any ScopedProfiling must be no-ops.
+    // Timers outside any ScopedProfiling must be no-ops.
     const prof::ScopedTimer timer("phase.unwatched");
-    prof::set_thread_label("nobody");
     spin();
   }
   prof::ProfRegistry registry;
   EXPECT_TRUE(registry.phase_totals().empty());
-  EXPECT_TRUE(registry.thread_totals().empty());
-  EXPECT_EQ(registry.allocation_count(), 0u);
 }
 
 TEST(Prof, ScopedProfilingInstallsAndRestores) {
@@ -130,44 +127,6 @@ TEST(Prof, NestingInvariantChildNeverExceedsParent) {
   EXPECT_EQ(totals.at("phase.child").calls, 50u);
   EXPECT_LE(totals.at("phase.child").seconds,
             totals.at("phase.parent").seconds);
-}
-
-TEST(Prof, ThreadTotalsCarryLabels) {
-  prof::ProfRegistry registry;
-  {
-    const prof::ScopedProfiling on(registry);
-    prof::set_thread_label("main-thread");
-    const prof::ScopedTimer timer("phase.main");
-    std::thread worker([] {
-      prof::set_thread_label("worker-7");
-      const prof::ScopedTimer worker_timer("phase.worker");
-      spin();
-    });
-    worker.join();
-  }
-  const auto threads = registry.thread_totals();
-  ASSERT_EQ(threads.size(), 2u);
-  bool saw_main = false, saw_worker = false;
-  for (const auto& t : threads) {
-    if (t.label == "main-thread") {
-      saw_main = true;
-      EXPECT_EQ(t.phases.count("phase.main"), 1u);
-    }
-    if (t.label == "worker-7") {
-      saw_worker = true;
-      EXPECT_EQ(t.phases.count("phase.worker"), 1u);
-    }
-  }
-  EXPECT_TRUE(saw_main);
-  EXPECT_TRUE(saw_worker);
-}
-
-TEST(Prof, AllocationHookAccumulates) {
-  prof::ProfRegistry registry;
-  registry.note_allocation(128);
-  registry.note_allocation(64);
-  EXPECT_EQ(registry.allocation_count(), 2u);
-  EXPECT_EQ(registry.allocated_bytes(), 192u);
 }
 
 TEST(Prof, PeakRssIsReportedOnThisPlatform) {

@@ -240,14 +240,14 @@ TEST(FluentConfig, OpticalSettersMatchAggregateInit) {
   optics::OpticalConfig aggregate;
   aggregate.wavelengths = 16;
   aggregate.mrr_reconfig_delay = Seconds(1e-6);
-  aggregate.convention = optics::OpticalConfig::RateConvention::kStrictBits;
+  aggregate.convention = net::RateConvention::kStrictBits;
   aggregate.validate_node_capacity = false;
 
   const optics::OpticalConfig fluent =
       optics::OpticalConfig{}
           .with_wavelengths(16)
           .with_mrr_reconfig_delay(Seconds(1e-6))
-          .with_convention(optics::OpticalConfig::RateConvention::kStrictBits)
+          .with_convention(net::RateConvention::kStrictBits)
           .with_validate_node_capacity(false);
 
   EXPECT_EQ(fluent.wavelengths, aggregate.wavelengths);

@@ -122,6 +122,29 @@ TEST(SvcBlame, ReplayedEventLogKeepsTheIdentity) {
               1e-9 * from_live.total_jct.count() + 1e-12);
 }
 
+// A lease held for no time (a replayed log can carry grant == complete)
+// holds no lanes afterwards: the next job's wait is queueing, not
+// fragmentation behind a slice nobody holds.
+TEST(SvcBlame, ZeroLengthLeaseHoldsNoLanes) {
+  const auto record = [](std::uint64_t id, std::uint32_t w_lo,
+                         double grant, double completion) {
+    svc::JobRecord r;
+    r.job.id = id;
+    r.job.width = 4;
+    r.lease = net::slice_lease(w_lo, 4, 0);
+    r.grant = Seconds(grant);
+    r.completion = Seconds(completion);
+    return r;
+  };
+  svc::ServiceReport report;
+  report.records = {record(1, 2, 1.0, 1.0), record(2, 0, 2.0, 3.0)};
+  const ServiceBlame blame =
+      build_service_blame(report, plan::PlannerOptions{}, 8);
+  EXPECT_EQ(blame.categories[BlameCategory::kFragmentation], 0.0);
+  EXPECT_EQ(blame.categories[BlameCategory::kQueueing], 3.0);
+  EXPECT_TRUE(verify::check_blame_identity(blame).ok());
+}
+
 TEST(SvcBlame, JsonIsByteDeterministicAndServiceKind) {
   const svc::ServiceConfig config = service_config(svc::PolicyKind::kFifo);
   const std::vector<svc::Job> jobs = bursty_jobs(9);

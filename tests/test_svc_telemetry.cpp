@@ -174,6 +174,37 @@ TEST(SvcTelemetry, ReplayRejectsInconsistentLogs) {
   unfinished.record(obs::ServiceEvent{obs::ServiceEvent::Kind::kSubmit,
                                       Seconds(0.0), 1, 0, 0, 0, "arrival"});
   EXPECT_THROW((void)replay_events(unfinished), Error);  // never completes
+
+  // Two leases over shared lanes cannot both be live: the replay rejects
+  // the log at the second grant instead of summing both into the
+  // utilization (1.0 here, on a fabric half of which sat idle).
+  using Kind = obs::ServiceEvent::Kind;
+  obs::EventLog overlapping;
+  overlapping.set_context(obs::EventLog::Context{8, "fifo", 1});
+  overlapping.record(obs::ServiceEvent{Kind::kSubmit, Seconds(0.0), 1, 0, 0,
+                                       0, "arrival"});
+  overlapping.record(obs::ServiceEvent{Kind::kSubmit, Seconds(0.0), 2, 1, 0,
+                                       0, "arrival"});
+  overlapping.record(obs::ServiceEvent{Kind::kAdmit, Seconds(0.0), 1, 0, 0,
+                                       0, "fifo"});
+  overlapping.record(obs::ServiceEvent{Kind::kGrant, Seconds(0.0), 1, 0, 0,
+                                       4, "alg=wrht"});
+  overlapping.record(obs::ServiceEvent{Kind::kAdmit, Seconds(0.0), 2, 1, 0,
+                                       0, "fifo"});
+  overlapping.record(obs::ServiceEvent{Kind::kGrant, Seconds(0.0), 2, 1, 2,
+                                       6, "alg=wrht"});
+  overlapping.record(obs::ServiceEvent{Kind::kComplete, Seconds(1.0), 1, 0,
+                                       0, 4, "release"});
+  overlapping.record(obs::ServiceEvent{Kind::kComplete, Seconds(1.0), 2, 1,
+                                       2, 6, "release"});
+  try {
+    (void)replay_events(overlapping);
+    FAIL() << "replay accepted overlapping grants";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("busy lanes (event 6, line 7)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SvcTelemetry, TraceLanesSplitByTenantWithCounterTracks) {
@@ -287,6 +318,7 @@ TEST(SvcTelemetry, SloBurnTracksMissedTargets) {
 TEST(SvcTelemetry, LargestFreeTracksContiguousSlices) {
   WavelengthAllocator allocator(16);
   EXPECT_EQ(allocator.largest_free(), 16u);
+  EXPECT_EQ(allocator.fragmentation(), 1.0);  // empty fabric: one slice
   const auto a = allocator.allocate(4);   // [0,4)
   const auto b = allocator.allocate(4);   // [4,8)
   ASSERT_TRUE(a.has_value() && b.has_value());
@@ -294,7 +326,30 @@ TEST(SvcTelemetry, LargestFreeTracksContiguousSlices) {
   allocator.release(*a, 4);               // free: [0,4) + [8,16)
   EXPECT_EQ(allocator.largest_free(), 8u);
   EXPECT_EQ(allocator.free_width(), 12u);
+  EXPECT_DOUBLE_EQ(allocator.fragmentation(), 8.0 / 12.0);
   allocator.release(*b, 4);               // coalesces back to [0,16)
+  EXPECT_EQ(allocator.largest_free(), 16u);
+
+  // claim() takes the given slice, as a replayed grant does.
+  allocator.claim(6, 4);                  // middle: free [0,6) + [10,16)
+  EXPECT_EQ(allocator.free_width(), 12u);
+  EXPECT_EQ(allocator.largest_free(), 6u);
+  EXPECT_DOUBLE_EQ(allocator.fragmentation(), 0.5);
+  EXPECT_THROW(allocator.claim(5, 2), Error);   // lane 6 is busy
+  EXPECT_THROW(allocator.claim(8, 4), Error);   // lanes 8-9 are busy
+  EXPECT_THROW(allocator.claim(14, 4), Error);  // past the fabric
+  EXPECT_THROW(allocator.claim(3, 0), Error);   // empty slice
+  EXPECT_EQ(allocator.free_width(), 12u);       // refusals change nothing
+  allocator.claim(0, 2);                  // left edge: free [2,6) + [10,16)
+  allocator.claim(12, 4);                 // right edge: free [2,6) + [10,12)
+  EXPECT_EQ(allocator.largest_free(), 4u);
+  EXPECT_DOUBLE_EQ(allocator.fragmentation(), 4.0 / 6.0);
+  allocator.claim(2, 4);                  // whole intervals
+  allocator.claim(10, 2);
+  EXPECT_EQ(allocator.free_width(), 0u);
+  EXPECT_EQ(allocator.fragmentation(), 1.0);  // full fabric, by convention
+  EXPECT_FALSE(allocator.fits(1));
+  allocator.release(0, 16);               // claims coalesce like grants
   EXPECT_EQ(allocator.largest_free(), 16u);
 }
 
