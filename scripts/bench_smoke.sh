@@ -11,7 +11,10 @@
 # would only obscure the culprit. ablation_overlap.csv additionally gets
 # its full column schema pinned here (the overlap/planner columns feed the
 # reconfigure-or-not analysis, and the checked-in reference would follow a
-# silently drifted writer).
+# silently drifted writer). The two service benches also run once in full
+# mode (well under a second together), and their CSVs must equal the
+# checked-in ones byte for byte: the admission order is deterministic, so
+# any difference is a behaviour change.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: ./build)
 set -euo pipefail
@@ -123,6 +126,25 @@ if [[ -f ablation_overlap.csv ]]; then
   fi
   echo "OK: ablation_overlap.csv column schema pinned"
 fi
+
+# Full-mode service benches: every row of the checked-in policy bake-off
+# and telemetry CSVs must come out byte-identical. They run in their own
+# directory so the tiny-mode artifacts checked below stay untouched.
+mkdir full
+for b in ablation_svc_policies ablation_svc_telemetry; do
+  bin="${BIN_OVERRIDE[$b]}"
+  echo "--- $bin (full)"
+  if ! (cd full && "$BUILD_DIR/bench/$bin" > "$bin.log" 2>&1); then
+    echo "FAIL: $bin (full) exited non-zero; last lines:"
+    tail -n 20 "full/$bin.log"
+    exit 1
+  fi
+  if ! cmp "full/$b.csv" "$ROOT/$b.csv"; then
+    echo "FAIL: full-mode $b.csv differs from the checked-in reference"
+    exit 1
+  fi
+  echo "OK: full-mode $b.csv is byte-identical to the checked-in reference"
+done
 
 # Telemetry side-channel artifacts from bench_svc_telemetry: the event log
 # must lead with its svc-events-1 schema marker and hold exactly the row

@@ -20,13 +20,6 @@ WavelengthAllocator::WavelengthAllocator(std::uint32_t fabric_width)
   free_.push_back(Interval{0, fabric_});
 }
 
-bool WavelengthAllocator::fits(std::uint32_t width) const {
-  for (const Interval& iv : free_) {
-    if (iv.hi - iv.lo >= width) return true;
-  }
-  return false;
-}
-
 std::optional<std::uint32_t> WavelengthAllocator::allocate(
     std::uint32_t width) {
   require(width >= 1, "WavelengthAllocator: zero-width allocation");
@@ -60,7 +53,7 @@ void WavelengthAllocator::claim(std::uint32_t w_lo, std::uint32_t width) {
 }
 
 void WavelengthAllocator::release(std::uint32_t w_lo, std::uint32_t width) {
-  require(width >= 1 && w_lo + width <= fabric_,
+  require(width >= 1 && w_lo <= fabric_ && width <= fabric_ - w_lo,
           "WavelengthAllocator: release outside the fabric");
   const Interval freed{w_lo, w_lo + width};
   // Insertion point: first free interval at or past the freed slice.
@@ -507,11 +500,14 @@ void FabricService::build_trace() const {
   }
 }
 
-std::pair<Seconds, plan::CandidateKind> FabricService::price_iteration(
-    const Job& job) const {
+FabricService::Price FabricService::price_iteration(const Job& job) {
+  const auto key = std::make_tuple(job.num_nodes, job.elements, job.width);
+  if (const auto it = prices_.find(key); it != prices_.end()) {
+    return it->second;
+  }
   plan::PlannerOptions options = config_.planner;
   options.wavelengths = job.width;
-  std::optional<std::pair<Seconds, plan::CandidateKind>> best;
+  std::optional<Price> best;
   for (const plan::CandidateKind kind :
        {plan::CandidateKind::kWrht, plan::CandidateKind::kFlatAllToAll,
         plan::CandidateKind::kStaticRing}) {
@@ -528,12 +524,13 @@ std::pair<Seconds, plan::CandidateKind> FabricService::price_iteration(
         "FabricService: no feasible all-reduce plan for job at width " +
         std::to_string(job.width));
   }
+  prices_.emplace(key, *best);
   return *best;
 }
 
 void FabricService::try_admit() {
   AdmissionContext ctx;
-  ctx.fits = [this](std::uint32_t width) { return allocator_.fits(width); };
+  ctx.largest_free = allocator_.largest_free();
   ctx.weighted_consumption = [this](std::uint32_t tenant) {
     const auto it = consumed_.find(tenant);
     const double consumed = it == consumed_.end() ? 0.0 : it->second;
@@ -545,13 +542,13 @@ void FabricService::try_admit() {
   for (std::size_t picked = policy_->select(queue_, ctx);
        picked != AdmissionPolicy::kNone;
        picked = policy_->select(queue_, ctx)) {
-    Job job = std::move(queue_[picked]);
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(picked));
+    Job job = queue_.pop(picked);
     if (telemetry_) on_admit(job);
 
     const std::optional<std::uint32_t> w_lo = allocator_.allocate(job.width);
     require(w_lo.has_value(),
             "FabricService: policy admitted a job that does not fit");
+    ctx.largest_free = allocator_.largest_free();
 
     JobRecord record;
     record.lease = net::slice_lease(*w_lo, job.width, job.tenant);
@@ -584,7 +581,7 @@ ServiceReport FabricService::run(const std::vector<Job>& jobs) {
   // lifetime events_fired counter keeps counting.
   simulator_.reset();
   allocator_ = WavelengthAllocator(config_.fabric_wavelengths);
-  queue_.clear();
+  queue_ = AdmissionQueue();
   completed_.clear();
   consumed_.clear();
   telemetry_.reset();
@@ -600,7 +597,7 @@ ServiceReport FabricService::run(const std::vector<Job>& jobs) {
                             " wavelengths");
     }
     simulator_.schedule_at(job.arrival, [this, job]() {
-      queue_.push_back(job);
+      queue_.push(job);
       if (config_.counters != nullptr) config_.counters->add("svc.arrivals", 1);
       if (telemetry_) on_submit(job);
       try_admit();

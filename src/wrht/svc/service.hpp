@@ -16,6 +16,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "wrht/common/units.hpp"
@@ -33,7 +35,7 @@ class EventLog;
 namespace wrht::svc {
 
 /// First-fit allocator of contiguous wavelength slices over [0, width).
-/// Free intervals are kept sorted and coalesced, so fits()/allocate() scan
+/// Free intervals are kept sorted and coalesced, so allocate() scans
 /// O(intervals) and release() merges with both neighbours. It is the one
 /// lane model of the service layer: the live run allocates on it, and the
 /// trace builder, event-log replay and service blame replay recorded
@@ -43,7 +45,6 @@ class WavelengthAllocator {
   explicit WavelengthAllocator(std::uint32_t fabric_width);
 
   [[nodiscard]] std::uint32_t fabric_width() const { return fabric_; }
-  [[nodiscard]] bool fits(std::uint32_t width) const;
   /// Lowest w_lo of a free [w_lo, w_lo + width) slice, or nullopt.
   [[nodiscard]] std::optional<std::uint32_t> allocate(std::uint32_t width);
   /// Takes the given slice [w_lo, w_lo + width), as a replay of a
@@ -54,7 +55,8 @@ class WavelengthAllocator {
   void release(std::uint32_t w_lo, std::uint32_t width);
   /// Total free wavelengths (not necessarily contiguous).
   [[nodiscard]] std::uint32_t free_width() const;
-  /// Widest free contiguous slice (0 on a fully busy fabric). Together
+  /// Widest free contiguous slice (0 on a fully busy fabric); a slice of
+  /// width >= 1 can be allocated exactly when it is no wider. Together
   /// with free_width() this gives the fragmentation signal: a fabric with
   /// lots of free width but a small largest slice cannot admit wide jobs.
   [[nodiscard]] std::uint32_t largest_free() const;
@@ -198,11 +200,15 @@ class FabricService {
  private:
   struct Telemetry;  // service.cpp; alive only while telemetry is enabled
 
+  using Price = std::pair<Seconds, plan::CandidateKind>;
+
   void try_admit();
   /// Fastest feasible planner candidate at the job's granted width; one
   /// iteration's predicted time and the algorithm that achieves it.
-  [[nodiscard]] std::pair<Seconds, plan::CandidateKind> price_iteration(
-      const Job& job) const;
+  /// plan::predict is a pure function of (num_nodes, elements, width) and
+  /// config_.planner, which is fixed at construction, so each job shape
+  /// is priced once per service and served from `prices_` after that.
+  [[nodiscard]] Price price_iteration(const Job& job);
 
   void telemetry_begin(const std::vector<Job>& jobs);
   void telemetry_sample();
@@ -218,9 +224,12 @@ class FabricService {
   std::unique_ptr<AdmissionPolicy> policy_;
   sim::Simulator simulator_;
   WavelengthAllocator allocator_;
-  std::vector<Job> queue_;  // arrival order
+  AdmissionQueue queue_;
   std::vector<JobRecord> completed_;
   std::map<std::uint32_t, double> consumed_;  // tenant -> wavelength-seconds
+  /// (num_nodes, elements, width) -> price_iteration(); kept across runs.
+  std::map<std::tuple<std::uint32_t, std::size_t, std::uint32_t>, Price>
+      prices_;
   std::unique_ptr<Telemetry> telemetry_;
 };
 

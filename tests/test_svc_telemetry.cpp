@@ -348,7 +348,7 @@ TEST(SvcTelemetry, LargestFreeTracksContiguousSlices) {
   allocator.claim(10, 2);
   EXPECT_EQ(allocator.free_width(), 0u);
   EXPECT_EQ(allocator.fragmentation(), 1.0);  // full fabric, by convention
-  EXPECT_FALSE(allocator.fits(1));
+  EXPECT_EQ(allocator.largest_free(), 0u);
   allocator.release(0, 16);               // claims coalesce like grants
   EXPECT_EQ(allocator.largest_free(), 16u);
 }
