@@ -11,10 +11,12 @@
 # would only obscure the culprit. ablation_overlap.csv additionally gets
 # its full column schema pinned here (the overlap/planner columns feed the
 # reconfigure-or-not analysis, and the checked-in reference would follow a
-# silently drifted writer). The two service benches also run once in full
-# mode (well under a second together), and their CSVs must equal the
-# checked-in ones byte for byte: the admission order is deterministic, so
-# any difference is a behaviour change.
+# silently drifted writer). The two service benches and the utilization,
+# reconfiguration and overlap ablations also run once in full mode (about
+# a second together), and their CSVs must equal the checked-in ones byte
+# for byte: admission order and engine pricing are deterministic, so any
+# difference is a behaviour change. The three ablations pin what the
+# engines record into occupancy and how they charge reconfiguration.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: ./build)
 set -euo pipefail
@@ -127,12 +129,14 @@ if [[ -f ablation_overlap.csv ]]; then
   echo "OK: ablation_overlap.csv column schema pinned"
 fi
 
-# Full-mode service benches: every row of the checked-in policy bake-off
-# and telemetry CSVs must come out byte-identical. They run in their own
-# directory so the tiny-mode artifacts checked below stay untouched.
+# Full-mode runs: every row of the checked-in policy bake-off, telemetry,
+# utilization, reconfiguration and overlap CSVs must come out
+# byte-identical. They run in their own directory so the tiny-mode
+# artifacts checked below stay untouched.
 mkdir full
-for b in ablation_svc_policies ablation_svc_telemetry; do
-  bin="${BIN_OVERRIDE[$b]}"
+for b in ablation_svc_policies ablation_svc_telemetry ablation_utilization \
+         ablation_reconfig ablation_overlap; do
+  bin="${BIN_OVERRIDE[$b]:-bench_$b}"
   echo "--- $bin (full)"
   if ! (cd full && "$BUILD_DIR/bench/$bin" > "$bin.log" 2>&1); then
     echo "FAIL: $bin (full) exited non-zero; last lines:"

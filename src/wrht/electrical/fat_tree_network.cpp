@@ -3,10 +3,7 @@
 #include <algorithm>
 
 #include "wrht/common/error.hpp"
-#include "wrht/net/backend.hpp"
 #include "wrht/net/pattern_key.hpp"
-#include "wrht/obs/occupancy.hpp"
-#include "wrht/obs/transfer_log.hpp"
 
 namespace wrht::elec {
 
@@ -17,7 +14,23 @@ std::vector<double> link_capacities(const topo::FatTree& tree,
   return std::vector<double>(tree.num_links(), config.bytes_per_second());
 }
 
+constexpr obs::OccupancySampler::ResourceRef kUnregistered = UINT32_MAX;
+
 }  // namespace
+
+LinkOccupancy::LinkOccupancy(obs::OccupancySampler* sampler,
+                             std::size_t num_links)
+    : sampler_(sampler),
+      refs_(sampler != nullptr ? num_links : 0, kUnregistered) {}
+
+void LinkOccupancy::record(LinkId link, std::uint32_t step, Seconds start,
+                           Seconds duration, obs::OccCategory category,
+                           std::uint32_t concurrency) {
+  if (refs_[link] == kUnregistered) {
+    refs_[link] = sampler_->resource("link" + std::to_string(link));
+  }
+  sampler_->record(refs_[link], step, start, duration, category, concurrency);
+}
 
 FatTreeNetwork::FatTreeNetwork(std::uint32_t num_hosts,
                                ElectricalConfig config)
@@ -51,26 +64,29 @@ FatTreeNetwork::StepTiming FatTreeNetwork::evaluate_step(
   const FlowResult res = flow_sim_.run(flows);
 
   StepTiming timing{res.makespan, max_load, res.bottleneck_links,
-                    res.rate_recomputations, {}};
+                    res.rate_recomputations, {}, {}, 0.0};
   // Per-link occupancy: a link transmits until its slowest flow drains,
   // then its flows are in router processing until their completions.
   std::vector<double> busy(tree_.num_links(), 0.0);
   std::vector<double> chain(tree_.num_links(), 0.0);
+  double bounding = -1.0;
+  timing.flows.transfers.reserve(flows.size());
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const double drain = res.completion[i] - flows[i].extra_latency;
     for (const LinkId l : flows[i].links) {
       busy[l] = std::max(busy[l], drain);
       chain[l] = std::max(chain[l], res.completion[i]);
     }
+    timing.flows.transfers.push_back(net::RoundTransfer{
+        static_cast<std::uint32_t>(i), {}, Seconds(res.completion[i])});
+    if (res.completion[i] > bounding) {
+      bounding = res.completion[i];
+      timing.processing = flows[i].extra_latency;
+    }
   }
   for (LinkId l = 0; l < tree_.num_links(); ++l) {
     if (load[l] == 0) continue;
     timing.link_occ.push_back(LinkOcc{l, busy[l], chain[l], load[l]});
-  }
-  timing.completion = res.completion;
-  timing.extra_latency.reserve(flows.size());
-  for (const FlowSpec& flow : flows) {
-    timing.extra_latency.push_back(flow.extra_latency);
   }
   return timing;
 }
@@ -90,13 +106,8 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
   result.steps = schedule.num_steps();
   result.step_times.reserve(schedule.num_steps());
 
-  const bool blame = probe.transfers != nullptr;
-  if (blame) {
-    obs::TransferLog::Context context;
-    context.backend = "electrical-flow";
-    context.reconfig_policy = "none";
-    probe.transfers->set_context(std::move(context));
-  }
+  const net::RoundRecorder recorder(probe, {"electrical-flow", "none"});
+  LinkOccupancy links(probe.occupancy, tree_.num_links());
   double now = 0.0;
   std::size_t step_index = 0;
   for (const auto& step : schedule.steps()) {
@@ -109,13 +120,12 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
     // Direction hints are optical-only; hint-variants of one (src, dst)
     // pattern share a cache entry here.
     const std::uint64_t sig = net::step_signature(step, false);
-    StepTiming timing{};
-    if (const auto it = pattern_cache_.find(sig); it != pattern_cache_.end()) {
-      timing = it->second;
-    } else {
-      timing = evaluate_step(step);
-      pattern_cache_.emplace(sig, timing);
+    auto it = pattern_cache_.find(sig);
+    if (it == pattern_cache_.end()) {
+      it = pattern_cache_.emplace(sig, evaluate_step(step)).first;
     }
+    const StepTiming& timing = it->second;
+    const auto step_id = static_cast<std::uint32_t>(step_index);
     result.total_flows += step.transfers.size();
     result.max_link_load = std::max(result.max_link_load, timing.max_link_load);
     result.step_times.emplace_back(timing.seconds);
@@ -126,8 +136,7 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
     probe.count_max("electrical.max_link_load", timing.max_link_load);
     if (probe.trace != nullptr) {
       obs::TraceSpan span;
-      span.name = step.label.empty() ? "step " + std::to_string(step_index)
-                                     : step.label;
+      span.name = net::step_label(step, step_index);
       span.category = "flow-step";
       span.start = Seconds(now);
       span.duration = Seconds(timing.seconds);
@@ -141,69 +150,30 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
       probe.counter_sample("max link load", Seconds(now),
                            static_cast<double>(timing.max_link_load));
     }
-    // Blame timeline: one single-round "fabric" lane per step; the step
-    // splits into the bounding flow's router processing and the rest as
-    // transmission (no reconfigurable optics, so retune is false and the
-    // reconfiguration component zero).
-    if (blame) {
-      const auto step_id = static_cast<std::uint32_t>(step_index);
-      obs::StepTrace step_trace;
-      step_trace.step = step_id;
-      step_trace.label = step.label.empty()
-                             ? "step " + std::to_string(step_index)
-                             : step.label;
-      step_trace.start = Seconds(now);
-      step_trace.duration = Seconds(timing.seconds);
-      probe.transfers->step(std::move(step_trace));
-
-      double processing = 0.0;
-      double bounding = -1.0;
-      for (std::size_t i = 0; i < timing.completion.size(); ++i) {
-        if (timing.completion[i] > bounding) {
-          bounding = timing.completion[i];
-          processing = timing.extra_latency[i];
-        }
-      }
+    if (recorder.active()) {
+      // One single-round "fabric" lane per step; no reconfigurable optics,
+      // so retune is false and the reconfiguration component zero.
       obs::RoundTrace round;
-      round.step = step_id;
-      round.lane = "fabric";
-      round.round = 0;
       round.start = Seconds(now);
-      round.processing = Seconds(processing);
-      round.serialization = Seconds(timing.seconds - processing);
+      round.processing = Seconds(timing.processing);
+      round.serialization = Seconds(timing.seconds - timing.processing);
       round.duration = Seconds(timing.seconds);
       round.retune = false;
-      probe.transfers->round(std::move(round));
-
-      for (std::size_t i = 0; i < step.transfers.size(); ++i) {
-        const coll::Transfer& t = step.transfers[i];
-        obs::TransferTrace trace;
-        trace.step = step_id;
-        trace.lane = "fabric";
-        trace.round = 0;
-        trace.src = t.src;
-        trace.dst = t.dst;
-        trace.elements = t.count;
-        trace.start = Seconds(now);
-        trace.duration = Seconds(
-            i < timing.completion.size() ? timing.completion[i] : 0.0);
-        probe.transfers->transfer(std::move(trace));
-      }
+      net::PricedStep priced{step_id, Seconds(now), Seconds(timing.seconds),
+                             {}};
+      priced.lanes.push_back({"fabric", {{std::move(round), &timing.flows}}});
+      recorder.record(step, priced);
     }
-    if (probe.occupancy != nullptr) {
-      const auto step_id = static_cast<std::uint32_t>(step_index);
+    if (links.active()) {
       for (const LinkOcc& occ : timing.link_occ) {
-        const auto ref =
-            probe.occupancy->resource("link" + std::to_string(occ.link));
-        probe.occupancy->record(ref, step_id, Seconds(now),
-                                Seconds(occ.busy_s),
-                                obs::OccCategory::kTransmission, occ.load);
-        probe.occupancy->record(ref, step_id, Seconds(now + occ.busy_s),
-                                Seconds(occ.chain_end_s - occ.busy_s),
-                                obs::OccCategory::kProcessing);
-        probe.occupancy->record(ref, step_id, Seconds(now + occ.chain_end_s),
-                                Seconds(timing.seconds - occ.chain_end_s),
-                                obs::OccCategory::kStragglerWait);
+        links.record(occ.link, step_id, Seconds(now), Seconds(occ.busy_s),
+                     obs::OccCategory::kTransmission, occ.load);
+        links.record(occ.link, step_id, Seconds(now + occ.busy_s),
+                     Seconds(occ.chain_end_s - occ.busy_s),
+                     obs::OccCategory::kProcessing);
+        links.record(occ.link, step_id, Seconds(now + occ.chain_end_s),
+                     Seconds(timing.seconds - occ.chain_end_s),
+                     obs::OccCategory::kStragglerWait);
       }
     }
     now += timing.seconds;

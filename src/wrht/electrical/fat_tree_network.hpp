@@ -15,8 +15,10 @@
 #include "wrht/collectives/schedule.hpp"
 #include "wrht/common/units.hpp"
 #include "wrht/electrical/flow_sim.hpp"
+#include "wrht/net/backend.hpp"
 #include "wrht/net/rate_convention.hpp"
 #include "wrht/net/resource_lease.hpp"
+#include "wrht/obs/occupancy.hpp"
 #include "wrht/obs/run_report.hpp"
 #include "wrht/obs/trace.hpp"
 #include "wrht/topo/fat_tree.hpp"
@@ -59,14 +61,6 @@ struct ElectricalConfig {
     router_delay = v;
     return *this;
   }
-  ElectricalConfig& with_packet_size(Bytes v) {
-    packet_size = v;
-    return *this;
-  }
-  ElectricalConfig& with_bytes_per_element(std::uint32_t v) {
-    bytes_per_element = v;
-    return *this;
-  }
   ElectricalConfig& with_router_ports(std::uint32_t v) {
     router_ports = v;
     return *this;
@@ -81,6 +75,24 @@ struct ElectricalConfig {
     lease_fabric_width = fabric_width;
     return *this;
   }
+};
+
+/// One run's link occupancy, shared by both fat-tree engines: each link's
+/// sampler handle is registered on its first record, so the sampler lists
+/// links in the order the run first touches them.
+class LinkOccupancy {
+ public:
+  /// Inactive (records nothing) when `sampler` is null.
+  LinkOccupancy(obs::OccupancySampler* sampler, std::size_t num_links);
+
+  [[nodiscard]] bool active() const { return sampler_ != nullptr; }
+  void record(LinkId link, std::uint32_t step, Seconds start,
+              Seconds duration, obs::OccCategory category,
+              std::uint32_t concurrency = 1);
+
+ private:
+  obs::OccupancySampler* sampler_;
+  std::vector<obs::OccupancySampler::ResourceRef> refs_;
 };
 
 struct ElectricalRunResult {
@@ -129,10 +141,11 @@ class FatTreeNetwork {
     /// Per-loaded-link occupancy, link-id order (pattern-cached with the
     /// rest of the timing; only links with traffic appear).
     std::vector<LinkOcc> link_occ;
-    /// Per-flow completion and router-latency share, transfer order, for
-    /// blame TransferTraces and the step's transmission/processing split.
-    std::vector<double> completion;
-    std::vector<double> extra_latency;
+    /// The step's one fabric round: every flow with its completion time,
+    /// and the router processing on the bounding (last-finishing) flow;
+    /// the rest of the step is transmission.
+    net::RoundRouting flows;
+    double processing = 0.0;
   };
   [[nodiscard]] StepTiming evaluate_step(const coll::Step& step) const;
 

@@ -3,9 +3,6 @@
 #include <algorithm>
 
 #include "wrht/common/error.hpp"
-#include "wrht/net/backend.hpp"
-#include "wrht/obs/occupancy.hpp"
-#include "wrht/obs/transfer_log.hpp"
 #include "wrht/prof/prof.hpp"
 #include "wrht/sim/simulator.hpp"
 
@@ -35,10 +32,10 @@ double PacketLevelNetwork::simulate_step(const coll::Step& step,
                                          std::uint64_t& packets,
                                          std::uint64_t& events,
                                          const obs::Probe& probe,
+                                         LinkOccupancy& links,
                                          double step_start,
                                          std::uint32_t step_index,
-                                         std::vector<double>* transfer_done)
-    const {
+                                         net::RoundRouting* transfers) const {
   sim::Simulator simulator;
   simulator.set_counters(probe.counters);
   std::vector<double> next_free(tree_.num_links(), 0.0);
@@ -47,20 +44,6 @@ double PacketLevelNetwork::simulate_step(const coll::Step& step,
   const double packet_bytes =
       static_cast<double>(config_.packet_size.count());
   double makespan = 0.0;
-
-  // Dense link -> sampler handle map, resolved lazily; the sampler
-  // coalesces the back-to-back per-packet slices a busy link produces.
-  std::vector<obs::OccupancySampler::ResourceRef> link_refs;
-  if (probe.occupancy != nullptr) {
-    link_refs.assign(tree_.num_links(), UINT32_MAX);
-  }
-  const auto link_ref = [&](topo::LinkId link) {
-    if (link_refs[link] == UINT32_MAX) {
-      link_refs[link] =
-          probe.occupancy->resource("link" + std::to_string(link));
-    }
-    return link_refs[link];
-  };
 
   // Packets live in a pool indexed by id and share one route per transfer,
   // so event lambdas capture {&arrive, index} — 16 bytes, inside
@@ -78,11 +61,11 @@ double PacketLevelNetwork::simulate_step(const coll::Step& step,
     const double now = simulator.now().count();
     const double tx_start = std::max(now, next_free[link]);
     const double depart = tx_start + packet.bytes / rate;
-    if (probe.occupancy != nullptr) {
-      probe.occupancy->record(link_ref(link), step_index,
-                              Seconds(step_start + tx_start),
-                              Seconds(depart - tx_start),
-                              obs::OccCategory::kTransmission);
+    // The sampler coalesces the back-to-back per-packet slices a busy
+    // link produces.
+    if (links.active()) {
+      links.record(link, step_index, Seconds(step_start + tx_start),
+                   Seconds(depart - tx_start), obs::OccCategory::kTransmission);
     }
     next_free[link] = depart;
     ++packet.hop;
@@ -92,15 +75,13 @@ double PacketLevelNetwork::simulate_step(const coll::Step& step,
                             [&arrive, pi] { arrive(pi); });
     } else {
       makespan = std::max(makespan, depart);
-      if (transfer_done != nullptr) {
-        (*transfer_done)[packet.route_index] =
-            std::max((*transfer_done)[packet.route_index], depart);
+      if (transfers != nullptr) {
+        Seconds& done = transfers->transfers[packet.route_index].duration;
+        done = std::max(done, Seconds(depart));
       }
     }
   };
-  if (transfer_done != nullptr) {
-    transfer_done->assign(step.transfers.size(), 0.0);
-  }
+  if (transfers != nullptr) transfers->transfers.clear();
 
   std::size_t estimated = 0;
   for (const auto& t : step.transfers) {
@@ -117,6 +98,9 @@ double PacketLevelNetwork::simulate_step(const coll::Step& step,
     auto route = tree_.route(t.src, t.dst);
     const auto route_index = static_cast<std::uint32_t>(routes.size());
     routes.push_back(std::move(route.links));
+    if (transfers != nullptr) {
+      transfers->transfers.push_back(net::RoundTransfer{route_index, {}, {}});
+    }
     double remaining =
         static_cast<double>(t.count) * config_.bytes_per_element;
     while (remaining > 0.0) {
@@ -138,13 +122,12 @@ double PacketLevelNetwork::simulate_step(const coll::Step& step,
   events += simulator.events_fired();
   // Links that went quiet before the step's last packet drained are in
   // straggler wait; untouched links remain unaccounted (idle).
-  if (probe.occupancy != nullptr) {
+  if (links.active()) {
     for (topo::LinkId l = 0; l < tree_.num_links(); ++l) {
       if (next_free[l] <= 0.0) continue;
-      probe.occupancy->record(link_ref(l), step_index,
-                              Seconds(step_start + next_free[l]),
-                              Seconds(makespan - next_free[l]),
-                              obs::OccCategory::kStragglerWait);
+      links.record(l, step_index, Seconds(step_start + next_free[l]),
+                   Seconds(makespan - next_free[l]),
+                   obs::OccCategory::kStragglerWait);
     }
   }
   return makespan;
@@ -164,69 +147,37 @@ PacketRunResult PacketLevelNetwork::execute(const coll::Schedule& schedule,
   PacketRunResult result;
   result.steps = schedule.num_steps();
   result.step_times.reserve(schedule.num_steps());
-  const bool blame = probe.transfers != nullptr;
-  if (blame) {
-    obs::TransferLog::Context context;
-    context.backend = "electrical-packet";
-    context.reconfig_policy = "none";
-    probe.transfers->set_context(std::move(context));
-  }
-  std::vector<double> transfer_done;
+  const net::RoundRecorder recorder(probe, {"electrical-packet", "none"});
+  LinkOccupancy links(probe.occupancy, tree_.num_links());
+  net::RoundRouting flows;  // each transfer's last-packet arrival
   double total = 0.0;
   std::size_t step_index = 0;
   for (const auto& step : schedule.steps()) {
     probe.count("packet.steps");
     const std::uint64_t packets_before = result.total_packets;
+    const auto step_id = static_cast<std::uint32_t>(step_index);
     const double t =
         step.transfers.empty()
             ? 0.0
             : simulate_step(step, result.total_packets, result.events_fired,
-                            probe, total,
-                            static_cast<std::uint32_t>(step_index),
-                            blame ? &transfer_done : nullptr);
+                            probe, links, total, step_id,
+                            recorder.active() ? &flows : nullptr);
     probe.count("packet.packets", result.total_packets - packets_before);
-    // Blame timeline: one single-round "fabric" lane per step (the packet
-    // model has no reconfigurable optics; the whole step is transmission).
-    if (blame && !step.transfers.empty()) {
-      const auto step_id = static_cast<std::uint32_t>(step_index);
-      obs::StepTrace step_trace;
-      step_trace.step = step_id;
-      step_trace.label = step.label.empty()
-                             ? "step " + std::to_string(step_index)
-                             : step.label;
-      step_trace.start = Seconds(total);
-      step_trace.duration = Seconds(t);
-      probe.transfers->step(std::move(step_trace));
-
+    if (recorder.active()) {
+      // One single-round "fabric" lane per step: the packet model has no
+      // reconfigurable optics, so the whole step is transmission.
       obs::RoundTrace round;
-      round.step = step_id;
-      round.lane = "fabric";
-      round.round = 0;
       round.start = Seconds(total);
       round.serialization = Seconds(t);
       round.duration = Seconds(t);
       round.retune = false;
-      probe.transfers->round(std::move(round));
-
-      for (std::size_t i = 0; i < step.transfers.size(); ++i) {
-        const coll::Transfer& tr = step.transfers[i];
-        obs::TransferTrace trace;
-        trace.step = step_id;
-        trace.lane = "fabric";
-        trace.round = 0;
-        trace.src = tr.src;
-        trace.dst = tr.dst;
-        trace.elements = tr.count;
-        trace.start = Seconds(total);
-        trace.duration =
-            Seconds(i < transfer_done.size() ? transfer_done[i] : 0.0);
-        probe.transfers->transfer(std::move(trace));
-      }
+      net::PricedStep priced{step_id, Seconds(total), Seconds(t), {}};
+      priced.lanes.push_back({"fabric", {{std::move(round), &flows}}});
+      recorder.record(step, priced);
     }
     if (probe.trace != nullptr && !step.transfers.empty()) {
       obs::TraceSpan span;
-      span.name = step.label.empty() ? "step " + std::to_string(step_index)
-                                     : step.label;
+      span.name = net::step_label(step, step_index);
       span.category = "packet-step";
       span.start = Seconds(total);
       span.duration = Seconds(t);

@@ -48,17 +48,17 @@ class PacketLevelNetwork {
                                         const obs::Probe& probe) const;
 
  private:
-  /// `step_start`/`step_index` place this step's occupancy intervals on
-  /// the run timeline (the internal event clock restarts at 0 per step).
-  /// `transfer_done` (when non-null) receives each transfer's last-packet
-  /// arrival time relative to the step start, for blame TransferTraces.
+  /// `step_start`/`step_index` place this step's link occupancy on the
+  /// run timeline (the internal event clock restarts at 0 per step).
+  /// `transfers` (when non-null) receives every transfer with its
+  /// last-packet arrival time relative to the step start.
   [[nodiscard]] double simulate_step(const coll::Step& step,
                                      std::uint64_t& packets,
                                      std::uint64_t& events,
                                      const obs::Probe& probe,
-                                     double step_start,
+                                     LinkOccupancy& links, double step_start,
                                      std::uint32_t step_index,
-                                     std::vector<double>* transfer_done) const;
+                                     net::RoundRouting* transfers) const;
 
   topo::FatTree tree_;
   ElectricalConfig config_;

@@ -18,13 +18,18 @@
 // (exp::SweepRunner does).
 #pragma once
 
+#include <compare>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "wrht/collectives/schedule.hpp"
 #include "wrht/obs/occupancy.hpp"
 #include "wrht/obs/run_report.hpp"
 #include "wrht/obs/trace.hpp"
+#include "wrht/obs/transfer_log.hpp"
 
 namespace wrht::net {
 
@@ -111,6 +116,123 @@ class ScopedUtilization {
  private:
   obs::OccupancySampler sampler_;
   obs::Probe probe_;
+};
+
+/// The step's own label, or "step <index>" when the schedule left it empty.
+[[nodiscard]] std::string step_label(const coll::Step& step, std::size_t index);
+
+/// One WDM channel of a ring: the wavelength on one fiber of one direction.
+struct Channel {
+  std::uint8_t direction = 0;  ///< 0 = clockwise, 1 = counter-clockwise
+  std::uint32_t fiber = 0;
+  std::uint32_t wavelength = 0;
+
+  friend auto operator<=>(const Channel&, const Channel&) = default;
+};
+
+/// Occupancy resource name of `channel`: "cw/w3", "cw/f1/w3" when a
+/// direction has several fibers, and "row3/cw/w3" under lane "row3".
+[[nodiscard]] std::string channel_name(std::string_view lane,
+                                       const Channel& channel,
+                                       std::uint32_t fibers_per_direction);
+
+/// One transfer of a priced round: its index in the step, the channel its
+/// lightpath takes (none on the electrical fabric) and how long it runs
+/// from the round's payload start.
+struct RoundTransfer {
+  std::uint32_t index = 0;
+  Channel channel{};
+  Seconds duration{0.0};
+};
+
+/// One channel's use within a round, over the lightpaths that share it on
+/// disjoint ring segments.
+struct ChannelUse {
+  Channel channel{};
+  Seconds serialization{0.0};  ///< the slowest sharer's payload time
+  std::uint32_t concurrency = 0;
+};
+
+/// A round's transfers and, for lightpaths, the channel uses they add up to.
+struct RoundRouting {
+  std::vector<RoundTransfer> transfers;
+  /// Ordered by channel; empty for unrouted (electrical) rounds.
+  std::vector<ChannelUse> channels;
+
+  /// Fills `channels` from `transfers`.
+  void aggregate_channels();
+};
+
+/// One round as its engine priced it. `trace` carries start, the charged
+/// components, duration and retune; the recorder fills step, lane and
+/// round. `routing` is required: an electrical round lists every transfer
+/// of its step, unrouted.
+struct PricedRound {
+  obs::RoundTrace trace;
+  const RoundRouting* routing = nullptr;
+};
+
+struct PricedLane {
+  std::string name;  ///< "ring", "row3", "fabric"
+  std::vector<PricedRound> rounds;
+};
+
+/// One priced step: every lane's rounds, in the order the engine ran them.
+struct PricedStep {
+  std::uint32_t index = 0;
+  Seconds start{0.0};
+  Seconds duration{0.0};
+  std::vector<PricedLane> lanes;
+};
+
+/// How a recorder prices and names an optical engine's lightpaths.
+struct Lightpaths {
+  /// A lightpath's transfer log entry runs for its own transfer's
+  /// elements x bytes_per_element / bytes_per_second. Its RoundTransfer
+  /// duration may come from another step: a cached pattern is shared by
+  /// steps whose chunk sizes differ by an element, and only sizes the
+  /// channel's use.
+  std::uint32_t bytes_per_element = 0;
+  double bytes_per_second = 0.0;
+  std::uint32_t fibers_per_direction = 1;
+  /// Each lane owns its channels (the torus's row and column rings): the
+  /// lane prefixes their names, and a lane that finishes early holds them
+  /// in straggler wait until the step ends. Otherwise the engine's one
+  /// lane is the whole ring.
+  bool lane_channels = false;
+};
+
+/// The one writer of an engine run's transfer log and optical channel
+/// occupancy. Engines describe each priced step once and record() writes
+/// it: a StepTrace, every round and transfer to probe.transfers, and, for
+/// an optical engine, each channel's reconfiguration, O/E/O conversion,
+/// transmission and straggler wait to probe.occupancy. Electrical link
+/// occupancy stays in the engines, because a transfer does not carry its
+/// links.
+class RoundRecorder {
+ public:
+  /// Stamps `context` on the probe's transfer log. Optical engines pass
+  /// their `lightpaths`; the electrical fabric passes none, as its
+  /// transfers carry their own durations and it has no channels.
+  RoundRecorder(const obs::Probe& probe, obs::TransferLog::Context context,
+                std::optional<Lightpaths> lightpaths = std::nullopt);
+
+  /// Whether record() writes anything; engines describe steps only then.
+  [[nodiscard]] bool active() const {
+    return log_ != nullptr || channels_ != nullptr;
+  }
+
+  /// Records `priced`, the description of `step`; empty steps record
+  /// nothing.
+  void record(const coll::Step& step, const PricedStep& priced) const;
+
+ private:
+  void record_channels(const PricedStep& priced) const;
+
+  obs::TransferLog* log_;
+  /// probe.occupancy, for optical engines only.
+  obs::OccupancySampler* channels_;
+  std::optional<Lightpaths> lightpaths_;
 };
 
 /// Assembles the uniform per-step reports used by barrier-style backends

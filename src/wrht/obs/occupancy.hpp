@@ -1,21 +1,22 @@
 // Resource-level occupancy sampling underneath the trace spans.
 //
-// Spans (PR 1) say *that* a step is slow; occupancy says *which resource
-// sat idle and why*. Every timing-producing engine records, per named
-// resource — a (direction, wavelength) pair on the optical rings, a
-// directed link on the electrical fat tree — the intervals during which
-// that resource was reconfiguring (MRR retune), converting (O/E/O),
-// processing (router store-and-forward), transmitting payload, or waiting
-// on a straggler. Anything not recorded is idle by definition; the
+// Spans say *that* a step is slow; occupancy says *which resource sat idle
+// and why*. Every timing-producing run records, per named resource — a
+// (direction, fiber, wavelength) channel on the optical rings, a directed
+// link on the electrical fat tree — the intervals during which that
+// resource was reconfiguring (MRR retune), converting (O/E/O), processing
+// (router store-and-forward), transmitting payload, or waiting on a
+// straggler. Optical channels are written by net::RoundRecorder from each
+// engine's priced step; electrical links by the fat-tree engines through
+// elec::LinkOccupancy. Anything not recorded is idle by definition; the
 // analysis layer (obs/analysis.hpp) derives it against the run's wall
 // clock, so recorded categories + idle always account for 100% of each
 // resource's time.
 //
 // The sampler is attached through obs::Probe::occupancy and is null by
-// default: every instrumentation site is guarded by one pointer test, so
-// unobserved runs pay nothing (same contract as TraceSink/Counters). It is
-// NOT thread-safe — each run carries its own sampler, mirroring the
-// one-backend-per-worker rule of exp::SweepRunner.
+// default, so unobserved runs pay nothing. It is NOT thread-safe — each
+// run carries its own sampler, mirroring the one-backend-per-worker rule
+// of exp::SweepRunner.
 #pragma once
 
 #include <cstdint>

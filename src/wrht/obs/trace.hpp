@@ -82,20 +82,17 @@ class MemoryTraceSink final : public TraceSink {
   std::vector<CounterSample> counters_;
 };
 
-/// The observation bundle instrumented code carries: both members optional,
-/// both null by default. `track` is the timeline spans are tagged with, so
+/// The observation bundle instrumented code carries; every sink is null
+/// unless attached. `track` is the timeline spans are tagged with, so
 /// callers can lay several executions side by side in one trace.
 struct Probe {
   TraceSink* trace = nullptr;
   Counters* counters = nullptr;
   std::uint32_t track = 0;
-  /// Resource-occupancy sampler (obs/occupancy.hpp); null by default like
-  /// the other members. Appended last so existing aggregate initializers
-  /// (`Probe{&trace, &counters, 2}`) keep compiling unchanged.
+  /// Resource-occupancy sampler (obs/occupancy.hpp).
   OccupancySampler* occupancy = nullptr;
-  /// Transfer-level timeline sink for causal blame attribution
-  /// (obs/transfer_log.hpp, consumed by wrht::diag); null by default and
-  /// appended after `occupancy` for the same aggregate-init compatibility.
+  /// Transfer-level timeline for causal blame attribution
+  /// (obs/transfer_log.hpp, consumed by wrht::diag).
   TransferLog* transfers = nullptr;
 
   [[nodiscard]] bool active() const {

@@ -10,8 +10,10 @@
 // path, and proves the blame accounting identity against the simulated
 // makespan.
 //
-// Like every Probe member the sink is null by default; engines guard all
-// emission behind one pointer test, so unobserved runs cost nothing.
+// net::RoundRecorder is the only writer: each engine describes a priced
+// step once and the recorder stamps the context and appends the step, its
+// rounds and their transfers. Like every Probe member the sink is null by
+// default, so unobserved runs cost nothing.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +80,7 @@ struct TransferTrace {
 /// consumes by value.
 class TransferLog {
  public:
-  /// Run provenance, stamped by the engine at execute() time so blame
+  /// Run provenance, stamped when an engine's execute() starts so blame
   /// reports are self-describing.
   struct Context {
     std::string backend;          ///< "optical-ring", "electrical-flow", ...

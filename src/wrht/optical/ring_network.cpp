@@ -1,33 +1,15 @@
 #include "wrht/optical/ring_network.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
-#include <tuple>
 #include <unordered_set>
 
 #include "wrht/common/error.hpp"
 #include "wrht/net/pattern_key.hpp"
-#include "wrht/obs/occupancy.hpp"
-#include "wrht/obs/transfer_log.hpp"
 #include "wrht/prof/prof.hpp"
 #include "wrht/sim/simulator.hpp"
 
 namespace wrht::optics {
-
-namespace {
-
-/// Occupancy resource name for one WDM channel; the fiber index only
-/// appears in multi-fiber configurations to keep the common case short.
-std::string channel_name(std::uint8_t direction, std::uint32_t fiber,
-                         std::uint32_t wavelength, std::uint32_t num_fibers) {
-  std::string name = direction == 0 ? "cw" : "ccw";
-  if (num_fibers > 1) name += "/f" + std::to_string(fiber);
-  name += "/w" + std::to_string(wavelength);
-  return name;
-}
-
-}  // namespace
 
 RingNetwork::RingNetwork(std::uint32_t num_nodes, OpticalConfig config)
     : ring_(num_nodes), config_(config) {
@@ -61,7 +43,8 @@ Seconds RingNetwork::single_round_estimate(
 }
 
 RingNetwork::PatternCost RingNetwork::evaluate_step(const coll::Step& step,
-                                                    Rng* rng) const {
+                                                    Rng* rng,
+                                                    Detail detail) const {
   PatternCost out{};
   if (step.transfers.empty()) return out;
 
@@ -91,14 +74,17 @@ RingNetwork::PatternCost RingNetwork::evaluate_step(const coll::Step& step,
       round_members.back().push_back(i);
     }
   }
-  return price_rounds(step, wavelengths_used, round_paths, round_members);
+  return price_rounds(step, wavelengths_used, round_paths, round_members,
+                      detail);
 }
 
 RingNetwork::PatternCost RingNetwork::price_rounds(
     const coll::Step& step, std::uint32_t wavelengths_used,
     const std::vector<std::vector<Lightpath>>& round_paths,
-    const std::vector<std::vector<std::size_t>>& round_members) const {
+    const std::vector<std::vector<std::size_t>>& round_members,
+    Detail detail) const {
   PatternCost out{};
+  out.detail = detail;
   out.cost.wavelengths_used = wavelengths_used;
   out.cost.rounds = static_cast<std::uint32_t>(round_paths.size());
   for (std::size_t r = 0; r < round_paths.size(); ++r) {
@@ -106,54 +92,28 @@ RingNetwork::PatternCost RingNetwork::price_rounds(
     for (const std::size_t idx : round_members[r]) {
       max_elements = std::max(max_elements, step.transfers[idx].count);
     }
-    std::uint32_t round_lambda = 0;
-    // Aggregate the round's lightpaths per WDM channel: spatial reuse puts
-    // several paths on one (direction, fiber, wavelength) over disjoint
-    // segments, and occupancy accounting needs the channel, not the path.
-    // std::map keys keep the resulting use list deterministically ordered.
-    std::map<std::tuple<std::uint8_t, std::uint32_t, std::uint32_t>, RoundUse>
-        uses;
-    for (std::size_t j = 0; j < round_paths[r].size(); ++j) {
-      const Lightpath& path = round_paths[r][j];
+    for (const Lightpath& path : round_paths[r]) {
       out.longest_hops = std::max(out.longest_hops, path.hops);
-      round_lambda = std::max(round_lambda, path.wavelength + 1);
-      const auto dir = static_cast<std::uint8_t>(
-          path.direction == topo::Direction::kClockwise ? 0 : 1);
-      RoundUse& use = uses[{dir, path.fiber, path.wavelength}];
-      use.direction = dir;
-      use.fiber = path.fiber;
-      use.wavelength = path.wavelength;
-      use.serialization = std::max(
-          use.serialization,
-          serialization_time(step.transfers[round_members[r][j]].count));
-      ++use.concurrency;
     }
-    out.round_uses.emplace_back();
-    out.round_uses.back().reserve(uses.size());
-    for (auto& [key, use] : uses) out.round_uses.back().push_back(use);
-    out.round_wavelengths.push_back(round_lambda);
     out.cost.max_transfer_elements =
         std::max(out.cost.max_transfer_elements, max_elements);
-    out.cost.duration += round_time(max_elements);
     out.round_serialization.push_back(serialization_time(max_elements));
     if (config_.validate_node_capacity ||
         config_.reconfig_policy == net::ReconfigPolicy::kOnRetune ||
-        enrich_blame_) {
+        detail == Detail::kTuned) {
       out.round_tunings.push_back(TuningState::from_lightpaths(
           round_paths[r], config_.node_hardware));
     }
-    if (enrich_blame_) {
-      out.round_transfers.emplace_back();
-      out.round_transfers.back().reserve(round_paths[r].size());
+    if (detail != Detail::kLean) {
+      net::RoundRouting& routing = out.routing.emplace_back();
+      routing.transfers.reserve(round_paths[r].size());
       for (std::size_t j = 0; j < round_paths[r].size(); ++j) {
-        const Lightpath& path = round_paths[r][j];
-        TransferRoute route;
-        route.index = static_cast<std::uint32_t>(round_members[r][j]);
-        route.direction = static_cast<std::uint8_t>(
-            path.direction == topo::Direction::kClockwise ? 0 : 1);
-        route.wavelength = path.wavelength;
-        out.round_transfers.back().push_back(route);
+        const std::size_t index = round_members[r][j];
+        routing.transfers.push_back(net::RoundTransfer{
+            static_cast<std::uint32_t>(index), channel_of(round_paths[r][j]),
+            serialization_time(step.transfers[index].count)});
       }
+      routing.aggregate_channels();
     }
   }
   return out;
@@ -164,7 +124,8 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
   return execute(schedule, obs::Probe{}, rng);
 }
 
-void RingNetwork::warm_pattern_cache(const coll::Schedule& schedule) const {
+void RingNetwork::warm_pattern_cache(const coll::Schedule& schedule,
+                                     Detail detail) const {
   if (config_.rwa_policy != RwaPolicy::kFirstFit) return;
   if (!config_.allow_multi_round_steps) return;
   const unsigned workers = resolve_rwa_threads(config_.rwa_threads);
@@ -195,7 +156,7 @@ void RingNetwork::warm_pattern_cache(const coll::Schedule& schedule) const {
     pattern_cache_.emplace(
         signatures[s],
         price_rounds(*steps[s], rounds[s].wavelengths_used, rounds[s].paths,
-                     rounds[s].rounds));
+                     rounds[s].rounds, detail));
   }
 }
 
@@ -205,17 +166,18 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
   require(schedule.num_nodes() <= ring_.size(),
           "RingNetwork: schedule spans more nodes than the ring");
   schedule.validate();
+  const net::RoundRecorder recorder(
+      probe,
+      {"optical-ring", net::to_string(config_.reconfig_policy),
+       config_.mrr_reconfig_delay, config_.oeo_delay},
+      net::Lightpaths{config_.bytes_per_element, config_.bytes_per_second(),
+                      config_.fibers_per_direction, false});
   const bool blame = probe.transfers != nullptr;
-  enrich_blame_ = blame;
-  if (blame) {
-    obs::TransferLog::Context context;
-    context.backend = "optical-ring";
-    context.reconfig_policy = net::to_string(config_.reconfig_policy);
-    context.mrr_reconfig_delay = config_.mrr_reconfig_delay;
-    context.oeo_delay = config_.oeo_delay;
-    probe.transfers->set_context(std::move(context));
-  }
-  warm_pattern_cache(schedule);
+  const bool observed = probe.trace != nullptr || recorder.active();
+  const Detail detail = blame      ? Detail::kTuned
+                        : observed ? Detail::kRouted
+                                   : Detail::kLean;
+  warm_pattern_cache(schedule, detail);
 
   OpticalRunResult result;
   result.steps = schedule.num_steps();
@@ -236,6 +198,10 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
   // previous round's O/E/O + transmission time (zero before round 0, which
   // has nothing to overlap with).
   Seconds overlap_window(0.0);
+  // The observed step's one lane, reused across steps.
+  net::PricedStep priced;
+  priced.lanes.push_back(net::PricedLane{"ring", {}});
+  std::vector<net::PricedRound>& rounds = priced.lanes.front().rounds;
 
   std::function<void()> launch = [&]() {
     if (next_step >= schedule.num_steps()) return;
@@ -243,241 +209,142 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
     const std::size_t step_index = next_step;
     ++next_step;
 
-    PatternCost pattern;
+    PatternCost uncached;  // empty steps and random-fit patterns
+    const PatternCost* pattern = &uncached;
     if (!step.transfers.empty()) {
-      // Direction hints participate in the key: pinned-direction variants
-      // of the same (src, dst) pattern route differently.
-      const std::uint64_t sig = net::step_signature(step, true);
-      // Random-fit assignments differ run to run; never cache them.
-      const bool cacheable = config_.rwa_policy == RwaPolicy::kFirstFit;
-      const auto it =
-          cacheable ? pattern_cache_.find(sig) : pattern_cache_.end();
-      if (it != pattern_cache_.end()) {
-        pattern = it->second;
-        if (blame && pattern.round_transfers.size() != pattern.cost.rounds) {
-          // The cached entry was priced before blame observation was on and
-          // lacks the enriched routing/tuning detail. First-fit RWA is
-          // deterministic, so re-evaluating prices identically; replace the
-          // lean entry with the enriched one.
-          pattern = evaluate_step(step, rng);
-          pattern_cache_[sig] = pattern;
-        }
+      if (config_.rwa_policy != RwaPolicy::kFirstFit) {
+        // Random-fit assignments differ run to run; never cache them.
+        uncached = evaluate_step(step, rng, detail);
       } else {
-        pattern = evaluate_step(step, rng);
-        if (cacheable) pattern_cache_.emplace(sig, pattern);
+        // Direction hints participate in the key: pinned-direction variants
+        // of the same (src, dst) pattern route differently.
+        const std::uint64_t sig = net::step_signature(step, true);
+        auto it = pattern_cache_.find(sig);
+        if (it == pattern_cache_.end()) {
+          it = pattern_cache_.emplace(sig, evaluate_step(step, rng, detail))
+                   .first;
+        } else if (it->second.detail < detail) {
+          it->second = evaluate_step(step, rng, detail);
+        }
+        pattern = &it->second;
       }
     }
 
-    // Per-round durations and charged reconfiguration time; filled only
-    // when someone will look at them (retune and overlap re-pricing always
-    // need the walk; tracing and occupancy sampling need the per-round
-    // timeline).
-    std::vector<Seconds> round_durations;
-    std::vector<Seconds> round_reconfig;  // MRR delay the round paid
-    if (policy == net::ReconfigPolicy::kOnRetune) {
-      // Re-price the step: a round pays the reconfiguration delay only if
-      // some micro-ring has to change state relative to the previous round.
-      Seconds duration(0.0);
-      for (std::size_t r = 0; r < pattern.round_serialization.size(); ++r) {
-        Seconds round(0.0);
-        const std::size_t retuned =
-            previous_tuning.retune_count(pattern.round_tunings[r]);
+    StepCost cost = pattern->cost;
+    cost.label = step.label;
+    cost.start = simulator.now();
+    if (policy == net::ReconfigPolicy::kEveryRound) {
+      result.reconfigurations += cost.rounds;
+      probe.count("optical.reconfig_charges", cost.rounds);
+    }
+    // Price each round under the policy, and describe it when observed.
+    rounds.clear();
+    Seconds cursor = cost.start;
+    for (std::size_t r = 0; r < pattern->round_serialization.size(); ++r) {
+      const Seconds serialization = pattern->round_serialization[r];
+      Seconds reconfig = config_.mrr_reconfig_delay;
+      Seconds round = reconfig + config_.oeo_delay + serialization;
+      if (policy == net::ReconfigPolicy::kOnRetune) {
+        // A round pays the reconfiguration delay only if some micro-ring
+        // has to change state relative to the previous round.
+        const TuningState& tuning = pattern->round_tunings[r];
+        const std::size_t retuned = previous_tuning.retune_count(tuning);
+        previous_tuning = tuning;
         if (retuned > 0) {
-          round += config_.mrr_reconfig_delay;
           ++result.reconfigurations;
           result.retuned_mrrs += retuned;
           probe.count("optical.reconfig_charges");
           probe.count("optical.retuned_mrrs", retuned);
+        } else {
+          reconfig = Seconds(0.0);
         }
-        round += config_.oeo_delay + pattern.round_serialization[r];
-        round_durations.push_back(round);
-        round_reconfig.push_back(retuned > 0 ? config_.mrr_reconfig_delay
-                                             : Seconds(0.0));
-        duration += round;
-        previous_tuning = pattern.round_tunings[r];
-      }
-      pattern.cost.duration = duration;
-    } else if (policy == net::ReconfigPolicy::kOverlapped) {
-      // Re-price the step: every round still retunes, but the retune for
-      // round k overlaps round k-1's O/E/O + transmission (the lookahead
-      // pipeline of SWOT); only the residual beyond that window lands on
-      // the critical path. Round 0 of the run pays in full.
-      Seconds duration(0.0);
-      for (std::size_t r = 0; r < pattern.round_serialization.size(); ++r) {
-        const Seconds residual =
-            std::max(Seconds(0.0), config_.mrr_reconfig_delay - overlap_window);
-        if (residual.count() > 0.0) {
+        // Grouped as reconfig + (O/E/O + serialization): the pinned engine
+        // records hold this policy's rounding to the bit.
+        round = reconfig + (config_.oeo_delay + serialization);
+      } else if (policy == net::ReconfigPolicy::kOverlapped) {
+        // Every round still retunes, but the retune for round k overlaps
+        // round k-1's O/E/O + transmission (the lookahead pipeline of
+        // SWOT); only the residual beyond that window lands on the
+        // critical path. Round 0 of the run pays in full.
+        reconfig = std::max(Seconds(0.0),
+                            config_.mrr_reconfig_delay - overlap_window);
+        if (reconfig.count() > 0.0) {
           ++result.reconfigurations;
           probe.count("optical.reconfig_charges");
         }
-        result.overlap_hidden += config_.mrr_reconfig_delay - residual;
-        const Seconds round =
-            residual + config_.oeo_delay + pattern.round_serialization[r];
-        round_durations.push_back(round);
-        round_reconfig.push_back(residual);
-        duration += round;
-        overlap_window = config_.oeo_delay + pattern.round_serialization[r];
+        result.overlap_hidden += config_.mrr_reconfig_delay - reconfig;
+        round = reconfig + config_.oeo_delay + serialization;
+        overlap_window = config_.oeo_delay + serialization;
       }
-      pattern.cost.duration = duration;
-    } else {
-      result.reconfigurations += pattern.cost.rounds;
-      probe.count("optical.reconfig_charges", pattern.cost.rounds);
-      if (probe.trace != nullptr || probe.occupancy != nullptr || blame) {
-        for (const Seconds ser : pattern.round_serialization) {
-          round_durations.push_back(config_.mrr_reconfig_delay +
-                                    config_.oeo_delay + ser);
-          round_reconfig.push_back(config_.mrr_reconfig_delay);
-        }
+      cost.duration += round;
+      if (!observed) continue;
+      obs::RoundTrace trace;
+      trace.start = cursor;
+      trace.reconfig = reconfig;
+      trace.full_reconfig = config_.mrr_reconfig_delay;
+      trace.conversion = config_.oeo_delay;
+      trace.serialization = serialization;
+      trace.duration = round;
+      if (blame) {
+        trace.retune = blame_tuning.retune_count(pattern->round_tunings[r]) > 0;
+        blame_tuning = pattern->round_tunings[r];
       }
+      rounds.push_back(
+          net::PricedRound{std::move(trace), &pattern->routing[r]});
+      cursor += round;
     }
 
-    pattern.cost.label = step.label;
-    pattern.cost.start = simulator.now();
-    result.step_costs.push_back(pattern.cost);
-    result.total_rounds += pattern.cost.rounds;
+    result.step_costs.push_back(cost);
+    result.total_rounds += cost.rounds;
     result.max_wavelengths_used =
-        std::max(result.max_wavelengths_used, pattern.cost.wavelengths_used);
+        std::max(result.max_wavelengths_used, cost.wavelengths_used);
     result.longest_lightpath_hops =
-        std::max(result.longest_lightpath_hops, pattern.longest_hops);
+        std::max(result.longest_lightpath_hops, pattern->longest_hops);
 
     probe.count("optical.steps");
-    probe.count("optical.rounds", pattern.cost.rounds);
-    if (pattern.cost.rounds > 1) probe.count("optical.multi_round_steps");
-    probe.count_max("optical.max_wavelengths_used",
-                    pattern.cost.wavelengths_used);
+    probe.count("optical.rounds", cost.rounds);
+    if (cost.rounds > 1) probe.count("optical.multi_round_steps");
+    probe.count_max("optical.max_wavelengths_used", cost.wavelengths_used);
     if (probe.trace != nullptr) {
       obs::TraceSpan span;
-      span.name = step.label.empty() ? "step " + std::to_string(step_index)
-                                     : step.label;
+      span.name = net::step_label(step, step_index);
       span.category = "step";
-      span.start = pattern.cost.start;
-      span.duration = pattern.cost.duration;
+      span.start = cost.start;
+      span.duration = cost.duration;
       span.args = {
-          {"rounds", std::to_string(pattern.cost.rounds)},
-          {"wavelengths", std::to_string(pattern.cost.wavelengths_used)},
+          {"rounds", std::to_string(cost.rounds)},
+          {"wavelengths", std::to_string(cost.wavelengths_used)},
           {"max_transfer_elements",
-           std::to_string(pattern.cost.max_transfer_elements)}};
+           std::to_string(cost.max_transfer_elements)}};
       probe.span(span);
-      Seconds cursor = pattern.cost.start;
-      for (std::size_t r = 0; r < round_durations.size(); ++r) {
+      for (std::size_t r = 0; r < rounds.size(); ++r) {
+        // Distinct wavelengths carrying traffic this round; the highest one
+        // is the round's wavelength high-water mark.
+        std::set<std::uint32_t> lambdas;
+        for (const net::ChannelUse& use : rounds[r].routing->channels) {
+          lambdas.insert(use.channel.wavelength);
+        }
         obs::TraceSpan round;
         round.name = "round " + std::to_string(r);
         round.category = "round";
-        round.start = cursor;
-        round.duration = round_durations[r];
+        round.start = rounds[r].trace.start;
+        round.duration = rounds[r].trace.duration;
         round.args = {
             {"serialization_us",
-             std::to_string(pattern.round_serialization[r].micros())},
+             std::to_string(rounds[r].trace.serialization.micros())},
             {"wavelengths",
-             std::to_string(r < pattern.round_wavelengths.size()
-                                ? pattern.round_wavelengths[r]
-                                : 0)}};
+             std::to_string(lambdas.empty() ? 0 : *lambdas.rbegin() + 1)}};
         probe.span(round);
-        // Counter track: distinct wavelengths carrying traffic this round
-        // (holds until the next round's sample).
-        std::set<std::uint32_t> lambdas;
-        for (const auto& use : pattern.round_uses[r]) {
-          lambdas.insert(use.wavelength);
-        }
-        probe.counter_sample("wavelengths in use", cursor,
+        // Counter track: holds until the next round's sample.
+        probe.counter_sample("wavelengths in use", round.start,
                              static_cast<double>(lambdas.size()));
-        cursor += round_durations[r];
       }
     }
-
-    // Occupancy: per WDM channel, each round decomposes into MRR
-    // reconfiguration (when charged), O/E/O conversion, payload
-    // transmission, then straggler wait until the round's slowest channel
-    // finishes. Unused channels simply stay unaccounted (idle).
-    if (probe.occupancy != nullptr) {
-      Seconds cursor = pattern.cost.start;
-      for (std::size_t r = 0; r < round_durations.size(); ++r) {
-        const Seconds round_end = cursor + round_durations[r];
-        // Under kOverlapped only the residual is charged here; the hidden
-        // portion happened during the previous round's transmission and
-        // never occupies this round's interval.
-        const Seconds reconfig = round_reconfig[r];
-        for (const auto& use : pattern.round_uses[r]) {
-          const auto ref = probe.occupancy->resource(
-              channel_name(use.direction, use.fiber, use.wavelength,
-                           config_.fibers_per_direction));
-          Seconds at = cursor;
-          probe.occupancy->record(ref, static_cast<std::uint32_t>(step_index),
-                                  at, reconfig,
-                                  obs::OccCategory::kReconfiguration);
-          at += reconfig;
-          probe.occupancy->record(ref, static_cast<std::uint32_t>(step_index),
-                                  at, config_.oeo_delay,
-                                  obs::OccCategory::kConversion);
-          at += config_.oeo_delay;
-          probe.occupancy->record(ref, static_cast<std::uint32_t>(step_index),
-                                  at, use.serialization,
-                                  obs::OccCategory::kTransmission,
-                                  use.concurrency);
-          at += use.serialization;
-          probe.occupancy->record(ref, static_cast<std::uint32_t>(step_index),
-                                  at, round_end - at,
-                                  obs::OccCategory::kStragglerWait);
-        }
-        cursor = round_end;
-      }
-    }
-
-    // Blame timeline: one StepTrace, one RoundTrace per round with the
-    // exact charged decomposition, one TransferTrace per routed transfer.
-    if (blame && !step.transfers.empty()) {
-      obs::StepTrace step_trace;
-      step_trace.step = static_cast<std::uint32_t>(step_index);
-      step_trace.label = step.label.empty()
-                             ? "step " + std::to_string(step_index)
-                             : step.label;
-      step_trace.start = pattern.cost.start;
-      step_trace.duration = pattern.cost.duration;
-      probe.transfers->step(std::move(step_trace));
-
-      Seconds cursor = pattern.cost.start;
-      for (std::size_t r = 0; r < round_durations.size(); ++r) {
-        bool retune = true;
-        if (r < pattern.round_tunings.size()) {
-          retune = blame_tuning.retune_count(pattern.round_tunings[r]) > 0;
-          blame_tuning = pattern.round_tunings[r];
-        }
-        obs::RoundTrace round;
-        round.step = static_cast<std::uint32_t>(step_index);
-        round.lane = "ring";
-        round.round = static_cast<std::uint32_t>(r);
-        round.start = cursor;
-        round.reconfig = round_reconfig[r];
-        round.full_reconfig = config_.mrr_reconfig_delay;
-        round.conversion = config_.oeo_delay;
-        round.serialization = pattern.round_serialization[r];
-        round.duration = round_durations[r];
-        round.retune = retune;
-        probe.transfers->round(std::move(round));
-
-        const Seconds payload_start =
-            cursor + round_reconfig[r] + config_.oeo_delay;
-        if (r < pattern.round_transfers.size()) {
-          for (const TransferRoute& route : pattern.round_transfers[r]) {
-            const coll::Transfer& t = step.transfers[route.index];
-            obs::TransferTrace trace;
-            trace.step = static_cast<std::uint32_t>(step_index);
-            trace.lane = "ring";
-            trace.round = static_cast<std::uint32_t>(r);
-            trace.src = t.src;
-            trace.dst = t.dst;
-            trace.elements = t.count;
-            trace.wavelength = route.wavelength;
-            trace.direction = route.direction;
-            trace.start = payload_start;
-            trace.duration = serialization_time(t.count);
-            probe.transfers->transfer(std::move(trace));
-          }
-        }
-        cursor += round_durations[r];
-      }
-    }
-    simulator.schedule_in(pattern.cost.duration, launch);
+    priced.index = static_cast<std::uint32_t>(step_index);
+    priced.start = cost.start;
+    priced.duration = cost.duration;
+    recorder.record(step, priced);
+    simulator.schedule_in(cost.duration, launch);
   };
 
   simulator.schedule_in(Seconds(0.0), launch);

@@ -21,6 +21,7 @@
 #include "wrht/collectives/schedule.hpp"
 #include "wrht/common/rng.hpp"
 #include "wrht/common/units.hpp"
+#include "wrht/net/backend.hpp"
 #include "wrht/net/rate_convention.hpp"
 #include "wrht/net/reconfig_policy.hpp"
 #include "wrht/net/resource_lease.hpp"
@@ -38,7 +39,6 @@ struct OpticalConfig {
   BitsPerSecond wavelength_rate{40e9};     ///< nominal line rate per lambda
   Seconds mrr_reconfig_delay{25e-6};       ///< per communication step
   Seconds oeo_delay{497e-15};              ///< O/E/O conversion per packet
-  Bytes packet_size{72};
   std::uint32_t bytes_per_element = 4;     ///< float32 gradients
 
   /// The Eq. (6) rate convention (see net/rate_convention.hpp).
@@ -91,10 +91,6 @@ struct OpticalConfig {
     wavelengths = v;
     return *this;
   }
-  OpticalConfig& with_fibers_per_direction(std::uint32_t v) {
-    fibers_per_direction = v;
-    return *this;
-  }
   OpticalConfig& with_wavelength_rate(BitsPerSecond v) {
     wavelength_rate = v;
     return *this;
@@ -107,28 +103,12 @@ struct OpticalConfig {
     oeo_delay = v;
     return *this;
   }
-  OpticalConfig& with_packet_size(Bytes v) {
-    packet_size = v;
-    return *this;
-  }
-  OpticalConfig& with_bytes_per_element(std::uint32_t v) {
-    bytes_per_element = v;
-    return *this;
-  }
   OpticalConfig& with_convention(net::RateConvention v) {
     convention = v;
     return *this;
   }
   OpticalConfig& with_rwa_policy(RwaPolicy v) {
     rwa_policy = v;
-    return *this;
-  }
-  OpticalConfig& with_rwa_threads(unsigned v) {
-    rwa_threads = v;
-    return *this;
-  }
-  OpticalConfig& with_multi_round_steps(bool v) {
-    allow_multi_round_steps = v;
     return *this;
   }
   OpticalConfig& with_lease(net::ResourceLease v) {
@@ -145,19 +125,19 @@ struct OpticalConfig {
     options.wavelength_lo = lease.full() ? 0 : lease.w_lo;
     return options;
   }
-  OpticalConfig& with_node_hardware(NodeHardware v) {
-    node_hardware = v;
-    return *this;
-  }
   OpticalConfig& with_validate_node_capacity(bool v) {
     validate_node_capacity = v;
     return *this;
   }
-  OpticalConfig& with_reconfig_policy(net::ReconfigPolicy v) {
-    reconfig_policy = v;
-    return *this;
-  }
 };
+
+/// The WDM channel `path` occupies.
+[[nodiscard]] inline net::Channel channel_of(const Lightpath& path) {
+  return net::Channel{
+      static_cast<std::uint8_t>(
+          path.direction == topo::Direction::kClockwise ? 0 : 1),
+      path.fiber, path.wavelength};
+}
 
 struct StepCost {
   std::string label;   ///< the schedule step's label
@@ -232,70 +212,49 @@ class RingNetwork {
       const coll::Schedule& schedule) const;
 
  private:
-  /// One (direction, fiber, wavelength) channel's use within a round,
-  /// aggregated over the lightpaths sharing it on disjoint ring segments.
-  struct RoundUse {
-    std::uint8_t direction = 0;  ///< 0 = clockwise, 1 = counter-clockwise
-    std::uint32_t fiber = 0;
-    std::uint32_t wavelength = 0;
-    /// Longest serialization among the sharers (the channel transmits
-    /// until its slowest lightpath finishes).
-    Seconds serialization{0.0};
-    std::uint32_t concurrency = 0;  ///< lightpaths sharing the channel
-  };
-
-  /// One transfer's routing assignment within a round, for the blame
-  /// TransferLog. `index` points into the step's transfers (the pattern
-  /// cache is keyed by the full transfer list, so indices stay valid
-  /// across cache hits).
-  struct TransferRoute {
-    std::uint32_t index = 0;
-    std::uint8_t direction = 0;
-    std::uint32_t wavelength = 0;
+  /// What a priced pattern keeps besides its price.
+  enum class Detail : std::uint8_t {
+    kLean,    ///< unobserved and counters-only runs
+    kRouted,  ///< + each round's routing (trace, occupancy, transfer log)
+    kTuned,   ///< + each round's tuning, for the transfer log's retune walk
   };
 
   struct PatternCost {
+    /// Rounds, wavelengths and largest transfer; execute() prices the
+    /// duration under the run's reconfiguration policy.
     StepCost cost;
     std::uint32_t longest_hops = 0;
     /// Per-round serialization and tuning, for retune-aware accounting.
     std::vector<Seconds> round_serialization;
     std::vector<TuningState> round_tunings;
-    /// Per-round wavelength high-water marks, for round trace spans.
-    std::vector<std::uint32_t> round_wavelengths;
-    /// Per-round channel uses (sorted by direction/fiber/wavelength), for
-    /// occupancy sampling and the wavelengths-in-use counter track.
-    std::vector<std::vector<RoundUse>> round_uses;
-    /// Per-round transfer routes; filled only for blame-observed runs
-    /// (probe.transfers attached), empty otherwise.
-    std::vector<std::vector<TransferRoute>> round_transfers;
+    /// Per-round routed transfers and channel uses (kRouted and up).
+    std::vector<net::RoundRouting> routing;
+    Detail detail = Detail::kLean;
   };
 
-  [[nodiscard]] PatternCost evaluate_step(const coll::Step& step,
-                                          Rng* rng) const;
+  [[nodiscard]] PatternCost evaluate_step(const coll::Step& step, Rng* rng,
+                                          Detail detail) const;
 
   /// Pure pricing arithmetic turning one step's RWA rounds into a
   /// PatternCost; shared by the sequential path and the parallel pre-pass.
   [[nodiscard]] PatternCost price_rounds(
       const coll::Step& step, std::uint32_t wavelengths_used,
       const std::vector<std::vector<Lightpath>>& round_paths,
-      const std::vector<std::vector<std::size_t>>& round_members) const;
+      const std::vector<std::vector<std::size_t>>& round_members,
+      Detail detail) const;
 
   /// First-fit only: batch-solves the schedule's distinct uncached step
   /// patterns with assign_rounds_batch and fills pattern_cache_, so the
   /// DES loop below runs entirely on cache hits. No-op when the resolved
   /// worker count is 1 (the sequential path already does the same work
   /// lazily) or under random-fit.
-  void warm_pattern_cache(const coll::Schedule& schedule) const;
+  void warm_pattern_cache(const coll::Schedule& schedule, Detail detail) const;
 
   topo::Ring ring_;
   OpticalConfig config_;
+  /// An entry priced with less detail than a run needs is re-priced on hit:
+  /// first-fit RWA is deterministic, so the richer entry prices identically.
   mutable std::unordered_map<std::uint64_t, PatternCost> pattern_cache_;
-  /// Set while a blame-observed execute() runs: price_rounds then also
-  /// fills round_tunings (for the retune-flag walk under any policy) and
-  /// round_transfers. Cache entries priced without enrichment are
-  /// re-evaluated on hit — first-fit RWA is deterministic, so the enriched
-  /// entry prices identically and simply replaces the lean one.
-  mutable bool enrich_blame_ = false;
 };
 
 }  // namespace wrht::optics

@@ -1,51 +1,15 @@
 #include "wrht/optical/torus_network.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "wrht/common/error.hpp"
-#include "wrht/obs/occupancy.hpp"
-#include "wrht/obs/transfer_log.hpp"
 #include "wrht/optical/rwa.hpp"
 
 namespace wrht::optics {
-
-namespace {
-
-/// One WDM channel's aggregated use within a round of one embedded ring.
-struct ChannelUse {
-  std::uint8_t direction = 0;
-  std::uint32_t fiber = 0;
-  std::uint32_t wavelength = 0;
-  Seconds serialization{0.0};
-  std::uint32_t concurrency = 0;
-};
-
-/// Occupancy timeline of one embedded ring within one step, buffered until
-/// the step's slowest ring (and hence the straggler horizon) is known.
-struct RingTimeline {
-  std::string prefix;  ///< "row3" / "col0"
-  std::vector<Seconds> round_durations;
-  /// MRR delay each round actually paid (== the full delay except under
-  /// kOverlapped, where only the residual lands on the timeline).
-  std::vector<Seconds> round_reconfig;
-  std::vector<std::vector<ChannelUse>> round_uses;
-};
-
-std::string torus_channel_name(const std::string& prefix,
-                               const ChannelUse& use,
-                               std::uint32_t num_fibers) {
-  std::string name = prefix;
-  name += use.direction == 0 ? "/cw" : "/ccw";
-  if (num_fibers > 1) name += "/f" + std::to_string(use.fiber);
-  name += "/w" + std::to_string(use.wavelength);
-  return name;
-}
-
-}  // namespace
 
 TorusNetwork::TorusNetwork(const topo::Torus& torus, OpticalConfig config)
     : torus_(torus),
@@ -76,15 +40,12 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
 
   const bool overlapped =
       config_.reconfig_policy == net::ReconfigPolicy::kOverlapped;
-  const bool blame = probe.transfers != nullptr;
-  if (blame) {
-    obs::TransferLog::Context context;
-    context.backend = "optical-torus";
-    context.reconfig_policy = net::to_string(config_.reconfig_policy);
-    context.mrr_reconfig_delay = config_.mrr_reconfig_delay;
-    context.oeo_delay = config_.oeo_delay;
-    probe.transfers->set_context(std::move(context));
-  }
+  const net::RoundRecorder recorder(
+      probe,
+      {"optical-torus", net::to_string(config_.reconfig_policy),
+       config_.mrr_reconfig_delay, config_.oeo_delay},
+      net::Lightpaths{config_.bytes_per_element, config_.bytes_per_second(),
+                      config_.fibers_per_direction, true});
   double now = 0.0;
   std::size_t step_index = 0;
   // kOverlapped: window the first round of a step can hide its retune in.
@@ -92,6 +53,10 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
   // step k-1's transmissions; later rounds of a ring overlap their own
   // previous round. Step 0 has nothing to overlap with.
   double step_window = 0.0;
+  // A recorded step's description: one lane per ring, whose rounds point
+  // into `routing`.
+  net::PricedStep priced;
+  std::deque<net::RoundRouting> routing;
   for (const auto& step : schedule.steps()) {
     // Partition the step's transfers onto their row/column rings,
     // remapping node ids to ring-local positions.
@@ -150,16 +115,16 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
     std::uint32_t max_paid_rounds = 0;
     double slowest = 0.0;
     double slowest_serial = 0.0;  // every-round pricing, for overlap_hidden
-    std::vector<RingTimeline> timelines;  // filled only when sampling
+    priced.lanes.clear();
+    routing.clear();
     std::size_t share_index = 0;
     for (const auto& [key, share] : shares) {
       const RoundsResult& rounds = ring_rounds[share_index++];
-      RingTimeline timeline;
-      std::string lane;
-      if (probe.occupancy != nullptr || blame) {
-        lane = (key.first ? "row" : "col") + std::to_string(key.second);
+      net::PricedLane* lane = nullptr;
+      if (recorder.active()) {
+        lane = &priced.lanes.emplace_back();
+        lane->name = (key.first ? "row" : "col") + std::to_string(key.second);
       }
-      if (probe.occupancy != nullptr) timeline.prefix = lane;
       double ring_time = 0.0;
       double ring_time_serial = 0.0;
       double window = step_window;  // per-ring overlap window (kOverlapped)
@@ -170,94 +135,43 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
           max_elements =
               std::max(max_elements, share.transfers[idx].count);
         }
-        const double busy = config_.oeo_delay.count() +
-                            static_cast<double>(max_elements) *
-                                config_.bytes_per_element /
-                                config_.bytes_per_second();
+        const double serialization = static_cast<double>(max_elements) *
+                                     config_.bytes_per_element /
+                                     config_.bytes_per_second();
+        const double busy = config_.oeo_delay.count() + serialization;
         const double full = config_.mrr_reconfig_delay.count();
         const double reconfig =
             overlapped ? std::max(0.0, full - window) : full;
         const double round_time = reconfig + busy;
         if (reconfig > 0.0) ++paid_rounds;
         window = busy;
-        if (blame) {
-          const Seconds round_start = cost.start + Seconds(ring_time);
-          const double ser_max = static_cast<double>(max_elements) *
-                                 config_.bytes_per_element /
-                                 config_.bytes_per_second();
-          obs::RoundTrace round;
-          round.step = static_cast<std::uint32_t>(step_index);
-          round.lane = lane;
-          round.round = static_cast<std::uint32_t>(r);
-          round.start = round_start;
-          round.reconfig = Seconds(reconfig);
-          round.full_reconfig = config_.mrr_reconfig_delay;
-          round.conversion = config_.oeo_delay;
-          round.serialization = Seconds(ser_max);
-          round.duration = Seconds(round_time);
+        if (lane != nullptr) {
+          net::RoundRouting& routed = routing.emplace_back();
+          for (std::size_t j = 0; j < rounds.paths[r].size(); ++j) {
+            const std::size_t local = rounds.rounds[r][j];
+            routed.transfers.push_back(net::RoundTransfer{
+                static_cast<std::uint32_t>(share.source[local]),
+                channel_of(rounds.paths[r][j]),
+                Seconds(static_cast<double>(share.transfers[local].count) *
+                        config_.bytes_per_element /
+                        config_.bytes_per_second())});
+          }
+          routed.aggregate_channels();
           // The torus control plane retunes every round (it prices
           // kOnRetune like kEveryRound), so every round reports retune.
-          round.retune = true;
-          probe.transfers->round(std::move(round));
-
-          const Seconds payload_start =
-              round_start + Seconds(reconfig) + config_.oeo_delay;
-          for (std::size_t j = 0; j < rounds.paths[r].size(); ++j) {
-            const Lightpath& p = rounds.paths[r][j];
-            const std::size_t local_idx = rounds.rounds[r][j];
-            const coll::Transfer& original =
-                step.transfers[share.source[local_idx]];
-            obs::TransferTrace trace;
-            trace.step = static_cast<std::uint32_t>(step_index);
-            trace.lane = lane;
-            trace.round = static_cast<std::uint32_t>(r);
-            trace.src = original.src;
-            trace.dst = original.dst;
-            trace.elements = original.count;
-            trace.wavelength = p.wavelength;
-            trace.direction = static_cast<std::uint8_t>(
-                p.direction == topo::Direction::kClockwise ? 0 : 1);
-            trace.start = payload_start;
-            trace.duration =
-                Seconds(static_cast<double>(original.count) *
-                        config_.bytes_per_element /
-                        config_.bytes_per_second());
-            probe.transfers->transfer(std::move(trace));
-          }
+          obs::RoundTrace trace;
+          trace.start = cost.start + Seconds(ring_time);
+          trace.reconfig = Seconds(reconfig);
+          trace.full_reconfig = config_.mrr_reconfig_delay;
+          trace.conversion = config_.oeo_delay;
+          trace.serialization = Seconds(serialization);
+          trace.duration = Seconds(round_time);
+          lane->rounds.push_back(net::PricedRound{std::move(trace), &routed});
         }
         ring_time += round_time;
         ring_time_serial += full + busy;
         cost.max_transfer_elements =
             std::max(cost.max_transfer_elements, max_elements);
-        if (probe.occupancy != nullptr) {
-          // Aggregate the round's lightpaths per channel (spatial reuse
-          // shares one wavelength over disjoint segments); std::map keys
-          // keep the use list deterministically ordered.
-          std::map<std::tuple<std::uint8_t, std::uint32_t, std::uint32_t>,
-                   ChannelUse>
-              uses;
-          for (std::size_t j = 0; j < rounds.paths[r].size(); ++j) {
-            const Lightpath& p = rounds.paths[r][j];
-            const auto dir = static_cast<std::uint8_t>(
-                p.direction == topo::Direction::kClockwise ? 0 : 1);
-            ChannelUse& use = uses[{dir, p.fiber, p.wavelength}];
-            use.direction = dir;
-            use.fiber = p.fiber;
-            use.wavelength = p.wavelength;
-            const double ser =
-                static_cast<double>(
-                    share.transfers[rounds.rounds[r][j]].count) *
-                config_.bytes_per_element / config_.bytes_per_second();
-            use.serialization = std::max(use.serialization, Seconds(ser));
-            ++use.concurrency;
-          }
-          timeline.round_durations.emplace_back(round_time);
-          timeline.round_reconfig.emplace_back(reconfig);
-          timeline.round_uses.emplace_back();
-          for (auto& [k, use] : uses) {
-            timeline.round_uses.back().push_back(use);
-          }
-        }
       }
       for (const auto& round : rounds.paths) {
         for (const Lightpath& p : round) {
@@ -272,69 +186,15 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
       max_paid_rounds = std::max(max_paid_rounds, paid_rounds);
       slowest = std::max(slowest, ring_time);
       slowest_serial = std::max(slowest_serial, ring_time_serial);
-      if (probe.occupancy != nullptr) {
-        timelines.push_back(std::move(timeline));
-      }
-    }
-
-    // Replay each ring's buffered timeline now that the step's end (the
-    // slowest ring) is known: rounds decompose into reconfiguration,
-    // O/E/O, transmission and in-round straggler wait; a ring finishing
-    // early holds its channels in straggler-wait until the step ends.
-    if (probe.occupancy != nullptr) {
-      const Seconds step_end = cost.start + Seconds(slowest);
-      const auto step_id = static_cast<std::uint32_t>(step_index);
-      for (const RingTimeline& timeline : timelines) {
-        Seconds cursor = cost.start;
-        std::vector<obs::OccupancySampler::ResourceRef> used;
-        for (std::size_t r = 0; r < timeline.round_durations.size(); ++r) {
-          const Seconds round_end = cursor + timeline.round_durations[r];
-          for (const ChannelUse& use : timeline.round_uses[r]) {
-            const auto ref = probe.occupancy->resource(torus_channel_name(
-                timeline.prefix, use, config_.fibers_per_direction));
-            Seconds at = cursor;
-            // Under kOverlapped only the residual is charged here; the
-            // hidden portion happened during the previous round's (or
-            // step's) transmissions.
-            probe.occupancy->record(ref, step_id, at,
-                                    timeline.round_reconfig[r],
-                                    obs::OccCategory::kReconfiguration);
-            at += timeline.round_reconfig[r];
-            probe.occupancy->record(ref, step_id, at, config_.oeo_delay,
-                                    obs::OccCategory::kConversion);
-            at += config_.oeo_delay;
-            probe.occupancy->record(ref, step_id, at, use.serialization,
-                                    obs::OccCategory::kTransmission,
-                                    use.concurrency);
-            at += use.serialization;
-            probe.occupancy->record(ref, step_id, at, round_end - at,
-                                    obs::OccCategory::kStragglerWait);
-            if (std::find(used.begin(), used.end(), ref) == used.end()) {
-              used.push_back(ref);
-            }
-          }
-          cursor = round_end;
-        }
-        for (const auto ref : used) {
-          probe.occupancy->record(ref, step_id, cursor, step_end - cursor,
-                                  obs::OccCategory::kStragglerWait);
-        }
-      }
     }
 
     cost.label = step.label;
     cost.rounds = max_rounds;
     cost.duration = Seconds(slowest);
-    if (blame && !step.transfers.empty()) {
-      obs::StepTrace step_trace;
-      step_trace.step = static_cast<std::uint32_t>(step_index);
-      step_trace.label = step.label.empty()
-                             ? "step " + std::to_string(step_index)
-                             : step.label;
-      step_trace.start = cost.start;
-      step_trace.duration = cost.duration;
-      probe.transfers->step(std::move(step_trace));
-    }
+    priced.index = static_cast<std::uint32_t>(step_index);
+    priced.start = cost.start;
+    priced.duration = cost.duration;
+    recorder.record(step, priced);
     result.total_rounds += max_rounds;
     // Critical-path reconfiguration charges: under kOverlapped only rounds
     // whose residual survived the overlap window count, and the hidden
@@ -353,8 +213,7 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
     probe.count_max("optical.max_wavelengths_used", cost.wavelengths_used);
     if (probe.trace != nullptr) {
       obs::TraceSpan span;
-      span.name = step.label.empty() ? "step " + std::to_string(step_index)
-                                     : step.label;
+      span.name = net::step_label(step, step_index);
       span.category = "torus-step";
       span.start = cost.start;
       span.duration = cost.duration;

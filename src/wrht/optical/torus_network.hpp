@@ -44,7 +44,7 @@ class TorusNetwork {
     /// Transfers remapped to ring-local node positions.
     std::vector<coll::Transfer> transfers;
     /// Index of each remapped transfer in the step's original transfer
-    /// list, so blame TransferTraces can report global node ids.
+    /// list, so recorded transfers keep their global node ids.
     std::vector<std::size_t> source;
   };
 
