@@ -11,12 +11,16 @@
 # would only obscure the culprit. ablation_overlap.csv additionally gets
 # its full column schema pinned here (the overlap/planner columns feed the
 # reconfigure-or-not analysis, and the checked-in reference would follow a
-# silently drifted writer). The two service benches and the utilization,
-# reconfiguration and overlap ablations also run once in full mode (about
-# a second together), and their CSVs must equal the checked-in ones byte
-# for byte: admission order and engine pricing are deterministic, so any
-# difference is a behaviour change. The three ablations pin what the
-# engines record into occupancy and how they charge reconfiguration.
+# silently drifted writer). The two service benches, the utilization,
+# reconfiguration, overlap and RWA ablations, Fig. 4, Fig. 5 and Table 1
+# also run once in full mode (about two seconds together), and their CSVs
+# must equal the checked-in ones byte for byte: admission order, RWA,
+# planning and engine pricing are deterministic, so any difference is a
+# behaviour change. The utilization, reconfiguration and overlap ablations
+# pin what the engines record into occupancy and how they charge
+# reconfiguration; the RWA ablation pins first-fit and random-fit
+# wavelength assignment, Fig. 4 and Fig. 5 first-fit on WRHT rings up to
+# 256 wavelengths, and Fig. 4 and Table 1 the closed-form WRHT plan.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: ./build)
 set -euo pipefail
@@ -130,12 +134,13 @@ if [[ -f ablation_overlap.csv ]]; then
 fi
 
 # Full-mode runs: every row of the checked-in policy bake-off, telemetry,
-# utilization, reconfiguration and overlap CSVs must come out
-# byte-identical. They run in their own directory so the tiny-mode
-# artifacts checked below stay untouched.
+# utilization, reconfiguration, overlap, RWA, Fig. 4, Fig. 5 and Table 1
+# CSVs must come out byte-identical. They run in their own directory so
+# the tiny-mode artifacts checked below stay untouched.
 mkdir full
 for b in ablation_svc_policies ablation_svc_telemetry ablation_utilization \
-         ablation_reconfig ablation_overlap; do
+         ablation_reconfig ablation_overlap ablation_rwa fig4_grouped_nodes \
+         fig5_wavelengths table1_steps; do
   bin="${BIN_OVERRIDE[$b]:-bench_$b}"
   echo "--- $bin (full)"
   if ! (cd full && "$BUILD_DIR/bench/$bin" > "$bin.log" 2>&1); then

@@ -20,24 +20,32 @@ std::uint32_t ceil_log(std::uint32_t base, std::uint64_t n) {
 
 WrhtStepPlan wrht_plan(std::uint32_t num_nodes, std::uint32_t group_size,
                        std::uint32_t wavelengths) {
-  const Hierarchy h = build_hierarchy(num_nodes, group_size, wavelengths);
+  // build_hierarchy's checks, so bad input fails the same way.
+  require(num_nodes >= 2, "build_hierarchy: need at least 2 nodes");
+  require(group_size >= 2, "build_hierarchy: group size must be >= 2");
+  require(wavelengths >= 1, "build_hierarchy: need at least 1 wavelength");
+
+  // k is the current level's width; see build_hierarchy for the balanced
+  // partition whose largest group this computes.
   WrhtStepPlan plan;
-  plan.grouping_levels = static_cast<std::uint32_t>(h.levels.size());
-  plan.final_all_to_all = h.final_all_to_all;
-  plan.final_reps = static_cast<std::uint32_t>(h.final_reps.size());
-  plan.reduce_steps = plan.grouping_levels + (h.final_all_to_all ? 1 : 0);
+  std::uint64_t lambda = 0;
+  std::uint64_t k = num_nodes;
+  while (k > 1) {
+    if (all_to_all_wavelengths(k) <= wavelengths) {
+      plan.final_all_to_all = true;
+      lambda = std::max(lambda, all_to_all_wavelengths(k));
+      break;
+    }
+    const std::uint64_t groups = (k + group_size - 1) / group_size;
+    const std::uint64_t largest = (k + groups - 1) / groups;
+    lambda = std::max(lambda, group_wavelengths(largest));
+    ++plan.grouping_levels;
+    k = groups;
+  }
+  plan.final_reps = static_cast<std::uint32_t>(k);
+  plan.reduce_steps = plan.grouping_levels + (plan.final_all_to_all ? 1 : 0);
   plan.broadcast_steps = plan.grouping_levels;
   plan.total_steps = plan.reduce_steps + plan.broadcast_steps;
-
-  std::uint64_t lambda = 0;
-  for (const Level& level : h.levels) {
-    for (const Group& g : level.groups) {
-      lambda = std::max(lambda, group_wavelengths(g.members.size()));
-    }
-  }
-  if (h.final_all_to_all) {
-    lambda = std::max(lambda, all_to_all_wavelengths(h.final_reps.size()));
-  }
   plan.wavelengths_required = std::max<std::uint64_t>(lambda, 1);
   return plan;
 }

@@ -27,6 +27,10 @@ struct WrhtStepPlan {
   std::uint64_t wavelengths_required = 0;
 };
 
+/// Runs build_hierarchy's recurrence on the level width alone: k nodes make
+/// ceil(k/m) balanced groups, the largest of ceil(k/ceil(k/m)) members, and
+/// the groups' reps are the next level. Costs O(levels) with no allocation;
+/// bad input throws build_hierarchy's exceptions with its messages.
 [[nodiscard]] WrhtStepPlan wrht_plan(std::uint32_t num_nodes,
                                      std::uint32_t group_size,
                                      std::uint32_t wavelengths);

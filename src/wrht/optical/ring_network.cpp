@@ -14,6 +14,8 @@ namespace wrht::optics {
 RingNetwork::RingNetwork(std::uint32_t num_nodes, OpticalConfig config)
     : ring_(num_nodes), config_(config) {
   require(config.wavelengths >= 1, "RingNetwork: need >= 1 wavelength");
+  require(config.fibers_per_direction >= 1,
+          "RingNetwork: need >= 1 fiber per direction");
   require(config.bytes_per_element >= 1,
           "RingNetwork: bytes_per_element must be >= 1");
   require(config.wavelength_rate.count() > 0.0,

@@ -7,6 +7,11 @@
 // and, when a step needs more wavelengths than the fiber carries, a greedy
 // split of the step into sequential conflict-free rounds.
 //
+// Occupancy is one run of ceil(w/64) words per fiber segment for each
+// (direction, fiber), bit lambda meaning "lit", so a transfer reads its span
+// once for every wavelength instead of probing wavelengths one at a time:
+// host time grows with the hops placed, not with wavelengths x hops.
+//
 // Steps are independent RWA problems (occupancy never carries across
 // steps), so assign_rounds_batch() solves many steps in parallel. The
 // parallel path is first-fit only — first-fit is a pure function of the
@@ -68,7 +73,8 @@ struct RoundsResult {
 };
 
 /// Greedily packs the transfers into as few sequential rounds as possible,
-/// each conflict-free within the wavelength budget. Throws
+/// each conflict-free within the wavelength budget. Throws InvalidArgument
+/// for zero wavelengths or fibers or an empty leased slice, and
 /// InfeasibleSchedule if some transfer cannot be routed even alone.
 [[nodiscard]] RoundsResult assign_rounds(
     const topo::Ring& ring, std::span<const coll::Transfer> transfers,

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+
 #include "wrht/common/error.hpp"
+#include "wrht/common/rng.hpp"
 
 namespace wrht::core {
 namespace {
@@ -64,6 +69,99 @@ TEST(WrhtPlan, WavelengthRequirementTracksGroupAndExchange) {
   // m=33 on 1024 nodes, w=64: group needs 16, exchange impossible ->
   // requirement is the group bound.
   EXPECT_EQ(wrht_plan(1024, 33, 64).wavelengths_required, 16u);
+}
+
+/// The plan read off a built hierarchy: the reference the arithmetic
+/// wrht_plan must equal field for field.
+WrhtStepPlan hierarchy_plan(std::uint32_t num_nodes, std::uint32_t group_size,
+                            std::uint32_t wavelengths) {
+  const Hierarchy h = build_hierarchy(num_nodes, group_size, wavelengths);
+  WrhtStepPlan plan;
+  plan.grouping_levels = static_cast<std::uint32_t>(h.levels.size());
+  plan.final_all_to_all = h.final_all_to_all;
+  plan.final_reps = static_cast<std::uint32_t>(h.final_reps.size());
+  plan.reduce_steps = plan.grouping_levels + (h.final_all_to_all ? 1 : 0);
+  plan.broadcast_steps = plan.grouping_levels;
+  plan.total_steps = plan.reduce_steps + plan.broadcast_steps;
+  std::uint64_t lambda = 0;
+  for (const Level& level : h.levels) {
+    for (const Group& g : level.groups) {
+      lambda = std::max(lambda, group_wavelengths(g.members.size()));
+    }
+  }
+  if (h.final_all_to_all) {
+    lambda = std::max(lambda, all_to_all_wavelengths(h.final_reps.size()));
+  }
+  plan.wavelengths_required = std::max<std::uint64_t>(lambda, 1);
+  return plan;
+}
+
+void expect_plan_matches_hierarchy(std::uint32_t n, std::uint32_t m,
+                                   std::uint32_t w) {
+  const WrhtStepPlan got = wrht_plan(n, m, w);
+  const WrhtStepPlan want = hierarchy_plan(n, m, w);
+  ASSERT_TRUE(got.grouping_levels == want.grouping_levels &&
+              got.reduce_steps == want.reduce_steps &&
+              got.broadcast_steps == want.broadcast_steps &&
+              got.total_steps == want.total_steps &&
+              got.final_all_to_all == want.final_all_to_all &&
+              got.final_reps == want.final_reps &&
+              got.wavelengths_required == want.wavelengths_required)
+      << "n=" << n << " m=" << m << " w=" << w << ": levels "
+      << got.grouping_levels << "/" << want.grouping_levels << ", steps "
+      << got.total_steps << "/" << want.total_steps << ", reps "
+      << got.final_reps << "/" << want.final_reps << ", lambdas "
+      << got.wavelengths_required << "/" << want.wavelengths_required;
+}
+
+TEST(WrhtPlan, EqualsTheBuiltHierarchyOnEverySmallConfiguration) {
+  for (std::uint32_t n = 2; n <= 300; ++n) {
+    for (const std::uint32_t w : {1u, 2u, 3u, 4u, 8u, 16u, 64u}) {
+      for (std::uint32_t m = 2; m <= std::min(n, 2 * w + 1); ++m) {
+        expect_plan_matches_hierarchy(n, m, w);
+      }
+    }
+  }
+}
+
+TEST(WrhtPlan, EqualsTheBuiltHierarchyOnSeededLargeRings) {
+  Rng rng(18);
+  for (int i = 0; i < 24; ++i) {
+    // Log-uniform N up to 2e6, so every order of magnitude is drawn.
+    const auto digits = static_cast<std::uint32_t>(rng.uniform_int(1, 6));
+    std::uint64_t top = 1;
+    for (std::uint32_t d = 0; d < digits; ++d) top *= 10;
+    const auto n = static_cast<std::uint32_t>(
+        rng.uniform_int(2, std::min<std::uint64_t>(2 * top, 2'000'000)));
+    const std::uint32_t ws[] = {1, 2, 3, 4, 8, 16, 64, 256};
+    const std::uint32_t w = ws[rng.uniform_int(0, 7)];
+    // Groups of a few nodes build a hierarchy of N/m vectors; keep m >= 16
+    // on the largest rings so the reference stays cheap.
+    const std::uint32_t m_lo = n > 100'000 ? std::min(16u, 2 * w + 1) : 2u;
+    const auto m = static_cast<std::uint32_t>(
+        rng.uniform_int(m_lo, std::max(m_lo, std::min(n, 2 * w + 1))));
+    expect_plan_matches_hierarchy(n, m, w);
+  }
+  expect_plan_matches_hierarchy(1'000'000, 129, 64);
+  expect_plan_matches_hierarchy(2'000'000, 2, 1);
+}
+
+TEST(WrhtPlan, RejectsWhatBuildHierarchyRejects) {
+  const auto message = [](auto&& fn) -> std::string {
+    try {
+      fn();
+    } catch (const InvalidArgument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  for (const auto& [n, m, w] :
+       {std::tuple{1u, 2u, 1u}, std::tuple{8u, 1u, 1u},
+        std::tuple{8u, 2u, 0u}, std::tuple{0u, 0u, 0u}}) {
+    EXPECT_EQ(message([&] { (void)wrht_plan(n, m, w); }),
+              message([&] { (void)build_hierarchy(n, m, w); }))
+        << "n=" << n << " m=" << m << " w=" << w;
+  }
 }
 
 TEST(Lemma1, LowerBoundFormula) {

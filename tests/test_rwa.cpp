@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "wrht/collectives/btree_allreduce.hpp"
+#include "wrht/collectives/halving_doubling.hpp"
+#include "wrht/collectives/hring_allreduce.hpp"
+#include "wrht/collectives/recursive_doubling.hpp"
+#include "wrht/collectives/ring_allreduce.hpp"
 #include "wrht/common/error.hpp"
 #include "wrht/core/grouping.hpp"
+#include "wrht/core/wrht_schedule.hpp"
+#include "wrht/optical/ring_network.hpp"
+#include "wrht/optical/torus_network.hpp"
+#include "wrht/plan/schedule_planner.hpp"
 
 namespace wrht::optics {
 namespace {
@@ -219,7 +230,306 @@ TEST(RwaRounds, EveryTransferAssignedExactlyOnce) {
 
 TEST(Rwa, Validation) {
   const Ring ring(8);
+  const std::vector<Transfer> step = {t(0, 1)};
   EXPECT_THROW(assign_wavelengths(ring, {}, RwaOptions{0}), InvalidArgument);
+  EXPECT_THROW(assign_rounds(ring, step, RwaOptions{0}), InvalidArgument);
+
+  const RwaOptions no_fiber{64, 0};
+  EXPECT_THROW(assign_wavelengths(ring, step, no_fiber), InvalidArgument);
+  EXPECT_THROW(assign_rounds(ring, step, no_fiber), InvalidArgument);
+  EXPECT_THROW(assign_rounds_batch(ring, {step}, no_fiber, 1),
+               InvalidArgument);
+
+  OpticalConfig fiberless;
+  fiberless.fibers_per_direction = 0;
+  EXPECT_THROW(RingNetwork(8, fiberless), InvalidArgument);
+  EXPECT_THROW(TorusNetwork(topo::Torus(3, 3), fiberless), InvalidArgument);
+}
+
+// The per-wavelength first-fit / random-fit probe the word-per-segment
+// occupancy map replaced, kept as the reference its assignments must equal
+// exactly: one byte per segment for each (direction, fiber, wavelength),
+// wavelengths probed one at a time.
+namespace reference {
+
+class OccupancyMap {
+ public:
+  OccupancyMap(std::uint32_t n, const RwaOptions& opt)
+      : n_(n),
+        wavelengths_(opt.wavelengths),
+        fibers_(opt.fibers_per_direction),
+        bitmaps_(2 * opt.fibers_per_direction * opt.wavelengths) {}
+
+  [[nodiscard]] bool fits(Direction dir, std::uint32_t fiber,
+                          std::uint32_t lambda, const SegmentSpan& span) const {
+    const auto& bitmap = bitmaps_[index(dir, fiber, lambda)];
+    if (bitmap.empty()) return true;
+    for (std::uint32_t h = 0; h < span.hops; ++h) {
+      if (bitmap[(span.first + h) % n_]) return false;
+    }
+    return true;
+  }
+
+  void place(Direction dir, std::uint32_t fiber, std::uint32_t lambda,
+             const SegmentSpan& span) {
+    auto& bitmap = bitmaps_[index(dir, fiber, lambda)];
+    if (bitmap.empty()) bitmap.assign(n_, 0);
+    for (std::uint32_t h = 0; h < span.hops; ++h) {
+      bitmap[(span.first + h) % n_] = 1;
+    }
+  }
+
+ private:
+  [[nodiscard]] std::size_t index(Direction dir, std::uint32_t fiber,
+                                  std::uint32_t lambda) const {
+    const std::size_t d = dir == Direction::kClockwise ? 0 : 1;
+    return (d * fibers_ + fiber) * wavelengths_ + lambda;
+  }
+
+  std::uint32_t n_;
+  std::uint32_t wavelengths_;
+  std::uint32_t fibers_;
+  std::vector<std::vector<std::uint8_t>> bitmaps_;
+};
+
+std::vector<std::size_t> order_by_hops(const Ring& ring,
+                                       std::span<const Transfer> transfers) {
+  std::vector<std::size_t> order(transfers.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return ring.distance(transfers[a].src, transfers[a].dst) >
+                            ring.distance(transfers[b].src, transfers[b].dst);
+                   });
+  return order;
+}
+
+bool try_assign(const Ring& ring, const Transfer& tr, const RwaOptions& opt,
+                OccupancyMap& occupancy, Rng* rng, Lightpath& out) {
+  const Direction dir =
+      tr.direction ? *tr.direction : ring.shortest_direction(tr.src, tr.dst);
+  const SegmentSpan span = segment_span(ring, tr.src, tr.dst, dir);
+  std::vector<std::uint32_t> lambda_order(opt.wavelengths - opt.wavelength_lo);
+  std::iota(lambda_order.begin(), lambda_order.end(), opt.wavelength_lo);
+  if (opt.policy == RwaPolicy::kRandomFit) {
+    for (auto i = static_cast<std::uint32_t>(lambda_order.size()); i > 1;
+         --i) {
+      const auto j = static_cast<std::uint32_t>(rng->uniform_int(0, i - 1));
+      std::swap(lambda_order[i - 1], lambda_order[j]);
+    }
+  }
+  for (std::uint32_t fiber = 0; fiber < opt.fibers_per_direction; ++fiber) {
+    for (const std::uint32_t lambda : lambda_order) {
+      if (occupancy.fits(dir, fiber, lambda, span)) {
+        occupancy.place(dir, fiber, lambda, span);
+        out = Lightpath{tr.src, tr.dst, dir, fiber, lambda, span.first,
+                        span.hops};
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+RwaResult reference_assign_wavelengths(const Ring& ring,
+                                       std::span<const Transfer> transfers,
+                                       const RwaOptions& options, Rng* rng) {
+  RwaResult result;
+  result.paths.resize(transfers.size());
+  OccupancyMap occupancy(ring.size(), options);
+  for (const std::size_t idx : order_by_hops(ring, transfers)) {
+    Lightpath path;
+    if (!try_assign(ring, transfers[idx], options, occupancy, rng, path)) {
+      return RwaResult{};
+    }
+    result.paths[idx] = path;
+    result.wavelengths_used =
+        std::max(result.wavelengths_used, path.wavelength + 1);
+  }
+  result.ok = true;
+  return result;
+}
+
+RoundsResult reference_assign_rounds(const Ring& ring,
+                                     std::span<const Transfer> transfers,
+                                     const RwaOptions& options, Rng* rng) {
+  RoundsResult result;
+  std::vector<std::size_t> remaining = order_by_hops(ring, transfers);
+  while (!remaining.empty()) {
+    OccupancyMap occupancy(ring.size(), options);
+    std::vector<std::size_t> round;
+    std::vector<Lightpath> paths;
+    std::vector<std::size_t> deferred;
+    for (const std::size_t idx : remaining) {
+      Lightpath path;
+      if (try_assign(ring, transfers[idx], options, occupancy, rng, path)) {
+        round.push_back(idx);
+        paths.push_back(path);
+        result.wavelengths_used =
+            std::max(result.wavelengths_used, path.wavelength + 1);
+      } else {
+        deferred.push_back(idx);
+      }
+    }
+    EXPECT_FALSE(round.empty());
+    if (round.empty()) break;
+    result.rounds.push_back(std::move(round));
+    result.paths.push_back(std::move(paths));
+    remaining = std::move(deferred);
+  }
+  return result;
+}
+
+}  // namespace reference
+
+void expect_same_paths(const std::vector<Lightpath>& got,
+                       const std::vector<Lightpath>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Lightpath& g = got[i];
+    const Lightpath& w = want[i];
+    ASSERT_TRUE(g.src == w.src && g.dst == w.dst &&
+                g.direction == w.direction && g.fiber == w.fiber &&
+                g.wavelength == w.wavelength &&
+                g.first_segment == w.first_segment && g.hops == w.hops)
+        << where << ": path " << i << " is " << g.src << "->" << g.dst
+        << " dir " << static_cast<int>(g.direction) << " fiber " << g.fiber
+        << " lambda " << g.wavelength << " [" << g.first_segment << " +"
+        << g.hops << "), reference lambda " << w.wavelength << " fiber "
+        << w.fiber << " dir " << static_cast<int>(w.direction);
+  }
+}
+
+/// Random transfers with random or absent direction hints: long spans in
+/// both directions that wrap past node N-1, which no collective places on
+/// every segment.
+std::vector<Transfer> random_step(Rng& rng, std::uint32_t n,
+                                  std::size_t count) {
+  std::vector<Transfer> step;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto src = static_cast<topo::NodeId>(rng.uniform_int(0, n - 1));
+    const auto dst = static_cast<topo::NodeId>(
+        (src + 1 + rng.uniform_int(0, n - 2)) % n);
+    std::optional<Direction> dir;
+    if (const auto pick = rng.uniform_int(0, 2); pick < 2) {
+      dir = pick == 0 ? Direction::kClockwise : Direction::kCounterClockwise;
+    }
+    step.push_back(t(src, dst, dir));
+  }
+  return step;
+}
+
+TEST(RwaReference, AssignmentsEqualThePerWavelengthProbe) {
+  struct Problem {
+    std::string name;
+    coll::Schedule schedule;
+  };
+  std::vector<Problem> problems;
+  problems.push_back({"ring 5", coll::ring_allreduce(5, 10)});
+  problems.push_back({"ring 33", coll::ring_allreduce(33, 66)});
+  problems.push_back({"hring 24/4", coll::hring_allreduce(24, 48, 4)});
+  problems.push_back({"hring 100/5", coll::hring_allreduce(100, 200, 5)});
+  problems.push_back({"btree 9", coll::btree_allreduce(9, 9)});
+  problems.push_back({"btree 64", coll::btree_allreduce(64, 64)});
+  problems.push_back(
+      {"wrht 30/7", core::wrht_allreduce(30, 30, core::WrhtOptions{7, 3})});
+  // Two full level-0 groups of the paper's m = 2w + 1 = 129, whose nested
+  // paths fill all 64 wavelengths, and 17 groups of 17 under w = 8.
+  problems.push_back(
+      {"wrht 258/129",
+       core::wrht_allreduce(258, 258, core::WrhtOptions{129, 64})});
+  problems.push_back(
+      {"wrht 289/17",
+       core::wrht_allreduce(289, 289, core::WrhtOptions{17, 8})});
+  problems.push_back(
+      {"recursive doubling 20", coll::recursive_doubling_allreduce(20, 20)});
+  problems.push_back(
+      {"halving doubling 16", coll::halving_doubling_allreduce(16, 16)});
+  problems.push_back({"all-to-all 7", plan::flat_alltoall_allreduce(7, 7)});
+  problems.push_back({"all-to-all 16", plan::flat_alltoall_allreduce(16, 16)});
+
+  struct Step {
+    std::string name;
+    std::uint32_t n;
+    std::vector<Transfer> transfers;
+  };
+  std::vector<Step> steps;
+  for (const Problem& p : problems) {
+    const auto& all = p.schedule.steps();
+    // First and middle step: a collective's distinct shapes without
+    // repeating its rotations or its broadcast mirror.
+    std::vector<std::size_t> picks{0};
+    if (all.size() > 1) picks.push_back(all.size() / 2);
+    for (const std::size_t s : picks) {
+      const auto& transfers = all[s].transfers;
+      steps.push_back({p.name + " step " + std::to_string(s),
+                       p.schedule.num_nodes(),
+                       std::vector<Transfer>(transfers.begin(),
+                                             transfers.end())});
+    }
+  }
+  Rng draw(2023);
+  for (const auto& [n, count] : {std::pair{5u, 8u}, std::pair{64u, 96u},
+                                 std::pair{1024u, 192u}}) {
+    steps.push_back(
+        {"random " + std::to_string(n), n, random_step(draw, n, count)});
+  }
+
+  std::size_t compared = 0;
+  for (const Step& step : steps) {
+    const Ring ring(step.n);
+    const std::uint64_t seed = 17 * compared + 1;
+    for (const std::uint32_t w :
+         {1u, 2u, 3u, 4u, 16u, 63u, 64u, 65u, 128u, 200u, 256u}) {
+      for (const std::uint32_t lo : {0u, 1u, 3u}) {
+        if (lo >= w) continue;
+        for (const std::uint32_t fibers : {1u, 2u}) {
+          for (const RwaPolicy policy :
+               {RwaPolicy::kFirstFit, RwaPolicy::kRandomFit}) {
+            RwaOptions opt{w, fibers, policy, lo};
+            const std::string where =
+                step.name + " w=" + std::to_string(w) + " lo=" +
+                std::to_string(lo) + " fibers=" + std::to_string(fibers) +
+                (policy == RwaPolicy::kFirstFit ? " first-fit"
+                                                : " random-fit");
+            {
+              Rng rng(seed), ref_rng(seed);
+              const RwaResult got =
+                  assign_wavelengths(ring, step.transfers, opt, &rng);
+              const RwaResult want = reference::reference_assign_wavelengths(
+                  ring, step.transfers, opt, &ref_rng);
+              ASSERT_EQ(got.ok, want.ok) << where;
+              ASSERT_EQ(got.wavelengths_used, want.wavelengths_used) << where;
+              expect_same_paths(got.paths, want.paths, where);
+              ASSERT_EQ(rng.uniform_int(0, 1u << 30),
+                        ref_rng.uniform_int(0, 1u << 30))
+                  << where << ": Rng consumption differs";
+            }
+            {
+              Rng rng(seed), ref_rng(seed);
+              const RoundsResult got =
+                  assign_rounds(ring, step.transfers, opt, &rng);
+              const RoundsResult want = reference::reference_assign_rounds(
+                  ring, step.transfers, opt, &ref_rng);
+              ASSERT_EQ(got.wavelengths_used, want.wavelengths_used) << where;
+              ASSERT_EQ(got.rounds, want.rounds) << where;
+              ASSERT_EQ(got.paths.size(), want.paths.size()) << where;
+              for (std::size_t r = 0; r < got.paths.size(); ++r) {
+                expect_same_paths(got.paths[r], want.paths[r],
+                                  where + " round " + std::to_string(r));
+              }
+              ASSERT_EQ(rng.uniform_int(0, 1u << 30),
+                        ref_rng.uniform_int(0, 1u << 30))
+                  << where << ": Rng consumption differs";
+            }
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
 }
 
 }  // namespace
