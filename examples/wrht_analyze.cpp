@@ -35,6 +35,10 @@
 // --diff BASE OTHER compares two wrht-blame-1 files (run- or
 // service-kind) and localizes any movement to categories, lanes, and
 // tenants; exit 1 when OTHER regressed against BASE.
+//
+// A library error — a malformed or truncated input file, an infeasible
+// configuration — prints "wrht_analyze: <message>" (input diagnostics name
+// the line) and exits 1; an unknown flag prints the usage and exits 2.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -46,6 +50,7 @@
 #include <vector>
 
 #include "wrht/collectives/registry.hpp"
+#include "wrht/common/error.hpp"
 #include "wrht/core/planner.hpp"
 #include "wrht/diag/blame.hpp"
 #include "wrht/diag/blame_json.hpp"
@@ -107,9 +112,7 @@ int analyze_service(const std::string& events_path) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace wrht;
   // Flags may appear anywhere; everything else is positional. Anything
   // dash-prefixed that is not a known flag is an error, not a positional.
@@ -265,4 +268,17 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+// Library errors (malformed input files, infeasible configurations) end
+// the run with the message and exit status 1; usage errors stay at 2.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const wrht::Error& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 1;
+  }
 }

@@ -28,7 +28,8 @@
 //   --slo T=S       give tenant T a JCT target of S seconds (repeatable);
 //                   prints the SLO attainment table.
 // With `all`, each policy overwrites the same files; the last policy's
-// telemetry survives.
+// telemetry survives. A library error (an unknown policy, an empty fabric)
+// prints "wrht_svc: <message>" and exits 1; an unknown flag exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -36,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "wrht/common/error.hpp"
 #include "wrht/diag/svc_blame.hpp"
 #include "wrht/obs/event_log.hpp"
 #include "wrht/obs/metrics.hpp"
@@ -55,9 +57,7 @@ int usage(const char* argv0) {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace wrht;
 
   std::string trace_path;
@@ -171,4 +171,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+// Library errors (malformed input files, infeasible configurations) end
+// the run with the message and exit status 1; usage errors stay at 2.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const wrht::Error& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 1;
+  }
 }

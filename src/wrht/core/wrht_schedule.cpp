@@ -43,36 +43,14 @@ void append_reduce_steps(Schedule& sched, const Hierarchy& hierarchy,
     Step& step = sched.add_step("all-to-all exchange");
     const std::size_t k = hierarchy.final_reps.size();
     step.transfers.reserve(k * (k - 1));
-    // Shortest-direction routing per unordered pair. An antipodal pair
-    // (cw == ccw) sends BOTH of its directed transfers in the SAME
-    // direction: the two arcs a->b and b->a then tile the ring without
-    // overlapping, so they can even share a wavelength, whereas mirroring
-    // them onto opposite fibers stacks each on top of that fiber's
-    // shortest-path traffic and pushes the per-segment load past the
-    // ceil(k^2/8) bound (e.g. 4 equally spaced reps need 3 lambdas instead
-    // of 2). Successive antipodal pairs alternate fibers for balance.
     bool tie_clockwise = true;
     const auto& reps = hierarchy.final_reps;
     for (std::size_t i = 0; i < reps.size(); ++i) {
       for (std::size_t j = i + 1; j < reps.size(); ++j) {
         const NodeId a = reps[i];
         const NodeId b = reps[j];
-        const std::uint32_t cw = ring.cw_distance(a, b);
-        const std::uint32_t ccw = ring.ccw_distance(a, b);
-        topo::Direction forward;   // direction of a -> b
-        topo::Direction backward;  // direction of b -> a
-        if (cw < ccw) {
-          forward = topo::Direction::kClockwise;
-          backward = topo::Direction::kCounterClockwise;
-        } else if (ccw < cw) {
-          forward = topo::Direction::kCounterClockwise;
-          backward = topo::Direction::kClockwise;
-        } else {
-          forward = backward = tie_clockwise
-                                   ? topo::Direction::kClockwise
-                                   : topo::Direction::kCounterClockwise;
-          tie_clockwise = !tie_clockwise;
-        }
+        const auto [forward, backward] =
+            exchange_directions(ring, a, b, tie_clockwise);
         step.transfers.push_back(
             Transfer{a, b, 0, elements, TransferKind::kReduce, forward});
         step.transfers.push_back(
@@ -100,6 +78,23 @@ void append_broadcast_steps(Schedule& sched, const Hierarchy& hierarchy,
 }
 
 }  // namespace
+
+std::pair<topo::Direction, topo::Direction> exchange_directions(
+    const topo::Ring& ring, NodeId a, NodeId b, bool& tie_clockwise) {
+  const std::uint32_t cw = ring.cw_distance(a, b);
+  const std::uint32_t ccw = ring.ccw_distance(a, b);
+  if (cw < ccw) {
+    return {topo::Direction::kClockwise, topo::Direction::kCounterClockwise};
+  }
+  if (ccw < cw) {
+    return {topo::Direction::kCounterClockwise, topo::Direction::kClockwise};
+  }
+  const topo::Direction tie = tie_clockwise
+                                  ? topo::Direction::kClockwise
+                                  : topo::Direction::kCounterClockwise;
+  tie_clockwise = !tie_clockwise;
+  return {tie, tie};
+}
 
 coll::Schedule wrht_allreduce(const std::vector<NodeId>& nodes,
                               std::uint32_t ring_size, std::size_t elements,

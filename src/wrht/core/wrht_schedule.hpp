@@ -7,9 +7,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "wrht/collectives/schedule.hpp"
 #include "wrht/core/grouping.hpp"
+#include "wrht/topo/ring.hpp"
 
 namespace wrht::core {
 
@@ -54,6 +56,18 @@ struct WrhtRootedSchedule {
 [[nodiscard]] WrhtRootedSchedule wrht_broadcast(std::uint32_t num_nodes,
                                                 std::size_t elements,
                                                 const WrhtOptions& options);
+
+/// Directions of the two transfers a -> b and b -> a of an all-to-all
+/// exchange on `ring`: each takes the shortest arc. An antipodal pair
+/// (cw == ccw) sends BOTH transfers the SAME way, so the arcs a -> b and
+/// b -> a tile the ring without overlapping and can even share a
+/// wavelength; mirroring them onto opposite fibers would stack each on
+/// that fiber's shortest-path traffic and push the per-segment load past
+/// the ceil(k^2/8) bound (4 equally spaced nodes would need 3 lambdas
+/// instead of 2). Successive antipodal pairs alternate fibers for balance:
+/// `tie_clockwise` picks the next tie's direction and flips on each tie.
+[[nodiscard]] std::pair<topo::Direction, topo::Direction> exchange_directions(
+    const topo::Ring& ring, NodeId a, NodeId b, bool& tie_clockwise);
 
 /// Registers "wrht" in coll::Registry::instance() so table-driven sweeps
 /// can build it by name (group_size <- params.group_size or auto-planned,

@@ -3,28 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 
 namespace wrht::diag {
 
-namespace blame_detail {
-
-std::string num17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace blame_detail
-
 namespace {
-
-using blame_detail::num17;
 
 void write_categories(const BlameTotals& totals, const char* indent,
                       std::ostream& out) {
@@ -33,47 +21,26 @@ void write_categories(const BlameTotals& totals, const char* indent,
     if (!first) out << ",\n";
     first = false;
     out << indent << "\"" << to_string(category)
-        << "\": " << num17(totals[category]);
+        << "\": " << json::number(totals[category], 17);
   }
   out << "\n";
 }
 
-/// Extracts the value of `"key": "..."` on `line`, empty when absent.
-std::string extract_string(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return {};
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  if (end == std::string::npos) return {};
-  return line.substr(begin, end - begin);
-}
-
-/// Extracts the numeric value of `"key": <number>` on `line`.
-bool extract_number(const std::string& line, const std::string& key,
-                    double* out) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  const char* begin = line.c_str() + at + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin) return false;
-  *out = v;
-  return true;
-}
-
-/// The `"name":` token starting a section, if this line opens one.
-std::string section_of(const std::string& line) {
-  if (line.find(": {") == std::string::npos &&
-      line.find(": [") == std::string::npos) {
-    return {};
+/// Reads an object of numbers (categories, what-if makespans) into `out`;
+/// the parser already rejects duplicate keys.
+void read_numbers(const json::Value& object,
+                  std::map<std::string, double>& out) {
+  for (const auto& [name, value] : object.object()) {
+    out[name] = value.number();
   }
-  const std::size_t open = line.find('"');
-  if (open == std::string::npos) return {};
-  const std::size_t close = line.find('"', open + 1);
-  if (close == std::string::npos) return {};
-  return line.substr(open + 1, close - open - 1);
+}
+
+/// Adds one array entry (a lane or a tenant) keyed by `name`; a repeated
+/// name would silently drop a row, so it is rejected.
+void add_entry(const json::Value& entry, std::string name, double value,
+               std::map<std::string, double>& out) {
+  const auto [it, inserted] = out.emplace(std::move(name), value);
+  if (!inserted) entry.fail("duplicate entry \"" + it->first + "\"");
 }
 
 void add_movers(const std::map<std::string, double>& base,
@@ -106,36 +73,39 @@ void write_blame_json(
     const BlameReport& report,
     const std::vector<std::pair<std::string, double>>& what_if,
     std::ostream& out) {
+  const auto num = [](double v) { return json::number(v, 17); };
   out << "{\n";
   out << "  \"schema\": \"" << kBlameSchema << "\",\n";
   out << "  \"kind\": \"run\",\n";
-  out << "  \"backend\": \"" << report.backend << "\",\n";
-  out << "  \"reconfig_policy\": \"" << report.reconfig_policy << "\",\n";
-  out << "  \"mrr_reconfig_delay\": "
-      << num17(report.mrr_reconfig_delay.count()) << ",\n";
-  out << "  \"oeo_delay\": " << num17(report.oeo_delay.count()) << ",\n";
+  out << "  \"backend\": \"" << json::escape(report.backend) << "\",\n";
+  out << "  \"reconfig_policy\": \"" << json::escape(report.reconfig_policy)
+      << "\",\n";
+  out << "  \"mrr_reconfig_delay\": " << num(report.mrr_reconfig_delay.count())
+      << ",\n";
+  out << "  \"oeo_delay\": " << num(report.oeo_delay.count()) << ",\n";
   out << "  \"steps\": " << report.steps << ",\n";
   out << "  \"rounds\": " << report.rounds << ",\n";
   out << "  \"transfers\": " << report.transfers << ",\n";
-  out << "  \"total_time\": " << num17(report.total_time.count()) << ",\n";
-  out << "  \"attributed_time\": " << num17(report.attributed()) << ",\n";
+  out << "  \"total_time\": " << num(report.total_time.count()) << ",\n";
+  out << "  \"attributed_time\": " << num(report.attributed()) << ",\n";
   out << "  \"categories\": {\n";
   write_categories(report.categories, "    ", out);
   out << "  },\n";
   out << "  \"what_if\": {\n";
   for (std::size_t i = 0; i < what_if.size(); ++i) {
-    out << "    \"" << what_if[i].first << "\": " << num17(what_if[i].second)
+    out << "    \"" << json::escape(what_if[i].first)
+        << "\": " << num(what_if[i].second)
         << (i + 1 < what_if.size() ? ",\n" : "\n");
   }
   out << "  },\n";
   out << "  \"lanes\": [\n";
   for (std::size_t i = 0; i < report.lanes.size(); ++i) {
     const LaneBlame& lane = report.lanes[i];
-    out << "    {\"lane\": \"" << lane.lane
-        << "\", \"busy\": " << num17(lane.busy.count());
+    out << "    {\"lane\": \"" << json::escape(lane.lane)
+        << "\", \"busy\": " << num(lane.busy.count());
     for (const BlameCategory category : all_blame_categories()) {
       out << ", \"" << to_string(category)
-          << "\": " << num17(lane.totals[category]);
+          << "\": " << num(lane.totals[category]);
     }
     out << "}" << (i + 1 < report.lanes.size() ? ",\n" : "\n");
   }
@@ -143,14 +113,14 @@ void write_blame_json(
   out << "  \"critical_path\": [\n";
   for (std::size_t i = 0; i < report.critical_path.size(); ++i) {
     const CriticalRound& r = report.critical_path[i];
-    out << "    {\"step\": " << r.step << ", \"lane\": \"" << r.lane
-        << "\", \"round\": " << r.round
-        << ", \"start\": " << num17(r.start.count())
-        << ", \"duration\": " << num17(r.duration.count())
-        << ", \"reconfiguration\": " << num17(r.reconfig.count())
-        << ", \"conversion\": " << num17(r.conversion.count())
-        << ", \"transmission\": " << num17(r.serialization.count())
-        << ", \"processing\": " << num17(r.processing.count())
+    out << "    {\"step\": " << r.step << ", \"lane\": \""
+        << json::escape(r.lane) << "\", \"round\": " << r.round
+        << ", \"start\": " << num(r.start.count())
+        << ", \"duration\": " << num(r.duration.count())
+        << ", \"reconfiguration\": " << num(r.reconfig.count())
+        << ", \"conversion\": " << num(r.conversion.count())
+        << ", \"transmission\": " << num(r.serialization.count())
+        << ", \"processing\": " << num(r.processing.count())
         << ", \"retune\": " << (r.retune ? "true" : "false") << "}"
         << (i + 1 < report.critical_path.size() ? ",\n" : "\n");
   }
@@ -168,98 +138,42 @@ void write_blame_file(
 }
 
 ParsedBlame read_blame_json(std::istream& in) {
-  ParsedBlame parsed;
-  std::string line;
-  std::size_t line_number = 0;
-  bool saw_schema = false;
-  std::string section;  // "", "categories", "what_if", "lanes", ...
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-
-    if (!section.empty()) {
-      // A section closes on its bare `}` / `]` terminator line.
-      const std::size_t first = line.find_first_not_of(" \t");
-      if (line[first] == '}' || line[first] == ']') {
-        section.clear();
-        continue;
+  std::ostringstream text;
+  text << in.rdbuf();
+  try {
+    const json::Value doc = json::Value::parse(text.str());
+    const json::Value& schema = doc.at("schema");
+    if (schema.string() != kBlameSchema) {
+      schema.fail("unsupported schema '" + schema.string() + "'");
+    }
+    ParsedBlame parsed;
+    const json::Value& kind = doc.at("kind");
+    parsed.kind = kind.string();
+    if (parsed.kind != "run" && parsed.kind != "service") {
+      kind.fail("unknown kind '" + parsed.kind + "'");
+    }
+    const bool run = parsed.kind == "run";
+    parsed.source = doc.at(run ? "backend" : "policy").string();
+    parsed.total_time = doc.at("total_time").number();
+    parsed.attributed_time = doc.at("attributed_time").number();
+    read_numbers(doc.at("categories"), parsed.categories);
+    if (run) {
+      read_numbers(doc.at("what_if"), parsed.what_if);
+      for (const json::Value& lane : doc.at("lanes").array()) {
+        add_entry(lane, lane.at("lane").string(), lane.at("busy").number(),
+                  parsed.lanes);
       }
-      double value = 0.0;
-      if (section == "categories" || section == "what_if") {
-        const std::size_t open = line.find('"');
-        const std::size_t close =
-            open == std::string::npos ? std::string::npos
-                                      : line.find('"', open + 1);
-        if (close == std::string::npos) {
-          throw Error("wrht-blame-1: line " + std::to_string(line_number) +
-                      ": expected \"name\": value inside \"" + section +
-                      "\"");
-        }
-        const std::string name = line.substr(open + 1, close - open - 1);
-        if (!extract_number(line, name, &value)) {
-          throw Error("wrht-blame-1: line " + std::to_string(line_number) +
-                      ": no numeric value for \"" + name + "\"");
-        }
-        (section == "categories" ? parsed.categories
-                                 : parsed.what_if)[name] = value;
-      } else if (section == "lanes") {
-        const std::string name = extract_string(line, "lane");
-        if (name.empty() || !extract_number(line, "busy", &value)) {
-          throw Error("wrht-blame-1: line " + std::to_string(line_number) +
-                      ": malformed lane entry");
-        }
-        parsed.lanes[name] = value;
-      } else if (section == "tenants") {
-        double tenant = 0.0;
-        if (!extract_number(line, "tenant", &tenant) ||
-            !extract_number(line, "jct", &value)) {
-          throw Error("wrht-blame-1: line " + std::to_string(line_number) +
-                      ": malformed tenant entry");
-        }
-        parsed.tenants["tenant" +
-                       std::to_string(static_cast<long long>(tenant))] =
-            value;
+    } else {
+      for (const json::Value& tenant : doc.at("tenants").array()) {
+        add_entry(tenant,
+                  "tenant" + std::to_string(tenant.at("tenant").u64()),
+                  tenant.at("jct").number(), parsed.tenants);
       }
-      // critical_path entries are not part of the diff surface; skipped.
-      continue;
     }
-
-    const std::string opened = section_of(line);
-    if (!opened.empty()) {
-      section = opened;
-      continue;
-    }
-    if (line.find("\"schema\"") != std::string::npos) {
-      const std::string schema = extract_string(line, "schema");
-      if (schema != kBlameSchema) {
-        throw Error("wrht-blame-1: line " + std::to_string(line_number) +
-                    ": unsupported schema '" + schema + "'");
-      }
-      saw_schema = true;
-      continue;
-    }
-    if (const std::string kind = extract_string(line, "kind"); !kind.empty())
-      parsed.kind = kind;
-    if (const std::string b = extract_string(line, "backend"); !b.empty())
-      parsed.source = b;
-    if (const std::string p = extract_string(line, "policy");
-        !p.empty() && parsed.kind == "service") {
-      parsed.source = p;
-    }
-    double value = 0.0;
-    if (extract_number(line, "total_time", &value)) {
-      parsed.total_time = value;
-    }
-    if (extract_number(line, "attributed_time", &value)) {
-      parsed.attributed_time = value;
-    }
+    return parsed;
+  } catch (const Error& e) {
+    throw Error(std::string(kBlameSchema) + ": " + e.what());
   }
-  if (!saw_schema) {
-    throw Error("wrht-blame-1: no \"schema\": \"" + std::string(kBlameSchema) +
-                "\" marker found (read " + std::to_string(line_number) +
-                " lines)");
-  }
-  return parsed;
 }
 
 ParsedBlame read_blame_file(const std::string& path) {

@@ -2,12 +2,13 @@
 // reports, and the cross-run differ built on it.
 //
 // The writer emits one key (or one array element) per line, doubles with
-// %.17g (round-trip exact), fixed key order, no locale dependence — the
-// same recipe as the svc-events-1 event log — so a report is
-// byte-deterministic per (config, seed) and two reports can be diffed
-// structurally. The reader is deliberately line-based: it parses exactly
-// what the writer emits and fails with a diagnostic naming the line on
-// anything else.
+// 17 significant digits (round-trip exact), escaped names, fixed key
+// order, no locale dependence — the same recipe as the svc-events-1 event
+// log — so a report is byte-deterministic per (config, seed) and two
+// reports can be diffed structurally. The reader parses the whole document
+// through json::Value: it round-trips what the writer emits and rejects
+// anything else — malformed, truncated, or missing a field — with a
+// diagnostic naming the line.
 #pragma once
 
 #include <iosfwd>
@@ -49,8 +50,11 @@ struct ParsedBlame {
   std::map<std::string, double> what_if;  ///< label -> predicted seconds
 };
 
-/// Parses a wrht-blame-1 stream; throws wrht::Error naming the offending
-/// line on schema or structure violations.
+/// Parses a wrht-blame-1 stream: schema, kind, backend (run) or policy
+/// (service), total_time, attributed_time, categories, and what_if + lanes
+/// (run) or tenants (service). Throws wrht::Error "wrht-blame-1: line L:
+/// ..." on malformed JSON, a foreign schema, or a missing or mistyped
+/// field.
 [[nodiscard]] ParsedBlame read_blame_json(std::istream& in);
 [[nodiscard]] ParsedBlame read_blame_file(const std::string& path);
 
@@ -86,11 +90,5 @@ struct BlameDiff {
 [[nodiscard]] BlameDiff diff_blame(const ParsedBlame& base,
                                    const ParsedBlame& other,
                                    double rel_threshold = 0.05);
-
-namespace blame_detail {
-/// %.17g: shortest round-trip-exact double, the byte-determinism
-/// workhorse shared with the service blame writer.
-[[nodiscard]] std::string num17(double v);
-}  // namespace blame_detail
 
 }  // namespace wrht::diag

@@ -7,14 +7,13 @@
 #include <ostream>
 
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 #include "wrht/diag/blame_json.hpp"
 #include "wrht/svc/policy.hpp"
 
 namespace wrht::diag {
 
 namespace {
-
-using blame_detail::num17;
 
 /// One allocation-state change on the fabric timeline. Releases sort
 /// before grants at the same instant, matching the service's
@@ -225,21 +224,22 @@ std::string ServiceBlame::to_string() const {
 }
 
 void write_service_blame_json(const ServiceBlame& blame, std::ostream& out) {
+  const auto num = [](double v) { return json::number(v, 17); };
   out << "{\n";
   out << "  \"schema\": \"" << kBlameSchema << "\",\n";
   out << "  \"kind\": \"service\",\n";
-  out << "  \"policy\": \"" << blame.policy << "\",\n";
+  out << "  \"policy\": \"" << json::escape(blame.policy) << "\",\n";
   out << "  \"fabric_wavelengths\": " << blame.fabric_wavelengths << ",\n";
   out << "  \"jobs\": " << blame.jobs << ",\n";
-  out << "  \"total_time\": " << num17(blame.total_jct.count()) << ",\n";
-  out << "  \"attributed_time\": " << num17(blame.attributed()) << ",\n";
+  out << "  \"total_time\": " << num(blame.total_jct.count()) << ",\n";
+  out << "  \"attributed_time\": " << num(blame.attributed()) << ",\n";
   out << "  \"categories\": {\n";
   bool first = true;
   for (const BlameCategory category : all_blame_categories()) {
     if (!first) out << ",\n";
     first = false;
     out << "    \"" << to_string(category)
-        << "\": " << num17(blame.categories[category]);
+        << "\": " << num(blame.categories[category]);
   }
   out << "\n  },\n";
   out << "  \"tenants\": [\n";
@@ -247,10 +247,10 @@ void write_service_blame_json(const ServiceBlame& blame, std::ostream& out) {
     const TenantBlame& tenant = blame.tenants[i];
     out << "    {\"tenant\": " << tenant.tenant
         << ", \"jobs\": " << tenant.jobs
-        << ", \"jct\": " << num17(tenant.jct.count());
+        << ", \"jct\": " << num(tenant.jct.count());
     for (const BlameCategory category : all_blame_categories()) {
       out << ", \"" << to_string(category)
-          << "\": " << num17(tenant.totals[category]);
+          << "\": " << num(tenant.totals[category]);
     }
     out << "}" << (i + 1 < blame.tenants.size() ? ",\n" : "\n");
   }

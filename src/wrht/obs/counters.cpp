@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "wrht/common/csv.hpp"
-#include "wrht/common/error.hpp"
 
 namespace wrht::obs {
 
@@ -14,46 +13,17 @@ void Counters::add(const std::string& name, std::uint64_t delta) {
 
 void Counters::observe_max(const std::string& name, std::uint64_t value) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] =
-      values_.try_emplace(name, Entry{value, Kind::kMax, std::nullopt});
+  auto [it, inserted] = values_.try_emplace(name, Entry{value, Kind::kMax});
   if (!inserted) {
     it->second.value = std::max(it->second.value, value);
     it->second.kind = Kind::kMax;
   }
 }
 
-void Counters::observe(const std::string& name, double value,
-                       HistogramSpec spec) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = values_.try_emplace(name, Entry{0, Kind::kHist,
-                                                        Histogram(spec)});
-  if (it->second.kind != Kind::kHist) {
-    throw InvalidArgument("Counters: observe() on non-histogram '" + name +
-                          "'");
-  }
-  if (!(it->second.hist->spec() == spec)) {
-    throw InvalidArgument("Counters: histogram '" + name +
-                          "' observed with a different bucket spec");
-  }
-  it->second.hist->observe(value);
-  // Mirror the count into the scalar slot so value()/snapshot()/CSV see
-  // histogram entries without a special case.
-  it->second.value = it->second.hist->count();
-}
-
 std::uint64_t Counters::value(const std::string& name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = values_.find(name);
   return it == values_.end() ? 0 : it->second.value;
-}
-
-std::optional<Histogram> Counters::distribution(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = values_.find(name);
-  if (it == values_.end() || it->second.kind != Kind::kHist) {
-    return std::nullopt;
-  }
-  return it->second.hist;
 }
 
 bool Counters::contains(const std::string& name) const {
@@ -86,14 +56,7 @@ void Counters::merge(const Counters& other) {
   for (const auto& [name, entry] : theirs) {
     auto [it, inserted] = values_.try_emplace(name, entry);
     if (inserted) continue;
-    if (entry.kind == Kind::kHist || it->second.kind == Kind::kHist) {
-      if (entry.kind != it->second.kind) {
-        throw InvalidArgument("Counters: merging histogram '" + name +
-                              "' into a scalar counter (or vice versa)");
-      }
-      it->second.hist->merge(*entry.hist);
-      it->second.value = it->second.hist->count();
-    } else if (entry.kind == Kind::kMax || it->second.kind == Kind::kMax) {
+    if (entry.kind == Kind::kMax || it->second.kind == Kind::kMax) {
       it->second.value = std::max(it->second.value, entry.value);
       it->second.kind = Kind::kMax;
     } else {

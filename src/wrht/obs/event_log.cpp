@@ -1,138 +1,32 @@
 #include "wrht/obs/event_log.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 
 namespace wrht::obs {
 
 namespace {
 
-/// Round-trip precision: %.17g is enough digits that strtod reconstructs
-/// the exact double, which the replay-identity gate depends on.
-std::string num17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+ServiceEvent::Kind event_kind(const json::Value& v) {
+  try {
+    return event_kind_from_string(v.string());
+  } catch (const InvalidArgument& e) {
+    v.fail(e.what());
+  }
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+std::uint32_t u32(const json::Value& v) {
+  const std::uint64_t x = v.u64();
+  if (x > std::numeric_limits<std::uint32_t>::max()) {
+    v.fail(std::to_string(x) + " does not fit in 32 bits");
   }
-  return out;
+  return static_cast<std::uint32_t>(x);
 }
-
-std::string unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out += s[i];
-      continue;
-    }
-    ++i;
-    switch (s[i]) {
-      case 'n':
-        out += '\n';
-        break;
-      case 't':
-        out += '\t';
-        break;
-      case 'u': {
-        require(i + 4 < s.size(), "EventLog: truncated \\u escape");
-        const unsigned long code = std::strtoul(s.substr(i + 1, 4).c_str(),
-                                                nullptr, 16);
-        out += static_cast<char>(code);
-        i += 4;
-        break;
-      }
-      default:
-        out += s[i];
-    }
-  }
-  return out;
-}
-
-/// Minimal field extractor for the flat one-level objects write_jsonl
-/// emits. Finds `"key":` and returns the raw value token (string values
-/// come back unquoted and unescaped).
-class LineParser {
- public:
-  explicit LineParser(const std::string& line) : line_(line) {}
-
-  std::string raw(const std::string& key) const {
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = line_.find(needle);
-    if (at == std::string::npos) {
-      throw InvalidArgument("EventLog: missing field '" + key +
-                            "' in: " + line_);
-    }
-    std::size_t i = at + needle.size();
-    while (i < line_.size() && line_[i] == ' ') ++i;
-    if (i >= line_.size()) {
-      throw InvalidArgument("EventLog: empty value for '" + key + "'");
-    }
-    if (line_[i] == '"') {
-      // String value: scan to the closing unescaped quote.
-      std::size_t j = i + 1;
-      while (j < line_.size()) {
-        if (line_[j] == '\\') {
-          j += 2;
-          continue;
-        }
-        if (line_[j] == '"') break;
-        ++j;
-      }
-      if (j >= line_.size()) {
-        throw InvalidArgument("EventLog: unterminated string for '" + key +
-                              "' in: " + line_);
-      }
-      return unescape(line_.substr(i + 1, j - i - 1));
-    }
-    std::size_t j = i;
-    while (j < line_.size() && line_[j] != ',' && line_[j] != '}') ++j;
-    return line_.substr(i, j - i);
-  }
-
-  std::uint64_t u64(const std::string& key) const {
-    return std::strtoull(raw(key).c_str(), nullptr, 10);
-  }
-
-  double f64(const std::string& key) const {
-    return std::strtod(raw(key).c_str(), nullptr);
-  }
-
- private:
-  const std::string& line_;
-};
 
 }  // namespace
 
@@ -170,15 +64,15 @@ ServiceEvent::Kind event_kind_from_string(const std::string& name) {
 void EventLog::write_jsonl(std::ostream& out) const {
   out << "{\"schema\": \"" << kSchema
       << "\", \"fabric_wavelengths\": " << context_.fabric_wavelengths
-      << ", \"policy\": \"" << escape(context_.policy)
+      << ", \"policy\": \"" << json::escape(context_.policy)
       << "\", \"seed\": " << context_.seed
       << ", \"events\": " << events_.size() << "}\n";
   for (const ServiceEvent& e : events_) {
     out << "{\"kind\": \"" << to_string(e.kind)
-        << "\", \"t\": " << num17(e.time.count()) << ", \"job\": " << e.job
-        << ", \"tenant\": " << e.tenant << ", \"w_lo\": " << e.w_lo
-        << ", \"w_hi\": " << e.w_hi << ", \"cause\": \"" << escape(e.cause)
-        << "\"}\n";
+        << "\", \"t\": " << json::number(e.time.count(), 17)
+        << ", \"job\": " << e.job << ", \"tenant\": " << e.tenant
+        << ", \"w_lo\": " << e.w_lo << ", \"w_hi\": " << e.w_hi
+        << ", \"cause\": \"" << json::escape(e.cause) << "\"}\n";
   }
 }
 
@@ -199,58 +93,52 @@ EventLog EventLog::read_jsonl(std::istream& in) {
   std::string line;
   require(static_cast<bool>(std::getline(in, line)),
           "EventLog: line 1: empty stream (missing header line)");
-  std::uint64_t declared = 0;
+  // Every diagnostic below starts "line L: "; the catch adds the prefix.
   try {
-    const LineParser header(line);
-    if (header.raw("schema") != kSchema) {
-      throw InvalidArgument("expected schema '" + std::string(kSchema) +
-                            "', got: " + line);
+    const json::Value header = json::Value::parse(line);
+    const json::Value& schema = header.at("schema");
+    if (schema.string() != kSchema) {
+      schema.fail("expected schema '" + std::string(kSchema) +
+                  "', got: " + line);
     }
-    log.context_.fabric_wavelengths =
-        static_cast<std::uint32_t>(header.u64("fabric_wavelengths"));
-    log.context_.policy = header.raw("policy");
-    log.context_.seed = header.u64("seed");
-    declared = header.u64("events");
+    log.context_.fabric_wavelengths = u32(header.at("fabric_wavelengths"));
+    log.context_.policy = header.at("policy").string();
+    log.context_.seed = header.at("seed").u64();
+    const std::uint64_t declared = header.at("events").u64();
+
+    std::size_t line_number = 1;
+    while (std::getline(in, line)) {
+      ++line_number;
+      if (line.empty()) continue;
+      const json::Value event = json::Value::parse(line, line_number);
+      ServiceEvent e;
+      e.kind = event_kind(event.at("kind"));
+      e.time = Seconds{event.at("t").number()};
+      e.job = event.at("job").u64();
+      e.tenant = u32(event.at("tenant"));
+      e.w_lo = u32(event.at("w_lo"));
+      e.w_hi = u32(event.at("w_hi"));
+      e.cause = event.at("cause").string();
+      // The recorder appends in simulation order; a time reversal means
+      // the file was edited, interleaved, or corrupted — replaying it
+      // would silently misorder grants.
+      if (!log.events_.empty() && e.time < log.events_.back().time) {
+        event.fail("out-of-order timestamp " +
+                   json::number(e.time.count(), 17) + " (previous event at " +
+                   json::number(log.events_.back().time.count(), 17) + ")");
+      }
+      log.events_.push_back(std::move(e));
+    }
+    if (log.events_.size() != declared) {
+      throw Error("line " + std::to_string(line_number) +
+                  ": header declares " + std::to_string(declared) +
+                  " events but the file holds " +
+                  std::to_string(log.events_.size()) +
+                  (log.events_.size() < declared ? " (truncated?)"
+                                                 : " (extra lines?)"));
+    }
   } catch (const Error& e) {
-    throw Error("EventLog: line 1: " + std::string(e.what()));
-  }
-  std::size_t line_number = 1;
-  Seconds previous{0.0};
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    ServiceEvent e;
-    try {
-      const LineParser p(line);
-      e.kind = event_kind_from_string(p.raw("kind"));
-      e.time = Seconds{p.f64("t")};
-      e.job = p.u64("job");
-      e.tenant = static_cast<std::uint32_t>(p.u64("tenant"));
-      e.w_lo = static_cast<std::uint32_t>(p.u64("w_lo"));
-      e.w_hi = static_cast<std::uint32_t>(p.u64("w_hi"));
-      e.cause = p.raw("cause");
-    } catch (const Error& err) {
-      throw Error("EventLog: line " + std::to_string(line_number) + ": " +
-                  std::string(err.what()));
-    }
-    // The recorder appends in simulation order; a time reversal means the
-    // file was edited, interleaved, or corrupted — replaying it would
-    // silently misorder grants.
-    if (!log.events_.empty() && e.time < previous) {
-      throw Error("EventLog: line " + std::to_string(line_number) +
-                  ": out-of-order timestamp " + num17(e.time.count()) +
-                  " (previous event at " + num17(previous.count()) + ")");
-    }
-    previous = e.time;
-    log.events_.push_back(std::move(e));
-  }
-  if (log.events_.size() != declared) {
-    throw Error("EventLog: line " + std::to_string(line_number) +
-                ": header declares " + std::to_string(declared) +
-                " events but the file holds " +
-                std::to_string(log.events_.size()) +
-                (log.events_.size() < declared ? " (truncated?)"
-                                               : " (extra lines?)"));
+    throw Error("EventLog: " + std::string(e.what()));
   }
   return log;
 }

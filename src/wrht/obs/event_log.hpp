@@ -11,10 +11,10 @@
 //   * Deterministic and byte-stable: a (config, seed) pair produces a
 //     byte-identical file run-to-run (pinned by the replay-determinism
 //     tests), so event logs diff cleanly across code changes.
-//   * Lossless timestamps: times print with round-trip precision (%.17g),
-//     so read_jsonl() reconstructs the exact doubles and an event-log
-//     replay reproduces the live ServiceReport aggregates bit-for-bit
-//     (gated by bench_svc_telemetry).
+//   * Lossless timestamps: times print with round-trip precision (17
+//     significant digits), so read_jsonl() reconstructs the exact doubles
+//     and an event-log replay reproduces the live ServiceReport aggregates
+//     bit-for-bit (gated by bench_svc_telemetry).
 #pragma once
 
 #include <cstdint>
@@ -91,8 +91,10 @@ class EventLog {
   /// replay-determinism tests compare these byte-for-byte.
   [[nodiscard]] std::string to_jsonl() const;
 
-  /// Parses a stream produced by write_jsonl(). Throws InvalidArgument on
-  /// a missing/foreign schema marker or a malformed line.
+  /// Parses a stream produced by write_jsonl(), each line through
+  /// json::Value::parse. Throws wrht::Error "EventLog: line L: ..." on a
+  /// foreign schema, malformed JSON, a missing or mistyped field, a time
+  /// reversal, or an event count that disagrees with the header.
   [[nodiscard]] static EventLog read_jsonl(std::istream& in);
   [[nodiscard]] static EventLog read_file(const std::string& path);
 

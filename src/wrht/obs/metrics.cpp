@@ -2,26 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "wrht/common/csv.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 
 namespace wrht::obs {
-
-namespace {
-
-/// %.9g matches RunReport::write_json: enough digits for plotting and
-/// deterministic across runs of the same simulation.
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-}  // namespace
 
 Histogram::Histogram(HistogramSpec spec)
     : spec_(spec), inv_log_growth_(1.0 / std::log(spec.growth)) {
@@ -68,16 +56,6 @@ double Histogram::quantile(double q) const {
     if (seen >= rank) return bucket_hi(i);
   }
   return bucket_hi(spec_.buckets - 1);
-}
-
-void Histogram::merge(const Histogram& other) {
-  require(spec_ == other.spec_,
-          "Histogram: merging histograms with different bucket specs");
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
 }
 
 TimeSeries::TimeSeries(std::size_t capacity) : capacity_(capacity) {
@@ -258,29 +236,6 @@ void MetricsRegistry::sample(Seconds now) {
   }
 }
 
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  if (&other == this) return;
-  for (Id oid = 0; oid < other.instruments_.size(); ++oid) {
-    const Instrument& theirs = other.instruments_[oid];
-    const HistogramSpec spec =
-        theirs.hist ? theirs.hist->spec() : HistogramSpec{};
-    const Id id = intern(theirs.name, theirs.kind,
-                         theirs.hist ? &spec : nullptr);
-    Instrument& ours = at(id);
-    switch (theirs.kind) {
-      case InstrumentKind::kCounter:
-        ours.value += theirs.value;
-        break;
-      case InstrumentKind::kGauge:
-        ours.value = std::max(ours.value, theirs.value);
-        break;
-      case InstrumentKind::kHistogram:
-        ours.hist->merge(*theirs.hist);
-        break;
-    }
-  }
-}
-
 void MetricsRegistry::write_series_csv(const std::string& path) const {
   CsvWriter csv(path, {"metric", "kind", "t_s", "value"});
   // Name order, not registration order: deterministic regardless of which
@@ -295,7 +250,8 @@ void MetricsRegistry::write_series_csv(const std::string& path) const {
     const std::string kind_name = obs::to_string(inst.kind);
     for (std::size_t i = 0; i < inst.series.size(); ++i) {
       const TimeSeriesPoint& p = inst.series[i];
-      csv.add_row({inst.name, kind_name, num(p.time.count()), num(p.value)});
+      csv.add_row({inst.name, kind_name, json::number(p.time.count(), 9),
+                   json::number(p.value, 9)});
     }
   }
 }
@@ -313,12 +269,14 @@ void MetricsRegistry::write_json(std::ostream& out) const {
     const Instrument& inst = instruments_[id];
     out << (first ? "\n" : ",\n");
     first = false;
-    out << "    {\"name\": \"" << inst.name << "\", \"kind\": \""
-        << obs::to_string(inst.kind) << "\", \"value\": " << num(value(id))
+    out << "    {\"name\": \"" << json::escape(inst.name)
+        << "\", \"kind\": \"" << obs::to_string(inst.kind)
+        << "\", \"value\": " << json::number(value(id), 9)
         << ", \"samples\": " << inst.series.size()
         << ", \"dropped\": " << inst.series.dropped();
     if (inst.hist) {
-      out << ", \"sum\": " << num(inst.hist->sum()) << ", \"buckets\": [";
+      out << ", \"sum\": " << json::number(inst.hist->sum(), 9)
+          << ", \"buckets\": [";
       // Sparse: only non-empty buckets, as [index, count] pairs.
       bool first_bucket = true;
       const auto& counts = inst.hist->bucket_counts();
@@ -333,8 +291,8 @@ void MetricsRegistry::write_json(std::ostream& out) const {
     out << ", \"series\": [";
     for (std::size_t i = 0; i < inst.series.size(); ++i) {
       const TimeSeriesPoint& p = inst.series[i];
-      out << (i == 0 ? "" : ", ") << "[" << num(p.time.count()) << ", "
-          << num(p.value) << "]";
+      out << (i == 0 ? "" : ", ") << "[" << json::number(p.time.count(), 9)
+          << ", " << json::number(p.value, 9) << "]";
     }
     out << "]}";
   }

@@ -6,7 +6,7 @@
 // over virtual time, because transient contention (not steady-state
 // averages) is what separates admission policies. MetricsRegistry holds
 // typed instruments — monotonic counters, gauges, and fixed-bucket
-// log-scale histograms with deterministic merge — and sample() snapshots
+// log-scale histograms — and sample() snapshots
 // every instrument's current value into its own TimeSeries ring buffer at
 // whatever virtual-time cadence the caller drives. Exports (CSV long
 // format, wrht-metrics-1 JSON) are deterministic: instruments iterate in
@@ -14,8 +14,7 @@
 //
 // Not thread-safe by design: the registry belongs to one simulation loop
 // (svc::FabricService drives it single-threaded). Sweep workers that need
-// a shared thread-safe sink record through obs::Counters, which carries
-// the same Histogram type behind its mutex (Counters::observe).
+// a shared thread-safe sink record through obs::Counters.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +29,7 @@ namespace wrht::obs {
 
 /// Fixed log-scale bucket layout: bucket i covers [lo * growth^i,
 /// lo * growth^(i+1)); values below lo land in bucket 0, values at or past
-/// the top boundary land in the last bucket. Two histograms merge only
-/// when their specs are identical.
+/// the top boundary land in the last bucket.
 struct HistogramSpec {
   double lo = 1e-6;
   double growth = 2.0;
@@ -40,9 +38,7 @@ struct HistogramSpec {
   friend bool operator==(const HistogramSpec&, const HistogramSpec&) = default;
 };
 
-/// Fixed-bucket log-scale histogram. Merge is elementwise count addition,
-/// so merging per-run histograms is equivalent to one combined run — the
-/// same contract obs::Counters::merge keeps for scalar counters.
+/// Fixed-bucket log-scale histogram.
 class Histogram {
  public:
   explicit Histogram(HistogramSpec spec = {});
@@ -66,10 +62,6 @@ class Histogram {
   /// with relative error bounded by the bucket growth factor. Requires a
   /// non-empty histogram.
   [[nodiscard]] double quantile(double q) const;
-
-  /// Elementwise count/sum addition; throws InvalidArgument on spec
-  /// mismatch.
-  void merge(const Histogram& other);
 
  private:
   HistogramSpec spec_;
@@ -161,12 +153,6 @@ class MetricsRegistry {
   /// `now`. The caller owns the cadence; calling on a virtual-time grid
   /// makes the series a fixed-resolution signal.
   void sample(Seconds now);
-
-  /// Folds `other` in by instrument name: counters and histograms sum,
-  /// gauges keep the larger value (high-watermark, the only
-  /// order-independent fold). Series are not merged — they are per-run
-  /// signals. Kind clashes throw.
-  void merge(const MetricsRegistry& other);
 
   /// Long-format CSV: metric,kind,t_s,value — one row per retained sample
   /// of every instrument, instruments in name order.

@@ -1,38 +1,27 @@
 #include "wrht/obs/run_report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "wrht/common/csv.hpp"
 #include "wrht/common/error.hpp"
-#include "wrht/obs/trace_json.hpp"
+#include "wrht/common/json.hpp"
 #include "wrht/prof/prof.hpp"
 
 namespace wrht {
 
 namespace {
 
-std::string format_seconds(Seconds s) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", s.count());
-  return buf;
-}
-
-std::string format_fraction(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 void write_breakdown_json(std::ostream& out, const TimeBreakdown& b) {
-  out << "{\"transmission_s\":" << format_seconds(b.transmission)
-      << ",\"reconfiguration_s\":" << format_seconds(b.reconfiguration)
-      << ",\"conversion_s\":" << format_seconds(b.conversion)
-      << ",\"processing_s\":" << format_seconds(b.processing)
-      << ",\"straggler_wait_s\":" << format_seconds(b.straggler_wait)
-      << ",\"idle_s\":" << format_seconds(b.idle) << "}";
+  out << "{\"transmission_s\":" << json::number(b.transmission.count(), 9)
+      << ",\"reconfiguration_s\":"
+      << json::number(b.reconfiguration.count(), 9)
+      << ",\"conversion_s\":" << json::number(b.conversion.count(), 9)
+      << ",\"processing_s\":" << json::number(b.processing.count(), 9)
+      << ",\"straggler_wait_s\":"
+      << json::number(b.straggler_wait.count(), 9)
+      << ",\"idle_s\":" << json::number(b.idle.count(), 9) << "}";
 }
 
 }  // namespace
@@ -70,21 +59,23 @@ void RunReport::write_step_csv(const std::string& path) const {
                        "wavelengths_used"});
   for (std::size_t i = 0; i < step_reports.size(); ++i) {
     const StepReport& s = step_reports[i];
-    csv.add_row({std::to_string(i), s.label, format_seconds(s.start),
-                 format_seconds(s.duration), std::to_string(s.rounds),
+    csv.add_row({std::to_string(i), s.label,
+                 json::number(s.start.count(), 9),
+                 json::number(s.duration.count(), 9),
+                 std::to_string(s.rounds),
                  std::to_string(s.wavelengths_used)});
   }
 }
 
 void RunReport::write_json(std::ostream& out) const {
-  const auto esc = &obs::ChromeTraceSink::escape;
   out << "{\n";
-  out << "  \"backend\": \"" << esc(backend) << "\",\n";
-  out << "  \"total_time_s\": " << format_seconds(total_time) << ",\n";
+  out << "  \"backend\": \"" << json::escape(backend) << "\",\n";
+  out << "  \"total_time_s\": " << json::number(total_time.count(), 9)
+      << ",\n";
   out << "  \"steps\": " << steps << ",\n";
   out << "  \"rounds\": " << rounds << ",\n";
   out << "  \"events_fired\": " << events_fired << ",\n";
-  out << "  \"utilization\": " << format_fraction(utilization) << ",\n";
+  out << "  \"utilization\": " << json::number(utilization, 9) << ",\n";
   out << "  \"resources_observed\": " << resources_observed << ",\n";
   out << "  \"breakdown\": ";
   write_breakdown_json(out, breakdown);
@@ -92,8 +83,9 @@ void RunReport::write_json(std::ostream& out) const {
   for (std::size_t i = 0; i < step_reports.size(); ++i) {
     const StepReport& s = step_reports[i];
     out << (i == 0 ? "" : ",") << "\n    {\"step\":" << i << ",\"label\":\""
-        << esc(s.label) << "\",\"start_s\":" << format_seconds(s.start)
-        << ",\"duration_s\":" << format_seconds(s.duration)
+        << json::escape(s.label)
+        << "\",\"start_s\":" << json::number(s.start.count(), 9)
+        << ",\"duration_s\":" << json::number(s.duration.count(), 9)
         << ",\"rounds\":" << s.rounds
         << ",\"wavelengths_used\":" << s.wavelengths_used
         << ",\"breakdown\":";
@@ -104,7 +96,8 @@ void RunReport::write_json(std::ostream& out) const {
   out << "  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : counters) {
-    out << (first ? "" : ",") << "\n    \"" << esc(name) << "\": " << value;
+    out << (first ? "" : ",") << "\n    \"" << json::escape(name)
+        << "\": " << value;
     first = false;
   }
   out << (counters.empty() ? "" : "\n  ") << "}\n";

@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 
 namespace wrht::obs {
 
@@ -46,26 +47,7 @@ void ChromeTraceSink::set_track_name(std::uint32_t track,
 }
 
 std::string ChromeTraceSink::escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+  return json::escape(s);
 }
 
 void ChromeTraceSink::write(std::ostream& out) const {
@@ -81,29 +63,31 @@ void ChromeTraceSink::write(std::ostream& out) const {
   // std::map keeps this stable).
   sep();
   out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
-      << "\"args\":{\"name\":\"" << escape(process_name_) << "\"}}";
+      << "\"args\":{\"name\":\"" << json::escape(process_name_) << "\"}}";
   for (const auto& [track, name] : track_names_) {
     sep();
     out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << track
-        << ",\"args\":{\"name\":\"" << escape(name) << "\"}}";
+        << ",\"args\":{\"name\":\"" << json::escape(name) << "\"}}";
   }
 
   for (const TraceSpan& s : spans_) {
     sep();
-    out << "{\"name\":\"" << escape(s.name) << "\",\"cat\":\""
-        << escape(s.category) << "\",\"ph\":\"X\",\"ts\":" << format_us(s.start)
+    out << "{\"name\":\"" << json::escape(s.name) << "\",\"cat\":\""
+        << json::escape(s.category)
+        << "\",\"ph\":\"X\",\"ts\":" << format_us(s.start)
         << ",\"dur\":" << format_us(s.duration) << ",\"pid\":0,\"tid\":"
         << s.track << ",\"args\":{";
     bool first_arg = true;
     for (const auto& [key, value] : s.args) {
       if (!first_arg) out << ",";
       first_arg = false;
-      out << "\"" << escape(key) << "\":\"" << escape(value) << "\"";
+      out << "\"" << json::escape(key) << "\":\"" << json::escape(value)
+          << "\"";
     }
     for (const auto& [key, value] : s.num_args) {
       if (!first_arg) out << ",";
       first_arg = false;
-      out << "\"" << escape(key) << "\":" << format_value(value);
+      out << "\"" << json::escape(key) << "\":" << format_value(value);
     }
     out << "}}";
   }
@@ -112,7 +96,7 @@ void ChromeTraceSink::write(std::ostream& out) const {
   // Perfetto draws each as a step function holding until the next sample.
   for (const CounterSample& c : counters_) {
     sep();
-    out << "{\"name\":\"" << escape(c.name) << "\",\"ph\":\"C\",\"ts\":"
+    out << "{\"name\":\"" << json::escape(c.name) << "\",\"ph\":\"C\",\"ts\":"
         << format_us(c.time) << ",\"pid\":0,\"tid\":" << c.track
         << ",\"args\":{\"value\":" << format_value(c.value) << "}}";
   }
@@ -124,13 +108,14 @@ void ChromeTraceSink::write(std::ostream& out) const {
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     const FlowArrow& f = flows_[i];
     sep();
-    out << "{\"name\":\"" << escape(f.name) << "\",\"cat\":\""
-        << escape(f.category) << "\",\"ph\":\"s\",\"id\":" << i
+    out << "{\"name\":\"" << json::escape(f.name) << "\",\"cat\":\""
+        << json::escape(f.category) << "\",\"ph\":\"s\",\"id\":" << i
         << ",\"ts\":" << format_us(f.start) << ",\"pid\":0,\"tid\":"
         << f.start_track << "}";
     sep();
-    out << "{\"name\":\"" << escape(f.name) << "\",\"cat\":\""
-        << escape(f.category) << "\",\"ph\":\"f\",\"bp\":\"e\",\"id\":" << i
+    out << "{\"name\":\"" << json::escape(f.name) << "\",\"cat\":\""
+        << json::escape(f.category)
+        << "\",\"ph\":\"f\",\"bp\":\"e\",\"id\":" << i
         << ",\"ts\":" << format_us(f.finish) << ",\"pid\":0,\"tid\":"
         << f.finish_track << "}";
   }

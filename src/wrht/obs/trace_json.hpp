@@ -73,7 +73,7 @@ class ChromeTraceSink final : public TraceSink {
   /// write() to `path`; throws wrht::Error if the file cannot be opened.
   void write_file(const std::string& path) const;
 
-  /// Escapes a string for embedding inside a JSON string literal.
+  /// json::escape, for callers that reach the escaper through the sink.
   [[nodiscard]] static std::string escape(const std::string& s);
 
  private:

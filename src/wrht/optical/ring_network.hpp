@@ -85,7 +85,7 @@ struct OpticalConfig {
   }
 
   // Fluent builders so call sites can assemble a config in one expression
-  // (`OpticalConfig{}.with_wavelengths(8).with_rwa_policy(...)`).
+  // (`OpticalConfig{}.with_wavelengths(8).with_lease(...)`).
   // Aggregate initialization keeps working — these are plain members.
   OpticalConfig& with_wavelengths(std::uint32_t v) {
     wavelengths = v;
@@ -105,10 +105,6 @@ struct OpticalConfig {
   }
   OpticalConfig& with_convention(net::RateConvention v) {
     convention = v;
-    return *this;
-  }
-  OpticalConfig& with_rwa_policy(RwaPolicy v) {
-    rwa_policy = v;
     return *this;
   }
   OpticalConfig& with_lease(net::ResourceLease v) {

@@ -232,31 +232,16 @@ coll::Schedule flat_alltoall_allreduce(std::uint32_t num_nodes,
   coll::Schedule sched("flat-a2a", num_nodes, elements);
   const topo::Ring ring(num_nodes);
 
-  // Shortest-direction hint per ordered pair, antipodal ties alternating —
-  // the same assignment as WRHT's final all-to-all exchange, which keeps
-  // the per-segment load within the ceil(N^2/8) bound. Both steps walk the
-  // pairs in the identical order so they light identical circuits and the
-  // RWA partitions them into identical rounds.
+  // WRHT's all-to-all direction rule (core::exchange_directions), which
+  // keeps the per-segment load within the ceil(N^2/8) bound. Both steps
+  // walk the pairs in the identical order so they light identical circuits
+  // and the RWA partitions them into identical rounds.
   std::vector<std::pair<coll::Transfer, coll::Transfer>> pairs;
   bool tie_clockwise = true;
   for (std::uint32_t i = 0; i < num_nodes; ++i) {
     for (std::uint32_t j = i + 1; j < num_nodes; ++j) {
-      const std::uint32_t cw = ring.cw_distance(i, j);
-      const std::uint32_t ccw = ring.ccw_distance(i, j);
-      topo::Direction forward;   // direction of i -> j
-      topo::Direction backward;  // direction of j -> i
-      if (cw < ccw) {
-        forward = topo::Direction::kClockwise;
-        backward = topo::Direction::kCounterClockwise;
-      } else if (ccw < cw) {
-        forward = topo::Direction::kCounterClockwise;
-        backward = topo::Direction::kClockwise;
-      } else {
-        forward = backward = tie_clockwise
-                                 ? topo::Direction::kClockwise
-                                 : topo::Direction::kCounterClockwise;
-        tie_clockwise = !tie_clockwise;
-      }
+      const auto [forward, backward] =
+          core::exchange_directions(ring, i, j, tie_clockwise);
       coll::Transfer fwd{i, j, 0, 0, coll::TransferKind::kReduce, forward};
       coll::Transfer bwd{j, i, 0, 0, coll::TransferKind::kReduce, backward};
       pairs.emplace_back(fwd, bwd);

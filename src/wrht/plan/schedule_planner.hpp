@@ -59,10 +59,6 @@ struct PlannerOptions {
     wavelengths = v;
     return *this;
   }
-  PlannerOptions& with_policy(net::ReconfigPolicy v) {
-    policy = v;
-    return *this;
-  }
   PlannerOptions& with_convention(net::RateConvention v) {
     convention = v;
     return *this;

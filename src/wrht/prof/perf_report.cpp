@@ -1,37 +1,14 @@
 #include "wrht/prof/perf_report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "wrht/common/error.hpp"
+#include "wrht/common/json.hpp"
 #include "wrht/common/stats.hpp"
 
 namespace wrht::prof {
-
-namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-/// Metric and phase names are library-chosen identifiers (no quotes or
-/// control characters), but escape the JSON specials anyway so a stray
-/// name cannot corrupt the document.
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += (static_cast<unsigned char>(c) < 0x20) ? '?' : c;
-  }
-  return out;
-}
-
-}  // namespace
 
 void PerfReport::add_metric(const std::string& metric_name, double value,
                             const std::string& unit) {
@@ -72,11 +49,11 @@ void PerfReport::capture(const ProfRegistry& registry) {
 void PerfReport::write_json(std::ostream& out) const {
   out << "{\n";
   out << "  \"schema\": \"wrht-perf-1\",\n";
-  out << "  \"name\": \"" << escape(name) << "\",\n";
+  out << "  \"name\": \"" << json::escape(name) << "\",\n";
   out << "  \"repetitions\": " << repetitions << ",\n";
   out << "  \"threads\": " << threads << ",\n";
-  out << "  \"wall_time_s\": " << format_double(wall_time_s) << ",\n";
-  out << "  \"thread_efficiency\": " << format_double(thread_efficiency)
+  out << "  \"wall_time_s\": " << json::number(wall_time_s, 9) << ",\n";
+  out << "  \"thread_efficiency\": " << json::number(thread_efficiency, 9)
       << ",\n";
   out << "  \"peak_rss_bytes\": " << peak_rss_bytes << ",\n";
 
@@ -89,18 +66,18 @@ void PerfReport::write_json(std::ostream& out) const {
             });
   out << "  \"metrics\": {";
   for (std::size_t i = 0; i < sorted.size(); ++i) {
-    out << (i == 0 ? "" : ",") << "\n    \"" << escape(sorted[i]->name)
-        << "\": {\"value\": " << format_double(sorted[i]->value)
-        << ", \"unit\": \"" << escape(sorted[i]->unit) << "\"}";
+    out << (i == 0 ? "" : ",") << "\n    \"" << json::escape(sorted[i]->name)
+        << "\": {\"value\": " << json::number(sorted[i]->value, 9)
+        << ", \"unit\": \"" << json::escape(sorted[i]->unit) << "\"}";
   }
   out << (sorted.empty() ? "" : "\n  ") << "},\n";
 
   out << "  \"phases\": {";
   bool first = true;
   for (const auto& [phase, totals] : phases) {
-    out << (first ? "" : ",") << "\n    \"" << escape(phase)
+    out << (first ? "" : ",") << "\n    \"" << json::escape(phase)
         << "\": {\"calls\": " << totals.calls
-        << ", \"seconds\": " << format_double(totals.seconds) << "}";
+        << ", \"seconds\": " << json::number(totals.seconds, 9) << "}";
     first = false;
   }
   out << (phases.empty() ? "" : "\n  ") << "}\n";

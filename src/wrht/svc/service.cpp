@@ -161,12 +161,21 @@ void print_slo_report(const ServiceReport& report) {
 // duration of a run() when any TelemetryConfig flag is set; the disabled
 // path only ever tests the null pointer.
 
+namespace {
+
+/// Initial virtual-time sampling cadence of the metrics time series.
+constexpr Seconds kSampleCadence{0.01};
+/// Ring capacity of each instrument's TimeSeries.
+constexpr std::size_t kSeriesCapacity = 4096;
+
+}  // namespace
+
 struct FabricService::Telemetry {
   using Id = obs::MetricsRegistry::Id;
 
   explicit Telemetry(const TelemetryConfig& cfg)
       : config(cfg),
-        metrics(obs::MetricsRegistry::Options{cfg.series_capacity}),
+        metrics(obs::MetricsRegistry::Options{kSeriesCapacity}),
         trace("wrht-svc") {
     submitted = metrics.counter("svc.submitted");
     admitted = metrics.counter("svc.admitted");
@@ -206,7 +215,7 @@ struct FabricService::Telemetry {
   bool record_events = false;
   /// Set once build_trace() has materialized `trace` from `events`.
   bool trace_built = false;
-  /// Live sampling cadence: starts at config.sample_cadence and doubles
+  /// Live sampling cadence: starts at kSampleCadence and doubles
   /// whenever a full ring's worth of ticks has fired, so a long-makespan
   /// run degrades resolution instead of burning a tick per cadence
   /// forever (total sampler work is O(capacity * log makespan)).
@@ -258,7 +267,7 @@ void FabricService::telemetry_begin(const std::vector<Job>& jobs) {
   // The JSONL header already records the policy; the cause repeats just
   // the name (short enough for SSO — this string is copied per admit).
   t.admit_cause = policy_->name();
-  t.cadence = config_.telemetry.sample_cadence;
+  t.cadence = kSampleCadence;
   t.events.set_context(obs::EventLog::Context{config_.fabric_wavelengths,
                                               svc::to_string(config_.policy),
                                               config_.telemetry.seed});
@@ -277,7 +286,7 @@ void FabricService::telemetry_sample() {
   Telemetry& t = *telemetry_;
   t.metrics.sample(simulator_.now());
   if (t.outstanding > 0) {
-    if (++t.ticks_at_cadence >= t.config.series_capacity) {
+    if (++t.ticks_at_cadence >= kSeriesCapacity) {
       // The ring is full at this resolution: further ticks at the same
       // cadence would only drop the oldest samples one by one. Halve the
       // resolution instead so the series keeps covering the whole run.

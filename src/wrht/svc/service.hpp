@@ -30,6 +30,7 @@
 namespace wrht::obs {
 class ChromeTraceSink;
 class EventLog;
+class MetricsRegistry;
 }  // namespace wrht::obs
 
 namespace wrht::svc {
@@ -78,19 +79,15 @@ class WavelengthAllocator {
 /// service — same ServiceReport, same counters, same event schedule —
 /// which the conformance tests pin.
 struct TelemetryConfig {
-  /// MetricsRegistry instruments sampled into TimeSeries on a virtual-time
-  /// cadence.
+  /// MetricsRegistry instruments sampled into 4096-sample TimeSeries
+  /// every 10 ms of virtual time; the cadence doubles whenever a ring's
+  /// worth of ticks has fired, so any makespan stays covered.
   bool metrics = false;
   /// Structured svc-events-1 JSONL event log of every service transition.
   bool events = false;
   /// Chrome-trace export: one lane per tenant plus counter tracks for
   /// queue depth, wavelengths-in-use, and fragmentation.
   bool trace = false;
-  /// Virtual-time sampling cadence of the metrics time series (the series
-  /// resolution).
-  Seconds sample_cadence{0.01};
-  /// Ring capacity of each instrument's TimeSeries.
-  std::size_t series_capacity = 4096;
   /// Workload seed recorded in the event-log header for provenance (the
   /// replay-determinism tests key logs by it).
   std::uint64_t seed = 0;

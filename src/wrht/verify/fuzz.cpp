@@ -57,14 +57,12 @@ FuzzCase sample(Rng& rng, const std::vector<std::string>& algorithms,
       rng.uniform_int(2, std::max<std::uint32_t>(2, std::min<std::uint32_t>(
                                                         c.num_nodes, 16))));
   c.wavelengths = static_cast<std::uint32_t>(rng.uniform_int(1, 64));
-  if (options.draw_reconfig_policy) {
-    switch (rng.uniform_int(0, 2)) {
-      case 0: c.reconfig_policy = net::ReconfigPolicy::kEveryRound; break;
-      case 1: c.reconfig_policy = net::ReconfigPolicy::kOnRetune; break;
-      default: c.reconfig_policy = net::ReconfigPolicy::kOverlapped; break;
-    }
+  switch (rng.uniform_int(0, 2)) {
+    case 0: c.reconfig_policy = net::ReconfigPolicy::kEveryRound; break;
+    case 1: c.reconfig_policy = net::ReconfigPolicy::kOnRetune; break;
+    default: c.reconfig_policy = net::ReconfigPolicy::kOverlapped; break;
   }
-  if (options.draw_leases && rng.uniform_int(0, 2) == 0) {
+  if (rng.uniform_int(0, 2) == 0) {
     // Slice width up to the schedule's wavelength budget, so the draw
     // covers both comfortable slices and multi-round starvation inside
     // one; a nonzero w_lo makes the offset part of the invariant real.
@@ -388,7 +386,7 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
   std::vector<std::string> algorithms =
       options.algorithms.empty() ? coll::Registry::instance().names()
                                  : options.algorithms;
-  if (options.algorithms.empty() && options.draw_planner_candidates) {
+  if (options.algorithms.empty()) {
     for (const char* kind : {"wrht", "flat_a2a", "static_ring"}) {
       algorithms.push_back(std::string(kPlannerPrefix) + kind);
     }
@@ -406,7 +404,7 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
       report.failures.push_back(FuzzFailure{c, result});
     }
   }
-  if (!report.failures.empty() && options.shrink) {
+  if (!report.failures.empty()) {
     report.minimal_failure = shrink_failure(report.failures.front().config,
                                             report.failures.front().result);
   }

@@ -41,21 +41,12 @@ struct FuzzOptions {
   std::uint32_t max_nodes = 96;
   std::size_t max_elements = 512;
   /// Algorithms to draw from; empty means every registered algorithm
-  /// (WRHT is registered before sampling) plus — see below — the planner
-  /// pseudo-algorithms.
+  /// (WRHT is registered before sampling) plus the planner candidates
+  /// ("plan:wrht", "plan:flat_a2a", "plan:static_ring", built via
+  /// plan::build_candidate and cross-checked against plan::predict
+  /// feasibility). Every case also draws a net::ReconfigPolicy, and about
+  /// a third draw a leased wavelength slice.
   std::vector<std::string> algorithms;
-  /// Mix the planner candidates ("plan:wrht", "plan:flat_a2a",
-  /// "plan:static_ring", built via plan::build_candidate and cross-checked
-  /// against plan::predict feasibility) into an empty `algorithms` draw.
-  bool draw_planner_candidates = true;
-  /// Draw a net::ReconfigPolicy per case instead of pinning kEveryRound.
-  bool draw_reconfig_policy = true;
-  /// Draw leased wavelength slices (about a third of cases): the run is
-  /// confined to [w_lo, w_hi) of a w_hi-wavelength fabric and must price
-  /// identically to a full run on a (w_hi - w_lo)-wavelength fabric.
-  bool draw_leases = true;
-  /// Greedily shrink the first failure toward a minimal reproducer.
-  bool shrink = true;
 };
 
 /// One sampled configuration.
@@ -102,7 +93,7 @@ struct FuzzReport {
   std::map<std::string, std::size_t> cases_per_algorithm;
   std::vector<FuzzFailure> failures;
   /// The first failure shrunk to the smallest configuration that still
-  /// fails (present only when shrinking was enabled and something failed).
+  /// fails (present only when something failed).
   std::optional<FuzzFailure> minimal_failure;
 
   [[nodiscard]] bool ok() const { return failures.empty(); }

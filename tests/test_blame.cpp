@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -235,6 +236,74 @@ TEST(Blame, ReaderRejectsMalformedInput) {
           << e.what();
     }
   }
+}
+
+/// A real run-kind wrht-blame-1 document.
+std::string sample_blame_json() {
+  const std::uint32_t n = 32;
+  const obs::TransferLog log = observe_ring(
+      core::wrht_allreduce(n, 4096, core::WrhtOptions{5, 8}), ring_cfg(), n);
+  std::ostringstream stream;
+  write_blame_json(build_blame(log), {{"policy_on_retune", 1.25e-3}}, stream);
+  return stream.str();
+}
+
+/// 1-based line of byte offset `at` in `text`.
+std::size_t line_of(const std::string& text, std::size_t at) {
+  return 1 + static_cast<std::size_t>(
+                 std::count(text.begin(), text.begin() + at, '\n'));
+}
+
+/// Asserts the reader rejects `text` with a diagnostic naming `line`.
+void expect_rejected_on_line(const std::string& text, std::size_t line) {
+  std::istringstream in(text);
+  try {
+    (void)read_blame_json(in);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line) +
+                                         ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// A file cut off inside "categories" used to read back with whatever
+// categories preceded the cut.
+TEST(Blame, ReaderRejectsAFileCutInsideCategories) {
+  const std::string json = sample_blame_json();
+  const std::size_t cut =
+      json.find(",\n", json.find("\"categories\": {"));
+  ASSERT_NE(cut, std::string::npos);
+  expect_rejected_on_line(json.substr(0, cut), line_of(json, cut));
+}
+
+// A value that is not a number used to read as 0.
+TEST(Blame, ReaderRejectsANonNumericTotal) {
+  std::string json = sample_blame_json();
+  const std::size_t at = json.find("\"total_time\": ");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t value = at + std::string("\"total_time\": ").size();
+  json.replace(value, json.find(',', value) - value, "oops");
+  expect_rejected_on_line(json, line_of(json, at));
+}
+
+// Names used to be written raw: a quote cut the name short on read-back.
+TEST(Blame, NamesWithQuotesRoundTrip) {
+  const std::uint32_t n = 32;
+  BlameReport report = build_blame(observe_ring(
+      core::wrht_allreduce(n, 4096, core::WrhtOptions{5, 8}), ring_cfg(), n));
+  ASSERT_FALSE(report.lanes.empty());
+  report.backend = "my\"engine";
+  report.lanes[0].lane = "row\"3";
+  std::ostringstream stream;
+  write_blame_json(report, {{"what \"if\"", 1.0}}, stream);
+  std::istringstream in(stream.str());
+  const ParsedBlame parsed = read_blame_json(in);
+  EXPECT_EQ(parsed.source, "my\"engine");
+  EXPECT_EQ(parsed.lanes.count("row\"3"), 1u);
+  EXPECT_EQ(parsed.lanes.size(), report.lanes.size());
+  EXPECT_EQ(parsed.what_if.count("what \"if\""), 1u);
 }
 
 TEST(Blame, DifferIsCleanOnIdenticalRunsAndFlagsInjectedRegression) {

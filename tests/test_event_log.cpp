@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "wrht/common/error.hpp"
 
@@ -171,6 +173,53 @@ TEST(EventLog, ExtraEventsBeyondHeaderCountAreRejected) {
       "\"w_lo\": 0, \"w_hi\": 0, \"cause\": \"stray\"}\n";
   std::istringstream in(jsonl);
   EXPECT_THROW((void)EventLog::read_jsonl(in), Error);
+}
+
+constexpr const char* kHeaderTwoEvents =
+    "{\"schema\": \"svc-events-1\", \"fabric_wavelengths\": 4, "
+    "\"policy\": \"fifo\", \"seed\": 1, \"events\": 2}\n";
+constexpr const char* kSubmitLine =
+    "{\"kind\": \"submit\", \"t\": 0, \"job\": 1, \"tenant\": 0, "
+    "\"w_lo\": 0, \"w_hi\": 0, \"cause\": \"arrival\"}\n";
+
+// Numbers used to go through strtod/strtoull without checking where
+// parsing stopped: a word read as 0, trailing garbage was dropped, and a
+// sign wrapped an unsigned field.
+TEST(EventLog, MalformedNumbersAreRejectedNamingTheirLine) {
+  const std::pair<std::string, std::string> edits[] = {
+      {"\"t\": 0", "\"t\": zero"},
+      {"\"job\": 1", "\"job\": 12x"},
+      {"\"tenant\": 0", "\"tenant\": -1"},
+      {"\"w_hi\": 0", "\"w_hi\": 4294967296"},
+  };
+  for (const auto& [field, bad] : edits) {
+    std::string line = kSubmitLine;
+    line.replace(line.find(field), field.size(), bad);
+    std::istringstream in(std::string(kHeaderTwoEvents) + kSubmitLine + line);
+    try {
+      (void)EventLog::read_jsonl(in);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The JSON short escapes used to decode as the bare letter ("\r" -> 'r').
+TEST(EventLog, JsonShortEscapesInACauseDecode) {
+  std::string line = kSubmitLine;
+  line.replace(line.find("arrival"), 7, R"(a\rb \/ \t \u0001)");
+  std::istringstream in(std::string(kHeaderTwoEvents) + kSubmitLine + line);
+  const EventLog parsed = EventLog::read_jsonl(in);
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed.events()[1].cause, "a\rb / \t \x01");
+
+  EventLog log;
+  log.record(parsed.events()[1]);
+  std::istringstream again(log.to_jsonl());
+  EXPECT_EQ(EventLog::read_jsonl(again).events()[0].cause,
+            parsed.events()[1].cause);
 }
 
 TEST(EventLog, ClearDropsEventsButKeepsContext) {

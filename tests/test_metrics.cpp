@@ -1,7 +1,7 @@
 // MetricsRegistry / Histogram / TimeSeries unit tests: typed instrument
 // contracts (monotonic counters, free-moving gauges, log-bucket
-// histograms), ring-buffer sampling semantics, deterministic merge, and
-// byte-stable CSV/JSON export.
+// histograms), ring-buffer sampling semantics, and byte-stable CSV/JSON
+// export.
 #include "wrht/obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -47,21 +47,6 @@ TEST(Histogram, QuantileIsBucketUpperBound) {
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);
   EXPECT_DOUBLE_EQ(h.quantile(0.99), 2.0);
   EXPECT_DOUBLE_EQ(h.quantile(1.0), 128.0);
-}
-
-TEST(Histogram, MergeAddsCountsElementwise) {
-  Histogram a(HistogramSpec{1.0, 2.0, 4});
-  Histogram b(HistogramSpec{1.0, 2.0, 4});
-  a.observe(1.0);
-  b.observe(1.0);
-  b.observe(5.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.bucket_counts()[0], 2u);
-  EXPECT_EQ(a.bucket_counts()[2], 1u);
-
-  Histogram c(HistogramSpec{2.0, 2.0, 4});
-  EXPECT_THROW(a.merge(c), Error);  // spec mismatch
 }
 
 TEST(Histogram, RejectsBadSpecsAndEmptyQuantiles) {
@@ -160,28 +145,6 @@ TEST(MetricsRegistry, SampleSnapshotsEveryInstrument) {
   EXPECT_DOUBLE_EQ(registry.series(depth)[0].value, 3.0);
 }
 
-TEST(MetricsRegistry, MergeFoldsByKind) {
-  MetricsRegistry a;
-  a.add(a.counter("n"), 2.0);
-  a.set(a.gauge("peak"), 5.0);
-  a.observe(a.histogram("h"), 1.0);
-
-  MetricsRegistry b;
-  b.add(b.counter("n"), 3.0);
-  b.set(b.gauge("peak"), 4.0);
-  b.observe(b.histogram("h"), 2.0);
-  b.add(b.counter("only_b"), 1.0);
-
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.value(*a.find("n")), 5.0);     // counters sum
-  EXPECT_DOUBLE_EQ(a.value(*a.find("peak")), 5.0);  // gauges high-watermark
-  EXPECT_EQ(a.histogram_at(*a.find("h")).count(), 2u);
-  EXPECT_DOUBLE_EQ(a.value(*a.find("only_b")), 1.0);
-
-  a.merge(a);  // self-merge is a no-op
-  EXPECT_DOUBLE_EQ(a.value(*a.find("n")), 5.0);
-}
-
 TEST(MetricsRegistry, ExportsAreDeterministicAndNameOrdered) {
   const auto build = [] {
     MetricsRegistry registry;
@@ -211,6 +174,18 @@ TEST(MetricsRegistry, ExportsAreDeterministicAndNameOrdered) {
   EXPECT_EQ(json1.str(), json2.str());
   EXPECT_NE(json1.str().find("\"schema\": \"wrht-metrics-1\""),
             std::string::npos);
+}
+
+// Instrument names used to be printed raw, so a quote or backslash in a
+// name broke the document.
+TEST(MetricsRegistry, JsonEscapesInstrumentNames) {
+  MetricsRegistry registry;
+  registry.counter("say \"hi\"\\now");
+  std::ostringstream json;
+  registry.write_json(json);
+  EXPECT_NE(json.str().find(R"("name": "say \"hi\"\\now")"),
+            std::string::npos)
+      << json.str();
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "wrht/collectives/executor.hpp"
 #include "wrht/common/error.hpp"
 #include "wrht/core/analysis.hpp"
@@ -110,6 +112,49 @@ TEST(WrhtSchedule, AllToAllStepIsCompleteExchange) {
     EXPECT_TRUE(t.dst == 2 || t.dst == 7 || t.dst == 12);
     EXPECT_EQ(t.kind, coll::TransferKind::kReduce);
   }
+}
+
+TEST(WrhtSchedule, ExchangeDirectionsTakeShortestArcsAndAlternateTies) {
+  using topo::Direction;
+  // Even ring: the antipodal pairs (i, i + 4) tie. Both transfers of a
+  // tied pair share one direction, and successive ties alternate it.
+  const topo::Ring even(8);
+  bool tie_clockwise = true;
+  std::vector<Direction> ties;
+  for (NodeId a = 0; a < 8; ++a) {
+    for (NodeId b = a + 1; b < 8; ++b) {
+      const auto [forward, backward] =
+          exchange_directions(even, a, b, tie_clockwise);
+      if (b - a == 4) {
+        EXPECT_EQ(forward, backward) << a << "<->" << b;
+        ties.push_back(forward);
+      } else {
+        EXPECT_EQ(forward, b - a < 4 ? Direction::kClockwise
+                                     : Direction::kCounterClockwise)
+            << a << "->" << b;
+        EXPECT_EQ(backward, topo::opposite(forward)) << b << "->" << a;
+      }
+    }
+  }
+  EXPECT_EQ(ties, (std::vector<Direction>{
+                      Direction::kClockwise, Direction::kCounterClockwise,
+                      Direction::kClockwise, Direction::kCounterClockwise}));
+  EXPECT_TRUE(tie_clockwise);
+
+  // Odd ring: no pair ties, so the tie state never moves.
+  const topo::Ring odd(7);
+  tie_clockwise = false;
+  for (NodeId a = 0; a < 7; ++a) {
+    for (NodeId b = a + 1; b < 7; ++b) {
+      const auto [forward, backward] =
+          exchange_directions(odd, a, b, tie_clockwise);
+      EXPECT_EQ(forward, b - a < 4 ? Direction::kClockwise
+                                   : Direction::kCounterClockwise)
+          << a << "->" << b;
+      EXPECT_EQ(backward, topo::opposite(forward)) << b << "->" << a;
+    }
+  }
+  EXPECT_FALSE(tie_clockwise);
 }
 
 TEST(WrhtSchedule, SubRingNodeList) {
