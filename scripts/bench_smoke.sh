@@ -11,16 +11,17 @@
 # would only obscure the culprit. ablation_overlap.csv additionally gets
 # its full column schema pinned here (the overlap/planner columns feed the
 # reconfigure-or-not analysis, and the checked-in reference would follow a
-# silently drifted writer). The two service benches, the utilization,
-# reconfiguration, overlap and RWA ablations, Fig. 4, Fig. 5 and Table 1
-# also run once in full mode (about two seconds together), and their CSVs
-# must equal the checked-in ones byte for byte: admission order, RWA,
-# planning and engine pricing are deterministic, so any difference is a
-# behaviour change. The utilization, reconfiguration and overlap ablations
-# pin what the engines record into occupancy and how they charge
+# silently drifted writer). Every bench but Fig. 6 (11-12 s, ~1 GB, checked
+# by hand) also runs once in full mode (about three seconds together), and
+# its CSV must equal the checked-in one byte for byte: admission order,
+# RWA, planning and engine pricing are deterministic, so any difference is
+# a behaviour change. The utilization, reconfiguration and overlap
+# ablations pin what the engines record into occupancy and how they charge
 # reconfiguration; the RWA ablation pins first-fit and random-fit
 # wavelength assignment, Fig. 4 and Fig. 5 first-fit on WRHT rings up to
-# 256 wavelengths, and Fig. 4 and Table 1 the closed-form WRHT plan.
+# 256 wavelengths, Fig. 4 and Table 1 the closed-form WRHT plan, Fig. 2,
+# Fig. 7 and the all-to-all and rate-convention ablations the optical and
+# electrical engines' pricing.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: ./build)
 set -euo pipefail
@@ -133,14 +134,14 @@ if [[ -f ablation_overlap.csv ]]; then
   echo "OK: ablation_overlap.csv column schema pinned"
 fi
 
-# Full-mode runs: every row of the checked-in policy bake-off, telemetry,
-# utilization, reconfiguration, overlap, RWA, Fig. 4, Fig. 5 and Table 1
-# CSVs must come out byte-identical. They run in their own directory so
-# the tiny-mode artifacts checked below stay untouched.
+# Full-mode runs: every row of every checked-in CSV but Fig. 6 must come
+# out byte-identical. They run in their own directory so the tiny-mode
+# artifacts checked below stay untouched.
 mkdir full
 for b in ablation_svc_policies ablation_svc_telemetry ablation_utilization \
-         ablation_reconfig ablation_overlap ablation_rwa fig4_grouped_nodes \
-         fig5_wavelengths table1_steps; do
+         ablation_reconfig ablation_overlap ablation_rwa ablation_alltoall \
+         ablation_convention fig2_motivating fig4_grouped_nodes \
+         fig5_wavelengths fig7_electrical_vs_optical table1_steps; do
   bin="${BIN_OVERRIDE[$b]:-bench_$b}"
   echo "--- $bin (full)"
   if ! (cd full && "$BUILD_DIR/bench/$bin" > "$bin.log" 2>&1); then

@@ -106,7 +106,8 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
   result.steps = schedule.num_steps();
   result.step_times.reserve(schedule.num_steps());
 
-  const net::RoundRecorder recorder(probe, {"electrical-flow", "none"});
+  const net::RoundRecorder recorder(probe, schedule,
+                                    {"electrical-flow", "none"});
   LinkOccupancy links(probe.occupancy, tree_.num_links());
   double now = 0.0;
   std::size_t step_index = 0;

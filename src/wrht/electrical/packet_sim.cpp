@@ -147,7 +147,8 @@ PacketRunResult PacketLevelNetwork::execute(const coll::Schedule& schedule,
   PacketRunResult result;
   result.steps = schedule.num_steps();
   result.step_times.reserve(schedule.num_steps());
-  const net::RoundRecorder recorder(probe, {"electrical-packet", "none"});
+  const net::RoundRecorder recorder(probe, schedule,
+                                    {"electrical-packet", "none"});
   LinkOccupancy links(probe.occupancy, tree_.num_links());
   net::RoundRouting flows;  // each transfer's last-packet arrival
   double total = 0.0;

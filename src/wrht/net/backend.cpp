@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "wrht/common/error.hpp"
 #include "wrht/obs/analysis.hpp"
 
 namespace wrht::net {
@@ -70,12 +71,29 @@ void RoundRouting::aggregate_channels() {
 }
 
 RoundRecorder::RoundRecorder(const obs::Probe& probe,
+                             const coll::Schedule& schedule,
                              obs::TransferLog::Context context,
                              std::optional<Lightpaths> lightpaths)
     : log_(probe.transfers),
       channels_(lightpaths ? probe.occupancy : nullptr),
       lightpaths_(lightpaths) {
-  if (log_ != nullptr) log_->set_context(std::move(context));
+  // A sink holds one run: a second run's records would merge into the
+  // first's timeline.
+  require(log_ == nullptr || log_->empty(),
+          "RoundRecorder: the transfer log already holds a run");
+  require(probe.occupancy == nullptr || probe.occupancy->empty(),
+          "RoundRecorder: the occupancy sampler already holds a run");
+  if (log_ == nullptr) return;
+  log_->set_context(std::move(context));
+  // Every transfer of a non-empty step is logged once, in one round.
+  std::size_t steps = 0;
+  std::size_t transfers = 0;
+  for (const coll::Step& step : schedule.steps()) {
+    if (step.transfers.empty()) continue;
+    ++steps;
+    transfers += step.transfers.size();
+  }
+  log_->reserve(steps, transfers);
 }
 
 void RoundRecorder::record(const coll::Step& step,
@@ -85,6 +103,7 @@ void RoundRecorder::record(const coll::Step& step,
     log_->step(obs::StepTrace{priced.index, step_label(step, priced.index),
                               priced.start, priced.duration});
     for (const PricedLane& lane : priced.lanes) {
+      const std::uint32_t lane_id = log_->intern_lane(lane.name);
       for (std::uint32_t r = 0; r < lane.rounds.size(); ++r) {
         const PricedRound& round = lane.rounds[r];
         const Seconds payload_start = round.trace.start +
@@ -103,7 +122,7 @@ void RoundRecorder::record(const coll::Step& step,
                                     lightpaths_->bytes_per_second)
                           : routed.duration;
           log_->transfer(obs::TransferTrace{
-              priced.index, lane.name, r, t.src, t.dst, t.count,
+              priced.index, lane_id, r, t.src, t.dst, t.count,
               routed.channel.wavelength, routed.channel.direction,
               payload_start, duration});
         }

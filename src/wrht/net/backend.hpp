@@ -211,10 +211,14 @@ struct Lightpaths {
 /// links.
 class RoundRecorder {
  public:
-  /// Stamps `context` on the probe's transfer log. Optical engines pass
-  /// their `lightpaths`; the electrical fabric passes none, as its
-  /// transfers carry their own durations and it has no channels.
-  RoundRecorder(const obs::Probe& probe, obs::TransferLog::Context context,
+  /// Stamps `context` on the probe's transfer log and sizes it for
+  /// `schedule`, the run to be recorded. Optical engines pass their
+  /// `lightpaths`; the electrical fabric passes none, as its transfers
+  /// carry their own durations and it has no channels. Throws
+  /// InvalidArgument if the probe's transfer log or occupancy sampler
+  /// already holds a run: clear() makes a sink reusable.
+  RoundRecorder(const obs::Probe& probe, const coll::Schedule& schedule,
+                obs::TransferLog::Context context,
                 std::optional<Lightpaths> lightpaths = std::nullopt);
 
   /// Whether record() writes anything; engines describe steps only then.

@@ -48,21 +48,18 @@ UtilizationAnalysis analyze_utilization(const RunReport& report,
   UtilizationAnalysis out;
   const std::size_t num_steps = report.step_reports.size();
   const std::size_t num_res = sampler.num_resources();
-
-  // acc[step * num_res + resource][category] = accounted seconds.
-  std::vector<CategoryTimes> acc(num_steps * num_res, CategoryTimes{});
-  for (std::size_t r = 0; r < num_res; ++r) {
-    for (const OccInterval& i : sampler.intervals(static_cast<std::uint32_t>(r))) {
-      if (i.step >= num_steps) continue;
-      acc[i.step * num_res + r][static_cast<std::size_t>(i.category)] +=
-          i.duration.count();
-    }
-  }
-
   out.step_breakdowns.reserve(num_steps);
   out.critical_path.reserve(num_steps);
   double slack_free = 0.0;
-  for (std::size_t s = 0; s < num_steps; ++s) {
+
+  // One pass over the store, which holds records in step order. `row`
+  // accumulates the current step's seconds per (resource, category);
+  // `totals` the whole run's, including records past the report's last
+  // step. Each cell adds its intervals in record order.
+  std::vector<CategoryTimes> row(num_res, CategoryTimes{});
+  std::vector<CategoryTimes> totals(num_res, CategoryTimes{});
+  std::size_t s = 0;  // the step `row` holds
+  const auto close_step = [&] {
     const StepReport& step = report.step_reports[s];
 
     // Mean over all observed resources; idle is the complement, so the
@@ -71,7 +68,7 @@ UtilizationAnalysis analyze_utilization(const RunReport& report,
     std::size_t critical = num_res;  // sentinel: nothing observed
     double critical_accounted = -1.0;
     for (std::size_t r = 0; r < num_res; ++r) {
-      const CategoryTimes& t = acc[s * num_res + r];
+      const CategoryTimes& t = row[r];
       double accounted = 0.0;
       for (std::size_t c = 0; c < kOccCategoryCount; ++c) {
         mean[c] += t[c];
@@ -94,15 +91,27 @@ UtilizationAnalysis analyze_utilization(const RunReport& report,
     if (critical < num_res) {
       edge.resource = sampler.name(static_cast<std::uint32_t>(critical));
       edge.transmission = Seconds(
-          acc[s * num_res + critical]
-             [static_cast<std::size_t>(OccCategory::kTransmission)]);
+          row[critical][static_cast<std::size_t>(OccCategory::kTransmission)]);
     } else {
       edge.resource = "(unobserved)";
     }
     slack_free += edge.transmission.count();
     out.critical_path_length += edge.duration;
     out.critical_path.push_back(std::move(edge));
+
+    std::fill(row.begin(), row.end(), CategoryTimes{});
+    ++s;
+  };
+  for (const std::vector<OccInterval>& block : sampler.blocks()) {
+    for (const OccInterval& i : block) {
+      const auto category = static_cast<std::size_t>(i.category);
+      totals[i.resource][category] += i.duration.count();
+      if (i.step >= num_steps) continue;
+      while (s < i.step) close_step();
+      row[i.resource][category] += i.duration.count();
+    }
   }
+  while (s < num_steps) close_step();
 
   for (const TimeBreakdown& b : out.step_breakdowns) out.breakdown += b;
   if (report.total_time.count() > 0.0) {
@@ -116,13 +125,8 @@ UtilizationAnalysis analyze_utilization(const RunReport& report,
   out.resources.reserve(num_res);
   for (std::size_t r = 0; r < num_res; ++r) {
     ResourceUtilization u;
-    const auto ref = static_cast<std::uint32_t>(r);
-    u.name = sampler.name(ref);
-    CategoryTimes t{};
-    for (const OccInterval& i : sampler.intervals(ref)) {
-      t[static_cast<std::size_t>(i.category)] += i.duration.count();
-    }
-    u.breakdown = from_categories(t, report.total_time.count());
+    u.name = sampler.name(static_cast<std::uint32_t>(r));
+    u.breakdown = from_categories(totals[r], report.total_time.count());
     if (report.total_time.count() > 0.0) {
       u.utilization = u.breakdown.transmission.count() /
                       report.total_time.count();

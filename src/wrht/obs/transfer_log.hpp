@@ -14,10 +14,18 @@
 // step once and the recorder stamps the context and appends the step, its
 // rounds and their transfers. Like every Probe member the sink is null by
 // default, so unobserved runs cost nothing.
+//
+// Transfers are most of a log (one per schedule transfer, millions on an
+// N=1024 ring), so a TransferTrace is a trivially copyable 56 bytes: it
+// names its lane by an index into the log's interned lane table instead
+// of by a string. Step and round records, at most one of each per round,
+// keep their strings.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "wrht/common/units.hpp"
@@ -64,7 +72,9 @@ struct RoundTrace {
 /// One transfer inside a round, with its routing assignment.
 struct TransferTrace {
   std::uint32_t step = 0;
-  std::string lane;
+  /// The round's lane, as an index into the log's lane table: read the
+  /// name with TransferLog::lane().
+  std::uint32_t lane = 0;
   std::uint32_t round = 0;
   std::uint32_t src = 0;
   std::uint32_t dst = 0;
@@ -92,9 +102,29 @@ class TransferLog {
   void set_context(Context context) { context_ = std::move(context); }
   [[nodiscard]] const Context& context() const { return context_; }
 
+  /// Sizes the step and transfer lists for a run that appends `steps`
+  /// steps and `transfers` transfers, so they are written once and never
+  /// regrown.
+  void reserve(std::size_t steps, std::size_t transfers) {
+    steps_.reserve(steps);
+    transfers_.reserve(transfers);
+  }
+
   void step(StepTrace s) { steps_.push_back(std::move(s)); }
   void round(RoundTrace r) { rounds_.push_back(std::move(r)); }
-  void transfer(TransferTrace t) { transfers_.push_back(std::move(t)); }
+  void transfer(const TransferTrace& t) { transfers_.push_back(t); }
+
+  /// The lane-table index of `name`, registering it on first use.
+  [[nodiscard]] std::uint32_t intern_lane(std::string_view name) {
+    const auto [it, added] = lane_index_.try_emplace(
+        std::string(name), static_cast<std::uint32_t>(lanes_.size()));
+    if (added) lanes_.push_back(it->first);
+    return it->second;
+  }
+  /// The name of interned lane `id` (a TransferTrace::lane).
+  [[nodiscard]] const std::string& lane(std::uint32_t id) const {
+    return lanes_.at(id);
+  }
 
   [[nodiscard]] const std::vector<StepTrace>& steps() const { return steps_; }
   [[nodiscard]] const std::vector<RoundTrace>& rounds() const {
@@ -108,10 +138,14 @@ class TransferLog {
     return steps_.empty() && rounds_.empty() && transfers_.empty();
   }
 
+  /// Empties the log, lane table and context for another run.
   void clear() {
+    context_ = Context{};
     steps_.clear();
     rounds_.clear();
     transfers_.clear();
+    lanes_.clear();
+    lane_index_.clear();
   }
 
  private:
@@ -119,6 +153,8 @@ class TransferLog {
   std::vector<StepTrace> steps_;
   std::vector<RoundTrace> rounds_;
   std::vector<TransferTrace> transfers_;
+  std::vector<std::string> lanes_;
+  std::unordered_map<std::string, std::uint32_t> lane_index_;
 };
 
 }  // namespace wrht::obs

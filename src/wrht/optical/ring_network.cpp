@@ -169,7 +169,7 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
           "RingNetwork: schedule spans more nodes than the ring");
   schedule.validate();
   const net::RoundRecorder recorder(
-      probe,
+      probe, schedule,
       {"optical-ring", net::to_string(config_.reconfig_policy),
        config_.mrr_reconfig_delay, config_.oeo_delay},
       net::Lightpaths{config_.bytes_per_element, config_.bytes_per_second(),

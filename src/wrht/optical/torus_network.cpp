@@ -43,7 +43,7 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
   const bool overlapped =
       config_.reconfig_policy == net::ReconfigPolicy::kOverlapped;
   const net::RoundRecorder recorder(
-      probe,
+      probe, schedule,
       {"optical-torus", net::to_string(config_.reconfig_policy),
        config_.mrr_reconfig_delay, config_.oeo_delay},
       net::Lightpaths{config_.bytes_per_element, config_.bytes_per_second(),

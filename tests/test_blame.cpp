@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "wrht/collectives/ring_allreduce.hpp"
+#include "wrht/common/error.hpp"
 #include "wrht/core/torus_wrht.hpp"
 #include "wrht/core/wrht_schedule.hpp"
 #include "wrht/diag/blame_json.hpp"
@@ -106,6 +107,27 @@ TEST(Blame, IdentityHoldsOnElectricalPacket) {
   const auto res = net.execute(coll::ring_allreduce(16, 256), probe);
   expect_identity(log, res.total_time, "packet");
   EXPECT_EQ(build_blame(log).backend, "electrical-packet");
+}
+
+TEST(Blame, SecondRunOnOneLogIsRejected) {
+  // A log holds one run: a second run would merge into the first's
+  // timeline (blame totals twice the makespan over twice the steps, and
+  // the identity still balances).
+  const coll::Schedule sched = coll::ring_allreduce(16, 64);
+  const optics::RingNetwork net(16, ring_cfg(4));
+  obs::TransferLog log;
+  obs::Probe probe;
+  probe.transfers = &log;
+  const Seconds total = net.execute(sched, probe).total_time;
+  const std::size_t steps = log.steps().size();
+  EXPECT_THROW((void)net.execute(sched, probe), InvalidArgument);
+
+  log.clear();
+  EXPECT_TRUE(log.empty());
+  (void)net.execute(sched, probe);
+  EXPECT_EQ(log.steps().size(), steps);
+  expect_identity(log, total, "cleared log");
+  EXPECT_EQ(log.lane(log.transfers().front().lane), "ring");
 }
 
 TEST(Blame, TorusLanesAreSeparated) {

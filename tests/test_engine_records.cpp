@@ -10,7 +10,9 @@
 // The second test checks that the sinks do not interact: each sink's
 // output is the same whether it is attached alone or with the others, and
 // a backend whose pattern cache was filled by an unobserved or a
-// counters-only run records the same as a fresh one.
+// counters-only run records the same as a fresh one. The last two pin the
+// transfer log's compact layout: trivially copyable transfers naming
+// their round's lane by index, in lists sized once from the schedule.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -18,9 +20,12 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "wrht/collectives/btree_allreduce.hpp"
@@ -79,7 +84,8 @@ std::uint64_t digest(const obs::TransferLog& log) {
   }
   d.add(static_cast<std::uint64_t>(log.transfers().size()));
   for (const obs::TransferTrace& t : log.transfers()) {
-    d.add(std::uint64_t{t.step}).add(t.lane).add(std::uint64_t{t.round});
+    d.add(std::uint64_t{t.step}).add(log.lane(t.lane));
+    d.add(std::uint64_t{t.round});
     d.add(std::uint64_t{t.src}).add(std::uint64_t{t.dst}).add(t.elements);
     d.add(std::uint64_t{t.wavelength}).add(std::uint64_t{t.direction});
     d.add(t.start).add(t.duration);
@@ -491,6 +497,49 @@ TEST(EngineRecords, EachSinkRecordsTheSameAloneAsWithTheOthers) {
       EXPECT_EQ(again.trace, all.trace);
       EXPECT_EQ(again.report, all.report);
     }
+  }
+}
+
+static_assert(std::is_trivially_copyable_v<obs::TransferTrace>);
+static_assert(sizeof(obs::TransferTrace) <= 56);
+
+TEST(EngineRecords, TransferLogIsSizedOnceFromTheSchedule) {
+  for (const Case& c : all_cases()) {
+    SCOPED_TRACE(c.name);
+    const coll::Schedule schedule = c.schedule();
+    obs::TransferLog log;
+    obs::Probe probe;
+    probe.transfers = &log;
+    (void)make_backend(c)->execute_at(schedule, probe, c.start);
+    ASSERT_FALSE(log.transfers().empty());
+    EXPECT_EQ(log.transfers().capacity(), log.transfers().size());
+    EXPECT_EQ(log.steps().capacity(), log.steps().size());
+  }
+}
+
+TEST(EngineRecords, TorusTransfersNameTheLaneOfTheirRound) {
+  for (const std::uint32_t w : {8u, 2u}) {
+    Case c;
+    c.engine = Engine::kTorus;
+    c.wavelengths = w;
+    const coll::Schedule schedule = torus_wrht(8);
+    obs::TransferLog log;
+    obs::Probe probe;
+    probe.transfers = &log;
+    (void)make_backend(c)->execute(schedule, probe);
+    std::set<std::tuple<std::uint32_t, std::string, std::uint32_t>> rounds;
+    for (const obs::RoundTrace& r : log.rounds()) {
+      rounds.emplace(r.step, r.lane, r.round);
+    }
+    std::set<std::string> lanes;
+    for (const obs::TransferTrace& t : log.transfers()) {
+      lanes.insert(log.lane(t.lane));
+      EXPECT_TRUE(rounds.contains({t.step, log.lane(t.lane), t.round}))
+          << "w=" << w << " step " << t.step << " lane " << log.lane(t.lane)
+          << " round " << t.round;
+    }
+    // Both dimensions' rings carry transfers.
+    EXPECT_GT(lanes.size(), 2u) << "w=" << w;
   }
 }
 

@@ -3,15 +3,23 @@
 // the run's wall clock, and the derived per-step breakdown tiles each
 // step's duration exactly. The thread-count test pins the determinism
 // contract: utilization analytics through exp::SweepRunner are identical
-// regardless of WRHT_SWEEP_THREADS.
+// regardless of WRHT_SWEEP_THREADS. The streaming tests pin
+// analyze_utilization's one pass over the record store bit for bit to the
+// dense steps x resources table it replaced.
 #include "wrht/obs/occupancy.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "wrht/collectives/ring_allreduce.hpp"
+#include "wrht/common/error.hpp"
+#include "wrht/common/rng.hpp"
 #include "wrht/core/planner.hpp"
 #include "wrht/core/torus_wrht.hpp"
 #include "wrht/core/wrht_schedule.hpp"
@@ -58,7 +66,7 @@ TEST(OccupancySampler, CoalescesBackToBackSlices) {
   s.record(r, 0, Seconds(0.0), Seconds(1e-6), kTx);
   s.record(r, 0, Seconds(1e-6), Seconds(2e-6), kTx);
   ASSERT_EQ(s.intervals(r).size(), 1u);
-  EXPECT_DOUBLE_EQ(s.intervals(r)[0].duration.count(), 3e-6);
+  EXPECT_DOUBLE_EQ(s.intervals(r).front().duration.count(), 3e-6);
   // Category change breaks the merge even when contiguous.
   s.record(r, 0, Seconds(3e-6), Seconds(1e-6), kRetune);
   EXPECT_EQ(s.intervals(r).size(), 2u);
@@ -79,6 +87,55 @@ TEST(OccupancySampler, RecordedSumsPerCategory) {
   EXPECT_EQ(s.num_resources(), 0u);
 }
 
+TEST(OccupancySampler, RejectsAStepAfterALaterOne) {
+  OccupancySampler s;
+  const auto a = s.resource("a");
+  const auto b = s.resource("b");
+  s.record(a, 2, Seconds(0.0), Seconds(1e-6), kTx);
+  s.record(b, 2, Seconds(0.0), Seconds(1e-6), kTx);
+  EXPECT_THROW(s.record(b, 1, Seconds(2e-6), Seconds(1e-6), kTx),
+               InvalidArgument);
+  // Dropped (zero-length) records obey the order too.
+  s.record(a, 3, Seconds(2e-6), Seconds(0.0), kTx);
+  EXPECT_THROW(s.record(a, 2, Seconds(2e-6), Seconds(1e-6), kTx),
+               InvalidArgument);
+  s.clear();
+  const auto c = s.resource("c");
+  s.record(c, 0, Seconds(0.0), Seconds(1e-6), kTx);
+  EXPECT_EQ(s.intervals(c).size(), 1u);
+}
+
+TEST(OccupancySampler, IntervalsViewWalksOneResourceAcrossBlocks) {
+  // Two resources interleaved over more than two blocks: each view yields
+  // its own records in record order, and its size is its record count.
+  OccupancySampler s;
+  const auto even = s.resource("even");
+  const auto odd = s.resource("odd");
+  const std::size_t records = 2 * OccupancySampler::kBlockRecords + 7;
+  for (std::size_t i = 0; i < records; ++i) {
+    // Gaps between a resource's records keep them from coalescing.
+    s.record(i % 2 == 0 ? even : odd, static_cast<std::uint32_t>(i / 2),
+             Seconds(static_cast<double>(i)), Seconds(0.5), kTx);
+  }
+  ASSERT_EQ(s.blocks().size(), 3u);
+  EXPECT_EQ(s.blocks()[0].size(), OccupancySampler::kBlockRecords);
+  EXPECT_EQ(s.blocks()[2].size(), 7u);
+  for (const auto ref : {even, odd}) {
+    const OccupancySampler::Intervals view = s.intervals(ref);
+    EXPECT_EQ(view.size(), (records + 1 - ref) / 2);
+    std::size_t seen = 0;
+    for (const OccInterval& i : view) {
+      EXPECT_EQ(i.resource, ref);
+      EXPECT_EQ(i.start.count(), static_cast<double>(2 * seen + ref));
+      ++seen;
+    }
+    EXPECT_EQ(seen, view.size());
+  }
+}
+
+// The resource ref sits in what would be tail padding.
+static_assert(sizeof(OccInterval) == 32);
+
 // ------------------------------------------- engine-recorded invariants
 
 /// Sorted-by-start intervals of `ref` must tile without overlap, and the
@@ -90,7 +147,8 @@ void expect_valid_timelines(const OccupancySampler& sampler,
   const double eps = 1e-12 * (1.0 + total_time);
   for (OccupancySampler::ResourceRef ref = 0; ref < sampler.num_resources();
        ++ref) {
-    std::vector<OccInterval> sorted = sampler.intervals(ref);
+    const OccupancySampler::Intervals view = sampler.intervals(ref);
+    std::vector<OccInterval> sorted(view.begin(), view.end());
     std::sort(sorted.begin(), sorted.end(),
               [](const OccInterval& a, const OccInterval& b) {
                 return a.start.count() < b.start.count();
@@ -193,6 +251,297 @@ TEST(EngineOccupancy, ElectricalPacketRecordsValidTimelines) {
   RunReport report = net.execute(sched, probe).to_report();
   expect_valid_timelines(sampler, report.total_time.count());
   expect_accounting_identities(report, attach_utilization(report, sampler));
+}
+
+TEST(EngineOccupancy, SecondRunOnOneSamplerIsRejected) {
+  // A sampler holds one run: a second run would merge both runs' records
+  // (transmission and utilization read double).
+  const coll::Schedule sched = coll::ring_allreduce(16, 64);
+  const optics::RingNetwork net(16,
+                                optics::OpticalConfig{}.with_wavelengths(4));
+  OccupancySampler sampler;
+  Probe probe;
+  probe.occupancy = &sampler;
+  const RunReport first = net.execute(sched, probe).to_report();
+  const UtilizationAnalysis alone = analyze_utilization(first, sampler);
+  EXPECT_THROW((void)net.execute(sched, probe), InvalidArgument);
+
+  sampler.clear();
+  const RunReport again = net.execute(sched, probe).to_report();
+  const UtilizationAnalysis cleared = analyze_utilization(again, sampler);
+  EXPECT_EQ(cleared.breakdown.transmission.count(),
+            alone.breakdown.transmission.count());
+  EXPECT_EQ(cleared.utilization, alone.utilization);
+}
+
+// ------------------------------- streaming analysis == the dense table
+
+/// analyze_utilization as it was before the record store: a dense
+/// acc[step x resource] table filled resource by resource, then read step
+/// by step. The streaming pass must equal it bit for bit.
+UtilizationAnalysis reference_analyze(const RunReport& report,
+                                      const OccupancySampler& sampler) {
+  using CategoryTimes = std::array<double, kOccCategoryCount>;
+  const auto from_categories = [](const CategoryTimes& t, double interval) {
+    TimeBreakdown b;
+    b.transmission = Seconds(t[0]);
+    b.reconfiguration = Seconds(t[1]);
+    b.conversion = Seconds(t[2]);
+    b.processing = Seconds(t[3]);
+    b.straggler_wait = Seconds(t[4]);
+    const double idle = interval - b.accounted().count();
+    b.idle = Seconds(idle < 0.0 ? 0.0 : idle);
+    return b;
+  };
+  UtilizationAnalysis out;
+  const std::size_t num_steps = report.step_reports.size();
+  const std::size_t num_res = sampler.num_resources();
+  std::vector<CategoryTimes> acc(num_steps * num_res, CategoryTimes{});
+  for (std::size_t r = 0; r < num_res; ++r) {
+    for (const OccInterval& i :
+         sampler.intervals(static_cast<std::uint32_t>(r))) {
+      if (i.step >= num_steps) continue;
+      acc[i.step * num_res + r][static_cast<std::size_t>(i.category)] +=
+          i.duration.count();
+    }
+  }
+  double slack_free = 0.0;
+  for (std::size_t s = 0; s < num_steps; ++s) {
+    const StepReport& step = report.step_reports[s];
+    CategoryTimes mean{};
+    std::size_t critical = num_res;
+    double critical_accounted = -1.0;
+    for (std::size_t r = 0; r < num_res; ++r) {
+      const CategoryTimes& t = acc[s * num_res + r];
+      double accounted = 0.0;
+      for (std::size_t c = 0; c < kOccCategoryCount; ++c) {
+        mean[c] += t[c];
+        accounted += t[c];
+      }
+      if (accounted > critical_accounted) {
+        critical_accounted = accounted;
+        critical = r;
+      }
+    }
+    if (num_res > 0) {
+      for (double& c : mean) c /= static_cast<double>(num_res);
+    }
+    out.step_breakdowns.push_back(
+        from_categories(mean, step.duration.count()));
+    CriticalPathEntry edge;
+    edge.step = static_cast<std::uint32_t>(s);
+    edge.label = step.label;
+    edge.duration = step.duration;
+    if (critical < num_res) {
+      edge.resource = sampler.name(static_cast<std::uint32_t>(critical));
+      edge.transmission = Seconds(acc[s * num_res + critical][0]);
+    } else {
+      edge.resource = "(unobserved)";
+    }
+    slack_free += edge.transmission.count();
+    out.critical_path_length += edge.duration;
+    out.critical_path.push_back(edge);
+  }
+  for (const TimeBreakdown& b : out.step_breakdowns) out.breakdown += b;
+  if (report.total_time.count() > 0.0) {
+    out.utilization =
+        out.breakdown.transmission.count() / report.total_time.count();
+  }
+  if (out.critical_path_length.count() > 0.0) {
+    out.slack_free_fraction = slack_free / out.critical_path_length.count();
+  }
+  for (std::size_t r = 0; r < num_res; ++r) {
+    const auto ref = static_cast<std::uint32_t>(r);
+    CategoryTimes t{};
+    for (const OccInterval& i : sampler.intervals(ref)) {
+      t[static_cast<std::size_t>(i.category)] += i.duration.count();
+    }
+    ResourceUtilization u;
+    u.name = sampler.name(ref);
+    u.breakdown = from_categories(t, report.total_time.count());
+    if (report.total_time.count() > 0.0) {
+      u.utilization =
+          u.breakdown.transmission.count() / report.total_time.count();
+    }
+    out.resources.push_back(u);
+  }
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+std::uint64_t bits(Seconds v) { return bits(v.count()); }
+
+void expect_same_bits(const TimeBreakdown& a, const TimeBreakdown& b,
+                      const std::string& where) {
+  EXPECT_EQ(bits(a.transmission), bits(b.transmission)) << where;
+  EXPECT_EQ(bits(a.reconfiguration), bits(b.reconfiguration)) << where;
+  EXPECT_EQ(bits(a.conversion), bits(b.conversion)) << where;
+  EXPECT_EQ(bits(a.processing), bits(b.processing)) << where;
+  EXPECT_EQ(bits(a.straggler_wait), bits(b.straggler_wait)) << where;
+  EXPECT_EQ(bits(a.idle), bits(b.idle)) << where;
+}
+
+void expect_same_analysis(const UtilizationAnalysis& got,
+                          const UtilizationAnalysis& want,
+                          const std::string& where) {
+  expect_same_bits(got.breakdown, want.breakdown, where + " run");
+  EXPECT_EQ(bits(got.utilization), bits(want.utilization)) << where;
+  EXPECT_EQ(bits(got.slack_free_fraction), bits(want.slack_free_fraction))
+      << where;
+  EXPECT_EQ(bits(got.critical_path_length), bits(want.critical_path_length))
+      << where;
+  ASSERT_EQ(got.step_breakdowns.size(), want.step_breakdowns.size()) << where;
+  for (std::size_t s = 0; s < want.step_breakdowns.size(); ++s) {
+    expect_same_bits(got.step_breakdowns[s], want.step_breakdowns[s],
+                     where + " step " + std::to_string(s));
+  }
+  ASSERT_EQ(got.critical_path.size(), want.critical_path.size()) << where;
+  for (std::size_t s = 0; s < want.critical_path.size(); ++s) {
+    const CriticalPathEntry& g = got.critical_path[s];
+    const CriticalPathEntry& w = want.critical_path[s];
+    const std::string at = where + " edge " + std::to_string(s);
+    EXPECT_EQ(g.step, w.step) << at;
+    EXPECT_EQ(g.label, w.label) << at;
+    EXPECT_EQ(g.resource, w.resource) << at;
+    EXPECT_EQ(bits(g.duration), bits(w.duration)) << at;
+    EXPECT_EQ(bits(g.transmission), bits(w.transmission)) << at;
+  }
+  ASSERT_EQ(got.resources.size(), want.resources.size()) << where;
+  for (std::size_t r = 0; r < want.resources.size(); ++r) {
+    const std::string at = where + " resource " + want.resources[r].name;
+    EXPECT_EQ(got.resources[r].name, want.resources[r].name) << at;
+    expect_same_bits(got.resources[r].breakdown, want.resources[r].breakdown,
+                     at);
+    EXPECT_EQ(bits(got.resources[r].utilization),
+              bits(want.resources[r].utilization))
+        << at;
+  }
+}
+
+/// A seeded sampler and the report it is analyzed against. Records run
+/// two steps past the report's last; some steps are empty, some resources
+/// silent in a step; slices are sometimes back to back (coalesced) and
+/// sometimes of zero or negative length (dropped). With `twins`, every
+/// odd resource repeats its even neighbour's records, so the critical
+/// path has ties to break.
+struct Seeded {
+  OccupancySampler sampler;
+  RunReport report;
+  std::size_t positive = 0;  ///< records sent with a positive duration
+  std::size_t dropped = 0;   ///< records sent with a zero or negative one
+};
+
+void fill_seeded(Seeded& out, std::uint64_t seed, std::size_t num_res,
+                 std::size_t num_steps, bool twins) {
+  Rng rng(seed);
+  std::vector<OccupancySampler::ResourceRef> refs;
+  for (std::size_t r = 0; r < num_res; ++r) {
+    refs.push_back(out.sampler.resource("res" + std::to_string(r)));
+  }
+  double clock = 0.0;
+  for (std::size_t s = 0; s < num_steps + 2; ++s) {
+    const auto step = static_cast<std::uint32_t>(s);
+    const double step_len = rng.uniform_real(1e-6, 1e-4);
+    const bool empty_step = rng.uniform_int(0, 4) == 0;
+    for (std::size_t r = 0; r < num_res && !empty_step; ++r) {
+      if (twins && r % 2 == 1) continue;
+      if (rng.uniform_int(0, 3) == 0) continue;  // silent this step
+      double at = clock;
+      const std::uint64_t slices = rng.uniform_int(1, 5);
+      for (std::uint64_t k = 0; k < slices; ++k) {
+        const auto category =
+            static_cast<OccCategory>(rng.uniform_int(0, kOccCategoryCount - 1));
+        double duration = rng.uniform_real(0.0, step_len / 4.0);
+        const std::uint64_t kind = rng.uniform_int(0, 9);
+        if (kind == 0) duration = 0.0;
+        if (kind == 1) duration = -duration;
+        const std::uint32_t concurrency =
+            static_cast<std::uint32_t>(rng.uniform_int(1, 2));
+        // Back to back with the previous slice (which coalesces when the
+        // kind matches), or after a gap.
+        if (rng.uniform_int(0, 2) == 0) at += rng.uniform_real(0.0, 1e-6);
+        const std::size_t copies = twins && r + 1 < num_res ? 2 : 1;
+        for (std::size_t c = 0; c < copies; ++c) {
+          out.sampler.record(refs[r + c], step, Seconds(at),
+                             Seconds(duration), category, concurrency);
+          ++(duration > 0.0 ? out.positive : out.dropped);
+        }
+        if (duration > 0.0) at += duration;
+      }
+    }
+    if (s < num_steps) {
+      StepReport report_step;
+      report_step.label = "step " + std::to_string(s);
+      report_step.start = Seconds(clock);
+      report_step.duration = Seconds(step_len);
+      out.report.step_reports.push_back(report_step);
+      out.report.total_time += Seconds(step_len);
+    }
+    clock += step_len;
+  }
+  out.report.steps = num_steps;
+}
+
+TEST(UtilizationStream, EqualsTheDenseTableBitForBit) {
+  struct Shape {
+    std::size_t resources;
+    std::size_t steps;
+    bool twins;
+  };
+  const Shape shapes[] = {{0, 4, false}, {1, 6, false},  {3, 1, false},
+                          {5, 0, false}, {17, 12, false}, {40, 9, false},
+                          {8, 10, true}, {17, 7, true}};
+  for (const Shape& shape : shapes) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Seeded seeded;
+      fill_seeded(seeded, seed, shape.resources, shape.steps, shape.twins);
+      const std::string where = std::to_string(shape.resources) + "x" +
+                                std::to_string(shape.steps) +
+                                (shape.twins ? " twins" : "") + " seed " +
+                                std::to_string(seed);
+      expect_same_analysis(analyze_utilization(seeded.report, seeded.sampler),
+                           reference_analyze(seeded.report, seeded.sampler),
+                           where);
+    }
+  }
+}
+
+TEST(UtilizationStream, SeededSamplersCoverEveryCase) {
+  // The equality above is only as strong as its samplers: check that they
+  // hold each case the streaming pass must get right.
+  std::size_t past_end = 0;
+  std::size_t empty_steps = 0;
+  std::size_t silent = 0;
+  std::size_t coalesced = 0;
+  std::size_t dropped = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Seeded seeded;
+    fill_seeded(seeded, seed, 17, 12, false);
+    std::vector<std::vector<bool>> heard(12, std::vector<bool>(17, false));
+    for (const auto& block : seeded.sampler.blocks()) {
+      for (const OccInterval& i : block) {
+        if (i.step >= 12) {
+          ++past_end;
+          continue;
+        }
+        heard[i.step][i.resource] = true;
+      }
+    }
+    for (const auto& step : heard) {
+      const auto count = std::count(step.begin(), step.end(), true);
+      empty_steps += count == 0 ? 1 : 0;
+      silent += count > 0 && count < 17 ? 1 : 0;
+    }
+    std::size_t kept = 0;
+    for (const auto& block : seeded.sampler.blocks()) kept += block.size();
+    coalesced += seeded.positive - kept;
+    dropped += seeded.dropped;
+  }
+  EXPECT_GT(past_end, 0u);
+  EXPECT_GT(empty_steps, 0u);
+  EXPECT_GT(silent, 0u);
+  EXPECT_GT(coalesced, 0u);
+  EXPECT_GT(dropped, 0u);
 }
 
 // --------------------------------------------- sweep-level determinism
