@@ -8,12 +8,13 @@
 //   $ ./wrht_analyze --service EVENTS.jsonl
 //
 // Defaults reproduce a Fig. 5 configuration (N = 1024, w = 64, WRHT on the
-// optical ring). The tool double-checks the accounting identities the
-// analysis layer guarantees — breakdown sums to total_time and the
-// critical path tiles the run — and fails loudly if either drifts, so the
-// example smoke test doubles as an acceptance check. --json additionally
-// dumps the machine-readable RunReport (steps, counters, utilization) to
-// PATH for downstream tooling.
+// optical ring). With the optical-torus backend, `wrht` is the torus WRHT
+// of §6.1 on the torus shape that backend picks. The tool double-checks
+// the accounting identities the analysis layer guarantees — breakdown
+// sums to total_time and the critical path tiles the run — and fails
+// loudly if either drifts, so the example smoke test doubles as an
+// acceptance check. --json additionally dumps the machine-readable
+// RunReport (steps, counters, utilization) to PATH for downstream tooling.
 //
 // --service switches to post-hoc service analysis: it replays a
 // svc-events-1 JSONL event log (written by `wrht_svc --events` or the
@@ -52,6 +53,7 @@
 #include "wrht/collectives/registry.hpp"
 #include "wrht/common/error.hpp"
 #include "wrht/core/planner.hpp"
+#include "wrht/core/torus_wrht.hpp"
 #include "wrht/diag/blame.hpp"
 #include "wrht/diag/blame_json.hpp"
 #include "wrht/exp/sweep.hpp"
@@ -62,6 +64,7 @@
 #include "wrht/obs/trace_json.hpp"
 #include "wrht/obs/transfer_log.hpp"
 #include "wrht/svc/replay.hpp"
+#include "wrht/topo/torus.hpp"
 #include "wrht/verify/blame.hpp"
 
 namespace {
@@ -165,15 +168,28 @@ int run(int argc, char** argv) {
 
   exp::ensure_initialized();  // WRHT algorithm + builtin backends
 
-  coll::AllreduceParams params;
-  params.num_nodes = nodes;
-  params.elements = elements;
-  params.wavelengths = wavelengths;
-  if (algorithm == "wrht") {
-    params.group_size = core::plan_wrht(nodes, wavelengths).group_size;
-  }
-  const coll::Schedule schedule =
-      coll::Registry::instance().build(algorithm, params);
+  // The registry's `wrht` is the flat-ring builder, whose transfers cross
+  // both torus dimensions; on the torus, `wrht` is the dimension-aware
+  // torus WRHT (§6.1) on the shape the optical-torus factory picks.
+  const coll::Schedule schedule = [&] {
+    if (algorithm == "wrht" && backend_name == "optical-torus") {
+      const auto [rows, cols] = topo::near_square(nodes);
+      const topo::Torus torus(rows, cols);
+      core::WrhtOptions row_options;
+      row_options.wavelengths = wavelengths;
+      row_options.group_size =
+          core::plan_wrht(torus.cols(), wavelengths).group_size;
+      return core::torus_wrht_allreduce(torus, elements, row_options);
+    }
+    coll::AllreduceParams params;
+    params.num_nodes = nodes;
+    params.elements = elements;
+    params.wavelengths = wavelengths;
+    if (algorithm == "wrht") {
+      params.group_size = core::plan_wrht(nodes, wavelengths).group_size;
+    }
+    return coll::Registry::instance().build(algorithm, params);
+  }();
 
   net::BackendConfig config;
   config.num_nodes = nodes;

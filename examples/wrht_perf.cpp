@@ -10,11 +10,13 @@
 //               [--baseline PATH] [--write-baseline PATH] [--drift X]
 //
 // --scale swaps in the scale-suite (BENCH_scale.json): a 10^5-node WRHT
-// schedule build, its element-rescale patch, large-step RWA, and a sweep
-// whose grid volume (points x max N) must be at least 10x the micro-suite
-// sweep's — the arena + incremental-cache work is what keeps it at
-// micro-sweep wall-clock, and the harness exits 1 if the volume floor is
-// not met (bench/baselines/scale{,-tiny}.baseline ratchet the wall times).
+// schedule build, its element-rescale patch, an N=1024 Ring All-reduce
+// build at ResNet-50 size, the oracle over the WRHT build, large-step
+// RWA, and a sweep whose grid volume (points x max N) must be at least
+// 10x the micro-suite sweep's — the arena + incremental-cache work is
+// what keeps it at micro-sweep wall-clock, and the harness exits 1 if the
+// volume floor is not met (bench/baselines/scale{,-tiny}.baseline
+// ratchet the wall times).
 // --tiny shrinks every workload to CI-smoke scale (same metric names, so
 // tiny runs compare against tiny baselines — bench/baselines/
 // micro-tiny.baseline — and full runs against micro.baseline).
@@ -138,6 +140,7 @@ int run_scale(const Options& opt) {
   const std::uint32_t big_n = opt.tiny ? 20000 : 100000;
   const std::uint32_t big_w = 64;
   const std::uint32_t rwa_n = opt.tiny ? 1024 : 4096;
+  const std::uint32_t ring_n = opt.tiny ? 256 : 1024;
   // The micro-suite sweep's grid volume: 1 workload x 2 node counts x 3
   // series at max N 64 (full) / 16 (tiny) = 6 points -> 384 / 96.
   const std::size_t micro_sweep_volume = opt.tiny ? 96 : 384;
@@ -174,11 +177,12 @@ int run_scale(const Options& opt) {
       report.add_sample_metrics("schedule_build_large.wall_s", samples, "s");
     }
 
+    const coll::Schedule big = core::wrht_allreduce(
+        big_n, 1, core::WrhtOptions{big_plan.group_size, big_w});
+
     // Element-rescale patch of the big build: the incremental-cache hot
     // path (copy + rescale to ResNet-50's 25.5M parameters).
     {
-      const coll::Schedule big = core::wrht_allreduce(
-          big_n, 1, core::WrhtOptions{big_plan.group_size, big_w});
       std::vector<double> samples;
       samples.reserve(opt.reps);
       for (std::uint32_t r = 0; r < opt.reps; ++r) {
@@ -189,6 +193,36 @@ int run_scale(const Options& opt) {
         }));
       }
       report.add_sample_metrics("rescale_patch_large.wall_s", samples, "s");
+    }
+
+    // Ring All-reduce build at ResNet-50 size: the baseline every Fig. 5
+    // and Fig. 7 point sets against WRHT, 2(N-1) x N transfers (2.1 M,
+    // 67 MB at N=1024).
+    {
+      std::vector<double> samples;
+      samples.reserve(opt.reps);
+      for (std::uint32_t r = 0; r < opt.reps; ++r) {
+        const prof::ScopedTimer timer("suite.ring_build");
+        samples.push_back(time_once([&] {
+          (void)coll::ring_allreduce(ring_n, 25557032);
+        }));
+      }
+      report.add_sample_metrics("ring_build.wall_s", samples, "s");
+    }
+
+    // The data-level oracle over the big build.
+    {
+      std::vector<double> samples;
+      samples.reserve(opt.reps);
+      for (std::uint32_t r = 0; r < opt.reps; ++r) {
+        const prof::ScopedTimer timer("suite.oracle_large");
+        samples.push_back(time_once([&] {
+          if (!verify::check_allreduce(big).ok()) {
+            throw Error("wrht_perf: oracle rejected the large WRHT build");
+          }
+        }));
+      }
+      report.add_sample_metrics("oracle_large.wall_s", samples, "s");
     }
 
     // First-fit RWA over one step of a large WRHT schedule.

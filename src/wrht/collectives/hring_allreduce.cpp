@@ -1,8 +1,10 @@
 #include "wrht/collectives/hring_allreduce.hpp"
 
 #include <cmath>
+#include <span>
 #include <vector>
 
+#include "wrht/collectives/ring_primitives.hpp"
 #include "wrht/common/error.hpp"
 
 namespace wrht::coll {
@@ -51,73 +53,58 @@ Schedule hring_allreduce(std::uint32_t num_nodes, std::size_t elements,
   // Stage A: ring all-reduce within every group concurrently. Group-local
   // neighbour transfers go clockwise; the wrap transfer (last member back to
   // the first) goes counterclockwise so it stays inside the group's arc.
-  auto intra_dir = [&](const Group& g, std::uint32_t j) {
-    return (j + 1 < g.size) ? topo::Direction::kClockwise
-                            : topo::Direction::kCounterClockwise;
+  // Groups come in at most two sizes (m and the remainder), each with its
+  // own chunk table.
+  const std::vector<NodeId> nodes = ring_members(num_nodes);
+  const std::vector<ChunkRange> full_chunks = chunk_ranges(elements, max_size);
+  const std::vector<ChunkRange> last_chunks =
+      chunk_ranges(elements, groups.back().size);
+  const topo::DirectionHint cw = topo::Direction::kClockwise;
+  const topo::DirectionHint ccw = topo::Direction::kCounterClockwise;
+  // Member j of a group of `size` starts step t of a pass with chunk
+  // (j + shift - t) mod size: shift 0 reduce-scatters, shift 1 gathers.
+  auto intra_step = [&](Step& step, std::uint32_t t, std::uint32_t shift,
+                        TransferKind kind) {
+    step.transfers.reserve(intra_transfers(t));
+    for (const auto& g : groups) {
+      if (g.size < 2 || t + 1 >= g.size) continue;
+      append_ring_step(
+          step.transfers,
+          std::span<const NodeId>(nodes).subspan(g.start, g.size),
+          g.size == max_size ? full_chunks : last_chunks,
+          (shift + g.size - t) % g.size, kind, cw, ccw);
+    }
   };
   for (std::uint32_t t = 0; t + 1 < max_size; ++t) {
-    Step& step = sched.add_step("intra reduce-scatter " + std::to_string(t));
-    step.transfers.reserve(intra_transfers(t));
-    for (const auto& g : groups) {
-      if (g.size < 2 || t + 1 >= g.size) continue;
-      for (std::uint32_t j = 0; j < g.size; ++j) {
-        const std::uint32_t chunk = (j + g.size - t % g.size) % g.size;
-        const ChunkRange r = chunk_range(elements, g.size, chunk);
-        if (r.count == 0) continue;
-        step.transfers.push_back(Transfer{g.member(j),
-                                          g.member((j + 1) % g.size), r.offset,
-                                          r.count, TransferKind::kReduce,
-                                          intra_dir(g, j)});
-      }
-    }
+    intra_step(sched.add_step("intra reduce-scatter " + std::to_string(t)), t,
+               0, TransferKind::kReduce);
   }
   for (std::uint32_t t = 0; t + 1 < max_size; ++t) {
-    Step& step = sched.add_step("intra all-gather " + std::to_string(t));
-    step.transfers.reserve(intra_transfers(t));
-    for (const auto& g : groups) {
-      if (g.size < 2 || t + 1 >= g.size) continue;
-      for (std::uint32_t j = 0; j < g.size; ++j) {
-        const std::uint32_t chunk = (j + 1 + g.size - t % g.size) % g.size;
-        const ChunkRange r = chunk_range(elements, g.size, chunk);
-        if (r.count == 0) continue;
-        step.transfers.push_back(Transfer{g.member(j),
-                                          g.member((j + 1) % g.size), r.offset,
-                                          r.count, TransferKind::kCopy,
-                                          intra_dir(g, j)});
-      }
-    }
+    intra_step(sched.add_step("intra all-gather " + std::to_string(t)), t, 1,
+               TransferKind::kCopy);
   }
 
   if (num_groups > 1) {
     // Stage B: ring all-reduce across the leaders. All leader-to-leader
     // transfers travel clockwise; their arcs tile the ring without overlap.
+    std::vector<NodeId> leaders;
+    leaders.reserve(num_groups);
+    for (const auto& g : groups) leaders.push_back(g.leader());
+    const std::vector<ChunkRange> leader_chunks =
+        chunk_ranges(elements, num_groups);
     for (std::uint32_t t = 0; t + 1 < num_groups; ++t) {
       Step& step = sched.add_step("inter reduce-scatter " + std::to_string(t));
       step.transfers.reserve(num_groups);
-      for (std::uint32_t j = 0; j < num_groups; ++j) {
-        const std::uint32_t chunk = (j + num_groups - t % num_groups) %
-                                    num_groups;
-        const ChunkRange r = chunk_range(elements, num_groups, chunk);
-        if (r.count == 0) continue;
-        step.transfers.push_back(Transfer{
-            groups[j].leader(), groups[(j + 1) % num_groups].leader(),
-            r.offset, r.count, TransferKind::kReduce,
-            topo::Direction::kClockwise});
-      }
+      append_ring_step(step.transfers, leaders, leader_chunks,
+                       (num_groups - t) % num_groups, TransferKind::kReduce,
+                       cw, cw);
     }
     for (std::uint32_t t = 0; t + 1 < num_groups; ++t) {
       Step& step = sched.add_step("inter all-gather " + std::to_string(t));
       step.transfers.reserve(num_groups);
-      for (std::uint32_t j = 0; j < num_groups; ++j) {
-        const std::uint32_t chunk = (j + 1 + num_groups - t % num_groups) %
-                                    num_groups;
-        const ChunkRange r = chunk_range(elements, num_groups, chunk);
-        if (r.count == 0) continue;
-        step.transfers.push_back(Transfer{
-            groups[j].leader(), groups[(j + 1) % num_groups].leader(),
-            r.offset, r.count, TransferKind::kCopy,
-            topo::Direction::kClockwise});
-      }
+      append_ring_step(step.transfers, leaders, leader_chunks,
+                       (num_groups + 1 - t) % num_groups, TransferKind::kCopy,
+                       cw, cw);
     }
 
     // Stage C: every leader pushes the final vector to its members in one

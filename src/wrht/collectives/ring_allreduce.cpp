@@ -1,5 +1,6 @@
 #include "wrht/collectives/ring_allreduce.hpp"
 
+#include "wrht/collectives/ring_primitives.hpp"
 #include "wrht/common/error.hpp"
 
 namespace wrht::coll {
@@ -10,7 +11,10 @@ Schedule ring_allreduce(std::uint32_t num_nodes, std::size_t elements) {
           "ring_allreduce: need at least one element per chunk");
   Schedule sched("ring", num_nodes, elements);
   const std::uint32_t n = num_nodes;
+  const std::vector<NodeId> members = ring_members(n);
   // elements >= n, so every chunk is non-empty: n transfers per step.
+  const std::vector<ChunkRange> chunks = chunk_ranges(elements, n);
+  const topo::DirectionHint cw = topo::Direction::kClockwise;
   sched.reserve_steps(2 * (n - 1));
 
   // Reduce-scatter: at step t node i forwards chunk (i - t) mod n to its
@@ -19,14 +23,8 @@ Schedule ring_allreduce(std::uint32_t num_nodes, std::size_t elements) {
   for (std::uint32_t t = 0; t + 1 < n; ++t) {
     Step& step = sched.add_step("reduce-scatter " + std::to_string(t));
     step.transfers.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t chunk = (i + n - t % n) % n;
-      const ChunkRange r = chunk_range(elements, n, chunk);
-      if (r.count == 0) continue;
-      step.transfers.push_back(Transfer{
-          i, (i + 1) % n, r.offset, r.count, TransferKind::kReduce,
-          topo::Direction::kClockwise});
-    }
+    append_ring_step(step.transfers, members, chunks, (n - t) % n,
+                     TransferKind::kReduce, cw, cw);
   }
 
   // All-gather: at step t node i forwards its completed chunk
@@ -34,14 +32,8 @@ Schedule ring_allreduce(std::uint32_t num_nodes, std::size_t elements) {
   for (std::uint32_t t = 0; t + 1 < n; ++t) {
     Step& step = sched.add_step("all-gather " + std::to_string(t));
     step.transfers.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t chunk = (i + 1 + n - t % n) % n;
-      const ChunkRange r = chunk_range(elements, n, chunk);
-      if (r.count == 0) continue;
-      step.transfers.push_back(Transfer{
-          i, (i + 1) % n, r.offset, r.count, TransferKind::kCopy,
-          topo::Direction::kClockwise});
-    }
+    append_ring_step(step.transfers, members, chunks, (n + 1 - t) % n,
+                     TransferKind::kCopy, cw, cw);
   }
   return sched;
 }

@@ -6,6 +6,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "wrht/collectives/schedule.hpp"
 
@@ -20,5 +22,20 @@ namespace wrht::coll {
 /// with every node holding all chunks.
 [[nodiscard]] Schedule ring_allgather(std::uint32_t num_nodes,
                                       std::size_t elements);
+
+/// Node ids 0, 1, ..., num_nodes - 1: the members of a flat ring.
+[[nodiscard]] std::vector<NodeId> ring_members(std::uint32_t num_nodes);
+
+/// Appends one step of a ring pass, the building block of every
+/// ring-family builder (ring, reduce-scatter, all-gather, H-Ring):
+/// `members[j]` sends chunk `(first + j) mod size` of `chunks` to
+/// `members[(j + 1) mod size]`, in member order, where size =
+/// members.size() == chunks.size(). Every hop travels `forward` except the
+/// one from the last member back to the first, which travels `wrap`. The
+/// chunk index advances by compare-and-wrap, so no transfer divides.
+void append_ring_step(TransferList& out, std::span<const NodeId> members,
+                      std::span<const ChunkRange> chunks, std::uint32_t first,
+                      TransferKind kind, topo::DirectionHint forward,
+                      topo::DirectionHint wrap);
 
 }  // namespace wrht::coll

@@ -120,7 +120,9 @@ void Schedule::validate() const {
         throw InvalidArgument("Schedule: self-transfer in step " +
                               std::to_string(s));
       }
-      if (t.count < 1 || t.offset + t.count > elements_) {
+      // offset + count can wrap; compare against what is left instead.
+      if (t.count < 1 || t.offset > elements_ ||
+          t.count > elements_ - t.offset) {
         throw InvalidArgument(
             "Schedule: element range out of bounds in step " +
             std::to_string(s));
@@ -130,14 +132,7 @@ void Schedule::validate() const {
 }
 
 Circuit circuit_of(const Transfer& transfer) {
-  Circuit c;
-  c.src = transfer.src;
-  c.dst = transfer.dst;
-  if (transfer.direction.has_value()) {
-    c.direction =
-        *transfer.direction == topo::Direction::kClockwise ? 1 : 2;
-  }
-  return c;
+  return Circuit{transfer.src, transfer.dst, transfer.direction.bits()};
 }
 
 namespace {
@@ -196,6 +191,16 @@ ChunkRange chunk_range(std::size_t elements, std::size_t chunks,
   const std::size_t offset =
       index * base + std::min<std::size_t>(index, extra);
   return ChunkRange{offset, count};
+}
+
+std::vector<ChunkRange> chunk_ranges(std::size_t elements,
+                                     std::size_t chunks) {
+  std::vector<ChunkRange> table;
+  table.reserve(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    table.push_back(chunk_range(elements, chunks, c));
+  }
+  return table;
 }
 
 }  // namespace wrht::coll

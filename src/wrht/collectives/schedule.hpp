@@ -21,8 +21,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "wrht/common/arena.hpp"
@@ -50,11 +50,13 @@ struct Transfer {
   /// Optical routing hint. WRHT pins each transfer to the ring direction
   /// that stays inside its group's arc so neighbouring groups can reuse
   /// wavelengths; when absent the RWA engine picks the shortest direction.
-  std::optional<topo::Direction> direction;
+  topo::DirectionHint direction;
 };
 // kind and direction share the last word: a ring at N=4096 holds 33.5 M
 // transfers, so every byte here is 33.5 MB of schedule.
 static_assert(sizeof(Transfer) == 32, "Transfer must stay 32 bytes");
+static_assert(std::is_trivially_copyable_v<Transfer>,
+              "builders and copies move Transfers as plain bytes");
 
 /// Per-step transfer storage. Default-constructed (null-arena) lists behave
 /// exactly like std::vector<Transfer>; lists handed out by Schedule point at
@@ -236,5 +238,10 @@ struct ChunkRange {
 };
 [[nodiscard]] ChunkRange chunk_range(std::size_t elements, std::size_t chunks,
                                      std::size_t index);
+
+/// chunk_range(elements, chunks, c) for every c in [0, chunks): the table
+/// the ring-family builders read instead of dividing per transfer.
+[[nodiscard]] std::vector<ChunkRange> chunk_ranges(std::size_t elements,
+                                                   std::size_t chunks);
 
 }  // namespace wrht::coll

@@ -19,16 +19,13 @@ std::uint64_t fmix64(std::uint64_t k) {
   return k;
 }
 
+}  // namespace
+
 std::uint64_t transfer_key(const coll::Transfer& t, bool include_direction) {
-  std::uint64_t dir_bits = 0;
-  if (include_direction && t.direction) {
-    dir_bits = *t.direction == topo::Direction::kClockwise ? 1 : 2;
-  }
+  const std::uint64_t dir_bits = include_direction ? t.direction.bits() : 0;
   return (static_cast<std::uint64_t>(t.src) << 34) ^
          (static_cast<std::uint64_t>(t.dst) << 4) ^ dir_bits;
 }
-
-}  // namespace
 
 std::uint64_t step_signature(const coll::Step& step, bool include_direction) {
   std::uint64_t h = 0;

@@ -20,6 +20,13 @@
 
 namespace wrht::net {
 
+/// The word one transfer contributes to a key: src in bits 34 and up, dst
+/// from bit 4, and in the low bits the transfer's direction hint byte
+/// (0 none, 1 clockwise, 2 counter-clockwise) when `include_direction`,
+/// else 0.
+[[nodiscard]] std::uint64_t transfer_key(const coll::Transfer& t,
+                                         bool include_direction);
+
 /// With `include_direction` the optional optical routing hint of each
 /// transfer participates in the key (two steps that differ only in pinned
 /// ring directions route differently); electrical backends ignore hints

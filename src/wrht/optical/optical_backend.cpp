@@ -4,21 +4,9 @@
 
 #include "wrht/common/error.hpp"
 #include "wrht/prof/prof.hpp"
+#include "wrht/topo/torus.hpp"
 
 namespace wrht::optics {
-
-namespace {
-
-/// Most even rows x cols factorization of `n` (rows <= cols).
-std::pair<std::uint32_t, std::uint32_t> near_square(std::uint32_t n) {
-  std::uint32_t rows = 1;
-  for (std::uint32_t r = 1; static_cast<std::uint64_t>(r) * r <= n; ++r) {
-    if (n % r == 0) rows = r;
-  }
-  return {rows, n / rows};
-}
-
-}  // namespace
 
 RingBackend::RingBackend(std::uint32_t num_nodes, OpticalConfig config,
                          std::uint64_t rng_seed, bool collect_utilization)
@@ -133,7 +121,7 @@ void register_optical_backends(net::BackendRegistry& registry) {
         std::uint32_t rows = config.torus_rows;
         std::uint32_t cols = config.torus_cols;
         if (rows == 0 && cols == 0) {
-          std::tie(rows, cols) = near_square(config.num_nodes);
+          std::tie(rows, cols) = topo::near_square(config.num_nodes);
         }
         require(rows >= 1 && cols >= 1 &&
                     static_cast<std::uint64_t>(rows) * cols ==

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "wrht/common/error.hpp"
@@ -15,13 +16,44 @@ namespace wrht::topo {
 
 using NodeId = std::uint32_t;
 
-/// One byte, so an optional<Direction> packs into coll::Transfer's tail.
 enum class Direction : std::uint8_t { kClockwise, kCounterClockwise };
 
 [[nodiscard]] constexpr Direction opposite(Direction d) {
   return d == Direction::kClockwise ? Direction::kCounterClockwise
                                     : Direction::kClockwise;
 }
+
+/// An optional ring direction in one byte: 0 = none, 1 = clockwise,
+/// 2 = counter-clockwise, the packing circuits and pattern keys use. It
+/// reads like std::optional<Direction> (built from a Direction or
+/// std::nullopt; has_value(), operator*, ==) but is a plain byte, which
+/// GCC keeps in registers when it builds a coll::Transfer; see DESIGN.md
+/// "Scale path".
+class DirectionHint {
+ public:
+  // Implicit, like std::optional's, so Transfer{..., kind, dir} spellings
+  // with a Direction, std::nullopt or an optional<Direction> all compile.
+  constexpr DirectionHint() = default;
+  constexpr DirectionHint(std::nullopt_t) {}
+  constexpr DirectionHint(Direction d)
+      : bits_(static_cast<std::uint8_t>(static_cast<std::uint8_t>(d) + 1)) {}
+  constexpr DirectionHint(std::optional<Direction> d)
+      : bits_(d ? DirectionHint(*d).bits_ : std::uint8_t{0}) {}
+
+  [[nodiscard]] constexpr bool has_value() const { return bits_ != 0; }
+  constexpr explicit operator bool() const { return has_value(); }
+  /// The direction; only meaningful when has_value().
+  [[nodiscard]] constexpr Direction operator*() const {
+    return bits_ == 1 ? Direction::kClockwise : Direction::kCounterClockwise;
+  }
+  /// The packed byte: 0 none, 1 clockwise, 2 counter-clockwise.
+  [[nodiscard]] constexpr std::uint8_t bits() const { return bits_; }
+
+  friend constexpr bool operator==(DirectionHint, DirectionHint) = default;
+
+ private:
+  std::uint8_t bits_ = 0;
+};
 
 class Ring {
  public:

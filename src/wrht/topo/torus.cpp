@@ -22,4 +22,12 @@ std::uint32_t Torus::col_of(NodeId node) const {
   return node % cols_;
 }
 
+std::pair<std::uint32_t, std::uint32_t> near_square(std::uint32_t n) {
+  std::uint32_t rows = 1;
+  for (std::uint32_t r = 1; static_cast<std::uint64_t>(r) * r <= n; ++r) {
+    if (n % r == 0) rows = r;
+  }
+  return {rows, n / rows};
+}
+
 }  // namespace wrht::topo

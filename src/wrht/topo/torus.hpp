@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "wrht/common/error.hpp"
 #include "wrht/topo/ring.hpp"
@@ -38,5 +39,10 @@ class Torus {
   std::uint32_t rows_;
   std::uint32_t cols_;
 };
+
+/// Most even rows x cols factorization of `n` (rows <= cols): the shape
+/// the optical-torus backend takes when none is configured.
+[[nodiscard]] std::pair<std::uint32_t, std::uint32_t> near_square(
+    std::uint32_t n);
 
 }  // namespace wrht::topo

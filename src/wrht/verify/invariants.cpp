@@ -46,10 +46,12 @@ CheckResult check_schedule_structure(const coll::Schedule& schedule) {
                    "node " + std::to_string(t.src) + " sends to itself" +
                        at_step(s));
       }
-      if (t.count == 0 || t.offset + t.count > elements) {
+      // offset + count can wrap; compare against what is left instead.
+      if (t.count == 0 || t.offset > elements ||
+          t.count > elements - t.offset) {
         result.add("invariant.structure.element_range",
-                   "range [" + std::to_string(t.offset) + ", " +
-                       std::to_string(t.offset + t.count) + ") outside " +
+                   std::to_string(t.count) + " element(s) at offset " +
+                       std::to_string(t.offset) + " outside " +
                        std::to_string(elements) + " elements" + at_step(s));
       }
     }

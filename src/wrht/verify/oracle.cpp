@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "wrht/common/error.hpp"
@@ -17,16 +16,30 @@ using coll::Schedule;
 using coll::Transfer;
 using coll::TransferKind;
 
-/// Interpreter state: numeric buffers always, contribution counts when
-/// provenance is on. counts[node] is a row-major [elements][num_nodes]
-/// matrix: counts[node][e * n + src] = how many copies of src's initial
-/// element e node currently holds.
+/// Interpreter state on flat row-major buffers: node i's values are
+/// values[i * elements + e], and when provenance is on its counts are a
+/// [elements][num_nodes] block, counts[(i * elements + e) * n + src] = how
+/// many copies of src's initial element e node i currently holds.
 struct Machine {
   std::uint32_t n = 0;
   std::size_t elements = 0;
   bool provenance = false;
-  std::vector<std::vector<double>> values;
-  std::vector<std::vector<std::uint32_t>> counts;
+  std::vector<double> values;
+  std::vector<std::uint32_t> counts;
+
+  [[nodiscard]] std::size_t count_row_size() const { return elements * n; }
+  [[nodiscard]] double* value_row(std::uint32_t i) {
+    return values.data() + i * elements;
+  }
+  [[nodiscard]] const double* value_row(std::uint32_t i) const {
+    return values.data() + i * elements;
+  }
+  [[nodiscard]] std::uint32_t* count_row(std::uint32_t i) {
+    return counts.data() + i * count_row_size();
+  }
+  [[nodiscard]] const std::uint32_t* count_row(std::uint32_t i) const {
+    return counts.data() + i * count_row_size();
+  }
 };
 
 Machine boot(const Schedule& schedule, const OracleOptions& options) {
@@ -37,52 +50,87 @@ Machine boot(const Schedule& schedule, const OracleOptions& options) {
                               static_cast<std::uint64_t>(m.elements);
   m.provenance = cells <= options.provenance_cell_limit;
 
+  // Node by node, element by element: the draw order of one
+  // Rng::uniform_vector per node.
   Rng rng(options.seed);
-  m.values.resize(m.n);
-  if (m.provenance) m.counts.resize(m.n);
-  for (std::uint32_t i = 0; i < m.n; ++i) {
-    m.values[i] = rng.uniform_vector(m.elements, -1.0, 1.0);
-    if (m.provenance) {
-      m.counts[i].assign(m.elements * m.n, 0);
-      for (std::size_t e = 0; e < m.elements; ++e) m.counts[i][e * m.n + i] = 1;
+  m.values.reserve(m.n * m.elements);
+  for (std::size_t c = 0; c < m.n * m.elements; ++c) {
+    m.values.push_back(rng.uniform_real(-1.0, 1.0));
+  }
+  if (m.provenance) {
+    m.counts.assign(m.n * m.count_row_size(), 0);
+    for (std::uint32_t i = 0; i < m.n; ++i) {
+      for (std::size_t e = 0; e < m.elements; ++e) {
+        m.count_row(i)[e * m.n + i] = 1;
+      }
     }
   }
   return m;
 }
 
-/// Runs the schedule with snapshot-per-step semantics. Senders are read
-/// from a beginning-of-step copy, so the transfer order inside a step
-/// cannot matter — exactly the concurrency model the lightpath hardware
-/// implements.
+/// Runs the schedule with snapshot-per-step semantics: every sender is read
+/// as it was at the beginning of its step, so the transfer order inside a
+/// step cannot matter — exactly the concurrency model the lightpath
+/// hardware implements. A sender the step does not write is read live;
+/// only the senders the same step also writes are copied first.
 void interpret(const Schedule& schedule, Machine& m) {
+  /// Per-node step stamps: `written` is the last step that writes the
+  /// node, `snapped` the last step that copied it into `slot` of the
+  /// snapshot buffers.
+  struct Mark {
+    std::uint32_t written = 0;
+    std::uint32_t snapped = 0;
+    std::uint32_t slot = 0;
+  };
+  std::vector<Mark> marks(m.n);
+  std::vector<double> value_snap;
+  std::vector<std::uint32_t> count_snap;
+  const std::size_t count_row = m.count_row_size();
+  std::uint32_t stamp = 0;
   for (const auto& step : schedule.steps()) {
-    std::unordered_map<std::uint32_t, std::vector<double>> value_snap;
-    std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> count_snap;
+    ++stamp;
+    for (const Transfer& t : step.transfers) marks[t.dst].written = stamp;
+    value_snap.clear();
+    count_snap.clear();
+    std::uint32_t slots = 0;
     for (const Transfer& t : step.transfers) {
-      value_snap.try_emplace(t.src, m.values[t.src]);
-      if (m.provenance) count_snap.try_emplace(t.src, m.counts[t.src]);
+      Mark& mark = marks[t.src];
+      if (mark.written != stamp || mark.snapped == stamp) continue;
+      mark.snapped = stamp;
+      mark.slot = slots++;
+      const double* row = m.value_row(t.src);
+      value_snap.insert(value_snap.end(), row, row + m.elements);
+      if (m.provenance) {
+        const std::uint32_t* counts = m.count_row(t.src);
+        count_snap.insert(count_snap.end(), counts, counts + count_row);
+      }
     }
+
     for (const Transfer& t : step.transfers) {
-      const auto& src_v = value_snap.at(t.src);
-      auto& dst_v = m.values[t.dst];
+      const Mark& mark = marks[t.src];
+      const bool snapped = mark.snapped == stamp;
+      const double* src_v = snapped
+                                ? value_snap.data() + mark.slot * m.elements
+                                : m.value_row(t.src);
+      double* dst_v = m.value_row(t.dst);
+      const std::size_t end = t.offset + t.count;
       if (t.kind == TransferKind::kReduce) {
-        for (std::size_t e = t.offset; e < t.offset + t.count; ++e) {
-          dst_v[e] += src_v[e];
-        }
+        for (std::size_t e = t.offset; e < end; ++e) dst_v[e] += src_v[e];
       } else {
-        for (std::size_t e = t.offset; e < t.offset + t.count; ++e) {
-          dst_v[e] = src_v[e];
-        }
+        std::memcpy(dst_v + t.offset, src_v + t.offset,
+                    t.count * sizeof(double));
       }
       if (m.provenance) {
-        const auto& src_c = count_snap.at(t.src);
-        auto& dst_c = m.counts[t.dst];
+        const std::uint32_t* src_c =
+            snapped ? count_snap.data() + mark.slot * count_row
+                    : m.count_row(t.src);
+        std::uint32_t* dst_c = m.count_row(t.dst);
         const std::size_t lo = t.offset * m.n;
-        const std::size_t hi = (t.offset + t.count) * m.n;
+        const std::size_t hi = end * m.n;
         if (t.kind == TransferKind::kReduce) {
           for (std::size_t c = lo; c < hi; ++c) dst_c[c] += src_c[c];
         } else {
-          std::memcpy(dst_c.data() + lo, src_c.data() + lo,
+          std::memcpy(dst_c + lo, src_c + lo,
                       (hi - lo) * sizeof(std::uint32_t));
         }
       }
@@ -95,7 +143,7 @@ void compare_numeric(const Machine& m, std::uint32_t i,
                      const std::vector<double>& expected, double tolerance,
                      const char* what, OracleReport& report) {
   for (std::size_t e = 0; e < m.elements; ++e) {
-    const double err = std::abs(m.values[i][e] - expected[e]);
+    const double err = std::abs(m.value_row(i)[e] - expected[e]);
     if (err > report.max_abs_error) {
       report.max_abs_error = err;
       report.worst_node = i;
@@ -118,7 +166,7 @@ void compare_provenance(const Machine& m, std::uint32_t i,
                         const char* what, OracleReport& report) {
   for (std::size_t e = 0; e < m.elements; ++e) {
     for (std::uint32_t src = 0; src < m.n; ++src) {
-      const std::uint32_t got = m.counts[i][e * m.n + src];
+      const std::uint32_t got = m.count_row(i)[e * m.n + src];
       if (got != want[src]) {
         report.result.add(
             std::string("oracle.") + what + ".provenance",
@@ -140,7 +188,8 @@ OracleReport check_allreduce(const coll::Schedule& schedule,
   Machine m = boot(schedule, options);
   std::vector<double> expected(m.elements, 0.0);
   for (std::uint32_t i = 0; i < m.n; ++i) {
-    for (std::size_t e = 0; e < m.elements; ++e) expected[e] += m.values[i][e];
+    const double* row = m.value_row(i);
+    for (std::size_t e = 0; e < m.elements; ++e) expected[e] += row[e];
   }
   interpret(schedule, m);
 
@@ -163,7 +212,8 @@ OracleReport check_reduce(const coll::Schedule& schedule, std::uint32_t root,
   Machine m = boot(schedule, options);
   std::vector<double> expected(m.elements, 0.0);
   for (std::uint32_t i = 0; i < m.n; ++i) {
-    for (std::size_t e = 0; e < m.elements; ++e) expected[e] += m.values[i][e];
+    const double* row = m.value_row(i);
+    for (std::size_t e = 0; e < m.elements; ++e) expected[e] += row[e];
   }
   interpret(schedule, m);
 
@@ -183,7 +233,8 @@ OracleReport check_broadcast(const coll::Schedule& schedule,
   schedule.validate();
   require(root < schedule.num_nodes(), "check_broadcast: root out of range");
   Machine m = boot(schedule, options);
-  const std::vector<double> expected = m.values[root];
+  const std::vector<double> expected(m.value_row(root),
+                                     m.value_row(root) + m.elements);
   interpret(schedule, m);
 
   OracleReport report;

@@ -116,6 +116,29 @@ TEST(PatternKey, DistinctSingleTransferPatternsGetDistinctKeys) {
   EXPECT_EQ(seen.size(), patterns);
 }
 
+// The key and the circuit both copy the hint byte: 0 none, 1 clockwise,
+// 2 counter-clockwise.
+TEST(PatternKey, DirectionBitsAreTheHintByte) {
+  const struct {
+    topo::DirectionHint hint;
+    std::uint8_t bits;
+  } cases[] = {{std::nullopt, 0},
+               {Direction::kClockwise, 1},
+               {Direction::kCounterClockwise, 2}};
+  for (const auto& c : cases) {
+    const Transfer t{5, 9, 0, 8, TransferKind::kCopy, c.hint};
+    EXPECT_EQ(t.direction.bits(), c.bits);
+    EXPECT_EQ(t.direction.has_value(), c.bits != 0);
+    EXPECT_EQ(coll::circuit_of(t).direction, c.bits);
+    EXPECT_EQ(transfer_key(t, true) & 0xf, c.bits);
+    EXPECT_EQ(transfer_key(t, false) & 0xf, 0u);
+    EXPECT_EQ(transfer_key(t, true) >> 4, transfer_key(t, false) >> 4);
+  }
+  EXPECT_EQ(*topo::DirectionHint(Direction::kClockwise), Direction::kClockwise);
+  EXPECT_EQ(*topo::DirectionHint(Direction::kCounterClockwise),
+            Direction::kCounterClockwise);
+}
+
 // The property the engines' caches rely on: every step of a Ring
 // All-reduce is one pattern, even when the chunks are uneven.
 TEST(PatternKey, RingStepsShareOneSignature) {

@@ -53,16 +53,6 @@ std::string sweep_csv(const std::vector<exp::SweepRow>& rows) {
   return out.str();
 }
 
-/// Mirror of the optical-torus factory's default factorization, so the
-/// torus series' builder and backend agree on the grid shape.
-std::pair<std::uint32_t, std::uint32_t> near_square(std::uint32_t n) {
-  std::uint32_t rows = 1;
-  for (std::uint32_t r = 1; static_cast<std::uint64_t>(r) * r <= n; ++r) {
-    if (n % r == 0) rows = r;
-  }
-  return {rows, n / rows};
-}
-
 void expect_transfers_equal(const coll::TransferList& a,
                             const coll::TransferList& b,
                             const std::string& where) {
@@ -136,7 +126,9 @@ exp::SweepSpec grid_spec() {
       // always-rebuild tier for builder series).
       exp::Series{.name = "torus_wrht", .backend = "optical-torus",
                   .builder = [](const exp::SweepPoint& point) {
-                    const auto [rows, cols] = near_square(point.nodes);
+                    // The optical-torus factory's default shape, so the
+                    // builder and the backend agree on the grid.
+                    const auto [rows, cols] = topo::near_square(point.nodes);
                     core::WrhtOptions options;
                     options.wavelengths = point.wavelengths;
                     options.group_size =

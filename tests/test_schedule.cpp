@@ -4,6 +4,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "wrht/collectives/hring_allreduce.hpp"
@@ -62,6 +64,29 @@ TEST(Schedule, ValidateRejectsOutOfRangeElements) {
       Transfer{0, 1, 8, 5, TransferKind::kReduce, {}});
   EXPECT_THROW(s.validate(), InvalidArgument);
 }
+
+// offset + count wraps for these; a check that adds them lets them pass.
+TEST(Schedule, ValidateRejectsWrappingElementRanges) {
+  const std::size_t max = SIZE_MAX;
+  for (const auto& [offset, count] :
+       {std::pair{max, std::size_t{2}}, std::pair{max - 1, std::size_t{3}}}) {
+    Schedule s("test", 2, 4);
+    s.add_step().transfers.push_back(
+        Transfer{0, 1, offset, count, TransferKind::kReduce, {}});
+    EXPECT_THROW(s.validate(), InvalidArgument) << offset << "/" << count;
+  }
+  // The last element and the whole vector stay in range.
+  Schedule edge("test", 2, 4);
+  edge.add_step().transfers.push_back(
+      Transfer{0, 1, 3, 1, TransferKind::kReduce, {}});
+  edge.add_step().transfers.push_back(
+      Transfer{1, 0, 0, 4, TransferKind::kCopy, {}});
+  EXPECT_NO_THROW(edge.validate());
+}
+
+// Builders write millions of these; see DESIGN.md "Scale path".
+static_assert(sizeof(Transfer) == 32);
+static_assert(std::is_trivially_copyable_v<Transfer>);
 
 TEST(Schedule, ValidateRejectsEmptyTransfer) {
   Schedule s("test", 2, 10);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+
 #include "wrht/collectives/ring_allreduce.hpp"
 #include "wrht/core/wrht_schedule.hpp"
 
@@ -50,6 +54,20 @@ TEST(VerifyInvariants, StructureFlagsHandMadeViolations) {
   EXPECT_EQ(self, 1u);
   EXPECT_EQ(node, 1u);
   EXPECT_EQ(range, 2u) << result.summary();
+}
+
+TEST(VerifyInvariants, StructureFlagsWrappingElementRanges) {
+  // offset + count wraps for both; a check that adds them lets them pass.
+  const std::size_t max = SIZE_MAX;
+  for (const auto& [offset, count] :
+       {std::pair{max, std::size_t{2}}, std::pair{max - 1, std::size_t{3}}}) {
+    coll::Schedule bad("bad", 2, 4);
+    bad.add_step("wrapping").transfers.push_back(
+        coll::Transfer{0, 1, offset, count, coll::TransferKind::kReduce, {}});
+    const verify::CheckResult result = verify::check_schedule_structure(bad);
+    ASSERT_EQ(result.findings().size(), 1u) << result.summary();
+    EXPECT_EQ(result.findings()[0].check, "invariant.structure.element_range");
+  }
 }
 
 // ------------------------------------------------------ conflict freedom
