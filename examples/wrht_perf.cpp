@@ -11,12 +11,12 @@
 //
 // --scale swaps in the scale-suite (BENCH_scale.json): a 10^5-node WRHT
 // schedule build, its element-rescale patch, an N=1024 Ring All-reduce
-// build at ResNet-50 size, the oracle over the WRHT build, large-step
-// RWA, and a sweep whose grid volume (points x max N) must be at least
-// 10x the micro-suite sweep's — the arena + incremental-cache work is
-// what keeps it at micro-sweep wall-clock, and the harness exits 1 if the
-// volume floor is not met (bench/baselines/scale{,-tiny}.baseline
-// ratchet the wall times).
+// build at ResNet-50 size and an optical-ring plus an electrical-flow run
+// of it, the oracle over the WRHT build, large-step RWA, and a sweep whose
+// grid volume (points x max N) must be at least 10x the micro-suite
+// sweep's — the arena + incremental-cache work is what keeps it at
+// micro-sweep wall-clock, and the harness exits 1 if the volume floor is
+// not met (bench/baselines/scale{,-tiny}.baseline ratchet the wall times).
 // --tiny shrinks every workload to CI-smoke scale (same metric names, so
 // tiny runs compare against tiny baselines — bench/baselines/
 // micro-tiny.baseline — and full runs against micro.baseline).
@@ -208,6 +208,35 @@ int run_scale(const Options& opt) {
         }));
       }
       report.add_sample_metrics("ring_build.wall_s", samples, "s");
+    }
+
+    // What a Fig. 5 / Fig. 7 point pays to price that ring: one
+    // optical-ring and one electrical-flow run, each with a Counters
+    // probe as a sweep point attaches. Each backend prices the ring once
+    // untimed, so the timed runs price on pattern-cache hits, as a sweep
+    // worker's repeated points do, and the row times reading the schedule.
+    {
+      const coll::Schedule ring = coll::ring_allreduce(ring_n, 25557032);
+      net::BackendConfig config;
+      config.num_nodes = ring_n;
+      config.wavelengths = big_w;
+      const std::unique_ptr<net::Backend> backends[] = {
+          net::BackendRegistry::instance().create("optical-ring", config),
+          net::BackendRegistry::instance().create("electrical-flow", config)};
+      const auto run_both = [&] {
+        for (const std::unique_ptr<net::Backend>& backend : backends) {
+          obs::Counters counters;
+          (void)backend->execute(ring, obs::Probe{nullptr, &counters});
+        }
+      };
+      run_both();
+      std::vector<double> samples;
+      samples.reserve(opt.reps);
+      for (std::uint32_t r = 0; r < opt.reps; ++r) {
+        const prof::ScopedTimer timer("suite.ring_run");
+        samples.push_back(time_once(run_both));
+      }
+      report.add_sample_metrics("ring_run.wall_s", samples, "s");
     }
 
     // The data-level oracle over the big build.

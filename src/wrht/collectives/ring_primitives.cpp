@@ -62,6 +62,11 @@ void append_ring_step(TransferList& out, std::span<const NodeId> members,
                       std::span<const ChunkRange> chunks, std::uint32_t first,
                       TransferKind kind, topo::DirectionHint forward,
                       topo::DirectionHint wrap) {
+  require(!members.empty(), "append_ring_step: need at least one member");
+  require(chunks.size() == members.size(),
+          "append_ring_step: need one chunk per member");
+  require(first < members.size(),
+          "append_ring_step: first chunk index out of range");
   const auto size = static_cast<std::uint32_t>(members.size());
   std::uint32_t chunk = first;
   for (std::uint32_t j = 0; j + 1 < size; ++j) {

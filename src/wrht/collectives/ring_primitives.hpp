@@ -33,6 +33,9 @@ namespace wrht::coll {
 /// members.size() == chunks.size(). Every hop travels `forward` except the
 /// one from the last member back to the first, which travels `wrap`. The
 /// chunk index advances by compare-and-wrap, so no transfer divides.
+/// Throws InvalidArgument, appending nothing, when `members` is empty,
+/// `chunks` is not the same size or `first` >= size; checked once per
+/// call, not per transfer.
 void append_ring_step(TransferList& out, std::span<const NodeId> members,
                       std::span<const ChunkRange> chunks, std::uint32_t first,
                       TransferKind kind, topo::DirectionHint forward,

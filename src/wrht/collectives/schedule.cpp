@@ -111,24 +111,12 @@ std::size_t Schedule::max_transfer_elements(std::size_t step) const {
 
 void Schedule::validate() const {
   for (std::size_t s = 0; s < steps_.size(); ++s) {
-    for (const auto& t : steps_[s].transfers) {
-      if (t.src >= num_nodes_ || t.dst >= num_nodes_) {
-        throw InvalidArgument("Schedule: node id out of range in step " +
-                              std::to_string(s));
-      }
-      if (t.src == t.dst) {
-        throw InvalidArgument("Schedule: self-transfer in step " +
-                              std::to_string(s));
-      }
-      // offset + count can wrap; compare against what is left instead.
-      if (t.count < 1 || t.offset > elements_ ||
-          t.count > elements_ - t.offset) {
-        throw InvalidArgument(
-            "Schedule: element range out of bounds in step " +
-            std::to_string(s));
-      }
-    }
+    for (const Transfer& t : steps_[s].transfers) check_transfer(t, s);
   }
+}
+
+void Schedule::reject_transfer(const char* what, std::size_t step) {
+  throw InvalidArgument(what + std::to_string(step));
 }
 
 Circuit circuit_of(const Transfer& transfer) {

@@ -163,7 +163,30 @@ class Schedule {
   /// checked here (snapshot semantics make it legal); throws on violation.
   void validate() const;
 
+  /// validate()'s checks on one transfer of step `step`: node ids in
+  /// range, no self-transfer, a non-empty element range inside the vector.
+  /// Throws InvalidArgument naming the step. Inline so net::scan_schedule
+  /// applies the same checks in its own single pass over the transfers.
+  void check_transfer(const Transfer& t, std::size_t step) const {
+    if (t.src >= num_nodes_ || t.dst >= num_nodes_) [[unlikely]] {
+      reject_transfer("Schedule: node id out of range in step ", step);
+    }
+    if (t.src == t.dst) [[unlikely]] {
+      reject_transfer("Schedule: self-transfer in step ", step);
+    }
+    // offset + count can wrap; compare against what is left instead.
+    if (t.count < 1 || t.offset > elements_ ||
+        t.count > elements_ - t.offset) [[unlikely]] {
+      reject_transfer("Schedule: element range out of bounds in step ",
+                      step);
+    }
+  }
+
  private:
+  /// Throws InvalidArgument(`what` + step), out of line.
+  [[noreturn]] static void reject_transfer(const char* what,
+                                           std::size_t step);
+
   /// `first_chunk_bytes` sizes the arena's first chunk (common::Arena).
   Schedule(std::string algorithm, std::uint32_t num_nodes,
            std::size_t elements, std::size_t first_chunk_bytes);

@@ -23,9 +23,11 @@ net::BackendCapabilities FlowBackend::capabilities() const {
 RunReport FlowBackend::execute(const coll::Schedule& schedule,
                                const obs::Probe& probe) const {
   const prof::ScopedTimer timer("backend.electrical-flow.execute");
-  net::count_schedule(probe, schedule);
+  const net::ScheduleScan scan = network_.scan(schedule);
+  net::count_schedule(probe, scan);
   const net::ScopedUtilization util(probe, collect_utilization_);
-  RunReport report = network_.execute(schedule, util.probe()).to_report();
+  RunReport report =
+      network_.execute_scanned(schedule, scan, util.probe()).to_report();
   util.finish(report);
   return report;
 }
@@ -50,9 +52,10 @@ net::BackendCapabilities PacketBackend::capabilities() const {
 RunReport PacketBackend::execute(const coll::Schedule& schedule,
                                  const obs::Probe& probe) const {
   const prof::ScopedTimer timer("backend.electrical-packet.execute");
-  net::count_schedule(probe, schedule);
+  net::count_schedule(probe, network_.scan(schedule));
   const net::ScopedUtilization util(probe, collect_utilization_);
-  RunReport report = network_.execute(schedule, util.probe()).to_report();
+  RunReport report =
+      network_.execute_scanned(schedule, util.probe()).to_report();
   util.finish(report);
   return report;
 }

@@ -96,12 +96,20 @@ ElectricalRunResult FatTreeNetwork::execute(
   return execute(schedule, obs::Probe{});
 }
 
-ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
-                                            const obs::Probe& probe) const {
+net::ScheduleScan FatTreeNetwork::scan(const coll::Schedule& schedule) const {
   require(schedule.num_nodes() <= tree_.num_hosts(),
           "FatTreeNetwork: schedule spans more nodes than hosts");
-  schedule.validate();
+  return net::scan_schedule(schedule, net::StepKeys::kUndirected);
+}
 
+ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
+                                            const obs::Probe& probe) const {
+  return execute_scanned(schedule, scan(schedule), probe);
+}
+
+ElectricalRunResult FatTreeNetwork::execute_scanned(
+    const coll::Schedule& schedule, const net::ScheduleScan& scan,
+    const obs::Probe& probe) const {
   ElectricalRunResult result;
   result.steps = schedule.num_steps();
   result.step_times.reserve(schedule.num_steps());
@@ -118,9 +126,7 @@ ElectricalRunResult FatTreeNetwork::execute(const coll::Schedule& schedule,
       ++step_index;
       continue;
     }
-    // Direction hints are optical-only; hint-variants of one (src, dst)
-    // pattern share a cache entry here.
-    const std::uint64_t sig = net::step_signature(step, false);
+    const std::uint64_t sig = scan.signatures[step_index];
     auto it = pattern_cache_.find(sig);
     if (it == pattern_cache_.end()) {
       it = pattern_cache_.emplace(sig, evaluate_step(step)).first;

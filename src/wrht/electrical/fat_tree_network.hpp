@@ -107,6 +107,8 @@ struct ElectricalRunResult {
   [[nodiscard]] RunReport to_report() const;
 };
 
+class FlowBackend;
+
 class FatTreeNetwork {
  public:
   FatTreeNetwork(std::uint32_t num_hosts, ElectricalConfig config);
@@ -148,6 +150,19 @@ class FatTreeNetwork {
     double processing = 0.0;
   };
   [[nodiscard]] StepTiming evaluate_step(const coll::Step& step) const;
+
+  /// The one read of `schedule` before a run: checks that it fits the
+  /// fabric and is valid, sums its traffic and keys every step without its
+  /// direction hints, which the fabric ignores: hint-variants of one
+  /// (src, dst) pattern share a cache entry.
+  [[nodiscard]] net::ScheduleScan scan(const coll::Schedule& schedule) const;
+
+  /// The observed execute() of a schedule `scan` = scan(schedule) has
+  /// read. FlowBackend scans first so it can count the run.
+  [[nodiscard]] ElectricalRunResult execute_scanned(
+      const coll::Schedule& schedule, const net::ScheduleScan& scan,
+      const obs::Probe& probe) const;
+  friend class FlowBackend;
 
   topo::FatTree tree_;
   ElectricalConfig config_;

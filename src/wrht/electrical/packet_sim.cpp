@@ -138,12 +138,21 @@ PacketRunResult PacketLevelNetwork::execute(
   return execute(schedule, obs::Probe{});
 }
 
-PacketRunResult PacketLevelNetwork::execute(const coll::Schedule& schedule,
-                                            const obs::Probe& probe) const {
+net::ScheduleScan PacketLevelNetwork::scan(
+    const coll::Schedule& schedule) const {
   require(schedule.num_nodes() <= tree_.num_hosts(),
           "PacketLevelNetwork: schedule spans more nodes than hosts");
-  schedule.validate();
+  return net::scan_schedule(schedule, net::StepKeys::kNone);
+}
 
+PacketRunResult PacketLevelNetwork::execute(const coll::Schedule& schedule,
+                                            const obs::Probe& probe) const {
+  (void)scan(schedule);
+  return execute_scanned(schedule, probe);
+}
+
+PacketRunResult PacketLevelNetwork::execute_scanned(
+    const coll::Schedule& schedule, const obs::Probe& probe) const {
   PacketRunResult result;
   result.steps = schedule.num_steps();
   result.step_times.reserve(schedule.num_steps());

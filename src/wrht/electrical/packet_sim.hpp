@@ -31,6 +31,8 @@ struct PacketRunResult {
   [[nodiscard]] RunReport to_report() const;
 };
 
+class PacketBackend;
+
 class PacketLevelNetwork {
  public:
   /// Uses the same topology and ElectricalConfig as FatTreeNetwork, so the
@@ -48,6 +50,17 @@ class PacketLevelNetwork {
                                         const obs::Probe& probe) const;
 
  private:
+  /// The one read of `schedule` before a run: checks that it fits the
+  /// fabric and is valid, and sums its traffic. Nothing is cached, so no
+  /// step is keyed.
+  [[nodiscard]] net::ScheduleScan scan(const coll::Schedule& schedule) const;
+
+  /// The observed execute() of a schedule scan() has accepted.
+  /// PacketBackend scans first so it can count the run.
+  [[nodiscard]] PacketRunResult execute_scanned(
+      const coll::Schedule& schedule, const obs::Probe& probe) const;
+  friend class PacketBackend;
+
   /// `step_start`/`step_index` place this step's link occupancy on the
   /// run timeline (the internal event clock restarts at 0 per step).
   /// `transfers` (when non-null) receives every transfer with its

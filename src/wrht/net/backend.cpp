@@ -26,11 +26,11 @@ void ScopedUtilization::finish(RunReport& report) const {
   obs::attach_utilization(report, *probe_.occupancy);
 }
 
-void count_schedule(const obs::Probe& probe, const coll::Schedule& schedule) {
+void count_schedule(const obs::Probe& probe, const ScheduleScan& scan) {
   if (probe.counters == nullptr) return;
   probe.count("net.executions");
-  probe.count("net.steps", schedule.num_steps());
-  probe.count("net.traffic_elements", schedule.total_traffic_elements());
+  probe.count("net.steps", scan.steps);
+  probe.count("net.traffic_elements", scan.traffic_elements);
 }
 
 std::string step_label(const coll::Step& step, std::size_t index) {

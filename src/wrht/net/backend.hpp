@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "wrht/collectives/schedule.hpp"
+#include "wrht/net/pattern_key.hpp"
 #include "wrht/obs/occupancy.hpp"
 #include "wrht/obs/run_report.hpp"
 #include "wrht/obs/trace.hpp"
@@ -94,9 +95,12 @@ class Backend {
 };
 
 /// Emits the backend-neutral "net.*" counters every adapter shares:
-/// net.executions, net.steps and net.traffic_elements. Gives the
-/// conformance suite one uniform traffic-accounting surface per backend.
-void count_schedule(const obs::Probe& probe, const coll::Schedule& schedule);
+/// net.executions, net.steps and net.traffic_elements, from the scan of
+/// the run's schedule. Adapters call it once per run, after the scan has
+/// validated the schedule, so a rejected schedule counts nothing. Gives
+/// the conformance suite one uniform traffic-accounting surface per
+/// backend.
+void count_schedule(const obs::Probe& probe, const ScheduleScan& scan);
 
 /// Shared adapter plumbing for utilization collection. Construct with the
 /// caller's probe and the adapter's collect_utilization switch; run the

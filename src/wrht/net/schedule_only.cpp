@@ -8,8 +8,7 @@ RunReport ScheduleOnlyBackend::execute(const coll::Schedule& schedule,
                                        const obs::Probe& probe) const {
   require(schedule.num_nodes() <= num_nodes_,
           "ScheduleOnlyBackend: schedule spans more nodes than configured");
-  schedule.validate();
-  count_schedule(probe, schedule);
+  count_schedule(probe, scan_schedule(schedule, StepKeys::kNone));
 
   RunReport report;
   report.backend = name();

@@ -38,14 +38,16 @@ RunReport RingBackend::execute_at(const coll::Schedule& schedule,
                                   const obs::Probe& probe,
                                   Seconds start) const {
   const prof::ScopedTimer timer("backend.optical-ring.execute");
-  net::count_schedule(probe, schedule);
+  const net::ScheduleScan scan = network_.scan(schedule);
+  net::count_schedule(probe, scan);
   const net::ScopedUtilization util(probe, collect_utilization_);
   OpticalRunResult run;
   if (network_.config().rwa_policy == RwaPolicy::kRandomFit) {
     Rng rng(rng_seed_);
-    run = network_.execute(schedule, util.probe(), &rng, start);
+    run = network_.execute_scanned(schedule, scan, util.probe(), &rng, start);
   } else {
-    run = network_.execute(schedule, util.probe(), nullptr, start);
+    run = network_.execute_scanned(schedule, scan, util.probe(), nullptr,
+                                   start);
   }
   RunReport report = run.to_report();
   util.finish(report);
@@ -77,14 +79,14 @@ net::BackendCapabilities TorusBackend::capabilities() const {
 RunReport TorusBackend::execute(const coll::Schedule& schedule,
                                 const obs::Probe& probe) const {
   const prof::ScopedTimer timer("backend.optical-torus.execute");
-  net::count_schedule(probe, schedule);
+  net::count_schedule(probe, network_.scan(schedule));
   const net::ScopedUtilization util(probe, collect_utilization_);
   OpticalRunResult run;
   if (network_.config().rwa_policy == RwaPolicy::kRandomFit) {
     Rng rng(rng_seed_);
-    run = network_.execute(schedule, util.probe(), &rng);
+    run = network_.execute_scanned(schedule, util.probe(), &rng);
   } else {
-    run = network_.execute(schedule, util.probe());
+    run = network_.execute_scanned(schedule, util.probe(), nullptr);
   }
   RunReport report = run.to_report();
   report.backend = name();

@@ -126,8 +126,9 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
   return execute(schedule, obs::Probe{}, rng);
 }
 
-void RingNetwork::warm_pattern_cache(const coll::Schedule& schedule,
-                                     Detail detail) const {
+void RingNetwork::warm_pattern_cache(
+    const coll::Schedule& schedule,
+    const std::vector<std::uint64_t>& signatures, Detail detail) const {
   if (config_.rwa_policy != RwaPolicy::kFirstFit) return;
   if (!config_.allow_multi_round_steps) return;
   const unsigned workers = resolve_rwa_threads(config_.rwa_threads);
@@ -137,14 +138,15 @@ void RingNetwork::warm_pattern_cache(const coll::Schedule& schedule,
   // lowest-index-failure rethrow matches what the sequential DES loop
   // would have thrown first.
   std::vector<const coll::Step*> steps;
-  std::vector<std::uint64_t> signatures;
+  std::vector<std::uint64_t> uncached;
   std::unordered_set<std::uint64_t> seen;
-  for (const coll::Step& step : schedule.steps()) {
+  for (std::size_t s = 0; s < schedule.num_steps(); ++s) {
+    const coll::Step& step = schedule.steps()[s];
     if (step.transfers.empty()) continue;
-    const std::uint64_t sig = net::step_signature(step, true);
+    const std::uint64_t sig = signatures[s];
     if (pattern_cache_.contains(sig) || !seen.insert(sig).second) continue;
     steps.push_back(&step);
-    signatures.push_back(sig);
+    uncached.push_back(sig);
   }
   if (steps.size() <= 1) return;
 
@@ -156,18 +158,33 @@ void RingNetwork::warm_pattern_cache(const coll::Schedule& schedule,
       assign_rounds_batch(ring_, spans, options, workers);
   for (std::size_t s = 0; s < steps.size(); ++s) {
     pattern_cache_.emplace(
-        signatures[s],
+        uncached[s],
         price_rounds(*steps[s], rounds[s].wavelengths_used, rounds[s].paths,
                      rounds[s].rounds, detail));
   }
 }
 
+net::ScheduleScan RingNetwork::scan(const coll::Schedule& schedule) const {
+  require(schedule.num_nodes() <= ring_.size(),
+          "RingNetwork: schedule spans more nodes than the ring");
+  // Only first-fit patterns are cached. Direction hints participate in the
+  // key: pinned-direction variants of one (src, dst) pattern route
+  // differently.
+  const bool cached = config_.rwa_policy == RwaPolicy::kFirstFit;
+  return net::scan_schedule(
+      schedule, cached ? net::StepKeys::kDirected : net::StepKeys::kNone);
+}
+
 OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
                                       const obs::Probe& probe, Rng* rng,
                                       Seconds start) const {
-  require(schedule.num_nodes() <= ring_.size(),
-          "RingNetwork: schedule spans more nodes than the ring");
-  schedule.validate();
+  return execute_scanned(schedule, scan(schedule), probe, rng, start);
+}
+
+OpticalRunResult RingNetwork::execute_scanned(const coll::Schedule& schedule,
+                                              const net::ScheduleScan& scan,
+                                              const obs::Probe& probe,
+                                              Rng* rng, Seconds start) const {
   const net::RoundRecorder recorder(
       probe, schedule,
       {"optical-ring", net::to_string(config_.reconfig_policy),
@@ -179,7 +196,7 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
   const Detail detail = blame      ? Detail::kTuned
                         : observed ? Detail::kRouted
                                    : Detail::kLean;
-  warm_pattern_cache(schedule, detail);
+  warm_pattern_cache(schedule, scan.signatures, detail);
 
   OpticalRunResult result;
   result.steps = schedule.num_steps();
@@ -218,9 +235,7 @@ OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
         // Random-fit assignments differ run to run; never cache them.
         uncached = evaluate_step(step, rng, detail);
       } else {
-        // Direction hints participate in the key: pinned-direction variants
-        // of the same (src, dst) pattern route differently.
-        const std::uint64_t sig = net::step_signature(step, true);
+        const std::uint64_t sig = scan.signatures[step_index];
         auto it = pattern_cache_.find(sig);
         if (it == pattern_cache_.end()) {
           it = pattern_cache_.emplace(sig, evaluate_step(step, rng, detail))

@@ -167,6 +167,8 @@ struct OpticalRunResult {
   [[nodiscard]] RunReport to_report() const;
 };
 
+class RingBackend;
+
 class RingNetwork {
  public:
   RingNetwork(std::uint32_t num_nodes, OpticalConfig config);
@@ -241,10 +243,25 @@ class RingNetwork {
 
   /// First-fit only: batch-solves the schedule's distinct uncached step
   /// patterns with assign_rounds_batch and fills pattern_cache_, so the
-  /// DES loop below runs entirely on cache hits. No-op when the resolved
-  /// worker count is 1 (the sequential path already does the same work
-  /// lazily) or under random-fit.
-  void warm_pattern_cache(const coll::Schedule& schedule, Detail detail) const;
+  /// DES loop below runs entirely on cache hits. `signatures` are the
+  /// steps' keys from scan(). No-op when the resolved worker count is 1
+  /// (the sequential path already does the same work lazily) or under
+  /// random-fit.
+  void warm_pattern_cache(const coll::Schedule& schedule,
+                          const std::vector<std::uint64_t>& signatures,
+                          Detail detail) const;
+
+  /// The one read of `schedule` before a run: checks that it fits the ring
+  /// and is valid, sums its traffic and, under first-fit (the only policy
+  /// whose patterns are cached), keys every step with its direction hints.
+  [[nodiscard]] net::ScheduleScan scan(const coll::Schedule& schedule) const;
+
+  /// The observed execute() of a schedule `scan` = scan(schedule) has
+  /// read. RingBackend scans first so it can count the run.
+  [[nodiscard]] OpticalRunResult execute_scanned(
+      const coll::Schedule& schedule, const net::ScheduleScan& scan,
+      const obs::Probe& probe, Rng* rng, Seconds start) const;
+  friend class RingBackend;
 
   topo::Ring ring_;
   OpticalConfig config_;

@@ -27,13 +27,22 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
   return execute(schedule, obs::Probe{}, rng);
 }
 
+net::ScheduleScan TorusNetwork::scan(const coll::Schedule& schedule) const {
+  require(schedule.num_nodes() <= torus_.size(),
+          "TorusNetwork: schedule spans more nodes than the torus");
+  return net::scan_schedule(schedule, net::StepKeys::kNone);
+}
+
 OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
                                        const obs::Probe& probe,
                                        Rng* rng) const {
-  require(schedule.num_nodes() <= torus_.size(),
-          "TorusNetwork: schedule spans more nodes than the torus");
-  schedule.validate();
+  (void)scan(schedule);
+  return execute_scanned(schedule, probe, rng);
+}
 
+OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
+                                               const obs::Probe& probe,
+                                               Rng* rng) const {
   const RwaOptions options = config_.rwa_options();
 
   OpticalRunResult result;

@@ -20,6 +20,8 @@
 
 namespace wrht::optics {
 
+class TorusBackend;
+
 class TorusNetwork {
  public:
   TorusNetwork(const topo::Torus& torus, OpticalConfig config);
@@ -40,6 +42,18 @@ class TorusNetwork {
                                          Rng* rng = nullptr) const;
 
  private:
+  /// The one read of `schedule` before a run: checks that it fits the
+  /// torus and is valid, and sums its traffic. Nothing is cached, so no
+  /// step is keyed.
+  [[nodiscard]] net::ScheduleScan scan(const coll::Schedule& schedule) const;
+
+  /// The observed execute() of a schedule scan() has accepted.
+  /// TorusBackend scans first so it can count the run.
+  [[nodiscard]] OpticalRunResult execute_scanned(
+      const coll::Schedule& schedule, const obs::Probe& probe,
+      Rng* rng) const;
+  friend class TorusBackend;
+
   struct RingShare {
     /// Transfers remapped to ring-local node positions.
     std::vector<coll::Transfer> transfers;

@@ -13,8 +13,10 @@
 
 #include "wrht/collectives/ring_allreduce.hpp"
 #include "wrht/collectives/schedule.hpp"
+#include "wrht/common/error.hpp"
 #include "wrht/net/backend.hpp"
 #include "wrht/net/registry.hpp"
+#include "wrht/obs/counters.hpp"
 #include "wrht/obs/run_report.hpp"
 #include "wrht/obs/trace.hpp"
 
@@ -152,6 +154,29 @@ TEST_P(BackendConformance, TrafficCountersMatchSchedule) {
               sched.total_traffic_elements())
         << sched.algorithm();
   }
+}
+
+// Every backend validates a schedule before it counts or prices any of
+// it: a self-transfer in the last step leaves a fresh registry empty.
+TEST_P(BackendConformance, RejectedScheduleCountsNothing) {
+  const auto backend = make_backend();
+  coll::Schedule sched = dimension_local_schedule();
+  coll::Transfer self;
+  self.src = 5;
+  self.dst = 5;
+  self.count = kElements;
+  sched.add_step("self-transfer").transfers.push_back(self);
+
+  obs::Counters counters;
+  try {
+    static_cast<void>(backend->execute(sched, obs::Probe{nullptr, &counters}));
+    ADD_FAILURE() << "a self-transfer was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "Schedule: self-transfer in step 2");
+  }
+  std::string counted;
+  for (const auto& [name, value] : counters.snapshot()) counted += " " + name;
+  EXPECT_EQ(counted, "");
 }
 
 TEST_P(BackendConformance, EmitsAtLeastOneSpanPerStep) {

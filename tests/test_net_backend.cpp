@@ -80,14 +80,18 @@ TEST(BackendRegistry, TorusShapeMustFactorNodeCount) {
 
 TEST(NetHelpers, CountScheduleIsNoOpWithoutCounters) {
   const coll::Schedule sched = coll::ring_allreduce(8, 64);
-  net::count_schedule(obs::Probe{}, sched);  // must not crash
+  // must not crash
+  net::count_schedule(obs::Probe{},
+                      net::scan_schedule(sched, net::StepKeys::kNone));
 }
 
 TEST(NetHelpers, CountScheduleRecordsTraffic) {
   const coll::Schedule sched = coll::ring_allreduce(8, 64);
+  const net::ScheduleScan scan =
+      net::scan_schedule(sched, net::StepKeys::kNone);
   obs::Counters counters;
-  net::count_schedule(obs::Probe{nullptr, &counters}, sched);
-  net::count_schedule(obs::Probe{nullptr, &counters}, sched);
+  net::count_schedule(obs::Probe{nullptr, &counters}, scan);
+  net::count_schedule(obs::Probe{nullptr, &counters}, scan);
   EXPECT_EQ(counters.value("net.executions"), 2u);
   EXPECT_EQ(counters.value("net.steps"), 2 * sched.num_steps());
   EXPECT_EQ(counters.value("net.traffic_elements"),

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -288,6 +290,54 @@ TEST(RingBuilders, ChunkTableMatchesPerTransferDivision) {
     }
   }
   EXPECT_EQ(compared, 69u * 4u * 7u);
+}
+
+TEST(RingBuilders, AppendRingStepRejectsBadSpans) {
+  const std::vector<NodeId> members = {0, 1, 2};
+  const std::vector<ChunkRange> chunks = chunk_ranges(9, 3);
+  const std::vector<ChunkRange> four = chunk_ranges(9, 4);
+  const struct {
+    const char* name;
+    std::span<const NodeId> members;
+    std::span<const ChunkRange> chunks;
+    std::uint32_t first;
+    const char* message;
+  } cases[] = {
+      {"empty spans", {}, {}, 0,
+       "append_ring_step: need at least one member"},
+      {"empty members", {}, chunks, 0,
+       "append_ring_step: need at least one member"},
+      {"fewer chunks", members, std::span(chunks).first(2), 0,
+       "append_ring_step: need one chunk per member"},
+      {"more chunks", members, four, 0,
+       "append_ring_step: need one chunk per member"},
+      {"first == size", members, chunks, 3,
+       "append_ring_step: first chunk index out of range"},
+      {"first > size", members, chunks, 7,
+       "append_ring_step: first chunk index out of range"},
+  };
+  for (const auto& c : cases) {
+    TransferList out;
+    out.push_back(Transfer{4, 5, 0, 1, TransferKind::kCopy, std::nullopt});
+    try {
+      append_ring_step(out, c.members, c.chunks, c.first,
+                       TransferKind::kReduce, topo::Direction::kClockwise,
+                       topo::Direction::kClockwise);
+      ADD_FAILURE() << c.name << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_STREQ(e.what(), c.message) << c.name;
+    }
+    EXPECT_EQ(out.size(), 1u) << c.name << " appended before throwing";
+  }
+
+  // The largest valid first chunk still appends one ring pass.
+  TransferList out;
+  append_ring_step(out, members, chunks, 2, TransferKind::kReduce,
+                   topo::Direction::kClockwise, topo::Direction::kClockwise);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].offset, chunks[2].offset);
+  EXPECT_EQ(out[2].src, 2u);
+  EXPECT_EQ(out[2].dst, 0u);
 }
 
 }  // namespace
