@@ -7,9 +7,9 @@
 
 #include "bench_common.hpp"
 #include "wrht/collectives/btree_allreduce.hpp"
-#include "wrht/collectives/executor.hpp"
 #include "wrht/core/wrht_schedule.hpp"
 #include "wrht/optical/timeline.hpp"
+#include "wrht/verify/oracle.hpp"
 
 int main() {
   using namespace wrht;
@@ -23,13 +23,12 @@ int main() {
       kNodes, kWavelengths);
 
   // Both schedules are semantically verified All-reduces.
-  {
-    Rng rng;
-    const auto bt_small = coll::btree_allreduce(kNodes, 64);
-    const auto wrht_small = core::wrht_allreduce(
-        kNodes, 64, core::WrhtOptions{kGroup, kWavelengths});
-    coll::Executor::verify_allreduce(bt_small, rng);
-    coll::Executor::verify_allreduce(wrht_small, rng);
+  for (const coll::Schedule& small :
+       {coll::btree_allreduce(kNodes, 64),
+        core::wrht_allreduce(kNodes, 64,
+                             core::WrhtOptions{kGroup, kWavelengths})}) {
+    const verify::OracleReport oracle = verify::check_allreduce(small);
+    if (!oracle.ok()) throw Error(oracle.result.summary());
   }
 
   exp::SweepSpec spec;

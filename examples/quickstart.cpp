@@ -3,7 +3,7 @@
 //   $ ./quickstart [nodes] [wavelengths]
 //
 // Walks through the full public API: the planner picks the group size m,
-// the builder emits the schedule, the data-level executor proves it is an
+// the builder emits the schedule, the verification oracle proves it is an
 // All-reduce, and the optical ring simulator prices it against the Ring
 // and Binary-Tree baselines.
 #include <cstdio>
@@ -12,12 +12,13 @@
 #include <utility>
 
 #include "wrht/collectives/btree_allreduce.hpp"
-#include "wrht/collectives/executor.hpp"
 #include "wrht/collectives/ring_allreduce.hpp"
+#include "wrht/common/error.hpp"
 #include "wrht/common/table.hpp"
 #include "wrht/core/planner.hpp"
 #include "wrht/core/wrht_schedule.hpp"
 #include "wrht/optical/ring_network.hpp"
+#include "wrht/verify/oracle.hpp"
 
 int main(int argc, char** argv) {
   using namespace wrht;
@@ -53,12 +54,13 @@ int main(int argc, char** argv) {
   }
 
   // 3. Verify All-reduce semantics on real data.
-  Rng rng;
   const coll::Schedule small = core::wrht_allreduce(
       nodes, 256, core::WrhtOptions{plan.group_size, wavelengths});
-  const double err = coll::Executor::verify_allreduce(small, rng);
-  std::printf("\nexecutor: every node holds the exact global sum "
-              "(max error %.2e)\n", err);
+  const verify::OracleReport oracle = verify::check_allreduce(small);
+  if (!oracle.ok()) throw Error(oracle.result.summary());
+  std::printf("\noracle: every node holds the global sum (max error %.2e%s)\n",
+              oracle.max_abs_error,
+              oracle.provenance_checked ? ", exact by provenance" : "");
 
   // 4. Price it on the optical ring against the baselines. Every backend
   // result converts to the same RunReport shape, so the comparison table

@@ -8,11 +8,12 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "wrht/collectives/executor.hpp"
 #include "wrht/collectives/ring_allreduce.hpp"
+#include "wrht/common/error.hpp"
 #include "wrht/common/table.hpp"
 #include "wrht/core/planner.hpp"
 #include "wrht/core/torus_wrht.hpp"
+#include "wrht/verify/oracle.hpp"
 
 int main(int argc, char** argv) {
   using namespace wrht;
@@ -32,10 +33,10 @@ int main(int argc, char** argv) {
   // Build and verify.
   const coll::Schedule sched =
       core::torus_wrht_allreduce(torus, 64, row_options);
-  Rng rng;
-  const double err = coll::Executor::verify_allreduce(sched, rng);
+  const verify::OracleReport oracle = verify::check_allreduce(sched);
+  if (!oracle.ok()) throw Error(oracle.result.summary());
   std::printf("verified: all %u nodes hold the global sum (max error "
-              "%.2e)\n\n", torus.size(), err);
+              "%.2e)\n\n", torus.size(), oracle.max_abs_error);
 
   const core::TorusWrhtPlan plan = core::torus_wrht_plan(torus, row_options);
   std::printf("phases: %u row-reduce + %u column + %u row-broadcast steps\n\n",

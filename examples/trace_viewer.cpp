@@ -7,7 +7,7 @@
 // https://ui.perfetto.dev ("Open trace file"). Each simulator gets its own
 // track: the optical ring shows one span per communication step with child
 // spans per RWA round, the electrical fat tree one span per fair-sharing
-// step, and the data-level executor a logical-time lane. The engines also
+// step, and the packet model one span per step. The engines also
 // emit Perfetto counter tracks ("C" events) under each lane — wavelengths
 // in use on the optical rings, active flows / max link load on the fat
 // tree, packets per step on the packet model — so utilization dips line up
@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "wrht/collectives/executor.hpp"
 #include "wrht/collectives/ring_allreduce.hpp"
 #include "wrht/common/table.hpp"
 #include "wrht/core/planner.hpp"
@@ -69,24 +68,14 @@ int main(int argc, char** argv) {
       electrical.execute(ring_sched, obs::Probe{&trace, &counters, 2})
           .to_report();
 
-  // Tracks 3-4, at validation scale (256 elements): the packet-level
-  // ground truth, and the data-level executor (logical step time) proving
-  // the WRHT schedule is an All-reduce while tracing what it moves.
-  const coll::Schedule small =
-      core::wrht_allreduce(nodes, 256, core::WrhtOptions{m, wavelengths});
+  // Track 3, at validation scale (256 elements): the packet-level ground
+  // truth.
   trace.set_track_name(3, "electrical packet / Ring (256 elems)");
   const elec::PacketLevelNetwork packet(nodes, elec::ElectricalConfig{});
   const RunReport packet_report =
       packet.execute(coll::ring_allreduce(nodes, 256),
                      obs::Probe{&trace, &counters, 3})
           .to_report();
-
-  trace.set_track_name(4, "executor / WRHT (logical time)");
-  {
-    std::vector<std::vector<double>> buffers(nodes,
-                                             std::vector<double>(256, 1.0));
-    coll::Executor::run(small, buffers, obs::Probe{&trace, &counters, 4});
-  }
 
   const std::string trace_path = prefix + ".trace.json";
   trace.write_file(trace_path);

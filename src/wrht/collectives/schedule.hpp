@@ -3,8 +3,9 @@
 // Every All-reduce algorithm in this library (Ring, H-Ring, Binary Tree,
 // Recursive Doubling, WRHT) is expressed as a Schedule: an ordered list of
 // Steps, each containing the Transfers that happen concurrently in that
-// step. The same IR is executed by three engines:
-//   * coll::Executor      - moves real data, verifies All-reduce semantics,
+// step. The same IR is interpreted on real data by the verification
+// oracle (verify::check_*), which proves what every node ends up holding,
+// and priced by the engines behind net::Backend, e.g.
 //   * optics::RingNetwork - assigns wavelengths and computes optical time,
 //   * elec::FatTreeNetwork- routes flows and computes electrical time.
 //

@@ -1,8 +1,8 @@
 // Deterministic random number generation.
 //
 // All stochastic pieces of the library (random-fit RWA, synthetic gradient
-// data for the executor, workload jitter) draw from an explicitly seeded
-// generator so every simulation run is reproducible.
+// data for the verification oracle, workload jitter) draw from an
+// explicitly seeded generator so every simulation run is reproducible.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,7 @@
 // Phase 2: the root column — itself a ring — runs a full WRHT All-reduce.
 // Phase 3: every row replays its reduce hierarchy in reverse (broadcast).
 //
-// The resulting schedule is verified by the same data-level executor as the
+// The resulting schedule is proven by the same verification oracle as the
 // ring schedules; timing uses the step-count analysis (a torus-specific
 // optical device model is out of scope, as in the paper).
 #pragma once

@@ -46,13 +46,13 @@ struct WrhtRootedSchedule {
 };
 
 /// Standalone WRHT Reduce: ceil(log_m N) steps folding every node's vector
-/// into the hierarchy root (verified by Executor::verify_reduce).
+/// into the hierarchy root (proven by verify::check_reduce).
 [[nodiscard]] WrhtRootedSchedule wrht_reduce(std::uint32_t num_nodes,
                                              std::size_t elements,
                                              const WrhtOptions& options);
 
 /// Standalone WRHT Broadcast: ceil(log_m N) steps fanning the root's
-/// vector out to every node (verified by Executor::verify_broadcast).
+/// vector out to every node (proven by verify::check_broadcast).
 [[nodiscard]] WrhtRootedSchedule wrht_broadcast(std::uint32_t num_nodes,
                                                 std::size_t elements,
                                                 const WrhtOptions& options);

@@ -9,13 +9,8 @@ FlowBackend::FlowBackend(std::uint32_t num_hosts, ElectricalConfig config,
     : network_(num_hosts, config),
       collect_utilization_(collect_utilization) {}
 
-std::string FlowBackend::describe() const {
-  return "fat-tree flow-level simulator (max-min fair sharing, barrier "
-         "steps)";
-}
-
 net::BackendCapabilities FlowBackend::capabilities() const {
-  net::BackendCapabilities caps;  // no hints, no RWA, no wavelengths
+  net::BackendCapabilities caps;  // no wavelengths
   caps.reports_utilization = true;
   return caps;
 }
@@ -24,10 +19,10 @@ RunReport FlowBackend::execute(const coll::Schedule& schedule,
                                const obs::Probe& probe) const {
   const prof::ScopedTimer timer("backend.electrical-flow.execute");
   const net::ScheduleScan scan = network_.scan(schedule);
-  net::count_schedule(probe, scan);
   const net::ScopedUtilization util(probe, collect_utilization_);
   RunReport report =
       network_.execute_scanned(schedule, scan, util.probe()).to_report();
+  net::count_schedule(probe, scan);
   util.finish(report);
   return report;
 }
@@ -38,11 +33,6 @@ PacketBackend::PacketBackend(std::uint32_t num_hosts,
     : network_(num_hosts, config),
       collect_utilization_(collect_utilization) {}
 
-std::string PacketBackend::describe() const {
-  return "fat-tree store-and-forward packet simulator (validation-scale "
-         "ground truth)";
-}
-
 net::BackendCapabilities PacketBackend::capabilities() const {
   net::BackendCapabilities caps;
   caps.reports_utilization = true;
@@ -52,10 +42,11 @@ net::BackendCapabilities PacketBackend::capabilities() const {
 RunReport PacketBackend::execute(const coll::Schedule& schedule,
                                  const obs::Probe& probe) const {
   const prof::ScopedTimer timer("backend.electrical-packet.execute");
-  net::count_schedule(probe, network_.scan(schedule));
+  const net::ScheduleScan scan = network_.scan(schedule);
   const net::ScopedUtilization util(probe, collect_utilization_);
   RunReport report =
       network_.execute_scanned(schedule, util.probe()).to_report();
+  net::count_schedule(probe, scan);
   util.finish(report);
   return report;
 }
@@ -72,16 +63,14 @@ ElectricalConfig electrical_config_from(const net::BackendConfig& config) {
 
 void register_electrical_backends(net::BackendRegistry& registry) {
   registry.register_backend(
-      "electrical-flow",
-      "fat-tree flow-level simulator (max-min fair sharing)",
+      "electrical-flow", FlowBackend::kDescription,
       [](const net::BackendConfig& config) -> std::unique_ptr<net::Backend> {
         return std::make_unique<FlowBackend>(config.num_nodes,
                                              electrical_config_from(config),
                                              config.collect_utilization);
       });
   registry.register_backend(
-      "electrical-packet",
-      "fat-tree packet-level simulator (store-and-forward ground truth)",
+      "electrical-packet", PacketBackend::kDescription,
       [](const net::BackendConfig& config) -> std::unique_ptr<net::Backend> {
         return std::make_unique<PacketBackend>(
             config.num_nodes, electrical_config_from(config),

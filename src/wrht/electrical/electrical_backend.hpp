@@ -22,10 +22,14 @@ class FlowBackend final : public net::Backend {
   FlowBackend(std::uint32_t num_hosts, ElectricalConfig config,
               bool collect_utilization = false);
 
+  /// The one line describe() and the backend registry both give.
+  static constexpr const char* kDescription =
+      "fat-tree flow-level simulator (max-min fair sharing, barrier steps)";
+
   [[nodiscard]] std::string name() const override {
     return "electrical-flow";
   }
-  [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] std::string describe() const override { return kDescription; }
   [[nodiscard]] net::BackendCapabilities capabilities() const override;
   using net::Backend::execute;
   [[nodiscard]] RunReport execute(const coll::Schedule& schedule,
@@ -43,10 +47,15 @@ class PacketBackend final : public net::Backend {
   PacketBackend(std::uint32_t num_hosts, ElectricalConfig config,
                 bool collect_utilization = false);
 
+  /// The one line describe() and the backend registry both give.
+  static constexpr const char* kDescription =
+      "fat-tree store-and-forward packet simulator (validation-scale ground "
+      "truth)";
+
   [[nodiscard]] std::string name() const override {
     return "electrical-packet";
   }
-  [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] std::string describe() const override { return kDescription; }
   [[nodiscard]] net::BackendCapabilities capabilities() const override;
   using net::Backend::execute;
   [[nodiscard]] RunReport execute(const coll::Schedule& schedule,

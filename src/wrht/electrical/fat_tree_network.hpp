@@ -158,7 +158,7 @@ class FatTreeNetwork {
   [[nodiscard]] net::ScheduleScan scan(const coll::Schedule& schedule) const;
 
   /// The observed execute() of a schedule `scan` = scan(schedule) has
-  /// read. FlowBackend scans first so it can count the run.
+  /// read. FlowBackend scans first and counts the run once this returns.
   [[nodiscard]] ElectricalRunResult execute_scanned(
       const coll::Schedule& schedule, const net::ScheduleScan& scan,
       const obs::Probe& probe) const;

@@ -56,7 +56,7 @@ class PacketLevelNetwork {
   [[nodiscard]] net::ScheduleScan scan(const coll::Schedule& schedule) const;
 
   /// The observed execute() of a schedule scan() has accepted.
-  /// PacketBackend scans first so it can count the run.
+  /// PacketBackend scans first and counts the run once this returns.
   [[nodiscard]] PacketRunResult execute_scanned(
       const coll::Schedule& schedule, const obs::Probe& probe) const;
   friend class PacketBackend;

@@ -34,14 +34,11 @@
 
 namespace wrht::net {
 
-/// What a backend can and cannot do; the conformance suite and sweep
-/// engine branch on these instead of on backend names.
+/// What a backend can and cannot do. The conformance suite
+/// (test_backend_conformance) branches on these instead of on backend
+/// names to pick each backend's legal schedules and the invariants its
+/// reports must meet.
 struct BackendCapabilities {
-  /// Honours coll::Transfer::direction routing hints (optical rings).
-  bool supports_direction_hints = false;
-  /// Performs routing-and-wavelength assignment and can reject schedules
-  /// that exhaust the wavelength budget.
-  bool validates_rwa = false;
   /// Reports per-step wavelength usage in its StepReports.
   bool reports_wavelengths = false;
   /// Accepts only transfers that stay within one torus row or column.
@@ -87,8 +84,10 @@ class Backend {
   /// Every engine here is time-invariant, so the default implementation —
   /// execute() then shift the step timeline — is exact; engines with a
   /// native clock offset (the optical ring) override it to run shifted.
-  /// The service layer (wrht::svc) uses this to place each admitted job's
-  /// timeline at its grant time on the shared fabric clock.
+  /// It serves callers that lay engine runs on one clock; the service
+  /// layer does not call it, as svc::FabricService prices each job with
+  /// plan::predict instead of running an engine. test_engine_records pins
+  /// the shifted records.
   [[nodiscard]] virtual RunReport execute_at(const coll::Schedule& schedule,
                                              const obs::Probe& probe,
                                              Seconds start) const;
@@ -96,8 +95,8 @@ class Backend {
 
 /// Emits the backend-neutral "net.*" counters every adapter shares:
 /// net.executions, net.steps and net.traffic_elements, from the scan of
-/// the run's schedule. Adapters call it once per run, after the scan has
-/// validated the schedule, so a rejected schedule counts nothing. Gives
+/// the run's schedule. Adapters call it once per run, after the engine run
+/// returns, so a run the scan or the engine rejects counts nothing. Gives
 /// the conformance suite one uniform traffic-accounting surface per
 /// backend.
 void count_schedule(const obs::Probe& probe, const ScheduleScan& scan);

@@ -19,8 +19,7 @@ void register_builtin_backends() {
     optics::register_optical_backends(registry);
     elec::register_electrical_backends(registry);
     registry.register_backend(
-        "schedule-only",
-        "walks the schedule and reports step structure; prices no time",
+        "schedule-only", ScheduleOnlyBackend::kDescription,
         [](const BackendConfig& config) -> std::unique_ptr<Backend> {
           return std::make_unique<ScheduleOnlyBackend>(config.num_nodes);
         });

@@ -18,10 +18,12 @@ class ScheduleOnlyBackend final : public Backend {
   explicit ScheduleOnlyBackend(std::uint32_t num_nodes)
       : num_nodes_(num_nodes) {}
 
+  /// The one line describe() and the backend registry both give.
+  static constexpr const char* kDescription =
+      "walks the schedule and reports step structure; prices no time";
+
   [[nodiscard]] std::string name() const override { return "schedule-only"; }
-  [[nodiscard]] std::string describe() const override {
-    return "walks the schedule and reports step structure; prices no time";
-  }
+  [[nodiscard]] std::string describe() const override { return kDescription; }
   [[nodiscard]] BackendCapabilities capabilities() const override {
     BackendCapabilities caps;
     caps.prices_time = false;

@@ -1,7 +1,7 @@
 // Named counter registry for simulator telemetry.
 //
 // Every instrumented layer (event kernel, optical ring, electrical fat
-// tree, packet model, data-level executor) accumulates into one Counters
+// tree, packet model) accumulates into one Counters
 // instance handed in through obs::Probe: wavelengths used per round,
 // rounds per step, reconfiguration charges under either accounting mode,
 // multi-round splits, fair-share bottleneck links, events fired. Counters

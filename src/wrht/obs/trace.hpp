@@ -2,12 +2,12 @@
 //
 // TraceSink is the single interface every timing-producing layer emits
 // into: the optical ring posts one span per communication step with child
-// spans per RWA round, the electrical simulators post one span per step,
-// and the data-level executor posts logical-time spans. The default is no
-// sink at all — instrumentation sites hold a possibly-null Probe and every
-// emission is guarded by one pointer test, so a run without observers costs
-// nothing but untaken branches (wrht_perf's probe_overhead.ratio gates the
-// price of attaching a sink and counters against that unobserved run).
+// spans per RWA round, and the electrical simulators post one span per
+// step. The default is no sink at all — instrumentation sites hold a
+// possibly-null Probe and every emission is guarded by one pointer test, so
+// a run without observers costs nothing but untaken branches (wrht_perf's
+// probe_overhead.ratio gates the price of attaching a sink and counters
+// against that unobserved run).
 #pragma once
 
 #include <cstdint>

@@ -14,15 +14,8 @@ RingBackend::RingBackend(std::uint32_t num_nodes, OpticalConfig config,
       rng_seed_(rng_seed),
       collect_utilization_(collect_utilization) {}
 
-std::string RingBackend::describe() const {
-  return "WDM double-ring discrete-event simulator (RWA + multi-round "
-         "splitting, Eq. 6 pricing)";
-}
-
 net::BackendCapabilities RingBackend::capabilities() const {
   net::BackendCapabilities caps;
-  caps.supports_direction_hints = true;
-  caps.validates_rwa = true;
   caps.reports_wavelengths = true;
   caps.reports_utilization = true;
   caps.supports_reconfig_overlap = true;
@@ -39,7 +32,6 @@ RunReport RingBackend::execute_at(const coll::Schedule& schedule,
                                   Seconds start) const {
   const prof::ScopedTimer timer("backend.optical-ring.execute");
   const net::ScheduleScan scan = network_.scan(schedule);
-  net::count_schedule(probe, scan);
   const net::ScopedUtilization util(probe, collect_utilization_);
   OpticalRunResult run;
   if (network_.config().rwa_policy == RwaPolicy::kRandomFit) {
@@ -49,6 +41,7 @@ RunReport RingBackend::execute_at(const coll::Schedule& schedule,
     run = network_.execute_scanned(schedule, scan, util.probe(), nullptr,
                                    start);
   }
+  net::count_schedule(probe, scan);
   RunReport report = run.to_report();
   util.finish(report);
   return report;
@@ -60,15 +53,8 @@ TorusBackend::TorusBackend(const topo::Torus& torus, OpticalConfig config,
       rng_seed_(rng_seed),
       collect_utilization_(collect_utilization) {}
 
-std::string TorusBackend::describe() const {
-  return "optical torus: every row/column is a WDM ring; steps last as "
-         "long as their slowest ring";
-}
-
 net::BackendCapabilities TorusBackend::capabilities() const {
   net::BackendCapabilities caps;
-  caps.supports_direction_hints = false;  // hints are flat-ring specific
-  caps.validates_rwa = true;
   caps.reports_wavelengths = true;
   caps.dimension_local_transfers_only = true;
   caps.reports_utilization = true;
@@ -79,7 +65,7 @@ net::BackendCapabilities TorusBackend::capabilities() const {
 RunReport TorusBackend::execute(const coll::Schedule& schedule,
                                 const obs::Probe& probe) const {
   const prof::ScopedTimer timer("backend.optical-torus.execute");
-  net::count_schedule(probe, network_.scan(schedule));
+  const net::ScheduleScan scan = network_.scan(schedule);
   const net::ScopedUtilization util(probe, collect_utilization_);
   OpticalRunResult run;
   if (network_.config().rwa_policy == RwaPolicy::kRandomFit) {
@@ -88,6 +74,7 @@ RunReport TorusBackend::execute(const coll::Schedule& schedule,
   } else {
     run = network_.execute_scanned(schedule, util.probe(), nullptr);
   }
+  net::count_schedule(probe, scan);
   RunReport report = run.to_report();
   report.backend = name();
   util.finish(report);
@@ -109,16 +96,14 @@ OpticalConfig optical_config_from(const net::BackendConfig& config) {
 
 void register_optical_backends(net::BackendRegistry& registry) {
   registry.register_backend(
-      "optical-ring",
-      "WDM double-ring simulator (RWA, multi-round splitting, Eq. 6)",
+      "optical-ring", RingBackend::kDescription,
       [](const net::BackendConfig& config) -> std::unique_ptr<net::Backend> {
         return std::make_unique<RingBackend>(
             config.num_nodes, optical_config_from(config), config.rng_seed,
             config.collect_utilization);
       });
   registry.register_backend(
-      "optical-torus",
-      "optical torus of WDM row/column rings (dimension-local transfers)",
+      "optical-torus", TorusBackend::kDescription,
       [](const net::BackendConfig& config) -> std::unique_ptr<net::Backend> {
         std::uint32_t rows = config.torus_rows;
         std::uint32_t cols = config.torus_cols;

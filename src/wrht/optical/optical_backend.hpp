@@ -25,8 +25,13 @@ class RingBackend final : public net::Backend {
               std::uint64_t rng_seed = 2023,
               bool collect_utilization = false);
 
+  /// The one line describe() and the backend registry both give.
+  static constexpr const char* kDescription =
+      "WDM double-ring discrete-event simulator (RWA + multi-round "
+      "splitting, Eq. 6 pricing)";
+
   [[nodiscard]] std::string name() const override { return "optical-ring"; }
-  [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] std::string describe() const override { return kDescription; }
   [[nodiscard]] net::BackendCapabilities capabilities() const override;
   using net::Backend::execute;
   [[nodiscard]] RunReport execute(const coll::Schedule& schedule,
@@ -51,8 +56,13 @@ class TorusBackend final : public net::Backend {
                std::uint64_t rng_seed = 2023,
                bool collect_utilization = false);
 
+  /// The one line describe() and the backend registry both give.
+  static constexpr const char* kDescription =
+      "optical torus: every row/column is a WDM ring; steps last as long as "
+      "their slowest ring";
+
   [[nodiscard]] std::string name() const override { return "optical-torus"; }
-  [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] std::string describe() const override { return kDescription; }
   [[nodiscard]] net::BackendCapabilities capabilities() const override;
   using net::Backend::execute;
   [[nodiscard]] RunReport execute(const coll::Schedule& schedule,

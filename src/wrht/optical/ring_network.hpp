@@ -257,7 +257,7 @@ class RingNetwork {
   [[nodiscard]] net::ScheduleScan scan(const coll::Schedule& schedule) const;
 
   /// The observed execute() of a schedule `scan` = scan(schedule) has
-  /// read. RingBackend scans first so it can count the run.
+  /// read. RingBackend scans first and counts the run once this returns.
   [[nodiscard]] OpticalRunResult execute_scanned(
       const coll::Schedule& schedule, const net::ScheduleScan& scan,
       const obs::Probe& probe, Rng* rng, Seconds start) const;

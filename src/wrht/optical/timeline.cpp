@@ -23,43 +23,6 @@ void write_timeline_csv(const OpticalRunResult& result,
   }
 }
 
-namespace {
-
-/// One timeline row shared by both public overloads.
-void print_bar(std::ostream& os, std::size_t index, Seconds start,
-               Seconds duration, std::uint32_t rounds,
-               std::uint32_t wavelengths_used, double total,
-               std::size_t width) {
-  const auto offset = static_cast<std::size_t>(
-      start.count() / total * static_cast<double>(width));
-  auto len = static_cast<std::size_t>(
-      duration.count() / total * static_cast<double>(width));
-  len = std::max<std::size_t>(len, 1);
-  char line[32];
-  std::snprintf(line, sizeof line, "%4zu ", index);
-  os << line << std::string(std::min(offset, width), ' ')
-     << std::string(std::min(len, width - std::min(offset, width)), '#')
-     << "  " << to_string(duration) << " x" << rounds << " rounds, "
-     << wavelengths_used << " lambdas\n";
-}
-
-}  // namespace
-
-void print_timeline(const OpticalRunResult& result, std::ostream& os,
-                    std::size_t width) {
-  require(width >= 10, "print_timeline: width too small");
-  const double total = result.total_time.count();
-  if (total <= 0.0 || result.step_costs.empty()) {
-    os << "(empty timeline)\n";
-    return;
-  }
-  for (std::size_t i = 0; i < result.step_costs.size(); ++i) {
-    const StepCost& c = result.step_costs[i];
-    print_bar(os, i, c.start, c.duration, c.rounds, c.wavelengths_used, total,
-              width);
-  }
-}
-
 void print_timeline(const RunReport& report, std::ostream& os,
                     std::size_t width) {
   require(width >= 10, "print_timeline: width too small");
@@ -70,8 +33,17 @@ void print_timeline(const RunReport& report, std::ostream& os,
   }
   for (std::size_t i = 0; i < report.step_reports.size(); ++i) {
     const StepReport& s = report.step_reports[i];
-    print_bar(os, i, s.start, s.duration, s.rounds, s.wavelengths_used, total,
-              width);
+    const auto offset = static_cast<std::size_t>(
+        s.start.count() / total * static_cast<double>(width));
+    auto len = static_cast<std::size_t>(
+        s.duration.count() / total * static_cast<double>(width));
+    len = std::max<std::size_t>(len, 1);
+    char line[32];
+    std::snprintf(line, sizeof line, "%4zu ", i);
+    os << line << std::string(std::min(offset, width), ' ')
+       << std::string(std::min(len, width - std::min(offset, width)), '#')
+       << "  " << to_string(s.duration) << " x" << s.rounds << " rounds, "
+       << s.wavelengths_used << " lambdas\n";
   }
 }
 

@@ -17,13 +17,9 @@ void write_timeline_csv(const OpticalRunResult& result,
                         const std::string& path);
 
 /// Renders a proportional ASCII timeline (one row per step, bar length
-/// proportional to duration), at most `width` columns.
-void print_timeline(const OpticalRunResult& result, std::ostream& os,
-                    std::size_t width = 60);
-
-/// Same ASCII timeline from the backend-neutral report shape (StepReport
-/// carries start/duration/rounds/wavelengths), so net::Backend callers
-/// need not keep the engine-specific result around.
+/// proportional to duration), at most `width` columns, from the
+/// backend-neutral report (StepReport carries start/duration/rounds/
+/// wavelengths); an OpticalRunResult prints through to_report().
 void print_timeline(const RunReport& report, std::ostream& os,
                     std::size_t width = 60);
 

@@ -48,7 +48,7 @@ class TorusNetwork {
   [[nodiscard]] net::ScheduleScan scan(const coll::Schedule& schedule) const;
 
   /// The observed execute() of a schedule scan() has accepted.
-  /// TorusBackend scans first so it can count the run.
+  /// TorusBackend scans first and counts the run once this returns.
   [[nodiscard]] OpticalRunResult execute_scanned(
       const coll::Schedule& schedule, const obs::Probe& probe,
       Rng* rng) const;

@@ -1,5 +1,6 @@
 #include "wrht/verify/oracle.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -138,11 +139,12 @@ void interpret(const Schedule& schedule, Machine& m) {
   }
 }
 
-/// Numeric comparison of node `i`'s buffer against `expected`.
-void compare_numeric(const Machine& m, std::uint32_t i,
-                     const std::vector<double>& expected, double tolerance,
-                     const char* what, OracleReport& report) {
-  for (std::size_t e = 0; e < m.elements; ++e) {
+/// Numeric comparison of node `i`'s elements [lo, hi) against `expected`.
+void compare_numeric(const Machine& m, std::uint32_t i, std::size_t lo,
+                     std::size_t hi, const std::vector<double>& expected,
+                     double tolerance, const char* what,
+                     OracleReport& report) {
+  for (std::size_t e = lo; e < hi; ++e) {
     const double err = std::abs(m.value_row(i)[e] - expected[e]);
     if (err > report.max_abs_error) {
       report.max_abs_error = err;
@@ -160,11 +162,12 @@ void compare_numeric(const Machine& m, std::uint32_t i,
 }
 
 /// Exact provenance comparison: node `i` must hold `want[src]` copies of
-/// every source's contribution at every element.
-void compare_provenance(const Machine& m, std::uint32_t i,
-                        const std::vector<std::uint32_t>& want,
+/// every source's contribution at every element of [lo, hi). Returns
+/// whether it added a finding.
+bool compare_provenance(const Machine& m, std::uint32_t i, std::size_t lo,
+                        std::size_t hi, const std::vector<std::uint32_t>& want,
                         const char* what, OracleReport& report) {
-  for (std::size_t e = 0; e < m.elements; ++e) {
+  for (std::size_t e = lo; e < hi; ++e) {
     for (std::uint32_t src = 0; src < m.n; ++src) {
       const std::uint32_t got = m.count_row(i)[e * m.n + src];
       if (got != want[src]) {
@@ -173,10 +176,21 @@ void compare_provenance(const Machine& m, std::uint32_t i,
             "node " + std::to_string(i) + " element " + std::to_string(e) +
                 " holds " + std::to_string(got) + " contribution(s) of node " +
                 std::to_string(src) + ", want " + std::to_string(want[src]));
-        return;  // one provenance finding per node is enough
+        return true;  // one provenance finding per node is enough
       }
     }
   }
+  return false;
+}
+
+/// Element-wise sum of every node's initial values.
+std::vector<double> global_sum(const Machine& m) {
+  std::vector<double> expected(m.elements, 0.0);
+  for (std::uint32_t i = 0; i < m.n; ++i) {
+    const double* row = m.value_row(i);
+    for (std::size_t e = 0; e < m.elements; ++e) expected[e] += row[e];
+  }
+  return expected;
 }
 
 }  // namespace
@@ -186,20 +200,18 @@ OracleReport check_allreduce(const coll::Schedule& schedule,
   const prof::ScopedTimer timer("verify.oracle.check");
   schedule.validate();
   Machine m = boot(schedule, options);
-  std::vector<double> expected(m.elements, 0.0);
-  for (std::uint32_t i = 0; i < m.n; ++i) {
-    const double* row = m.value_row(i);
-    for (std::size_t e = 0; e < m.elements; ++e) expected[e] += row[e];
-  }
+  const std::vector<double> expected = global_sum(m);
   interpret(schedule, m);
 
   OracleReport report;
   report.provenance_checked = m.provenance;
   const std::vector<std::uint32_t> one_of_each(m.n, 1);
   for (std::uint32_t i = 0; i < m.n; ++i) {
-    compare_numeric(m, i, expected, options.tolerance, "allreduce", report);
+    compare_numeric(m, i, 0, m.elements, expected, options.tolerance,
+                    "allreduce", report);
     if (m.provenance) {
-      compare_provenance(m, i, one_of_each, "allreduce", report);
+      compare_provenance(m, i, 0, m.elements, one_of_each, "allreduce",
+                         report);
     }
   }
   return report;
@@ -210,19 +222,16 @@ OracleReport check_reduce(const coll::Schedule& schedule, std::uint32_t root,
   schedule.validate();
   require(root < schedule.num_nodes(), "check_reduce: root out of range");
   Machine m = boot(schedule, options);
-  std::vector<double> expected(m.elements, 0.0);
-  for (std::uint32_t i = 0; i < m.n; ++i) {
-    const double* row = m.value_row(i);
-    for (std::size_t e = 0; e < m.elements; ++e) expected[e] += row[e];
-  }
+  const std::vector<double> expected = global_sum(m);
   interpret(schedule, m);
 
   OracleReport report;
   report.provenance_checked = m.provenance;
-  compare_numeric(m, root, expected, options.tolerance, "reduce", report);
+  compare_numeric(m, root, 0, m.elements, expected, options.tolerance,
+                  "reduce", report);
   if (m.provenance) {
     const std::vector<std::uint32_t> one_of_each(m.n, 1);
-    compare_provenance(m, root, one_of_each, "reduce", report);
+    compare_provenance(m, root, 0, m.elements, one_of_each, "reduce", report);
   }
   return report;
 }
@@ -242,9 +251,76 @@ OracleReport check_broadcast(const coll::Schedule& schedule,
   std::vector<std::uint32_t> roots_only(m.n, 0);
   roots_only[root] = 1;
   for (std::uint32_t i = 0; i < m.n; ++i) {
-    compare_numeric(m, i, expected, options.tolerance, "broadcast", report);
+    compare_numeric(m, i, 0, m.elements, expected, options.tolerance,
+                    "broadcast", report);
     if (m.provenance) {
-      compare_provenance(m, i, roots_only, "broadcast", report);
+      compare_provenance(m, i, 0, m.elements, roots_only, "broadcast",
+                         report);
+    }
+  }
+  return report;
+}
+
+OracleReport check_reduce_scatter(const coll::Schedule& schedule,
+                                  std::size_t chunks,
+                                  const OracleOptions& options) {
+  schedule.validate();
+  require(chunks >= 1, "check_reduce_scatter: chunks must be >= 1");
+  Machine m = boot(schedule, options);
+  const std::vector<double> expected = global_sum(m);
+  interpret(schedule, m);
+
+  OracleReport report;
+  report.provenance_checked = m.provenance;
+  const std::vector<std::uint32_t> one_of_each(m.n, 1);
+  for (std::uint32_t i = 0; i < chunks && i < m.n; ++i) {
+    const coll::ChunkRange r = coll::chunk_range(m.elements, chunks, i);
+    compare_numeric(m, i, r.offset, r.offset + r.count, expected,
+                    options.tolerance, "reduce_scatter", report);
+    if (m.provenance) {
+      compare_provenance(m, i, r.offset, r.offset + r.count, one_of_each,
+                         "reduce_scatter", report);
+    }
+  }
+  return report;
+}
+
+OracleReport check_allgather(const coll::Schedule& schedule,
+                             std::size_t chunks,
+                             const OracleOptions& options) {
+  schedule.validate();
+  require(chunks >= 1, "check_allgather: chunks must be >= 1");
+  Machine m = boot(schedule, options);
+  // Chunk c is owned by node c and expected to hold node c's initial
+  // values; the owned chunks tile [0, covered).
+  const std::uint32_t owners =
+      static_cast<std::uint32_t>(std::min<std::size_t>(chunks, m.n));
+  std::vector<coll::ChunkRange> owned;
+  owned.reserve(owners);
+  std::vector<double> expected(m.elements, 0.0);
+  for (std::uint32_t c = 0; c < owners; ++c) {
+    const coll::ChunkRange r = coll::chunk_range(m.elements, chunks, c);
+    std::memcpy(expected.data() + r.offset, m.value_row(c) + r.offset,
+                r.count * sizeof(double));
+    owned.push_back(r);
+  }
+  const std::size_t covered = owned.back().offset + owned.back().count;
+  interpret(schedule, m);
+
+  OracleReport report;
+  report.provenance_checked = m.provenance;
+  std::vector<std::uint32_t> owner_only(m.n, 0);
+  for (std::uint32_t i = 0; i < m.n; ++i) {
+    compare_numeric(m, i, 0, covered, expected, options.tolerance,
+                    "allgather", report);
+    if (!m.provenance) continue;
+    for (std::uint32_t c = 0; c < owners; ++c) {
+      owner_only[c] = 1;
+      const bool found = compare_provenance(
+          m, i, owned[c].offset, owned[c].offset + owned[c].count,
+          owner_only, "allgather", report);
+      owner_only[c] = 0;
+      if (found) break;  // one provenance finding per node is enough
     }
   }
   return report;

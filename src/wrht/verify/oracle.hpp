@@ -1,21 +1,25 @@
-// Data-level schedule oracle.
+// Data-level schedule oracle: the one interpreter of schedule semantics.
 //
-// Executes any coll::Schedule against concrete per-node payloads and proves
-// that every node ends holding the element-wise global sum. The interpreter
-// here is an INDEPENDENT implementation of the step/transfer semantics
-// (snapshot-per-step concurrent sends) — it deliberately does not call
-// coll::Executor, so the two interpreters cross-check each other: a bug in
-// either shows up as a disagreement in the fuzz driver.
+// Executes any coll::Schedule against concrete per-node payloads with
+// snapshot-per-step concurrent sends and proves what the nodes end up
+// holding: the global sum everywhere (All-reduce), at a root (Reduce) or
+// on each node's own chunk (Reduce-scatter), or one node's values
+// everywhere (Broadcast) or each chunk's owner's values everywhere
+// (All-gather). Every builder test, example and the fuzz driver prove
+// their schedules here. What keeps this interpreter honest is
+// test_verify_oracle's independent per-node reference interpreter, which
+// must produce every report field bit for bit.
 //
 // Two proofs run side by side:
 //   * numeric  — random real inputs; the final buffers must equal the
-//     reference sum within a tolerance. Catches any wrong linear
+//     reference values within a tolerance. Catches any wrong linear
 //     combination with overwhelming probability.
 //   * provenance — each node starts owning exactly one unit of its own
 //     contribution; transfers move exact integer contribution counts. The
-//     final state must be exactly one contribution from every node at
-//     every element of every node. This is an exact proof that the
-//     schedule computes sum(x_0..x_{N-1}) — no tolerance involved.
+//     final state must hold exactly the contributions the collective
+//     promises at every checked element of every checked node (for an
+//     All-reduce: one from every node). This is an exact proof — no
+//     tolerance involved.
 //     Tracked only while num_nodes^2 * elements stays under a memory cap
 //     (the numeric check still runs above it).
 #pragma once
@@ -66,6 +70,24 @@ struct OracleReport {
 /// `root`'s initial vector.
 [[nodiscard]] OracleReport check_broadcast(const coll::Schedule& schedule,
                                            std::uint32_t root,
+                                           const OracleOptions& options = {});
+
+/// Same interpreter, Reduce-scatter semantics over `chunks` balanced
+/// chunks (coll::chunk_range): for every chunk i < min(chunks, num_nodes),
+/// node i must end with the global sum on chunk i. Its other elements and
+/// every other node are unconstrained. Throws InvalidArgument when
+/// `chunks` is 0.
+[[nodiscard]] OracleReport check_reduce_scatter(
+    const coll::Schedule& schedule, std::size_t chunks,
+    const OracleOptions& options = {});
+
+/// Same interpreter, All-gather semantics over `chunks` balanced chunks:
+/// chunk i < min(chunks, num_nodes) starts valid only on node i, and every
+/// node must end with node i's initial values on chunk i, for every such
+/// i. Elements of chunks past the last node start valid nowhere and are
+/// not checked. Throws InvalidArgument when `chunks` is 0.
+[[nodiscard]] OracleReport check_allgather(const coll::Schedule& schedule,
+                                           std::size_t chunks,
                                            const OracleOptions& options = {});
 
 }  // namespace wrht::verify

@@ -19,6 +19,7 @@
 #include "wrht/obs/counters.hpp"
 #include "wrht/obs/run_report.hpp"
 #include "wrht/obs/trace.hpp"
+#include "wrht/obs/transfer_log.hpp"
 
 namespace wrht {
 namespace {
@@ -76,6 +77,14 @@ std::vector<coll::Schedule> canonical_schedules(
   return out;
 }
 
+/// Every counter `counters` holds, by name: "" when the run counted
+/// nothing.
+std::string counter_names(const obs::Counters& counters) {
+  std::string names;
+  for (const auto& [name, value] : counters.snapshot()) names += " " + name;
+  return names;
+}
+
 class BackendConformance : public testing::TestWithParam<std::string> {
  protected:
   static void SetUpTestSuite() { net::register_builtin_backends(); }
@@ -95,8 +104,9 @@ TEST_P(BackendConformance, NameAndDescriptionAreStable) {
   const auto backend = make_backend();
   EXPECT_EQ(backend->name(), GetParam());
   EXPECT_FALSE(backend->describe().empty());
-  // The registry's description is recorded independently, but must exist.
-  EXPECT_FALSE(net::BackendRegistry::instance().describe(GetParam()).empty());
+  // One description per backend: the registry lists the one it gives.
+  EXPECT_EQ(net::BackendRegistry::instance().describe(GetParam()),
+            backend->describe());
 }
 
 TEST_P(BackendConformance, ReportMirrorsScheduleStructure) {
@@ -174,9 +184,55 @@ TEST_P(BackendConformance, RejectedScheduleCountsNothing) {
   } catch (const InvalidArgument& e) {
     EXPECT_STREQ(e.what(), "Schedule: self-transfer in step 2");
   }
-  std::string counted;
-  for (const auto& [name, value] : counters.snapshot()) counted += " " + name;
-  EXPECT_EQ(counted, "");
+  EXPECT_EQ(counter_names(counters), "");
+}
+
+// A transfer log holds one run. Every backend that writes one rejects a
+// second run into it, inside the engine after the scan has passed, and
+// that run counts nothing.
+TEST_P(BackendConformance, RunIntoAUsedTransferLogCountsNothing) {
+  const auto backend = make_backend();
+  const coll::Schedule sched = dimension_local_schedule();
+  obs::TransferLog log;
+  obs::Probe probe;
+  probe.transfers = &log;
+  static_cast<void>(backend->execute(sched, probe));
+
+  obs::Counters counters;
+  probe.counters = &counters;
+  if (log.empty()) {
+    // schedule-only keeps no transfer log, so it has nothing to reject.
+    static_cast<void>(backend->execute(sched, probe));
+    EXPECT_EQ(counters.value("net.executions"), 1u);
+    return;
+  }
+  EXPECT_THROW(static_cast<void>(backend->execute(sched, probe)),
+               InvalidArgument);
+  EXPECT_EQ(counter_names(counters), "");
+}
+
+// A transfer from torus node (0, 0) to (1, 1) passes the scan everywhere.
+// A backend that routes any pair carries it; a dimension-local one rejects
+// it in its engine, and that run counts nothing.
+TEST_P(BackendConformance, CrossDimensionTransferCountsOnlyWhereCarried) {
+  const auto backend = make_backend();
+  coll::Schedule sched("cross-dimension", kNodes, kElements);
+  coll::Transfer diagonal;
+  diagonal.src = 0;
+  diagonal.dst = 5;
+  diagonal.count = kElements;
+  sched.add_step("diagonal").transfers.push_back(diagonal);
+
+  obs::Counters counters;
+  const obs::Probe probe{nullptr, &counters};
+  if (backend->capabilities().dimension_local_transfers_only) {
+    EXPECT_THROW(static_cast<void>(backend->execute(sched, probe)),
+                 InfeasibleSchedule);
+    EXPECT_EQ(counter_names(counters), "");
+  } else {
+    static_cast<void>(backend->execute(sched, probe));
+    EXPECT_EQ(counters.value("net.executions"), 1u);
+  }
 }
 
 TEST_P(BackendConformance, EmitsAtLeastOneSpanPerStep) {

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "wrht/collectives/executor.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/verify/oracle.hpp"
 
 namespace wrht::coll {
 namespace {
@@ -29,11 +29,11 @@ TEST(BtreeAllreduce, StepCountFormula) {
 }
 
 TEST(BtreeAllreduce, CorrectForSmallSizes) {
-  Rng rng;
   for (std::uint32_t n : {2u, 3u, 4u, 7u, 8u, 15u, 16u, 21u}) {
     const Schedule s = btree_allreduce(n, 5);
-    EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9)
-        << "btree failed for n=" << n;
+    const verify::OracleReport oracle = verify::check_allreduce(s);
+    EXPECT_TRUE(oracle.ok()) << "btree failed for n=" << n << "\n"
+                             << oracle.result.summary();
   }
 }
 

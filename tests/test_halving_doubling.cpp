@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "wrht/collectives/executor.hpp"
 #include "wrht/collectives/ring_allreduce.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/verify/oracle.hpp"
 
 namespace wrht::coll {
 namespace {
@@ -22,18 +22,20 @@ TEST(HalvingDoubling, StepCounts) {
 }
 
 TEST(HalvingDoubling, CorrectPowerOfTwo) {
-  Rng rng;
   for (std::uint32_t n : {2u, 4u, 8u, 16u, 32u, 64u}) {
     const Schedule s = halving_doubling_allreduce(n, 3 * n + 1);
-    EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9) << "n=" << n;
+    const verify::OracleReport oracle = verify::check_allreduce(s);
+    EXPECT_TRUE(oracle.ok()) << "n=" << n << "\n"
+                             << oracle.result.summary();
   }
 }
 
 TEST(HalvingDoubling, CorrectNonPowerOfTwo) {
-  Rng rng;
   for (std::uint32_t n : {3u, 5u, 6u, 7u, 11u, 20u, 33u}) {
     const Schedule s = halving_doubling_allreduce(n, 3 * n + 1);
-    EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9) << "n=" << n;
+    const verify::OracleReport oracle = verify::check_allreduce(s);
+    EXPECT_TRUE(oracle.ok()) << "n=" << n << "\n"
+                             << oracle.result.summary();
   }
 }
 

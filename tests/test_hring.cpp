@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "wrht/collectives/executor.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/verify/oracle.hpp"
 
 namespace wrht::coll {
 namespace {
@@ -33,33 +33,33 @@ TEST(HRing, BuilderMatchesFormulaForPaperConfig) {
 }
 
 TEST(HRing, CorrectForDivisibleGroups) {
-  Rng rng;
   const Schedule s = hring_allreduce(12, 24, 4);
-  EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(s);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
 }
 
 TEST(HRing, CorrectForRaggedGroups) {
-  Rng rng;
   for (std::uint32_t n : {10u, 11u, 13u, 17u}) {
     const Schedule s = hring_allreduce(n, 2 * n + 1, 4);
-    EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9)
-        << "hring failed for n=" << n;
+    const verify::OracleReport oracle = verify::check_allreduce(s);
+    EXPECT_TRUE(oracle.ok()) << "hring failed for n=" << n << "\n"
+                             << oracle.result.summary();
   }
 }
 
 TEST(HRing, CorrectWithGroupOfOne) {
-  Rng rng;
   // n=9, m=4 -> groups 4,4,1.
   const Schedule s = hring_allreduce(9, 18, 4);
-  EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(s);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
 }
 
 TEST(HRing, SingleGroupDegeneratesToRing) {
   // m >= N: only the intra stage, 2(N-1) steps (exactly Ring All-reduce).
   const Schedule s = hring_allreduce(6, 12, 8);
   EXPECT_EQ(s.num_steps(), 10u);
-  Rng rng;
-  EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(s);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
 }
 
 TEST(HRing, BroadcastIsFinalSingleStep) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "wrht/collectives/btree_allreduce.hpp"
-#include "wrht/collectives/executor.hpp"
 #include "wrht/collectives/recursive_doubling.hpp"
 #include "wrht/collectives/ring_allreduce.hpp"
 #include "wrht/core/planner.hpp"
@@ -13,6 +12,7 @@
 #include "wrht/dnn/zoo.hpp"
 #include "wrht/electrical/fat_tree_network.hpp"
 #include "wrht/optical/ring_network.hpp"
+#include "wrht/verify/oracle.hpp"
 
 namespace wrht {
 namespace {
@@ -28,8 +28,8 @@ TEST(Integration, PlanScheduleVerifySimulate) {
   const core::WrhtPlan plan = core::plan_wrht(n, 16);
   const auto sched = core::wrht_allreduce(
       n, 256, core::WrhtOptions{plan.group_size, 16});
-  Rng rng;
-  EXPECT_LE(coll::Executor::verify_allreduce(sched, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(sched);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
   const optics::RingNetwork net(n, optical_cfg(16));
   const auto res = net.execute(sched);
   EXPECT_EQ(res.steps, plan.steps.total_steps);
@@ -157,8 +157,8 @@ TEST(Integration, ConstraintAwarePlanStillCorrectAndFeasible) {
   const core::WrhtPlan plan = core::plan_wrht(n, 32, constraints);
   const auto sched = core::wrht_allreduce(
       n, 64, core::WrhtOptions{plan.group_size, 32});
-  Rng rng;
-  EXPECT_LE(coll::Executor::verify_allreduce(sched, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(sched);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
   optics::OpticalConfig cfg = optical_cfg(32);
   const optics::RingNetwork net(n, cfg);
   const auto res = net.execute(sched);

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "wrht/collectives/executor.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/verify/oracle.hpp"
 
 namespace wrht::core {
 namespace {
@@ -11,30 +11,30 @@ namespace {
 using topo::Mesh;
 
 TEST(MeshWrht, CorrectWithLineAllToAll) {
-  Rng rng;
   const Mesh mesh(4, 8);  // line all-to-all over 4 roots needs 4 lambdas
   const coll::Schedule s = mesh_wrht_allreduce(mesh, 8, WrhtOptions{3, 8});
-  EXPECT_LE(coll::Executor::verify_allreduce(s, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(s);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
 }
 
 TEST(MeshWrht, CorrectWithRootedColumnFallback) {
-  Rng rng;
   // 8 rows: line all-to-all needs 16 lambdas > 2 -> rooted fallback.
   const Mesh mesh(8, 6);
   const coll::Schedule s = mesh_wrht_allreduce(mesh, 8, WrhtOptions{3, 2});
-  EXPECT_LE(coll::Executor::verify_allreduce(s, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(s);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
 }
 
 TEST(MeshWrht, CorrectnessSweep) {
-  Rng rng;
   for (std::uint32_t rows : {2u, 3u, 5u, 8u}) {
     for (std::uint32_t cols : {4u, 7u, 9u}) {
       for (std::uint32_t w : {2u, 8u, 64u}) {
         const Mesh mesh(rows, cols);
         const coll::Schedule s =
             mesh_wrht_allreduce(mesh, 6, WrhtOptions{3, w});
-        EXPECT_LE(coll::Executor::verify_allreduce(s, rng), 1e-9)
-            << rows << "x" << cols << " w=" << w;
+        const verify::OracleReport oracle = verify::check_allreduce(s);
+        EXPECT_TRUE(oracle.ok()) << rows << "x" << cols << " w=" << w << "\n"
+                                 << oracle.result.summary();
       }
     }
   }

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "wrht/collectives/executor.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/verify/oracle.hpp"
 
 namespace wrht::coll {
 namespace {
@@ -26,20 +26,20 @@ TEST(RecursiveDoubling, StepCountNonPowerOfTwo) {
 }
 
 TEST(RecursiveDoubling, CorrectPowerOfTwo) {
-  Rng rng;
   for (std::uint32_t n : {2u, 4u, 8u, 16u, 32u}) {
     const Schedule s = recursive_doubling_allreduce(n, 6);
-    EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9)
-        << "rd failed for n=" << n;
+    const verify::OracleReport oracle = verify::check_allreduce(s);
+    EXPECT_TRUE(oracle.ok()) << "rd failed for n=" << n << "\n"
+                             << oracle.result.summary();
   }
 }
 
 TEST(RecursiveDoubling, CorrectNonPowerOfTwo) {
-  Rng rng;
   for (std::uint32_t n : {3u, 5u, 6u, 7u, 9u, 12u, 21u}) {
     const Schedule s = recursive_doubling_allreduce(n, 6);
-    EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9)
-        << "rd failed for n=" << n;
+    const verify::OracleReport oracle = verify::check_allreduce(s);
+    EXPECT_TRUE(oracle.ok()) << "rd failed for n=" << n << "\n"
+                             << oracle.result.summary();
   }
 }
 

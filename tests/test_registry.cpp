@@ -4,9 +4,9 @@
 
 #include <algorithm>
 
-#include "wrht/collectives/executor.hpp"
 #include "wrht/common/error.hpp"
 #include "wrht/core/wrht_schedule.hpp"
+#include "wrht/verify/oracle.hpp"
 
 namespace wrht::coll {
 namespace {
@@ -27,14 +27,15 @@ TEST(Registry, NamesAreSorted) {
 
 TEST(Registry, BuildsWorkingSchedules) {
   auto& reg = Registry::instance();
-  Rng rng;
   AllreduceParams p;
   p.num_nodes = 12;
   p.elements = 24;
   p.group_size = 4;
   for (const char* name : {"ring", "hring", "btree", "recursive_doubling"}) {
     const Schedule s = reg.build(name, p);
-    EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9) << name;
+    const verify::OracleReport oracle = verify::check_allreduce(s);
+    EXPECT_TRUE(oracle.ok()) << name << "\n"
+                             << oracle.result.summary();
   }
 }
 
@@ -58,7 +59,6 @@ TEST(Registry, WrhtRegistrationIsIdempotent) {
   core::register_wrht_algorithm();
   auto& reg = Registry::instance();
   ASSERT_TRUE(reg.contains("wrht"));
-  Rng rng;
   AllreduceParams p;
   p.num_nodes = 20;
   p.elements = 20;
@@ -66,7 +66,8 @@ TEST(Registry, WrhtRegistrationIsIdempotent) {
   p.wavelengths = 8;
   const Schedule s = reg.build("wrht", p);
   EXPECT_EQ(s.algorithm(), "wrht");
-  EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(s);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
 }
 
 TEST(Registry, WrhtAutoPlansGroupSize) {
@@ -77,8 +78,8 @@ TEST(Registry, WrhtAutoPlansGroupSize) {
   p.group_size = 0;  // ask the planner
   p.wavelengths = 8;
   const Schedule s = Registry::instance().build("wrht", p);
-  Rng rng;
-  EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(s);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
 }
 
 TEST(Registry, CustomRegistrationAndReplacement) {

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "wrht/collectives/executor.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/verify/oracle.hpp"
 
 namespace wrht::coll {
 namespace {
@@ -16,11 +16,11 @@ TEST(RingAllreduce, StepCountFormula) {
 }
 
 TEST(RingAllreduce, CorrectForSmallSizes) {
-  Rng rng;
   for (std::uint32_t n : {2u, 3u, 4u, 5u, 8u, 13u}) {
     const Schedule s = ring_allreduce(n, 4 * n + 3);
-    EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9)
-        << "ring failed for n=" << n;
+    const verify::OracleReport oracle = verify::check_allreduce(s);
+    EXPECT_TRUE(oracle.ok()) << "ring failed for n=" << n << "\n"
+                             << oracle.result.summary();
   }
 }
 
@@ -72,10 +72,10 @@ TEST(RingAllreduce, FirstHalfReducesSecondHalfCopies) {
 }
 
 TEST(RingAllreduce, UnevenElementsStillCorrect) {
-  Rng rng;
   // elements not divisible by n exercises the remainder chunking.
   const Schedule s = ring_allreduce(5, 23);
-  EXPECT_LE(Executor::verify_allreduce(s, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(s);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
 }
 
 TEST(RingAllreduce, Validation) {

@@ -10,20 +10,20 @@
 #include <string>
 #include <vector>
 
-#include "wrht/collectives/executor.hpp"
 #include "wrht/collectives/hring_allreduce.hpp"
 #include "wrht/collectives/ring_allreduce.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/verify/oracle.hpp"
 
 namespace wrht::coll {
 namespace {
 
 TEST(RingReduceScatter, CorrectAcrossSizes) {
-  Rng rng;
   for (std::uint32_t n : {2u, 3u, 5u, 8u, 13u, 16u}) {
     const Schedule s = ring_reduce_scatter(n, 3 * n + 1);
-    EXPECT_LE(Executor::verify_reduce_scatter(s, n, rng), 1e-9)
-        << "n=" << n;
+    const verify::OracleReport oracle = verify::check_reduce_scatter(s, n);
+    EXPECT_TRUE(oracle.ok()) << "n=" << n << "\n"
+                             << oracle.result.summary();
   }
 }
 
@@ -50,10 +50,11 @@ TEST(RingReduceScatter, AllTransfersReduce) {
 }
 
 TEST(RingAllgather, CorrectAcrossSizes) {
-  Rng rng;
   for (std::uint32_t n : {2u, 3u, 5u, 8u, 13u, 16u}) {
     const Schedule s = ring_allgather(n, 3 * n + 1);
-    EXPECT_LE(Executor::verify_allgather(s, n, rng), 1e-9) << "n=" << n;
+    const verify::OracleReport oracle = verify::check_allgather(s, n);
+    EXPECT_TRUE(oracle.ok()) << "n=" << n << "\n"
+                             << oracle.result.summary();
   }
 }
 
@@ -80,8 +81,8 @@ TEST(RingPrimitives, ComposeIntoAllreduce) {
   for (const auto& step : ag.steps()) {
     composed.add_step(step.label).transfers = step.transfers;
   }
-  Rng rng;
-  EXPECT_LE(Executor::verify_allreduce(composed, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(composed);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
 }
 
 TEST(RingPrimitives, Validation) {

@@ -48,7 +48,7 @@ TEST(Timeline, CsvHasOneRowPerStep) {
 TEST(Timeline, AsciiRendersOneBarPerStep) {
   const OpticalRunResult res = small_run();
   std::ostringstream os;
-  print_timeline(res, os, 40);
+  print_timeline(res.to_report(), os, 40);
   std::size_t bars = 0;
   std::istringstream in(os.str());
   std::string line;
@@ -61,14 +61,14 @@ TEST(Timeline, AsciiRendersOneBarPerStep) {
 TEST(Timeline, EmptyRunRendersPlaceholder) {
   OpticalRunResult empty;
   std::ostringstream os;
-  print_timeline(empty, os);
+  print_timeline(empty.to_report(), os);
   EXPECT_NE(os.str().find("empty timeline"), std::string::npos);
 }
 
 TEST(Timeline, WidthValidated) {
   OpticalRunResult empty;
   std::ostringstream os;
-  EXPECT_THROW(print_timeline(empty, os, 2), InvalidArgument);
+  EXPECT_THROW(print_timeline(empty.to_report(), os, 2), InvalidArgument);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "wrht/collectives/executor.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/verify/oracle.hpp"
 
 namespace wrht::core {
 namespace {
@@ -11,23 +11,23 @@ namespace {
 using topo::Torus;
 
 TEST(TorusWrht, CorrectOnSquareTorus) {
-  Rng rng;
   const Torus torus(4, 4);
   const coll::Schedule s =
       torus_wrht_allreduce(torus, 8, WrhtOptions{2, 4});
-  EXPECT_LE(coll::Executor::verify_allreduce(s, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(s);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
 }
 
 TEST(TorusWrht, CorrectnessSweep) {
-  Rng rng;
   for (std::uint32_t rows : {2u, 3u, 5u}) {
     for (std::uint32_t cols : {4u, 6u, 9u}) {
       for (std::uint32_t m : {2u, 3u}) {
         const Torus torus(rows, cols);
         const coll::Schedule s =
             torus_wrht_allreduce(torus, 6, WrhtOptions{m, 8});
-        EXPECT_LE(coll::Executor::verify_allreduce(s, rng), 1e-9)
-            << rows << "x" << cols << " m=" << m;
+        const verify::OracleReport oracle = verify::check_allreduce(s);
+        EXPECT_TRUE(oracle.ok()) << rows << "x" << cols << " m=" << m << "\n"
+                                 << oracle.result.summary();
       }
     }
   }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "wrht/collectives/registry.hpp"
+#include "wrht/collectives/ring_primitives.hpp"
 #include "wrht/common/error.hpp"
 #include "wrht/common/rng.hpp"
 #include "wrht/collectives/ring_allreduce.hpp"
@@ -160,6 +161,204 @@ TEST(VerifyOracle, DeterministicInSeed) {
   EXPECT_EQ(a.max_abs_error, b.max_abs_error);
   EXPECT_EQ(a.worst_node, b.worst_node);
   EXPECT_EQ(a.worst_element, b.worst_element);
+}
+
+// ------------------------------------------ interpreter semantics, by verdict
+
+using coll::Transfer;
+using coll::TransferKind;
+
+using Findings = std::vector<std::string>;
+
+/// Each finding as "<check>: <detail>", a numeric detail cut before its
+/// input-dependent " off by <error>".
+Findings findings_of(const OracleReport& report) {
+  Findings out;
+  for (const verify::Finding& f : report.result.findings()) {
+    const std::size_t cut = f.detail.find(" off by");
+    out.push_back(f.check + ": " + f.detail.substr(0, cut));
+  }
+  return out;
+}
+
+// A reduce adds the sender's values into the receiver's; the sender keeps
+// its own.
+TEST(VerifyOracle, ReduceAccumulates) {
+  coll::Schedule s("manual", 2, 3);
+  s.add_step().transfers = {Transfer{0, 1, 0, 3, TransferKind::kReduce, {}}};
+  EXPECT_TRUE(verify::check_reduce(s, 1).ok());
+  // As a broadcast from node 0, only node 1 (x0 + x1) is off.
+  EXPECT_EQ(findings_of(verify::check_broadcast(s, 0)),
+            (Findings{"oracle.broadcast.numeric: node 1 element 0",
+                      "oracle.broadcast.provenance: node 1 element 0 holds 1 "
+                      "contribution(s) of node 1, want 0"}));
+}
+
+// A copy replaces the receiver's values: node 1 ends with x0 and none of x1.
+TEST(VerifyOracle, CopyOverwrites) {
+  coll::Schedule s("manual", 2, 2);
+  s.add_step().transfers = {Transfer{0, 1, 0, 2, TransferKind::kCopy, {}}};
+  const OracleReport report = verify::check_broadcast(s, 0);
+  EXPECT_TRUE(report.ok()) << report.result.summary();
+  EXPECT_TRUE(report.provenance_checked);
+}
+
+// A ranged transfer writes [offset, offset + count) and nothing else.
+TEST(VerifyOracle, RangedTransferTouchesOnlyRange) {
+  coll::Schedule s("manual", 2, 4);
+  s.add_step().transfers = {Transfer{0, 1, 1, 2, TransferKind::kCopy, {}}};
+  EXPECT_EQ(findings_of(verify::check_broadcast(s, 0)),
+            (Findings{"oracle.broadcast.numeric: node 1 element 0",
+                      "oracle.broadcast.provenance: node 1 element 0 holds 0 "
+                      "contribution(s) of node 0, want 1"}));
+  // Filling element 0 leaves element 3 as the first one still node 1's.
+  s.add_step().transfers = {Transfer{0, 1, 0, 1, TransferKind::kCopy, {}}};
+  EXPECT_EQ(findings_of(verify::check_broadcast(s, 0)),
+            (Findings{"oracle.broadcast.numeric: node 1 element 3",
+                      "oracle.broadcast.provenance: node 1 element 3 holds 0 "
+                      "contribution(s) of node 0, want 1"}));
+  s.add_step().transfers = {Transfer{0, 1, 3, 1, TransferKind::kCopy, {}}};
+  EXPECT_TRUE(verify::check_broadcast(s, 0).ok());
+}
+
+// 0 -> 1 and 1 -> 0 in one step: each node adds the other's value from
+// before the step, so both end with x0 + x1 (recursive doubling relies on
+// this). Applied one after the other, node 1 would hold x1 twice.
+TEST(VerifyOracle, SnapshotSemanticsForConcurrentExchange) {
+  coll::Schedule s("manual", 2, 1);
+  s.add_step().transfers = {Transfer{0, 1, 0, 1, TransferKind::kReduce, {}},
+                            Transfer{1, 0, 0, 1, TransferKind::kReduce, {}}};
+  const OracleReport report = verify::check_allreduce(s);
+  EXPECT_TRUE(report.ok()) << report.result.summary();
+  EXPECT_TRUE(report.provenance_checked);
+}
+
+// A step reads what the step before it wrote: node 2 ends with 0 + 1 + 2.
+TEST(VerifyOracle, SnapshotAcrossStepsIsSequential) {
+  coll::Schedule s("manual", 3, 1);
+  s.add_step().transfers = {Transfer{0, 1, 0, 1, TransferKind::kReduce, {}}};
+  s.add_step().transfers = {Transfer{1, 2, 0, 1, TransferKind::kReduce, {}}};
+  const OracleReport report = verify::check_reduce(s, 2);
+  EXPECT_TRUE(report.ok()) << report.result.summary();
+}
+
+// 0 -> 1 and 1 -> 2 in one step: node 2 gets node 1's value from before
+// the step, so node 0's contribution does not reach it.
+TEST(VerifyOracle, ChainInOneStepUsesSnapshots) {
+  coll::Schedule s("manual", 3, 1);
+  s.add_step().transfers = {Transfer{0, 1, 0, 1, TransferKind::kReduce, {}},
+                            Transfer{1, 2, 0, 1, TransferKind::kReduce, {}}};
+  EXPECT_EQ(findings_of(verify::check_reduce(s, 2)),
+            (Findings{"oracle.reduce.numeric: node 2 element 0",
+                      "oracle.reduce.provenance: node 2 element 0 holds 0 "
+                      "contribution(s) of node 0, want 1"}));
+}
+
+TEST(VerifyOracle, EmptyScheduleIsNotAnAllreduce) {
+  const coll::Schedule s("broken", 3, 4);
+  const OracleReport report = verify::check_allreduce(s);
+  EXPECT_FALSE(report.ok());
+  // A numeric and a provenance finding for each of the three nodes.
+  EXPECT_EQ(report.result.findings().size(), 6u);
+}
+
+// Gathering into node 1 is a reduce to node 1, not an all-reduce.
+TEST(VerifyOracle, DetectsPartialAllreduce) {
+  coll::Schedule s("partial", 3, 2);
+  s.add_step().transfers = {Transfer{0, 1, 0, 2, TransferKind::kReduce, {}},
+                            Transfer{2, 1, 0, 2, TransferKind::kReduce, {}}};
+  EXPECT_EQ(findings_of(verify::check_allreduce(s)),
+            (Findings{"oracle.allreduce.numeric: node 0 element 0",
+                      "oracle.allreduce.provenance: node 0 element 0 holds 0 "
+                      "contribution(s) of node 1, want 1",
+                      "oracle.allreduce.numeric: node 2 element 0",
+                      "oracle.allreduce.provenance: node 2 element 0 holds 0 "
+                      "contribution(s) of node 0, want 1"}));
+  EXPECT_TRUE(verify::check_reduce(s, 1).ok());
+}
+
+TEST(VerifyOracle, ReduceAcceptsGatherAndRejectsWrongRoot) {
+  coll::Schedule s("gather", 3, 4);
+  s.add_step().transfers = {Transfer{1, 0, 0, 4, TransferKind::kReduce, {}},
+                            Transfer{2, 0, 0, 4, TransferKind::kReduce, {}}};
+  EXPECT_TRUE(verify::check_reduce(s, 0).ok());
+  EXPECT_FALSE(verify::check_reduce(s, 1).ok());
+  EXPECT_THROW(static_cast<void>(verify::check_reduce(s, 5)),
+               InvalidArgument);
+}
+
+TEST(VerifyOracle, BroadcastAcceptsFanOutAndRejectsPartial) {
+  coll::Schedule s("fanout", 3, 4);
+  s.add_step().transfers = {Transfer{0, 1, 0, 4, TransferKind::kCopy, {}},
+                            Transfer{0, 2, 0, 4, TransferKind::kCopy, {}}};
+  EXPECT_TRUE(verify::check_broadcast(s, 0).ok());
+
+  coll::Schedule partial("partial", 3, 4);
+  partial.add_step().transfers = {
+      Transfer{0, 1, 0, 4, TransferKind::kCopy, {}}};
+  EXPECT_EQ(findings_of(verify::check_broadcast(partial, 0)),
+            (Findings{"oracle.broadcast.numeric: node 2 element 0",
+                      "oracle.broadcast.provenance: node 2 element 0 holds 0 "
+                      "contribution(s) of node 0, want 1"}));
+}
+
+// Two nodes, four elements, two chunks: node 0 must end with the sum on
+// elements 0-1 and node 1 on elements 2-3.
+TEST(VerifyOracle, ReduceScatterRejectsWrongChunkOwner) {
+  coll::Schedule good("good-rs", 2, 4);
+  good.add_step().transfers = {
+      Transfer{1, 0, 0, 2, TransferKind::kReduce, {}},
+      Transfer{0, 1, 2, 2, TransferKind::kReduce, {}}};
+  const OracleReport report = verify::check_reduce_scatter(good, 2);
+  EXPECT_TRUE(report.ok()) << report.result.summary();
+  EXPECT_TRUE(report.provenance_checked);
+
+  // Each node gets the other's chunk summed instead of its own.
+  coll::Schedule bad("bad-rs", 2, 4);
+  bad.add_step().transfers = {Transfer{1, 0, 2, 2, TransferKind::kReduce, {}},
+                              Transfer{0, 1, 0, 2, TransferKind::kReduce, {}}};
+  EXPECT_EQ(findings_of(verify::check_reduce_scatter(bad, 2)),
+            (Findings{"oracle.reduce_scatter.numeric: node 0 element 0",
+                      "oracle.reduce_scatter.provenance: node 0 element 0 "
+                      "holds 0 contribution(s) of node 1, want 1",
+                      "oracle.reduce_scatter.numeric: node 1 element 2",
+                      "oracle.reduce_scatter.provenance: node 1 element 2 "
+                      "holds 0 contribution(s) of node 0, want 1"}));
+  EXPECT_THROW(static_cast<void>(verify::check_reduce_scatter(good, 0)),
+               InvalidArgument);
+}
+
+// Chunk 0 (elements 0-1) starts valid on node 0 and chunk 1 (elements 2-3)
+// on node 1; both must end on both nodes.
+TEST(VerifyOracle, AllgatherRejectsMissingChunk) {
+  coll::Schedule good("good-ag", 2, 4);
+  good.add_step().transfers = {Transfer{0, 1, 0, 2, TransferKind::kCopy, {}},
+                               Transfer{1, 0, 2, 2, TransferKind::kCopy, {}}};
+  const OracleReport report = verify::check_allgather(good, 2);
+  EXPECT_TRUE(report.ok()) << report.result.summary();
+  EXPECT_TRUE(report.provenance_checked);
+
+  // Node 0 never receives node 1's chunk.
+  coll::Schedule bad("bad-ag", 2, 4);
+  bad.add_step().transfers = {Transfer{0, 1, 0, 2, TransferKind::kCopy, {}}};
+  EXPECT_EQ(findings_of(verify::check_allgather(bad, 2)),
+            (Findings{"oracle.allgather.numeric: node 0 element 2",
+                      "oracle.allgather.provenance: node 0 element 2 holds 1 "
+                      "contribution(s) of node 0, want 0"}));
+  EXPECT_THROW(static_cast<void>(verify::check_allgather(good, 0)),
+               InvalidArgument);
+}
+
+// Gather into node 0, then broadcast from it: a two-step all-reduce.
+TEST(VerifyOracle, AcceptsHandWrittenAllreduce) {
+  coll::Schedule s("manual", 3, 5);
+  s.add_step().transfers = {Transfer{1, 0, 0, 5, TransferKind::kReduce, {}},
+                            Transfer{2, 0, 0, 5, TransferKind::kReduce, {}}};
+  s.add_step().transfers = {Transfer{0, 1, 0, 5, TransferKind::kCopy, {}},
+                            Transfer{0, 2, 0, 5, TransferKind::kCopy, {}}};
+  const OracleReport report = verify::check_allreduce(s);
+  EXPECT_TRUE(report.ok()) << report.result.summary();
+  EXPECT_TRUE(report.provenance_checked);
 }
 
 // --------------------------------------------- the reference interpreter
@@ -337,6 +536,108 @@ OracleReport reference_check_broadcast(const coll::Schedule& schedule,
     if (m.provenance) {
       reference::compare_provenance(m, i, roots_only, "broadcast", report);
     }
+  }
+  return report;
+}
+
+// The chunked checks, element by element: every element of a node is
+// either checked or not, and a checked one has a value and contribution
+// counts it must hold.
+namespace reference {
+
+/// Owner of every element: chunk c < min(chunks, N) of `chunks` balanced
+/// chunks belongs to node c; elements past the last owned chunk have none.
+std::vector<std::optional<std::uint32_t>> chunk_owners(const Machine& m,
+                                                       std::size_t chunks) {
+  std::vector<std::optional<std::uint32_t>> owner(m.elements);
+  for (std::uint32_t c = 0; c < chunks && c < m.n; ++c) {
+    const coll::ChunkRange r = coll::chunk_range(m.elements, chunks, c);
+    for (std::size_t e = r.offset; e < r.offset + r.count; ++e) owner[e] = c;
+  }
+  return owner;
+}
+
+/// Node `i` at the elements `checked(e)` selects: one numeric finding at
+/// the first value off `value(e)`, then one provenance finding at the
+/// first count off `want(e, src)`.
+template <typename Checked, typename Value, typename Want>
+void compare_elements(const Machine& m, std::uint32_t i, const char* what,
+                      double tolerance, OracleReport& report,
+                      Checked checked, Value value, Want want) {
+  for (std::size_t e = 0; e < m.elements; ++e) {
+    if (!checked(e)) continue;
+    const double err = std::abs(m.values[i][e] - value(e));
+    if (err > report.max_abs_error) {
+      report.max_abs_error = err;
+      report.worst_node = i;
+      report.worst_element = e;
+    }
+    if (err > tolerance) {
+      report.result.add(std::string("oracle.") + what + ".numeric",
+                        "node " + std::to_string(i) + " element " +
+                            std::to_string(e) + " off by " +
+                            std::to_string(err));
+      break;
+    }
+  }
+  if (!m.provenance) return;
+  for (std::size_t e = 0; e < m.elements; ++e) {
+    if (!checked(e)) continue;
+    for (std::uint32_t src = 0; src < m.n; ++src) {
+      const std::uint32_t got = m.counts[i][e * m.n + src];
+      const std::uint32_t expected = want(e, src);
+      if (got != expected) {
+        report.result.add(
+            std::string("oracle.") + what + ".provenance",
+            "node " + std::to_string(i) + " element " + std::to_string(e) +
+                " holds " + std::to_string(got) + " contribution(s) of node " +
+                std::to_string(src) + ", want " + std::to_string(expected));
+        return;
+      }
+    }
+  }
+}
+
+}  // namespace reference
+
+OracleReport reference_check_reduce_scatter(const coll::Schedule& schedule,
+                                            std::size_t chunks,
+                                            const OracleOptions& options) {
+  schedule.validate();
+  reference::Machine m = reference::boot(schedule, options);
+  const std::vector<double> sum = reference::global_sum(m);
+  const auto owner = reference::chunk_owners(m, chunks);
+  reference::interpret(schedule, m);
+  OracleReport report;
+  report.provenance_checked = m.provenance;
+  for (std::uint32_t i = 0; i < m.n; ++i) {
+    reference::compare_elements(
+        m, i, "reduce_scatter", options.tolerance, report,
+        [&](std::size_t e) { return owner[e] == i; },
+        [&](std::size_t e) { return sum[e]; },
+        [](std::size_t, std::uint32_t) { return 1u; });
+  }
+  return report;
+}
+
+OracleReport reference_check_allgather(const coll::Schedule& schedule,
+                                       std::size_t chunks,
+                                       const OracleOptions& options) {
+  schedule.validate();
+  reference::Machine m = reference::boot(schedule, options);
+  const std::vector<std::vector<double>> initial = m.values;
+  const auto owner = reference::chunk_owners(m, chunks);
+  reference::interpret(schedule, m);
+  OracleReport report;
+  report.provenance_checked = m.provenance;
+  for (std::uint32_t i = 0; i < m.n; ++i) {
+    reference::compare_elements(
+        m, i, "allgather", options.tolerance, report,
+        [&](std::size_t e) { return owner[e].has_value(); },
+        [&](std::size_t e) { return initial[*owner[e]][e]; },
+        [&](std::size_t e, std::uint32_t src) {
+          return src == *owner[e] ? 1u : 0u;
+        });
   }
   return report;
 }
@@ -543,6 +844,85 @@ TEST(OracleReference, NodeThatSendsAndReceivesInOneStep) {
   for (std::uint32_t root = 0; root < 4; ++root) {
     expect_same_reports(mixed, root, "mixed root " + std::to_string(root));
   }
+}
+
+/// Both chunked checks on one schedule at `chunks`, with provenance on and
+/// forced off. Returns how many of the reports found a violation.
+std::size_t expect_same_chunked_reports(const coll::Schedule& schedule,
+                                        std::size_t chunks,
+                                        const std::string& where) {
+  std::size_t failing = 0;
+  for (const bool provenance : {true, false}) {
+    OracleOptions options;
+    if (!provenance) options.provenance_cell_limit = 0;
+    const std::string at = where + " chunks=" + std::to_string(chunks) +
+                           (provenance ? " provenance" : " numeric-only");
+    const OracleReport scatter =
+        verify::check_reduce_scatter(schedule, chunks, options);
+    expect_same_report(
+        reference_check_reduce_scatter(schedule, chunks, options), scatter,
+        at + " reduce_scatter");
+    const OracleReport gather =
+        verify::check_allgather(schedule, chunks, options);
+    expect_same_report(reference_check_allgather(schedule, chunks, options),
+                       gather, at + " allgather");
+    failing += !scatter.ok() + !gather.ok();
+  }
+  return failing;
+}
+
+TEST(OracleReference, RingPrimitivesMatchChunkedChecks) {
+  std::size_t failing = 0;
+  for (std::uint32_t n = 2; n <= 40; ++n) {
+    for (const std::size_t elements : {std::size_t{n}, std::size_t{n} + 3}) {
+      const std::string shape =
+          " N=" + std::to_string(n) + " elements=" + std::to_string(elements);
+      const coll::Schedule scatter = coll::ring_reduce_scatter(n, elements);
+      const coll::Schedule gather = coll::ring_allgather(n, elements);
+      EXPECT_TRUE(verify::check_reduce_scatter(scatter, n).ok()) << shape;
+      EXPECT_TRUE(verify::check_allgather(gather, n).ok()) << shape;
+      for (const std::size_t chunks : {std::size_t{n} - 1, std::size_t{n},
+                                       std::size_t{n} + 2}) {
+        failing += expect_same_chunked_reports(scatter, chunks,
+                                               "ring_reduce_scatter" + shape);
+        failing += expect_same_chunked_reports(gather, chunks,
+                                               "ring_allgather" + shape);
+      }
+    }
+  }
+  // A reduce-scatter is no all-gather and the other way round, so the grid
+  // compares findings, not just clean reports.
+  EXPECT_GT(failing, 0u);
+}
+
+TEST(OracleReference, ChunkedChecksMatchOnSeededCorruptions) {
+  Rng rng(20261018);
+  std::size_t corrupted = 0;
+  std::size_t caught = 0;
+  for (const std::uint32_t n : {3u, 5u, 8u, 13u, 24u}) {
+    const coll::Schedule scatter = coll::ring_reduce_scatter(n, n + 3);
+    const coll::Schedule gather = coll::ring_allgather(n, n + 3);
+    for (int k = 0; k < 6; ++k) {
+      std::string what;
+      const coll::Schedule bad_scatter = corrupt(scatter, rng, what);
+      const std::string scatter_where = "ring_reduce_scatter N=" +
+                                        std::to_string(n) + " " + what;
+      const coll::Schedule bad_gather = corrupt(gather, rng, what);
+      const std::string gather_where =
+          "ring_allgather N=" + std::to_string(n) + " " + what;
+      expect_same_chunked_reports(bad_scatter, n, scatter_where);
+      expect_same_chunked_reports(bad_gather, n, gather_where);
+      caught += !verify::check_reduce_scatter(bad_scatter, n).ok();
+      caught += !verify::check_allgather(bad_gather, n).ok();
+      corrupted += 2;
+    }
+  }
+  EXPECT_EQ(corrupted, 2u * 5u * 6u);
+  // Most corruptions break their collective (49 of the 60 here: a
+  // duplicated copy can be harmless, and so can a retargeted send whose
+  // chunk is overwritten later), and the reports then carry findings to
+  // compare.
+  EXPECT_GE(caught, 3 * corrupted / 4);
 }
 
 }  // namespace

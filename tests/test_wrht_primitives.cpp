@@ -1,19 +1,20 @@
 #include <gtest/gtest.h>
 
-#include "wrht/collectives/executor.hpp"
 #include "wrht/common/error.hpp"
 #include "wrht/core/analysis.hpp"
 #include "wrht/core/wrht_schedule.hpp"
+#include "wrht/verify/oracle.hpp"
 
 namespace wrht::core {
 namespace {
 
 TEST(WrhtReduce, RootHoldsGlobalSum) {
-  Rng rng;
   for (std::uint32_t n : {4u, 9u, 15u, 27u, 40u}) {
     const WrhtRootedSchedule r = wrht_reduce(n, 8, WrhtOptions{3, 8});
-    EXPECT_LE(coll::Executor::verify_reduce(r.schedule, r.root, rng), 1e-9)
-        << "n=" << n;
+    const verify::OracleReport oracle =
+        verify::check_reduce(r.schedule, r.root);
+    EXPECT_TRUE(oracle.ok()) << "n=" << n << "\n"
+                             << oracle.result.summary();
   }
 }
 
@@ -31,12 +32,12 @@ TEST(WrhtReduce, RootIsRecursiveMiddle) {
 }
 
 TEST(WrhtBroadcast, EveryoneGetsRootVector) {
-  Rng rng;
   for (std::uint32_t n : {4u, 9u, 15u, 27u, 40u}) {
     const WrhtRootedSchedule b = wrht_broadcast(n, 8, WrhtOptions{3, 8});
-    EXPECT_LE(coll::Executor::verify_broadcast(b.schedule, b.root, rng),
-              1e-9)
-        << "n=" << n;
+    const verify::OracleReport oracle =
+        verify::check_broadcast(b.schedule, b.root);
+    EXPECT_TRUE(oracle.ok()) << "n=" << n << "\n"
+                             << oracle.result.summary();
   }
 }
 
@@ -71,8 +72,8 @@ TEST(WrhtPrimitives, ReduceThenBroadcastIsAllreduce) {
   for (const auto& step : bc.schedule.steps()) {
     composed.add_step(step.label).transfers = step.transfers;
   }
-  Rng rng;
-  EXPECT_LE(coll::Executor::verify_allreduce(composed, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(composed);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
 }
 
 TEST(WrhtPrimitives, Validation) {

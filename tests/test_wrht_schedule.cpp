@@ -4,9 +4,9 @@
 
 #include <vector>
 
-#include "wrht/collectives/executor.hpp"
 #include "wrht/common/error.hpp"
 #include "wrht/core/analysis.hpp"
+#include "wrht/verify/oracle.hpp"
 
 namespace wrht::core {
 namespace {
@@ -15,8 +15,8 @@ TEST(WrhtSchedule, MotivatingExampleHasThreeSteps) {
   // Paper Fig. 2(b): 15 nodes, 2 wavelengths -> 3 steps vs BT's 8.
   const coll::Schedule s = wrht_allreduce(15, 15, WrhtOptions{5, 2});
   EXPECT_EQ(s.num_steps(), 3u);
-  Rng rng;
-  EXPECT_LE(coll::Executor::verify_allreduce(s, rng), 1e-9);
+  const verify::OracleReport oracle = verify::check_allreduce(s);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
 }
 
 TEST(WrhtSchedule, Table1ConfigHasThreeSteps) {
@@ -38,13 +38,14 @@ TEST(WrhtSchedule, StepsAlwaysMatchPlan) {
 }
 
 TEST(WrhtSchedule, CorrectnessSweep) {
-  Rng rng;
   for (std::uint32_t n : {4u, 7u, 15u, 16u, 30u, 33u, 64u}) {
     for (std::uint32_t m : {2u, 3u, 5u, 8u}) {
       for (std::uint32_t w : {1u, 4u, 64u}) {
         const coll::Schedule s = wrht_allreduce(n, 8, WrhtOptions{m, w});
-        EXPECT_LE(coll::Executor::verify_allreduce(s, rng), 1e-9)
-            << "n=" << n << " m=" << m << " w=" << w;
+        const verify::OracleReport oracle = verify::check_allreduce(s);
+        EXPECT_TRUE(oracle.ok())
+            << "n=" << n << " m=" << m << " w=" << w << "\n"
+            << oracle.result.summary();
       }
     }
   }
