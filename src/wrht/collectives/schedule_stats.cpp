@@ -16,7 +16,8 @@ double imbalance(const std::vector<std::uint64_t>& load) {
     total += l;
   }
   if (total == 0) return 1.0;
-  const double mean = static_cast<double>(total) / load.size();
+  const double mean =
+      static_cast<double>(total) / static_cast<double>(load.size());
   return static_cast<double>(max_load) / mean;
 }
 

@@ -13,8 +13,9 @@ namespace wrht::core {
 /// ceil(log_base n): smallest L >= 1 with base^L >= n.
 [[nodiscard]] std::uint32_t ceil_log(std::uint32_t base, std::uint64_t n);
 
-/// Exact per-configuration plan, derived with the same rules the schedule
-/// builder uses, so `total_steps` always equals the built schedule length.
+/// Exact plan of the schedule wrht_allreduce builds with `allow_all_to_all`
+/// on (the default), derived with the same rules, so `total_steps` equals
+/// its length; with it off the schedule takes wrht_steps_upper's steps.
 struct WrhtStepPlan {
   std::uint32_t grouping_levels = 0;   ///< hierarchy depth
   std::uint32_t reduce_steps = 0;      ///< grouping_levels (+1 if all-to-all)

@@ -47,6 +47,11 @@ struct Hierarchy {
   /// True when the reduce stage finishes with an all-to-all exchange among
   /// final_reps; false when it collapsed to the single root final_reps[0].
   bool final_all_to_all = false;
+  /// Steps of an All-reduce over this hierarchy: every level reduces and
+  /// broadcasts once, plus the all-to-all when it ends in one.
+  [[nodiscard]] std::size_t allreduce_steps() const {
+    return 2 * levels.size() + (final_all_to_all ? 1 : 0);
+  }
 };
 
 /// Wavelengths needed for a single-step all-to-all among k equally spaced
@@ -60,8 +65,8 @@ struct Hierarchy {
 /// Builds the hierarchy for the given node list (ring order) with group
 /// size m >= 2 under a budget of `wavelengths` per fiber. With
 /// `allow_all_to_all` false the reduce stage always collapses to a single
-/// root (used by the torus extension, whose row phase needs one rep per
-/// row).
+/// root (used by the torus and mesh extensions, whose row phase needs one
+/// rep per row).
 [[nodiscard]] Hierarchy build_hierarchy(const std::vector<NodeId>& nodes,
                                         std::uint32_t group_size,
                                         std::uint32_t wavelengths,

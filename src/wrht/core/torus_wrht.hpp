@@ -5,9 +5,8 @@
 // Phase 2: the root column — itself a ring — runs a full WRHT All-reduce.
 // Phase 3: every row replays its reduce hierarchy in reverse (broadcast).
 //
-// The resulting schedule is proven by the same verification oracle as the
-// ring schedules; timing uses the step-count analysis (a torus-specific
-// optical device model is out of scope, as in the paper).
+// The schedule is proven by the same verification oracle as the ring
+// schedules and priced by the optical-torus backend.
 #pragma once
 
 #include <cstddef>
@@ -18,14 +17,14 @@
 
 namespace wrht::core {
 
-/// Builds the torus WRHT All-reduce schedule. `row_options.group_size` is
-/// the per-row m; the column phase plans its own m from the same wavelength
-/// budget.
+/// Builds the torus WRHT All-reduce schedule. The root column runs the
+/// rows' m and budget, and honours `allow_all_to_all`.
 [[nodiscard]] coll::Schedule torus_wrht_allreduce(const topo::Torus& torus,
                                                   std::size_t elements,
                                                   const WrhtOptions& row_options);
 
-/// Step count of the schedule the builder emits.
+/// Step count of the schedule the builder emits, counted from the same
+/// hierarchies.
 struct TorusWrhtPlan {
   std::uint32_t row_reduce_steps = 0;
   std::uint32_t column_steps = 0;

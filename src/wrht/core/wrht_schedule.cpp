@@ -1,8 +1,8 @@
 #include "wrht/core/wrht_schedule.hpp"
 
 #include <mutex>
-#include <numeric>
 #include <string>
+#include <tuple>
 
 #include "wrht/collectives/registry.hpp"
 #include "wrht/common/error.hpp"
@@ -24,54 +24,29 @@ topo::Direction toward(NodeId from, NodeId to) {
                    : topo::Direction::kCounterClockwise;
 }
 
-void append_reduce_steps(Schedule& sched, const Hierarchy& hierarchy,
-                         std::size_t elements, const topo::Ring& ring) {
-  for (std::size_t l = 0; l < hierarchy.levels.size(); ++l) {
-    Step& step = sched.add_step("reduce level " + std::to_string(l));
-    step.transfers.reserve(hierarchy.levels[l].non_rep_members());
-    for (const Group& group : hierarchy.levels[l].groups) {
-      const NodeId rep = group.rep();
-      for (const NodeId member : group.members) {
-        if (member == rep) continue;
-        step.transfers.push_back(Transfer{member, rep, 0, elements,
-                                          TransferKind::kReduce,
-                                          toward(member, rep)});
-      }
-    }
-  }
-  if (hierarchy.final_all_to_all) {
-    Step& step = sched.add_step("all-to-all exchange");
-    const std::size_t k = hierarchy.final_reps.size();
-    step.transfers.reserve(k * (k - 1));
-    bool tie_clockwise = true;
-    const auto& reps = hierarchy.final_reps;
-    for (std::size_t i = 0; i < reps.size(); ++i) {
-      for (std::size_t j = i + 1; j < reps.size(); ++j) {
-        const NodeId a = reps[i];
-        const NodeId b = reps[j];
-        const auto [forward, backward] =
-            exchange_directions(ring, a, b, tie_clockwise);
-        step.transfers.push_back(
-            Transfer{a, b, 0, elements, TransferKind::kReduce, forward});
-        step.transfers.push_back(
-            Transfer{b, a, 0, elements, TransferKind::kReduce, backward});
-      }
-    }
-  }
-}
+/// Nodes 0..N-1 of `ring`, pinned to in-arc directions.
+StepPlacement flat(const topo::Ring& ring) { return {"", 1, 0, 1, 0, &ring}; }
 
-void append_broadcast_steps(Schedule& sched, const Hierarchy& hierarchy,
-                            std::size_t elements) {
-  for (std::size_t l = hierarchy.levels.size(); l-- > 0;) {
-    Step& step = sched.add_step("broadcast level " + std::to_string(l));
-    step.transfers.reserve(hierarchy.levels[l].non_rep_members());
-    for (const Group& group : hierarchy.levels[l].groups) {
-      const NodeId rep = group.rep();
-      for (const NodeId member : group.members) {
-        if (member == rep) continue;
-        step.transfers.push_back(Transfer{rep, member, 0, elements,
-                                          TransferKind::kCopy,
-                                          toward(rep, member)});
+/// One grouping step over `level` in every row: each member that is not its
+/// group's rep sends to the rep (kReduce) or receives from it (kCopy).
+void append_level(Schedule& sched, std::string label, const Level& level,
+                  std::size_t elements, const StepPlacement& at,
+                  TransferKind kind) {
+  Step& step = sched.add_step(std::move(label));
+  step.transfers.reserve(std::size_t{at.rows} * level.non_rep_members());
+  const bool reduce = kind == TransferKind::kReduce;
+  for (std::uint32_t r = 0; r < at.rows; ++r) {
+    for (const Group& group : level.groups) {
+      const NodeId rep = at.node(r, group.rep());
+      for (const NodeId id : group.members) {
+        if (id == group.rep()) continue;
+        const NodeId member = at.node(r, id);
+        const NodeId src = reduce ? member : rep;
+        const NodeId dst = reduce ? rep : member;
+        step.transfers.push_back(Transfer{
+            src, dst, 0, elements, kind,
+            at.ring != nullptr ? topo::DirectionHint(toward(src, dst))
+                               : topo::DirectionHint()});
       }
     }
   }
@@ -96,67 +71,95 @@ std::pair<topo::Direction, topo::Direction> exchange_directions(
   return {tie, tie};
 }
 
-coll::Schedule wrht_allreduce(const std::vector<NodeId>& nodes,
-                              std::uint32_t ring_size, std::size_t elements,
-                              const WrhtOptions& options) {
-  require(options.group_size >= 2, "wrht_allreduce: group_size must be >= 2");
-  require(nodes.size() >= 2, "wrht_allreduce: need at least 2 nodes");
-  for (const NodeId n : nodes) {
-    require(n < ring_size, "wrht_allreduce: node id exceeds ring size");
+void append_reduce_stage(Schedule& schedule, const Hierarchy& hierarchy,
+                         std::size_t elements, const StepPlacement& at) {
+  const std::string prefix(at.label_prefix);
+  for (std::size_t l = 0; l < hierarchy.levels.size(); ++l) {
+    append_level(schedule, prefix + "reduce level " + std::to_string(l),
+                 hierarchy.levels[l], elements, at, TransferKind::kReduce);
   }
+  if (!hierarchy.final_all_to_all) return;
+  Step& step = schedule.add_step(prefix + "all-to-all exchange");
+  const std::vector<NodeId>& reps = hierarchy.final_reps;
+  const std::size_t k = reps.size();
+  step.transfers.reserve(std::size_t{at.rows} * k * (k - 1));
+  for (std::uint32_t r = 0; r < at.rows; ++r) {
+    bool tie_clockwise = true;
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = i + 1; j < k; ++j) {
+        const NodeId a = at.node(r, reps[i]);
+        const NodeId b = at.node(r, reps[j]);
+        topo::DirectionHint forward;
+        topo::DirectionHint backward;
+        if (at.ring != nullptr) {
+          std::tie(forward, backward) =
+              exchange_directions(*at.ring, a, b, tie_clockwise);
+        }
+        step.transfers.push_back(
+            Transfer{a, b, 0, elements, TransferKind::kReduce, forward});
+        step.transfers.push_back(
+            Transfer{b, a, 0, elements, TransferKind::kReduce, backward});
+      }
+    }
+  }
+}
 
-  const Hierarchy hierarchy =
-      build_hierarchy(nodes, options.group_size, options.wavelengths,
-                      options.allow_all_to_all);
-
-  Schedule sched("wrht", ring_size, elements);
-  const topo::Ring ring(ring_size);
-  sched.reserve_steps(2 * hierarchy.levels.size() +
-                      (hierarchy.final_all_to_all ? 1 : 0));
-  append_reduce_steps(sched, hierarchy, elements, ring);
-  append_broadcast_steps(sched, hierarchy, elements);
-  return sched;
+void append_broadcast_stage(Schedule& schedule, const Hierarchy& hierarchy,
+                            std::size_t elements, const StepPlacement& at) {
+  const std::string prefix(at.label_prefix);
+  for (std::size_t l = hierarchy.levels.size(); l-- > 0;) {
+    append_level(schedule, prefix + "broadcast level " + std::to_string(l),
+                 hierarchy.levels[l], elements, at, TransferKind::kCopy);
+  }
 }
 
 coll::Schedule wrht_allreduce(std::uint32_t num_nodes, std::size_t elements,
                               const WrhtOptions& options) {
-  std::vector<NodeId> nodes(num_nodes);
-  std::iota(nodes.begin(), nodes.end(), NodeId{0});
-  return wrht_allreduce(nodes, num_nodes, elements, options);
+  require(options.group_size >= 2, "wrht_allreduce: group_size must be >= 2");
+  require(num_nodes >= 2, "wrht_allreduce: need at least 2 nodes");
+  const Hierarchy hierarchy =
+      build_hierarchy(num_nodes, options.group_size, options.wavelengths,
+                      options.allow_all_to_all);
+  Schedule sched("wrht", num_nodes, elements);
+  const topo::Ring ring(num_nodes);
+  sched.reserve_steps(hierarchy.allreduce_steps());
+  append_reduce_stage(sched, hierarchy, elements, flat(ring));
+  append_broadcast_stage(sched, hierarchy, elements, flat(ring));
+  return sched;
 }
 
 namespace {
 
-Hierarchy rooted_hierarchy(std::uint32_t num_nodes,
-                           const WrhtOptions& options) {
+/// A rooted collective: one stage over the hierarchy that collapses to a
+/// single root.
+WrhtRootedSchedule rooted(std::string algorithm, std::uint32_t num_nodes,
+                          std::size_t elements, const WrhtOptions& options,
+                          decltype(&append_reduce_stage) append_stage) {
   require(options.group_size >= 2, "wrht rooted: group_size must be >= 2");
   require(num_nodes >= 2, "wrht rooted: need at least 2 nodes");
-  std::vector<NodeId> nodes(num_nodes);
-  std::iota(nodes.begin(), nodes.end(), NodeId{0});
-  return build_hierarchy(nodes, options.group_size, options.wavelengths,
-                         /*allow_all_to_all=*/false);
+  const Hierarchy hierarchy =
+      build_hierarchy(num_nodes, options.group_size, options.wavelengths,
+                      /*allow_all_to_all=*/false);
+  Schedule sched(std::move(algorithm), num_nodes, elements);
+  const topo::Ring ring(num_nodes);
+  sched.reserve_steps(hierarchy.levels.size());
+  append_stage(sched, hierarchy, elements, flat(ring));
+  return WrhtRootedSchedule{std::move(sched), hierarchy.final_reps[0]};
 }
 
 }  // namespace
 
 WrhtRootedSchedule wrht_reduce(std::uint32_t num_nodes, std::size_t elements,
                                const WrhtOptions& options) {
-  const Hierarchy hierarchy = rooted_hierarchy(num_nodes, options);
-  Schedule sched("wrht_reduce", num_nodes, elements);
-  const topo::Ring ring(num_nodes);
-  sched.reserve_steps(hierarchy.levels.size());
-  append_reduce_steps(sched, hierarchy, elements, ring);
-  return WrhtRootedSchedule{std::move(sched), hierarchy.final_reps[0]};
+  return rooted("wrht_reduce", num_nodes, elements, options,
+                append_reduce_stage);
 }
 
 WrhtRootedSchedule wrht_broadcast(std::uint32_t num_nodes,
                                   std::size_t elements,
                                   const WrhtOptions& options) {
-  const Hierarchy hierarchy = rooted_hierarchy(num_nodes, options);
-  Schedule sched("wrht_broadcast", num_nodes, elements);
-  sched.reserve_steps(hierarchy.levels.size());
-  append_broadcast_steps(sched, hierarchy, elements);
-  return WrhtRootedSchedule{std::move(sched), hierarchy.final_reps[0]};
+  return rooted("wrht_broadcast", num_nodes, elements, options,
+                append_broadcast_stage);
 }
 
 void register_wrht_algorithm() {

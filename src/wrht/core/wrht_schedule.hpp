@@ -2,11 +2,13 @@
 // optional all-to-all among the final representatives, broadcast stage in
 // reverse. Every grouping step pins its transfers to the ring direction
 // that stays inside the group's arc, so wavelengths are reused across
-// groups exactly as the paper describes (floor(m/2) per step).
+// groups exactly as the paper describes (floor(m/2) per step). The torus
+// and mesh extensions (§6.1) emit their phases through the same stages.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <utility>
 
 #include "wrht/collectives/schedule.hpp"
@@ -22,21 +24,44 @@ struct WrhtOptions {
   /// Wavelength budget w per fiber, used for the all-to-all cutoff.
   std::uint32_t wavelengths = 64;
   /// When false the reduce stage always collapses to a single root and the
-  /// broadcast replays every level (theta = 2L); used by the torus row
-  /// phase and the all-to-all ablation bench.
+  /// broadcast replays every level (theta = 2L); used by the all-to-all
+  /// ablation bench and along the torus's root column (rows always do).
   bool allow_all_to_all = true;
 };
+
+/// Where a hierarchy's steps land: `rows` copies run at once, copy r placing
+/// hierarchy id i on node r * row_stride + i * id_stride + offset (the
+/// identity on a flat ring, r * cols + c on torus and mesh rows,
+/// r * cols + root_col along their root column), under labels that start
+/// with `label_prefix`. Only the flat ring gives `ring`, which pins each
+/// transfer to its in-arc direction (the all-to-all's to its shortest arc).
+struct StepPlacement {
+  std::string_view label_prefix;
+  std::uint32_t rows = 1;
+  std::uint32_t row_stride = 0;
+  std::uint32_t id_stride = 1;
+  NodeId offset = 0;
+  const topo::Ring* ring = nullptr;
+
+  [[nodiscard]] NodeId node(std::uint32_t row, NodeId id) const {
+    return row * row_stride + id * id_stride + offset;
+  }
+};
+
+/// Appends the reduce stage: "reduce level l" bottom-up, then "all-to-all
+/// exchange" among the final representatives when the hierarchy ends in one.
+void append_reduce_stage(coll::Schedule& schedule, const Hierarchy& hierarchy,
+                         std::size_t elements, const StepPlacement& placement);
+
+/// Appends the broadcast stage: "broadcast level l" top-down.
+void append_broadcast_stage(coll::Schedule& schedule,
+                            const Hierarchy& hierarchy, std::size_t elements,
+                            const StepPlacement& placement);
 
 /// Builds the WRHT All-reduce schedule for nodes 0..num_nodes-1.
 [[nodiscard]] coll::Schedule wrht_allreduce(std::uint32_t num_nodes,
                                             std::size_t elements,
                                             const WrhtOptions& options);
-
-/// Same, over an explicit node list in ring order (used by the torus
-/// extension to run WRHT inside one row or column).
-[[nodiscard]] coll::Schedule wrht_allreduce(
-    const std::vector<NodeId>& nodes, std::uint32_t ring_size,
-    std::size_t elements, const WrhtOptions& options);
 
 /// A rooted collective: the schedule plus the hierarchy root it reduces
 /// into / broadcasts from (always the recursive middle of the ring).

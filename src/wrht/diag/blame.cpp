@@ -256,8 +256,9 @@ void export_critical_path(const BlameReport& report,
   const CriticalRound* previous = nullptr;
   for (const CriticalRound& round : report.critical_path) {
     obs::TraceSpan span;
-    span.name = "s" + std::to_string(round.step) + "/" + round.lane + "/r" +
-                std::to_string(round.round);
+    span.name = "s";  // appended: see ResourceLease::to_string
+    span.name.append(std::to_string(round.step)).append("/")
+        .append(round.lane).append("/r").append(std::to_string(round.round));
     span.category = "blame";
     span.start = round.start;
     span.duration = round.duration;

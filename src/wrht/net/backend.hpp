@@ -80,14 +80,12 @@ class Backend {
   }
 
   /// Prices `schedule` as if it began at absolute time `start`: step starts
-  /// in the report are >= start while total_time stays the run's duration.
-  /// Every engine here is time-invariant, so the default implementation —
-  /// execute() then shift the step timeline — is exact; engines with a
-  /// native clock offset (the optical ring) override it to run shifted.
-  /// It serves callers that lay engine runs on one clock; the service
-  /// layer does not call it, as svc::FabricService prices each job with
-  /// plan::predict instead of running an engine. test_engine_records pins
-  /// the shifted records.
+  /// in the report are >= start while total_time stays the run's duration;
+  /// a probe's records keep the run's own clock. Every engine here is
+  /// time-invariant, so execute() then shifting the step timeline is exact.
+  /// No engine overrides it and the library never calls it (the service
+  /// prices each job with plan::predict instead of running an engine); the
+  /// end-to-end benchmark's traced backend wrapper forwards it.
   [[nodiscard]] virtual RunReport execute_at(const coll::Schedule& schedule,
                                              const obs::Probe& probe,
                                              Seconds start) const;

@@ -78,8 +78,12 @@ struct ResourceLease {
   /// "full" or "[lo, hi)@tenant" for logs and error messages.
   [[nodiscard]] std::string to_string() const {
     if (full()) return "full";
-    return "[" + std::to_string(w_lo) + ", " + std::to_string(w_hi) +
-           ")@t" + std::to_string(tenant);
+    // Appended rather than `"[" + std::to_string(...)`: GCC 12 flags that
+    // operator+ with a false -Wrestrict once it is inlined.
+    std::string out = "[";
+    out.append(std::to_string(w_lo)).append(", ").append(std::to_string(w_hi))
+        .append(")@t").append(std::to_string(tenant));
+    return out;
   }
 
   friend bool operator==(const ResourceLease&, const ResourceLease&) = default;

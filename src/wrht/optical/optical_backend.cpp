@@ -24,22 +24,15 @@ net::BackendCapabilities RingBackend::capabilities() const {
 
 RunReport RingBackend::execute(const coll::Schedule& schedule,
                                const obs::Probe& probe) const {
-  return execute_at(schedule, probe, Seconds(0.0));
-}
-
-RunReport RingBackend::execute_at(const coll::Schedule& schedule,
-                                  const obs::Probe& probe,
-                                  Seconds start) const {
   const prof::ScopedTimer timer("backend.optical-ring.execute");
   const net::ScheduleScan scan = network_.scan(schedule);
   const net::ScopedUtilization util(probe, collect_utilization_);
   OpticalRunResult run;
   if (network_.config().rwa_policy == RwaPolicy::kRandomFit) {
     Rng rng(rng_seed_);
-    run = network_.execute_scanned(schedule, scan, util.probe(), &rng, start);
+    run = network_.execute_scanned(schedule, scan, util.probe(), &rng);
   } else {
-    run = network_.execute_scanned(schedule, scan, util.probe(), nullptr,
-                                   start);
+    run = network_.execute_scanned(schedule, scan, util.probe(), nullptr);
   }
   net::count_schedule(probe, scan);
   RunReport report = run.to_report();

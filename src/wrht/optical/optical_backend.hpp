@@ -36,11 +36,6 @@ class RingBackend final : public net::Backend {
   using net::Backend::execute;
   [[nodiscard]] RunReport execute(const coll::Schedule& schedule,
                                   const obs::Probe& probe) const override;
-  /// Native clock offset: runs the engine's simulator starting at `start`
-  /// instead of shifting the report afterwards. Same output either way.
-  [[nodiscard]] RunReport execute_at(const coll::Schedule& schedule,
-                                     const obs::Probe& probe,
-                                     Seconds start) const override;
 
   [[nodiscard]] const RingNetwork& network() const { return network_; }
 

@@ -176,15 +176,15 @@ net::ScheduleScan RingNetwork::scan(const coll::Schedule& schedule) const {
 }
 
 OpticalRunResult RingNetwork::execute(const coll::Schedule& schedule,
-                                      const obs::Probe& probe, Rng* rng,
-                                      Seconds start) const {
-  return execute_scanned(schedule, scan(schedule), probe, rng, start);
+                                      const obs::Probe& probe,
+                                      Rng* rng) const {
+  return execute_scanned(schedule, scan(schedule), probe, rng);
 }
 
 OpticalRunResult RingNetwork::execute_scanned(const coll::Schedule& schedule,
                                               const net::ScheduleScan& scan,
                                               const obs::Probe& probe,
-                                              Rng* rng, Seconds start) const {
+                                              Rng* rng) const {
   const net::RoundRecorder recorder(
       probe, schedule,
       {"optical-ring", net::to_string(config_.reconfig_policy),
@@ -204,7 +204,7 @@ OpticalRunResult RingNetwork::execute_scanned(const coll::Schedule& schedule,
 
   // Drive the steps through the event kernel: each step-completion event
   // evaluates (or cache-hits) the next step and schedules its completion.
-  sim::Simulator simulator(start);
+  sim::Simulator simulator;
   simulator.set_counters(probe.counters);
   std::size_t next_step = 0;
   const net::ReconfigPolicy policy = config_.reconfig_policy;
@@ -372,9 +372,7 @@ OpticalRunResult RingNetwork::execute_scanned(const coll::Schedule& schedule,
     simulator.run();
   }
 
-  // total_time is a duration, not an end timestamp — a job admitted at
-  // start != 0 still reports how long it ran.
-  result.total_time = simulator.now() - start;
+  result.total_time = simulator.now();
   result.events_fired = simulator.events_fired();
   // Close the counter track so the last round's value does not hold past
   // the end of the run in the viewer.

@@ -185,16 +185,9 @@ class RingNetwork {
   /// Observed variant: emits one trace span per step with child spans per
   /// RWA round, and accumulates "optical.*" counters. An empty probe makes
   /// this identical to the unobserved overload.
-  ///
-  /// `start` offsets the internal clock: step starts (and trace spans) are
-  /// absolute times >= start, while total_time stays the run's duration.
-  /// The engine is time-invariant, so a shifted run prices identically —
-  /// the offset exists so a long-lived fabric simulation (wrht::svc) can
-  /// place a job's timeline at its admission time.
   [[nodiscard]] OpticalRunResult execute(const coll::Schedule& schedule,
                                          const obs::Probe& probe,
-                                         Rng* rng = nullptr,
-                                         Seconds start = Seconds(0.0)) const;
+                                         Rng* rng = nullptr) const;
 
   /// Cost of one round carrying a largest transfer of `elements` elements:
   /// reconfiguration + O/E/O + serialization (Eq. 6 per-step term).
@@ -260,7 +253,7 @@ class RingNetwork {
   /// read. RingBackend scans first and counts the run once this returns.
   [[nodiscard]] OpticalRunResult execute_scanned(
       const coll::Schedule& schedule, const net::ScheduleScan& scan,
-      const obs::Probe& probe, Rng* rng, Seconds start) const;
+      const obs::Probe& probe, Rng* rng) const;
   friend class RingBackend;
 
   topo::Ring ring_;

@@ -173,7 +173,9 @@ std::string FuzzCase::serialize() const {
                   std::to_string(wavelengths) + " " +
                   net::to_string(reconfig_policy);
   if (leased()) {
-    s += " " + std::to_string(w_lo) + " " + std::to_string(w_hi);
+    // Appended: see ResourceLease::to_string.
+    s.append(" ").append(std::to_string(w_lo)).append(" ").append(
+        std::to_string(w_hi));
   }
   return s;
 }

@@ -149,7 +149,6 @@ struct Case {
   std::uint32_t wavelengths = 8;
   std::uint32_t fibers = 1;
   bool random_fit = false;
-  Seconds start{0.0};  ///< execute_at offset
   net::ReconfigPolicy policy = net::ReconfigPolicy::kEveryRound;
 };
 
@@ -206,8 +205,8 @@ struct Sinks {
   bool counters = true;
 };
 
-Records observe(const net::Backend& backend, const Case& c,
-                const coll::Schedule& schedule, Sinks sinks) {
+Records observe(const net::Backend& backend, const coll::Schedule& schedule,
+                Sinks sinks) {
   obs::TransferLog log;
   obs::OccupancySampler occupancy;
   obs::ChromeTraceSink trace("records");
@@ -218,7 +217,7 @@ Records observe(const net::Backend& backend, const Case& c,
   if (sinks.occupancy) probe.occupancy = &occupancy;
   if (sinks.trace) probe.trace = &trace;
   if (sinks.counters) probe.counters = &counters;
-  const RunReport report = backend.execute_at(schedule, probe, c.start);
+  const RunReport report = backend.execute(schedule, probe);
   return Records{digest(log),    digest(occupancy),
                  digest(trace),  digest(counters),
                  digest(report), report.rounds > report.steps};
@@ -232,7 +231,6 @@ std::vector<Case> all_cases() {
     std::uint32_t wavelengths = 8;
     std::uint32_t fibers = 1;
     bool random_fit = false;
-    Seconds start{0.0};
   };
   const auto ring = [] { return coll::ring_allreduce(kNodes, kElements); };
   const auto btree = [] { return coll::btree_allreduce(kNodes, kElements); };
@@ -250,7 +248,6 @@ std::vector<Case> all_cases() {
       {"ring/wrht4/w2", Engine::kRing, wrht4, 2},
       {"ring/wrht/w2/f2", Engine::kRing, wrht, 2, 2},
       {"ring/wrht/w2/random", Engine::kRing, wrht, 2, 1, true},
-      {"ring/wrht/w2/at", Engine::kRing, wrht, 2, 1, false, Seconds(1.5e-3)},
       {"torus/wrht", Engine::kTorus, torus},
       {"torus/wrht/w2", Engine::kTorus, torus, 2},
       {"flow/ring", Engine::kFlow, ring},
@@ -267,7 +264,7 @@ std::vector<Case> all_cases() {
           net::ReconfigPolicy::kOverlapped}) {
       out.push_back(Case{s.name + "/" + net::to_string(policy), s.engine,
                          s.schedule, s.wavelengths, s.fibers, s.random_fit,
-                         s.start, policy});
+                         policy});
     }
   }
   return out;
@@ -343,15 +340,6 @@ const Expected kExpected[] = {
     {"ring/wrht/w2/random/overlapped",
      {0x204eb6966183dcbcULL, 0xc1f3be7c0b47a82aULL, 0x8f3ae5dbcf4605e8ULL,
       0x4d03ee83339a4264ULL, 0xcbb9cd4286ff6abfULL}},
-    {"ring/wrht/w2/at/every_round",
-     {0x3a4c3e03531f81bdULL, 0xe9bf7a87e6950e15ULL, 0x24296d19b9405bddULL,
-      0x4d03ee83339a4264ULL, 0xb77cf1e6bf82e990ULL}},
-    {"ring/wrht/w2/at/on_retune",
-     {0x6b34c30de64625d4ULL, 0xe9bf7a87e6950e15ULL, 0x24296d19b9405bddULL,
-      0x27cc75f69168187aULL, 0xb77cf1e6bf82e990ULL}},
-    {"ring/wrht/w2/at/overlapped",
-     {0x548ea94a737fb350ULL, 0x7190206a230b1bc1ULL, 0x48bda752bec81e57ULL,
-      0x4d03ee83339a4264ULL, 0xa660237f24e69bb8ULL}},
     {"torus/wrht/every_round",
      {0xe52c0f7b11caaa0fULL, 0x50890193f562b37aULL, 0x502c1640832e3e4bULL,
       0x6c6916ab95e15dbbULL, 0x96761ccfc236e47bULL}},
@@ -448,7 +436,7 @@ TEST(EngineRecords, EveryObservedRecordMatchesItsPinnedDigest) {
     SCOPED_TRACE(c.name);
     ASSERT_EQ(std::string(kExpected[i].name), c.name);
     const coll::Schedule schedule = c.schedule();
-    const Records got = observe(*make_backend(c), c, schedule, Sinks{});
+    const Records got = observe(*make_backend(c), schedule, Sinks{});
     // Cases that cut the wavelength budget below the one the schedule was
     // planned for are the multi-round ones.
     EXPECT_EQ(got.multi_round, c.wavelengths < 8);
@@ -469,14 +457,14 @@ TEST(EngineRecords, EachSinkRecordsTheSameAloneAsWithTheOthers) {
   for (const Case& c : all_cases()) {
     SCOPED_TRACE(c.name);
     const coll::Schedule schedule = c.schedule();
-    const Records all = observe(*make_backend(c), c, schedule, Sinks{});
-    const Records log_only = observe(*make_backend(c), c, schedule,
+    const Records all = observe(*make_backend(c), schedule, Sinks{});
+    const Records log_only = observe(*make_backend(c), schedule,
                                      Sinks{true, false, false, false});
-    const Records occupancy_only = observe(*make_backend(c), c, schedule,
+    const Records occupancy_only = observe(*make_backend(c), schedule,
                                            Sinks{false, true, false, false});
-    const Records trace_only = observe(*make_backend(c), c, schedule,
+    const Records trace_only = observe(*make_backend(c), schedule,
                                        Sinks{false, false, true, false});
-    const Records counters_only = observe(*make_backend(c), c, schedule,
+    const Records counters_only = observe(*make_backend(c), schedule,
                                           Sinks{false, false, false, true});
     EXPECT_EQ(log_only.transfers, all.transfers);
     EXPECT_EQ(occupancy_only.occupancy, all.occupancy);
@@ -490,8 +478,8 @@ TEST(EngineRecords, EachSinkRecordsTheSameAloneAsWithTheOthers) {
     for (const Sinks warm : {Sinks{false, false, false, false},
                              Sinks{false, false, false, true}}) {
       const std::unique_ptr<net::Backend> backend = make_backend(c);
-      (void)observe(*backend, c, schedule, warm);
-      const Records again = observe(*backend, c, schedule, Sinks{});
+      (void)observe(*backend, schedule, warm);
+      const Records again = observe(*backend, schedule, Sinks{});
       EXPECT_EQ(again.transfers, all.transfers);
       EXPECT_EQ(again.occupancy, all.occupancy);
       EXPECT_EQ(again.trace, all.trace);
@@ -510,7 +498,7 @@ TEST(EngineRecords, TransferLogIsSizedOnceFromTheSchedule) {
     obs::TransferLog log;
     obs::Probe probe;
     probe.transfers = &log;
-    (void)make_backend(c)->execute_at(schedule, probe, c.start);
+    (void)make_backend(c)->execute(schedule, probe);
     ASSERT_FALSE(log.transfers().empty());
     EXPECT_EQ(log.transfers().capacity(), log.transfers().size());
     EXPECT_EQ(log.steps().capacity(), log.steps().size());

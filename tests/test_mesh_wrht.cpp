@@ -41,13 +41,20 @@ TEST(MeshWrht, CorrectnessSweep) {
 }
 
 TEST(MeshWrht, PlanMatchesSchedule) {
-  for (std::uint32_t rows : {3u, 6u}) {
-    for (std::uint32_t w : {2u, 8u, 64u}) {
-      const Mesh mesh(rows, 9);
-      const WrhtOptions opt{3, w};
-      EXPECT_EQ(mesh_wrht_allreduce(mesh, 4, opt).num_steps(),
-                mesh_wrht_plan(mesh, opt).total())
-          << rows << " w=" << w;
+  for (std::uint32_t rows = 2; rows <= 10; ++rows) {
+    for (std::uint32_t cols = 2; cols <= 10; ++cols) {
+      for (std::uint32_t m = 2; m <= 5; ++m) {
+        for (const std::uint32_t w : {1u, 2u, 8u, 64u}) {
+          for (const bool all_to_all : {true, false}) {
+            const Mesh mesh(rows, cols);
+            const WrhtOptions opt{m, w, all_to_all};
+            EXPECT_EQ(mesh_wrht_allreduce(mesh, 4, opt).num_steps(),
+                      mesh_wrht_plan(mesh, opt).total())
+                << rows << "x" << cols << " m=" << m << " w=" << w
+                << " all_to_all=" << all_to_all;
+          }
+        }
+      }
     }
   }
 }

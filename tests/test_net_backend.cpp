@@ -1,7 +1,7 @@
 // Unit tests for the wrht::net layer itself: registry lookup/error
 // behaviour, the shared adapter helpers (count_schedule,
-// uniform_step_reports), the schedule-only backend's semantics and the
-// unified rate convention.
+// uniform_step_reports, execute_at's shift), the schedule-only backend's
+// semantics and the unified rate convention.
 #include "wrht/net/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -109,6 +109,28 @@ TEST(NetHelpers, UniformStepReportsAreCumulative) {
   EXPECT_EQ(steps[2].start.count(), 4e-6);
   EXPECT_EQ(steps[2].duration.count(), 2e-6);
   EXPECT_EQ(steps[2].rounds, 1u);
+}
+
+TEST(NetHelpers, ExecuteAtShiftsOnlyTheStepStarts) {
+  net::register_builtin_backends();
+  const coll::Schedule sched = coll::ring_allreduce(8, 4096);
+  for (const char* name : {"optical-ring", "electrical-flow",
+                           "electrical-packet", "schedule-only"}) {
+    const auto backend =
+        net::BackendRegistry::instance().create(name, config_for(8));
+    const RunReport at_zero = backend->execute(sched);
+    const RunReport shifted =
+        backend->execute_at(sched, obs::Probe{}, Seconds(2.5e-3));
+    EXPECT_EQ(shifted.total_time.count(), at_zero.total_time.count()) << name;
+    ASSERT_EQ(shifted.step_reports.size(), at_zero.step_reports.size());
+    for (std::size_t i = 0; i < shifted.step_reports.size(); ++i) {
+      EXPECT_EQ(shifted.step_reports[i].start.count(),
+                at_zero.step_reports[i].start.count() + 2.5e-3)
+          << name << " step " << i;
+      EXPECT_EQ(shifted.step_reports[i].duration.count(),
+                at_zero.step_reports[i].duration.count());
+    }
+  }
 }
 
 // ------------------------------------------------- schedule-only backend

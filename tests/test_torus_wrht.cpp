@@ -34,14 +34,20 @@ TEST(TorusWrht, CorrectnessSweep) {
 }
 
 TEST(TorusWrht, StepCountMatchesPlan) {
-  for (std::uint32_t rows : {3u, 4u}) {
-    for (std::uint32_t cols : {6u, 8u}) {
-      const Torus torus(rows, cols);
-      const WrhtOptions opt{3, 8};
-      const TorusWrhtPlan plan = torus_wrht_plan(torus, opt);
-      const coll::Schedule s = torus_wrht_allreduce(torus, 4, opt);
-      EXPECT_EQ(s.num_steps(), plan.total())
-          << rows << "x" << cols;
+  for (std::uint32_t rows = 2; rows <= 10; ++rows) {
+    for (std::uint32_t cols = 2; cols <= 10; ++cols) {
+      for (std::uint32_t m = 2; m <= 5; ++m) {
+        for (const std::uint32_t w : {1u, 2u, 8u, 64u}) {
+          for (const bool all_to_all : {true, false}) {
+            const Torus torus(rows, cols);
+            const WrhtOptions opt{m, w, all_to_all};
+            EXPECT_EQ(torus_wrht_allreduce(torus, 4, opt).num_steps(),
+                      torus_wrht_plan(torus, opt).total())
+                << rows << "x" << cols << " m=" << m << " w=" << w
+                << " all_to_all=" << all_to_all;
+          }
+        }
+      }
     }
   }
 }
