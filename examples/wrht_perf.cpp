@@ -14,7 +14,7 @@
 // build at ResNet-50 size and an optical-ring plus an electrical-flow run
 // of it, the oracle over the WRHT build, large-step RWA, and a sweep whose
 // grid volume (points x max N) must be at least 10x the micro-suite
-// sweep's — the arena + incremental-cache work is what keeps it at
+// sweep's — exact reserves and the incremental cache are what keep it at
 // micro-sweep wall-clock, and the harness exits 1 if the volume floor is
 // not met (bench/baselines/scale{,-tiny}.baseline ratchet the wall times).
 // --tiny shrinks every workload to CI-smoke scale (same metric names, so
@@ -129,11 +129,11 @@ int finalize_report(const Options& opt, prof::ProfRegistry& registry,
   return 0;
 }
 
-// The scale suite: the N~10^5 regime the arena + incremental-cache work
-// targets. Measures the big-build / patch / RWA hot paths directly, then
-// runs a schedule-only sweep whose grid volume (points x max N) must be
-// >= 10x the micro-suite sweep's pinned volume — the volume floor is a
-// hard gate (exit 1), the wall-clock ratchet lives in
+// The scale suite: the N~10^5 regime the reserve contract and the
+// incremental cache target. Measures the big-build / patch / RWA hot paths
+// directly, then runs a schedule-only sweep whose grid volume (points x
+// max N) must be >= 10x the micro-suite sweep's pinned volume — the
+// volume floor is a hard gate (exit 1), the wall-clock ratchet lives in
 // bench/baselines/scale{,-tiny}.baseline.
 int run_scale(const Options& opt) {
   // Pinned sizes, identical on every machine per mode.
@@ -162,8 +162,8 @@ int run_scale(const Options& opt) {
   {
     const prof::ScopedProfiling profiling(registry);
 
-    // Full schedule build at N~10^5 (the arena path; elements=1 because
-    // full-vector structure is element-independent).
+    // Full schedule build at N~10^5 (elements=1 because full-vector
+    // structure is element-independent).
     {
       std::vector<double> samples;
       samples.reserve(opt.reps);

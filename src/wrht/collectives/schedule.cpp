@@ -7,66 +7,17 @@
 
 namespace wrht::coll {
 
-namespace {
-
-thread_local ScheduleStorage g_storage = ScheduleStorage::kArena;
-
-std::size_t transfer_bytes(const std::vector<Step>& steps) {
-  std::size_t transfers = 0;
-  for (const Step& step : steps) transfers += step.transfers.size();
-  return transfers * sizeof(Transfer);
-}
-
-}  // namespace
-
-ScheduleStorage default_schedule_storage() { return g_storage; }
-
-ScheduleStorageScope::ScheduleStorageScope(ScheduleStorage storage)
-    : saved_(g_storage) {
-  g_storage = storage;
-}
-
-ScheduleStorageScope::~ScheduleStorageScope() { g_storage = saved_; }
-
 Schedule::Schedule(std::string algorithm, std::uint32_t num_nodes,
                    std::size_t elements)
-    : Schedule(std::move(algorithm), num_nodes, elements,
-               common::Arena::kDefaultFirstChunk) {}
-
-Schedule::Schedule(std::string algorithm, std::uint32_t num_nodes,
-                   std::size_t elements, std::size_t first_chunk_bytes)
     : algorithm_(std::move(algorithm)),
       num_nodes_(num_nodes),
       elements_(elements) {
   require(num_nodes >= 1, "Schedule: need at least one node");
   require(elements >= 1, "Schedule: need at least one element");
-  if (g_storage == ScheduleStorage::kArena) {
-    arena_ = std::make_shared<common::Arena>(first_chunk_bytes);
-  }
-}
-
-// The copy's first arena chunk holds exactly the source's transfers: a
-// copy (the sweep cache's patch path) is one system allocation, and
-// repeated copies of a large schedule reuse the block the last one freed
-// instead of faulting in fresh pages each time.
-Schedule::Schedule(const Schedule& other)
-    : Schedule(other.algorithm_, other.num_nodes_, other.elements_,
-               transfer_bytes(other.steps_)) {
-  steps_.reserve(other.steps_.size());
-  for (const Step& src : other.steps_) {
-    Step& dst = add_step(src.label);
-    dst.transfers.assign(src.transfers.begin(), src.transfers.end());
-  }
-}
-
-Schedule& Schedule::operator=(const Schedule& other) {
-  if (this != &other) *this = Schedule(other);
-  return *this;
 }
 
 Step& Schedule::add_step(std::string label) {
-  steps_.push_back(Step{TransferList(transfer_allocator()),
-                        std::move(label)});
+  steps_.push_back(Step{TransferList{}, std::move(label)});
   return steps_.back();
 }
 

@@ -9,24 +9,17 @@
 //   * optics::RingNetwork - assigns wavelengths and computes optical time,
 //   * elec::FatTreeNetwork- routes flows and computes electrical time.
 //
-// Storage: per-step Transfer vectors live on a per-schedule common::Arena
-// by default (ScheduleStorage::kArena), so building an N=10^5-step schedule
-// costs a handful of system allocations and the transfers of consecutive
-// steps sit contiguously in memory for the RWA/DES loops that stream over
-// them. ScheduleStorage::kHeap (via ScheduleStorageScope) restores plain
-// operator-new storage; it exists as the reference path for differential
-// tests. Both modes produce value-identical schedules.
+// Storage: a Schedule is a plain value. Each step holds its transfers in
+// its own std::vector, which the builders reserve exactly (see add_step).
 #pragma once
 
 #include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
 
-#include "wrht/common/arena.hpp"
 #include "wrht/common/units.hpp"
 #include "wrht/topo/ring.hpp"
 
@@ -59,14 +52,8 @@ static_assert(sizeof(Transfer) == 32, "Transfer must stay 32 bytes");
 static_assert(std::is_trivially_copyable_v<Transfer>,
               "builders and copies move Transfers as plain bytes");
 
-/// Per-step transfer storage. Default-constructed (null-arena) lists behave
-/// exactly like std::vector<Transfer>; lists handed out by Schedule point at
-/// the schedule's arena. The allocator does not propagate on copy/move
-/// assignment or swap, so `a.transfers = b.transfers` always copies elements
-/// into the destination's own storage and never re-homes a list onto a
-/// foreign arena.
-using TransferList =
-    std::vector<Transfer, common::ArenaAllocator<Transfer>>;
+/// Per-step transfer storage.
+using TransferList = std::vector<Transfer>;
 
 /// Transfers that are in flight concurrently. Senders are read with
 /// beginning-of-step (snapshot) semantics.
@@ -75,43 +62,10 @@ struct Step {
   std::string label;
 };
 
-/// Where a Schedule keeps its Transfer storage. Selected per-thread at
-/// Schedule construction time; see ScheduleStorageScope.
-enum class ScheduleStorage {
-  kArena,  ///< per-schedule monotonic arena (default)
-  kHeap,   ///< operator new per vector — the pre-arena reference path
-};
-
-/// Storage mode new Schedules on this thread are built with.
-[[nodiscard]] ScheduleStorage default_schedule_storage();
-
-/// RAII override of the thread-local storage mode. Lets tests and the
-/// differential harness force the heap reference path (or pin the arena
-/// path) for everything a call tree builds — including Registry::build and
-/// the algorithm builders — without threading a parameter through them.
-class ScheduleStorageScope {
- public:
-  explicit ScheduleStorageScope(ScheduleStorage storage);
-  ~ScheduleStorageScope();
-  ScheduleStorageScope(const ScheduleStorageScope&) = delete;
-  ScheduleStorageScope& operator=(const ScheduleStorageScope&) = delete;
-
- private:
-  ScheduleStorage saved_;
-};
-
 class Schedule {
  public:
   Schedule(std::string algorithm, std::uint32_t num_nodes,
            std::size_t elements);
-
-  /// Copies rebuild the step/transfer data on the copy's own fresh storage
-  /// (per the current thread-local mode), in one arena chunk sized to the
-  /// source's transfers; the source arena is untouched.
-  Schedule(const Schedule& other);
-  Schedule& operator=(const Schedule& other);
-  Schedule(Schedule&&) noexcept = default;
-  Schedule& operator=(Schedule&&) noexcept = default;
 
   [[nodiscard]] const std::string& algorithm() const { return algorithm_; }
   [[nodiscard]] std::uint32_t num_nodes() const { return num_nodes_; }
@@ -120,24 +74,15 @@ class Schedule {
   [[nodiscard]] const std::vector<Step>& steps() const { return steps_; }
   [[nodiscard]] std::size_t num_steps() const { return steps_.size(); }
 
-  /// Appends a step whose transfer list is bound to this schedule's
-  /// storage. Reserve contract: a builder that knows its step count calls
-  /// reserve_steps() first, and one that knows a step's transfer count
-  /// calls `transfers.reserve()` before the first push_back. Growth inside
-  /// a monotonic arena abandons the outgrown block until the schedule
-  /// dies, so an unreserved build holds about twice its transfers. The
-  /// ring, H-Ring and WRHT builders reserve exactly: their arenas hold
-  /// Σ transfers × sizeof(Transfer) bytes.
+  /// Appends an empty step. Reserve contract: a builder that knows its
+  /// step count calls reserve_steps() first, and one that knows a step's
+  /// transfer count calls `transfers.reserve()` before the first
+  /// push_back, so no vector reallocates while it fills and each holds
+  /// exactly its transfers (capacity == size). The ring, H-Ring and WRHT
+  /// builders reserve exactly.
   Step& add_step(std::string label = {});
 
   void reserve_steps(std::size_t n) { steps_.reserve(n); }
-
-  /// Storage this schedule was built with.
-  [[nodiscard]] ScheduleStorage storage() const {
-    return arena_ ? ScheduleStorage::kArena : ScheduleStorage::kHeap;
-  }
-  /// The backing arena (null in kHeap mode) — for memory accounting.
-  [[nodiscard]] const common::Arena* arena() const { return arena_.get(); }
 
   /// True when every transfer spans the whole vector ([0, elements)) —
   /// the precondition for rescale_elements(). Holds for WRHT/tree-style
@@ -188,20 +133,9 @@ class Schedule {
   [[noreturn]] static void reject_transfer(const char* what,
                                            std::size_t step);
 
-  /// `first_chunk_bytes` sizes the arena's first chunk (common::Arena).
-  Schedule(std::string algorithm, std::uint32_t num_nodes,
-           std::size_t elements, std::size_t first_chunk_bytes);
-
-  [[nodiscard]] common::ArenaAllocator<Transfer> transfer_allocator() const {
-    return common::ArenaAllocator<Transfer>(arena_.get());
-  }
-
   std::string algorithm_;
   std::uint32_t num_nodes_;
   std::size_t elements_;
-  // arena_ is declared before steps_ so steps_ (whose transfer lists live
-  // inside the arena) is destroyed first.
-  std::shared_ptr<common::Arena> arena_;
   std::vector<Step> steps_;
 };
 
@@ -219,9 +153,8 @@ struct Circuit {
 };
 [[nodiscard]] Circuit circuit_of(const Transfer& transfer);
 
-/// Circuit storage mirroring TransferList: null-arena by default, bindable
-/// to an arena by callers that batch-derive deltas for huge schedules.
-using CircuitList = std::vector<Circuit, common::ArenaAllocator<Circuit>>;
+/// Circuit storage of a ReconfigDelta.
+using CircuitList = std::vector<Circuit>;
 
 /// Which circuits change entering a step relative to the previous step —
 /// the per-step reconfiguration metadata the ReconfigPolicy engines and the

@@ -9,8 +9,8 @@ namespace {
 
 /// What the mesh WRHT runs: one hierarchy over a row's columns, which every
 /// row replays at once and which collapses to the single root column, and,
-/// unless one line all-to-all among the row roots fits the budget, the
-/// root column's rooted fallback hierarchy.
+/// unless all-to-all is allowed and one line all-to-all among the row roots
+/// fits the budget, the root column's rooted hierarchy.
 struct MeshHierarchies {
   Hierarchy row;
   bool line_all_to_all = false;
@@ -23,6 +23,7 @@ MeshHierarchies mesh_hierarchies(const topo::Mesh& mesh,
   h.row = build_hierarchy(mesh.cols(), options.group_size,
                           options.wavelengths, /*allow_all_to_all=*/false);
   h.line_all_to_all =
+      options.allow_all_to_all &&
       topo::line_all_to_all_wavelengths(mesh.rows()) <= options.wavelengths;
   if (!h.line_all_to_all) {
     h.column = build_hierarchy(mesh.rows(), options.group_size,
@@ -59,8 +60,8 @@ coll::Schedule mesh_wrht_allreduce(const topo::Mesh& mesh,
       }
     }
   } else {
-    // Budget too small: the column reduces to one root and broadcasts back
-    // along the line (its groups never wrap).
+    // All-to-all off or over budget: the column reduces to one root and
+    // broadcasts back along the line (its groups never wrap).
     append_reduce_stage(sched, h.column, elements, column);
     append_broadcast_stage(sched, h.column, elements, column);
   }

@@ -5,7 +5,8 @@
 // are lines, so the column phase uses the one-stage *line* model: the
 // all-to-all among the row roots needs ceil(k/2)*floor(k/2) wavelengths
 // (line load bound) instead of the ring's ceil(k^2/8), and falls back to a
-// rooted reduce+broadcast when the budget is short.
+// rooted reduce+broadcast when the budget is short or
+// `WrhtOptions::allow_all_to_all` is off.
 #pragma once
 
 #include <cstddef>

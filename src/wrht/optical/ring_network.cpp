@@ -11,16 +11,20 @@
 
 namespace wrht::optics {
 
+void OpticalConfig::validate() const {
+  require(wavelengths >= 1, "OpticalConfig: need >= 1 wavelength");
+  require(fibers_per_direction >= 1,
+          "OpticalConfig: need >= 1 fiber per direction");
+  require(bytes_per_element >= 1,
+          "OpticalConfig: bytes_per_element must be >= 1");
+  require(wavelength_rate.count() > 0.0,
+          "OpticalConfig: wavelength rate must be positive");
+  lease.validate(wavelengths);
+}
+
 RingNetwork::RingNetwork(std::uint32_t num_nodes, OpticalConfig config)
     : ring_(num_nodes), config_(config) {
-  require(config.wavelengths >= 1, "RingNetwork: need >= 1 wavelength");
-  require(config.fibers_per_direction >= 1,
-          "RingNetwork: need >= 1 fiber per direction");
-  require(config.bytes_per_element >= 1,
-          "RingNetwork: bytes_per_element must be >= 1");
-  require(config.wavelength_rate.count() > 0.0,
-          "RingNetwork: wavelength rate must be positive");
-  config.lease.validate(config.wavelengths);
+  config_.validate();
 }
 
 Seconds RingNetwork::serialization_time(std::size_t elements) const {

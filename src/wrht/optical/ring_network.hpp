@@ -78,6 +78,12 @@ struct OpticalConfig {
   ///                 (bench_ablation_overlap).
   net::ReconfigPolicy reconfig_policy = net::ReconfigPolicy::kEveryRound;
 
+  /// Throws InvalidArgument unless a run can be priced: at least one
+  /// wavelength and one fiber per direction, a positive line rate, at
+  /// least one byte per element and a lease inside the wavelength budget.
+  /// Every optical engine checks its config here.
+  void validate() const;
+
   /// Effective serialization rate in bytes per second.
   [[nodiscard]] double bytes_per_second() const {
     return net::effective_bytes_per_second(wavelength_rate.count(),

@@ -16,10 +16,7 @@ TorusNetwork::TorusNetwork(const topo::Torus& torus, OpticalConfig config)
       config_(config),
       row_ring_(torus.cols()),
       col_ring_(torus.rows()) {
-  require(config.wavelengths >= 1, "TorusNetwork: need >= 1 wavelength");
-  require(config.fibers_per_direction >= 1,
-          "TorusNetwork: need >= 1 fiber per direction");
-  config.lease.validate(config.wavelengths);
+  config_.validate();
 }
 
 OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,

@@ -25,6 +25,22 @@ TEST(MeshWrht, CorrectWithRootedColumnFallback) {
   EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
 }
 
+TEST(MeshWrht, AllToAllOffReducesTheColumnByLevels) {
+  // 4 roots fit one line all-to-all at w = 8; with all-to-all off the
+  // root column reduces and broadcasts by levels instead.
+  const Mesh mesh(4, 8);
+  const WrhtOptions opt{3, 8, /*allow_all_to_all=*/false};
+  const coll::Schedule s = mesh_wrht_allreduce(mesh, 8, opt);
+  for (const coll::Step& step : s.steps()) {
+    EXPECT_NE(step.label, "column line all-to-all");
+  }
+  const MeshWrhtPlan plan = mesh_wrht_plan(mesh, opt);
+  EXPECT_FALSE(plan.column_all_to_all);
+  EXPECT_EQ(plan.total(), s.num_steps());
+  const verify::OracleReport oracle = verify::check_allreduce(s);
+  EXPECT_TRUE(oracle.ok()) << oracle.result.summary();
+}
+
 TEST(MeshWrht, CorrectnessSweep) {
   for (std::uint32_t rows : {2u, 3u, 5u, 8u}) {
     for (std::uint32_t cols : {4u, 7u, 9u}) {

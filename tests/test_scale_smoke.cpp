@@ -1,9 +1,9 @@
 // Large-scale smoke tests (ctest label `large`, excluded from tier-1):
-// build WRHT schedules at the N = 10^5 / 256x256-torus scale the arena and
-// incremental work targets, verify them with the cheap oracles (structural
-// invariants plus a sampled data-level proof on a 1-element vector — WRHT
-// schedules are full-vector, so the element axis is structure-free and one
-// element proves the same linear combination), and hold the whole run
+// build WRHT schedules for an N = 10^5 ring and a 256x256 torus, verify
+// them with the cheap oracles (structural invariants plus a sampled
+// data-level proof on a 1-element vector — WRHT schedules are
+// full-vector, so the element axis is structure-free and one element
+// proves the same linear combination), and hold the whole run
 // under a hard peak-RSS budget read from prof::peak_rss_bytes. A Fig. 5-
 // shaped sweep of N = 1024 rings holds the sweep cache to the same budget.
 //
@@ -35,9 +35,9 @@ constexpr std::uint32_t kTorusSide = 256;
 constexpr std::uint32_t kWavelengths = 64;
 
 /// Hard budget for the whole binary (both schedules and their verifiers):
-/// the N = 10^5 ring schedule holds ~10^5-scale transfer lists on its
-/// arena, the 256x256 torus one is of comparable size, and the sampled
-/// oracle keeps one double per node. Measured peak is ~25 MB for those
+/// the N = 10^5 ring schedule holds ~10^5-scale transfer lists, the
+/// 256x256 torus one is of comparable size, and the sampled oracle keeps
+/// one double per node. Measured peak is ~25 MB for those
 /// tests and ~73 MB for the ring sweep (one 67 MB ring in flight); the
 /// headroom absorbs allocator and libc variance across runners without
 /// letting an accidental O(N^2) path slip through.
@@ -54,13 +54,7 @@ TEST(ScaleSmoke, Ring100kWrhtScheduleBuildsAndVerifies) {
   // schedules, so verifying at 1 element verifies them all.
   const coll::Schedule schedule =
       core::wrht_allreduce(kRingNodes, 1, options);
-  EXPECT_EQ(schedule.storage(), coll::ScheduleStorage::kArena);
   EXPECT_TRUE(schedule.full_vector());
-  ASSERT_NE(schedule.arena(), nullptr);
-  // The arena must hold the transfer payload in O(few) chunks, not one
-  // malloc per transfer list.
-  EXPECT_LE(schedule.arena()->chunks(),
-            schedule.arena()->bytes_allocated() / (64 * 1024) + 8);
 
   const verify::CheckResult structure =
       verify::check_schedule_structure(schedule);
@@ -87,7 +81,6 @@ TEST(ScaleSmoke, Torus256x256WrhtScheduleBuildsAndVerifies) {
 
   const coll::Schedule schedule =
       core::torus_wrht_allreduce(torus, 1, options);
-  EXPECT_EQ(schedule.storage(), coll::ScheduleStorage::kArena);
   EXPECT_EQ(schedule.num_nodes(), kTorusSide * kTorusSide);
 
   const verify::CheckResult structure =

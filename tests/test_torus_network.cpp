@@ -129,6 +129,14 @@ TEST(TorusNetwork, Validation) {
   OpticalConfig bad;
   bad.wavelengths = 0;
   EXPECT_THROW(TorusNetwork(torus, bad), InvalidArgument);
+  // A zero line rate would price every round at infinity, and zero bytes
+  // per element would price no serialization at all.
+  OpticalConfig no_rate;
+  no_rate.wavelength_rate = BitsPerSecond(0.0);
+  EXPECT_THROW(TorusNetwork(torus, no_rate), InvalidArgument);
+  OpticalConfig no_bytes;
+  no_bytes.bytes_per_element = 0;
+  EXPECT_THROW(TorusNetwork(torus, no_bytes), InvalidArgument);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 // rejected point. A digest that moves is a behaviour change to explain,
 // not a constant to refresh. Plan totals are left out: test_torus_wrht and
 // test_mesh_wrht check them against the schedules the builders emit.
+// RegistryDigest pins every coll::Registry algorithm the same way, and
+// the copy-and-rescale patch the sweep cache applies to full-vector ones.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +19,9 @@
 #include <string>
 #include <string_view>
 #include <typeinfo>
+#include <vector>
 
+#include "wrht/collectives/registry.hpp"
 #include "wrht/common/error.hpp"
 #include "wrht/core/mesh_wrht.hpp"
 #include "wrht/core/torus_wrht.hpp"
@@ -187,7 +191,42 @@ TEST(WrhtFamilyDigest, MeshAllreduce) {
                    d.add(mesh_wrht_allreduce(topo::Mesh(rows, cols),
                                              kElements, o));
                  }),
-                 {0x0a3e26cc753f69adULL, 8640, 3190});
+                 {0x532cc2f6d3b01dedULL, 8640, 3190});
+}
+
+/// Every registry algorithm x N 1-40 x elements {1, N, N+3, 1000} x
+/// m {0, 2, 3, 5} x w {1, 4, 64}. A full-vector build also adds a copy
+/// rescaled to elements + 7, the sweep cache's patch.
+TEST(RegistryDigest, EveryAlgorithmAndRescalePatch) {
+  register_wrht_algorithm();
+  const coll::Registry& registry = coll::Registry::instance();
+  const std::vector<std::string> algorithms = {
+      "btree", "halving_doubling", "hring", "recursive_doubling", "ring",
+      "wrht"};
+  ASSERT_EQ(registry.names(), algorithms);
+  Recorder recorder;
+  for (const std::string& algorithm : algorithms) {
+    for (std::uint32_t n = 1; n <= 40; ++n) {
+      for (const std::size_t elements : {std::size_t{1}, std::size_t{n},
+                                         std::size_t{n} + 3,
+                                         std::size_t{1000}}) {
+        for (const std::uint32_t m : {0u, 2u, 3u, 5u}) {
+          for (const std::uint32_t w : {1u, 4u, 64u}) {
+            recorder.record([&](Digest& d) {
+              const coll::Schedule s =
+                  registry.build(algorithm, {n, elements, m, w});
+              d.add(s).add(s.full_vector());
+              if (!s.full_vector()) return;
+              coll::Schedule patched(s);
+              patched.rescale_elements(elements + 7);
+              d.add(patched);
+            });
+          }
+        }
+      }
+    }
+  }
+  expect_outcome(recorder.outcome(), {0x98d8b1671dc1a49aULL, 9477, 2043});
 }
 
 }  // namespace
