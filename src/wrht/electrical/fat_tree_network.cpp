@@ -116,7 +116,37 @@ ElectricalRunResult FatTreeNetwork::execute_scanned(
 
   const net::RoundRecorder recorder(probe, schedule,
                                     {"electrical-flow", "none"});
-  LinkOccupancy links(probe.occupancy, tree_.num_links());
+  // Link occupancy is one sampler pattern per priced step pattern, added
+  // on its first use in the run. A link's sampler handle is registered
+  // when the first pattern that loads it is added, so the sampler lists
+  // links in the order the run first touches them.
+  obs::OccupancySampler* const sampler = probe.occupancy;
+  std::vector<obs::OccupancySampler::ResourceRef> link_refs(
+      sampler != nullptr ? tree_.num_links() : 0, kUnregistered);
+  std::unordered_map<std::uint64_t, obs::OccupancySampler::PatternId>
+      sampler_patterns;
+  std::vector<obs::OccSlice> slices;
+  // Per loaded link: transmission until its slowest flow drains, router
+  // processing until the last completion it feeds, then straggler wait
+  // until the step ends.
+  const auto add_pattern = [&](const StepTiming& timing) {
+    slices.clear();
+    for (const LinkOcc& occ : timing.link_occ) {
+      obs::OccupancySampler::ResourceRef& ref = link_refs[occ.link];
+      if (ref == kUnregistered) {
+        ref = sampler->resource("link" + std::to_string(occ.link));
+      }
+      slices.push_back({ref, Seconds(0.0), Seconds(occ.busy_s),
+                        obs::OccCategory::kTransmission, occ.load});
+      slices.push_back({ref, Seconds(occ.busy_s),
+                        Seconds(occ.chain_end_s - occ.busy_s),
+                        obs::OccCategory::kProcessing});
+      slices.push_back({ref, Seconds(occ.chain_end_s),
+                        Seconds(timing.seconds - occ.chain_end_s),
+                        obs::OccCategory::kStragglerWait});
+    }
+    return sampler->add_pattern(slices);
+  };
   double now = 0.0;
   std::size_t step_index = 0;
   for (const auto& step : schedule.steps()) {
@@ -171,17 +201,10 @@ ElectricalRunResult FatTreeNetwork::execute_scanned(
       priced.lanes.push_back({"fabric", {{std::move(round), &timing.flows}}});
       recorder.record(step, priced);
     }
-    if (links.active()) {
-      for (const LinkOcc& occ : timing.link_occ) {
-        links.record(occ.link, step_id, Seconds(now), Seconds(occ.busy_s),
-                     obs::OccCategory::kTransmission, occ.load);
-        links.record(occ.link, step_id, Seconds(now + occ.busy_s),
-                     Seconds(occ.chain_end_s - occ.busy_s),
-                     obs::OccCategory::kProcessing);
-        links.record(occ.link, step_id, Seconds(now + occ.chain_end_s),
-                     Seconds(timing.seconds - occ.chain_end_s),
-                     obs::OccCategory::kStragglerWait);
-      }
+    if (sampler != nullptr) {
+      auto [entry, added] = sampler_patterns.try_emplace(sig);
+      if (added) entry->second = add_pattern(timing);
+      sampler->record_pattern(entry->second, step_id, Seconds(now));
     }
     now += timing.seconds;
     ++step_index;

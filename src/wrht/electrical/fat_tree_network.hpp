@@ -77,7 +77,9 @@ struct ElectricalConfig {
   }
 };
 
-/// One run's link occupancy, shared by both fat-tree engines: each link's
+/// One run's link occupancy as explicit records, for the packet engine,
+/// whose per-packet slices are no function of a step pattern (the flow
+/// engine records each step as one use of a sampler pattern). Each link's
 /// sampler handle is registered on its first record, so the sampler lists
 /// links in the order the run first touches them.
 class LinkOccupancy {

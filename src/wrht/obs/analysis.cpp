@@ -52,7 +52,7 @@ UtilizationAnalysis analyze_utilization(const RunReport& report,
   out.critical_path.reserve(num_steps);
   double slack_free = 0.0;
 
-  // One pass over the store, which holds records in step order. `row`
+  // One pass over the run's records, which come in step order. `row`
   // accumulates the current step's seconds per (resource, category);
   // `totals` the whole run's, including records past the report's last
   // step. Each cell adds its intervals in record order.
@@ -102,15 +102,13 @@ UtilizationAnalysis analyze_utilization(const RunReport& report,
     std::fill(row.begin(), row.end(), CategoryTimes{});
     ++s;
   };
-  for (const std::vector<OccInterval>& block : sampler.blocks()) {
-    for (const OccInterval& i : block) {
-      const auto category = static_cast<std::size_t>(i.category);
-      totals[i.resource][category] += i.duration.count();
-      if (i.step >= num_steps) continue;
-      while (s < i.step) close_step();
-      row[i.resource][category] += i.duration.count();
-    }
-  }
+  sampler.for_each([&](const OccInterval& i) {
+    const auto category = static_cast<std::size_t>(i.category);
+    totals[i.resource][category] += i.duration.count();
+    if (i.step >= num_steps) return;
+    while (s < i.step) close_step();
+    row[i.resource][category] += i.duration.count();
+  });
   while (s < num_steps) close_step();
 
   for (const TimeBreakdown& b : out.step_breakdowns) out.breakdown += b;

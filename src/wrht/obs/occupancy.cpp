@@ -1,5 +1,7 @@
 #include "wrht/obs/occupancy.hpp"
 
+#include <algorithm>
+
 #include "wrht/common/error.hpp"
 
 namespace wrht::obs {
@@ -15,29 +17,66 @@ const char* to_string(OccCategory category) {
   return "unknown";
 }
 
+void OccupancySampler::Intervals::iterator::seek() {
+  const std::vector<Use>& uses = sampler_->uses_;
+  while (true) {
+    if (use_ < uses.size() && uses[use_].record == record_) {
+      const Use& use = uses[use_];
+      const Pattern& pattern = sampler_->patterns_[use.pattern];
+      if (slice_ == pattern.count) {
+        ++use_;
+        slice_ = 0;
+        continue;
+      }
+      const OccSlice& slice = sampler_->slices_[pattern.first + slice_];
+      if (slice.resource == ref_) {
+        current_ = expand(use, slice);
+        return;
+      }
+      ++slice_;
+    } else if (record_ < sampler_->records_) {
+      if (sampler_->at(record_).resource == ref_) {
+        current_ = sampler_->at(record_);
+        return;
+      }
+      ++record_;
+    } else {
+      return;  // end()
+    }
+  }
+}
+
 OccupancySampler::Intervals::iterator&
 OccupancySampler::Intervals::iterator::operator++() {
-  const std::size_t last = sampler_->timelines_[ref_].last;
-  do {
-    ++index_;
-  } while (index_ <= last && sampler_->at(index_).resource != ref_);
+  const std::vector<Use>& uses = sampler_->uses_;
+  if (use_ < uses.size() && uses[use_].record == record_) {
+    ++slice_;
+  } else {
+    ++record_;
+  }
+  seek();
   return *this;
 }
 
 OccupancySampler::Intervals::iterator OccupancySampler::Intervals::begin()
     const {
-  const Timeline& t = sampler_->timelines_[ref_];
-  return t.count == 0 ? end() : iterator(sampler_, ref_, t.first);
+  iterator it(sampler_, ref_, 0, 0);
+  it.seek();
+  return it;
 }
 
 OccupancySampler::Intervals::iterator OccupancySampler::Intervals::end()
     const {
-  const Timeline& t = sampler_->timelines_[ref_];
-  return iterator(sampler_, ref_, t.count == 0 ? 0 : t.last + 1);
+  return iterator(sampler_, ref_, sampler_->records_, sampler_->uses_.size());
 }
 
 std::size_t OccupancySampler::Intervals::size() const {
-  return sampler_->timelines_[ref_].count;
+  const Timeline& timeline = sampler_->timelines_[ref_];
+  std::size_t size = timeline.count;
+  for (const auto& [id, slices] : timeline.patterns) {
+    size += slices * sampler_->patterns_[id].uses;
+  }
+  return size;
 }
 
 OccupancySampler::ResourceRef OccupancySampler::resource(
@@ -52,17 +91,30 @@ OccupancySampler::ResourceRef OccupancySampler::resource(
   return ref;
 }
 
+void OccupancySampler::advance_to(std::uint32_t step) {
+  require(step >= last_step_,
+          "OccupancySampler: a step was recorded after a later one");
+  last_step_ = step;
+}
+
 void OccupancySampler::record(ResourceRef ref, std::uint32_t step,
                               Seconds start, Seconds duration,
                               OccCategory category,
                               std::uint32_t concurrency) {
   require(ref < timelines_.size(), "OccupancySampler: unknown resource ref");
-  require(step >= last_step_,
-          "OccupancySampler: a step was recorded after a later one");
-  last_step_ = step;
+  advance_to(step);
   if (duration.count() <= 0.0) return;
   Timeline& timeline = timelines_[ref];
-  if (timeline.count > 0) {
+  // The resource's last interval is its last explicit record unless a use
+  // of one of its patterns came after that record.
+  const bool last_is_explicit =
+      timeline.count > 0 &&
+      std::none_of(timeline.patterns.begin(), timeline.patterns.end(),
+                   [&](const auto& member) {
+                     return patterns_[member.first].last_use_record >
+                            timeline.last;
+                   });
+  if (last_is_explicit) {
     OccInterval& last = at(timeline.last);
     const double last_end = last.start.count() + last.duration.count();
     // Coalesce back-to-back slices of the same kind (tolerance scaled to
@@ -80,10 +132,43 @@ void OccupancySampler::record(ResourceRef ref, std::uint32_t step,
   }
   blocks_.back().push_back(
       OccInterval{start, duration, category, step, concurrency, ref});
-  if (timeline.count == 0) timeline.first = records_;
   timeline.last = records_;
   ++timeline.count;
   ++records_;
+  ++size_;
+}
+
+OccupancySampler::PatternId OccupancySampler::add_pattern(
+    std::span<const OccSlice> slices) {
+  for (const OccSlice& slice : slices) {
+    require(slice.resource < timelines_.size(),
+            "OccupancySampler: unknown resource ref");
+  }
+  const auto id = static_cast<PatternId>(patterns_.size());
+  Pattern& pattern = patterns_.emplace_back();
+  pattern.first = slices_.size();
+  for (const OccSlice& slice : slices) {
+    if (slice.duration.count() <= 0.0) continue;
+    slices_.push_back(slice);
+    auto& members = timelines_[slice.resource].patterns;
+    if (members.empty() || members.back().first != id) {
+      members.emplace_back(id, 0);
+    }
+    ++members.back().second;
+  }
+  pattern.count = slices_.size() - pattern.first;
+  return id;
+}
+
+void OccupancySampler::record_pattern(PatternId id, std::uint32_t step,
+                                      Seconds start) {
+  require(id < patterns_.size(), "OccupancySampler: unknown pattern id");
+  advance_to(step);
+  Pattern& pattern = patterns_[id];
+  ++pattern.uses;
+  pattern.last_use_record = records_;
+  uses_.push_back(Use{records_, start.count(), id, step});
+  size_ += pattern.count;
 }
 
 const std::string& OccupancySampler::name(ResourceRef ref) const {
@@ -118,6 +203,10 @@ void OccupancySampler::clear() {
   index_.clear();
   blocks_.clear();
   records_ = 0;
+  slices_.clear();
+  patterns_.clear();
+  uses_.clear();
+  size_ = 0;
   last_step_ = 0;
 }
 

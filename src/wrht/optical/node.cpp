@@ -48,6 +48,7 @@ TuningState TuningState::from_lightpaths(const std::vector<Lightpath>& paths,
 }
 
 std::size_t TuningState::retune_count(const TuningState& next) const {
+  if (this == &next) return 0;
   std::size_t differing = 0;
   auto it_a = tunings_.begin();
   auto it_b = next.tunings_.begin();

@@ -59,7 +59,8 @@ class TuningState {
 
   /// Number of micro-rings that must change state to go from `this` round
   /// to `next` (symmetric difference size): 0 means the circuits can stay
-  /// up and no reconfiguration delay is needed.
+  /// up and no reconfiguration delay is needed. Comparing a state with
+  /// itself returns 0 without walking it.
   [[nodiscard]] std::size_t retune_count(const TuningState& next) const;
 
  private:

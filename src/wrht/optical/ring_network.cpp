@@ -11,6 +11,36 @@
 
 namespace wrht::optics {
 
+namespace {
+
+/// The last round's MRR state a retune walk compares the next round with.
+/// It points into the pattern that priced the round: the pattern cache
+/// keeps its entries in place for the whole run (it re-prices an entry
+/// only on the entry's first hit in a run). A pattern priced outside the
+/// cache dies with its step, so its state is copied first.
+class LastTuning {
+ public:
+  LastTuning() = default;
+  LastTuning(const LastTuning&) = delete;
+  LastTuning& operator=(const LastTuning&) = delete;
+
+  [[nodiscard]] const TuningState& get() const { return *last_; }
+  void set(const TuningState& tuning, bool transient) {
+    if (transient) {
+      held_ = tuning;
+      last_ = &held_;
+    } else {
+      last_ = &tuning;
+    }
+  }
+
+ private:
+  TuningState held_;
+  const TuningState* last_ = &held_;
+};
+
+}  // namespace
+
 void OpticalConfig::validate() const {
   require(wavelengths >= 1, "OpticalConfig: need >= 1 wavelength");
   require(fibers_per_direction >= 1,
@@ -19,6 +49,9 @@ void OpticalConfig::validate() const {
           "OpticalConfig: bytes_per_element must be >= 1");
   require(wavelength_rate.count() > 0.0,
           "OpticalConfig: wavelength rate must be positive");
+  require(mrr_reconfig_delay.count() >= 0.0,
+          "OpticalConfig: mrr_reconfig_delay must be >= 0");
+  require(oeo_delay.count() >= 0.0, "OpticalConfig: oeo_delay must be >= 0");
   lease.validate(wavelengths);
 }
 
@@ -212,11 +245,11 @@ OpticalRunResult RingNetwork::execute_scanned(const coll::Schedule& schedule,
   simulator.set_counters(probe.counters);
   std::size_t next_step = 0;
   const net::ReconfigPolicy policy = config_.reconfig_policy;
-  TuningState previous_tuning;  // kOnRetune: last round's MRR state
+  LastTuning previous_tuning;  // kOnRetune: last round's MRR state
   // Blame retune walk: replicates the kOnRetune previous-tuning carry
   // (including across steps) under ANY policy, so every RoundTrace can say
   // whether a retune-aware control plane would have charged it.
-  TuningState blame_tuning;
+  LastTuning blame_tuning;
   // kOverlapped: the window the next round's retune can hide inside — the
   // previous round's O/E/O + transmission time (zero before round 0, which
   // has nothing to overlap with).
@@ -269,8 +302,8 @@ OpticalRunResult RingNetwork::execute_scanned(const coll::Schedule& schedule,
         // A round pays the reconfiguration delay only if some micro-ring
         // has to change state relative to the previous round.
         const TuningState& tuning = pattern->round_tunings[r];
-        const std::size_t retuned = previous_tuning.retune_count(tuning);
-        previous_tuning = tuning;
+        const std::size_t retuned = previous_tuning.get().retune_count(tuning);
+        previous_tuning.set(tuning, pattern == &uncached);
         if (retuned > 0) {
           ++result.reconfigurations;
           result.retuned_mrrs += retuned;
@@ -307,8 +340,9 @@ OpticalRunResult RingNetwork::execute_scanned(const coll::Schedule& schedule,
       trace.serialization = serialization;
       trace.duration = round;
       if (blame) {
-        trace.retune = blame_tuning.retune_count(pattern->round_tunings[r]) > 0;
-        blame_tuning = pattern->round_tunings[r];
+        const TuningState& tuning = pattern->round_tunings[r];
+        trace.retune = blame_tuning.get().retune_count(tuning) > 0;
+        blame_tuning.set(tuning, pattern == &uncached);
       }
       rounds.push_back(
           net::PricedRound{std::move(trace), &pattern->routing[r]});

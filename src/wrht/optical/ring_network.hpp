@@ -80,8 +80,9 @@ struct OpticalConfig {
 
   /// Throws InvalidArgument unless a run can be priced: at least one
   /// wavelength and one fiber per direction, a positive line rate, at
-  /// least one byte per element and a lease inside the wavelength budget.
-  /// Every optical engine checks its config here.
+  /// least one byte per element, no negative MRR reconfiguration or O/E/O
+  /// delay and a lease inside the wavelength budget. Every optical engine
+  /// checks its config here.
   void validate() const;
 
   /// Effective serialization rate in bytes per second.

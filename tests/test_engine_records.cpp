@@ -10,8 +10,10 @@
 // The second test checks that the sinks do not interact: each sink's
 // output is the same whether it is attached alone or with the others, and
 // a backend whose pattern cache was filled by an unobserved or a
-// counters-only run records the same as a fresh one. The last two pin the
-// transfer log's compact layout: trivially copyable transfers naming
+// counters-only run records the same as a fresh one. The FlowRecords tests
+// pin the flow engine's occupancy and its utilization analysis at sizes
+// the 16-node cases do not reach, up to an N = 1024 ring. The last two pin
+// the transfer log's compact layout: trivially copyable transfers naming
 // their round's lane by index, in lists sized once from the schedule.
 #include <gtest/gtest.h>
 
@@ -29,11 +31,13 @@
 #include <vector>
 
 #include "wrht/collectives/btree_allreduce.hpp"
+#include "wrht/collectives/registry.hpp"
 #include "wrht/collectives/ring_allreduce.hpp"
 #include "wrht/core/planner.hpp"
 #include "wrht/core/torus_wrht.hpp"
 #include "wrht/core/wrht_schedule.hpp"
 #include "wrht/electrical/electrical_backend.hpp"
+#include "wrht/obs/analysis.hpp"
 #include "wrht/obs/counters.hpp"
 #include "wrht/obs/occupancy.hpp"
 #include "wrht/obs/trace_json.hpp"
@@ -486,6 +490,126 @@ TEST(EngineRecords, EachSinkRecordsTheSameAloneAsWithTheOthers) {
       EXPECT_EQ(again.report, all.report);
     }
   }
+}
+
+/// Every interval of an observed flow run, in resource order: per resource
+/// its name, its interval count and a digest of its intervals' fields in
+/// record order. One whole-run pass feeds the per-resource digests, so a
+/// run of millions of intervals hashes in linear time.
+std::uint64_t flow_occupancy_digest(const obs::OccupancySampler& sampler) {
+  std::vector<Digest> per_resource(sampler.num_resources());
+  sampler.for_each([&](const obs::OccInterval& i) {
+    Digest& d = per_resource[i.resource];
+    d.add(i.start).add(i.duration);
+    d.add(static_cast<std::uint64_t>(i.category));
+    d.add(std::uint64_t{i.step}).add(std::uint64_t{i.concurrency});
+  });
+  Digest d;
+  d.add(static_cast<std::uint64_t>(sampler.num_resources()));
+  for (obs::OccupancySampler::ResourceRef r = 0; r < sampler.num_resources();
+       ++r) {
+    d.add(sampler.name(r));
+    d.add(static_cast<std::uint64_t>(sampler.intervals(r).size()));
+    d.add(per_resource[r].value());
+  }
+  return d.value();
+}
+
+Digest& add(Digest& d, const TimeBreakdown& b) {
+  d.add(b.transmission).add(b.reconfiguration).add(b.conversion);
+  return d.add(b.processing).add(b.straggler_wait).add(b.idle);
+}
+
+/// The whole analyze_utilization output.
+std::uint64_t digest(const obs::UtilizationAnalysis& a) {
+  Digest d;
+  add(d, a.breakdown).add(a.utilization);
+  d.add(static_cast<std::uint64_t>(a.step_breakdowns.size()));
+  for (const TimeBreakdown& b : a.step_breakdowns) add(d, b);
+  d.add(static_cast<std::uint64_t>(a.critical_path.size()));
+  for (const obs::CriticalPathEntry& e : a.critical_path) {
+    d.add(std::uint64_t{e.step}).add(e.label).add(e.resource);
+    d.add(e.duration).add(e.transmission);
+  }
+  d.add(a.critical_path_length).add(a.slack_free_fraction);
+  d.add(static_cast<std::uint64_t>(a.resources.size()));
+  for (const obs::ResourceUtilization& u : a.resources) {
+    add(d.add(u.name), u.breakdown).add(u.utilization);
+  }
+  return d.value();
+}
+
+struct FlowDigests {
+  std::uint64_t occupancy = 0;
+  std::uint64_t analysis = 0;
+};
+
+/// Runs `schedule` on a fresh flow engine with only a sampler attached and
+/// folds the run's occupancy and utilization digests into `occupancy`
+/// and `analysis`.
+void observe_flow(const coll::Schedule& schedule, Digest& occupancy,
+                  Digest& analysis) {
+  const elec::FlowBackend backend(schedule.num_nodes(),
+                                  elec::ElectricalConfig{});
+  obs::OccupancySampler sampler;
+  obs::Probe probe;
+  probe.occupancy = &sampler;
+  const RunReport report = backend.execute(schedule, probe);
+  occupancy.add(flow_occupancy_digest(sampler));
+  analysis.add(digest(obs::analyze_utilization(report, sampler)));
+}
+
+std::string flow_row(const std::string& name, const FlowDigests& d) {
+  return "    {\"" + name + "\", {" + hex(d.occupancy) + "ULL, " +
+         hex(d.analysis) + "ULL}},\n";
+}
+
+/// Every registry algorithm x N {16, 64, 128, 256} x elements {N, 1000,
+/// 2^16}, one row per algorithm. H-Ring takes Fig. 6's group size m = 5;
+/// WRHT plans its own.
+TEST(FlowRecords, EveryRegistryAlgorithmMatchesItsPinnedDigest) {
+  core::register_wrht_algorithm();
+  const coll::Registry& registry = coll::Registry::instance();
+  const std::pair<const char*, FlowDigests> expected[] = {
+      {"btree", {0x500b69161aefefd0ULL, 0x014b09738d2049eaULL}},
+      {"halving_doubling", {0x7885f22d2bda43deULL, 0x4d604f2fe72a28bdULL}},
+      {"hring", {0xfae09dcea87a9eccULL, 0x04fa66bdc942443cULL}},
+      {"recursive_doubling", {0x7d782bc28ca4d547ULL, 0x37236aba9621ad6fULL}},
+      {"ring", {0x31a95e891e5cff5aULL, 0x0cf0876874b34620ULL}},
+      {"wrht", {0xbf75a451bcddf0a6ULL, 0x5f0388cf62efdaa3ULL}},
+  };
+  ASSERT_EQ(registry.names().size(), std::size(expected));
+  for (const auto& [algorithm, want] : expected) {
+    SCOPED_TRACE(algorithm);
+    const std::uint32_t m = std::string_view(algorithm) == "hring" ? 5 : 0;
+    Digest occupancy;
+    Digest analysis;
+    for (const std::uint32_t n : {16u, 64u, 128u, 256u}) {
+      for (const std::size_t elements :
+           {std::size_t{n}, std::size_t{1000}, std::size_t{1} << 16}) {
+        observe_flow(registry.build(algorithm, {n, elements, m}), occupancy,
+                     analysis);
+      }
+    }
+    const FlowDigests got{occupancy.value(), analysis.value()};
+    EXPECT_EQ(hex(got.occupancy), hex(want.occupancy))
+        << "occupancy; recorded:\n" << flow_row(algorithm, got);
+    EXPECT_EQ(hex(got.analysis), hex(want.analysis))
+        << "utilization; recorded:\n" << flow_row(algorithm, got);
+  }
+}
+
+/// The observe workload's largest flow run: an N = 1024 ring of 2^20
+/// elements, 2 046 steps over 2 176 links.
+TEST(FlowRecords, Ring1024MatchesItsPinnedDigest) {
+  Digest occupancy;
+  Digest analysis;
+  observe_flow(coll::ring_allreduce(1024, std::size_t{1} << 20), occupancy,
+               analysis);
+  EXPECT_EQ(hex(occupancy.value()), hex(0x415af50f7a0e3b3bULL))
+      << "occupancy";
+  EXPECT_EQ(hex(analysis.value()), hex(0x475e6e91ec9fa4f7ULL))
+      << "utilization";
 }
 
 static_assert(std::is_trivially_copyable_v<obs::TransferTrace>);

@@ -4,8 +4,11 @@
 // step's duration exactly. The thread-count test pins the determinism
 // contract: utilization analytics through exp::SweepRunner are identical
 // regardless of WRHT_SWEEP_THREADS. The streaming tests pin
-// analyze_utilization's one pass over the record store bit for bit to the
-// dense steps x resources table it replaced.
+// analyze_utilization's one pass over the run's records bit for bit to the
+// dense steps x resources table it replaced. The pattern tests pin step
+// patterns to the explicit records they stand for: a use reads back, in
+// every reader, as its slices recorded one by one at its place in the
+// record order.
 #include "wrht/obs/occupancy.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +17,8 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,8 +111,9 @@ TEST(OccupancySampler, RejectsAStepAfterALaterOne) {
 }
 
 TEST(OccupancySampler, IntervalsViewWalksOneResourceAcrossBlocks) {
-  // Two resources interleaved over more than two blocks: each view yields
-  // its own records in record order, and its size is its record count.
+  // Two resources interleaved over more than two store blocks: for_each
+  // yields every record in record order, each view its own, and a view's
+  // size is its record count.
   OccupancySampler s;
   const auto even = s.resource("even");
   const auto odd = s.resource("odd");
@@ -117,9 +123,13 @@ TEST(OccupancySampler, IntervalsViewWalksOneResourceAcrossBlocks) {
     s.record(i % 2 == 0 ? even : odd, static_cast<std::uint32_t>(i / 2),
              Seconds(static_cast<double>(i)), Seconds(0.5), kTx);
   }
-  ASSERT_EQ(s.blocks().size(), 3u);
-  EXPECT_EQ(s.blocks()[0].size(), OccupancySampler::kBlockRecords);
-  EXPECT_EQ(s.blocks()[2].size(), 7u);
+  EXPECT_EQ(s.size(), records);
+  std::size_t next = 0;
+  s.for_each([&](const OccInterval& i) {
+    EXPECT_EQ(i.start.count(), static_cast<double>(next));
+    ++next;
+  });
+  EXPECT_EQ(next, records);
   for (const auto ref : {even, odd}) {
     const OccupancySampler::Intervals view = s.intervals(ref);
     EXPECT_EQ(view.size(), (records + 1 - ref) / 2);
@@ -518,23 +528,19 @@ TEST(UtilizationStream, SeededSamplersCoverEveryCase) {
     Seeded seeded;
     fill_seeded(seeded, seed, 17, 12, false);
     std::vector<std::vector<bool>> heard(12, std::vector<bool>(17, false));
-    for (const auto& block : seeded.sampler.blocks()) {
-      for (const OccInterval& i : block) {
-        if (i.step >= 12) {
-          ++past_end;
-          continue;
-        }
-        heard[i.step][i.resource] = true;
+    seeded.sampler.for_each([&](const OccInterval& i) {
+      if (i.step >= 12) {
+        ++past_end;
+        return;
       }
-    }
+      heard[i.step][i.resource] = true;
+    });
     for (const auto& step : heard) {
       const auto count = std::count(step.begin(), step.end(), true);
       empty_steps += count == 0 ? 1 : 0;
       silent += count > 0 && count < 17 ? 1 : 0;
     }
-    std::size_t kept = 0;
-    for (const auto& block : seeded.sampler.blocks()) kept += block.size();
-    coalesced += seeded.positive - kept;
+    coalesced += seeded.positive - seeded.sampler.size();
     dropped += seeded.dropped;
   }
   EXPECT_GT(past_end, 0u);
@@ -544,6 +550,219 @@ TEST(UtilizationStream, SeededSamplersCoverEveryCase) {
   EXPECT_GT(dropped, 0u);
 }
 
+// ------------------------------------------------------ step patterns
+
+constexpr OccCategory kWait = OccCategory::kStragglerWait;
+
+std::vector<OccInterval> every_interval(const OccupancySampler& s) {
+  std::vector<OccInterval> out;
+  s.for_each([&](const OccInterval& i) { out.push_back(i); });
+  return out;
+}
+
+void expect_same_intervals(const std::vector<OccInterval>& got,
+                           const std::vector<OccInterval>& want,
+                           const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    const std::string at = where + " interval " + std::to_string(k);
+    EXPECT_EQ(bits(got[k].start), bits(want[k].start)) << at;
+    EXPECT_EQ(bits(got[k].duration), bits(want[k].duration)) << at;
+    EXPECT_EQ(got[k].category, want[k].category) << at;
+    EXPECT_EQ(got[k].step, want[k].step) << at;
+    EXPECT_EQ(got[k].concurrency, want[k].concurrency) << at;
+    EXPECT_EQ(got[k].resource, want[k].resource) << at;
+  }
+}
+
+TEST(OccupancyPatterns, UsesInterleaveWithRecordsInRecordOrder) {
+  // `mixed` holds explicit records and pattern uses; `flat` the same
+  // intervals as explicit records, in the same order. Gaps between a
+  // resource's intervals keep `flat` from coalescing them.
+  OccupancySampler mixed;
+  OccupancySampler flat;
+  const std::vector<OccupancySampler::ResourceRef> refs = {
+      mixed.resource("a"), mixed.resource("b"), mixed.resource("c")};
+  for (const auto ref : refs) ASSERT_EQ(flat.resource(mixed.name(ref)), ref);
+  const OccSlice slices[] = {
+      {refs[0], Seconds(0.0), Seconds(1e-6), kTx, 2},
+      {refs[1], Seconds(0.5e-6), Seconds(1e-6), kRetune, 1},
+      {refs[0], Seconds(2e-6), Seconds(0.5e-6), kWait, 1},
+  };
+  const OccupancySampler::PatternId p = mixed.add_pattern(slices);
+  const auto use = [&](std::uint32_t step, double start) {
+    mixed.record_pattern(p, step, Seconds(start));
+    for (const OccSlice& slice : slices) {
+      flat.record(slice.resource, step, Seconds(start + slice.offset.count()),
+                  slice.duration, slice.category, slice.concurrency);
+    }
+  };
+  const auto record = [&](OccupancySampler::ResourceRef ref,
+                          std::uint32_t step, double start, double duration,
+                          OccCategory category) {
+    for (OccupancySampler* s : {&mixed, &flat}) {
+      s->record(ref, step, Seconds(start), Seconds(duration), category);
+    }
+  };
+  record(refs[2], 0, 0.0, 1e-6, kTx);
+  use(0, 1e-5);
+  record(refs[0], 1, 2e-5, 1e-6, kRetune);
+  use(1, 3e-5);
+  use(2, 4e-5);
+  record(refs[1], 2, 5e-5, 1e-6, kTx);
+  record(refs[2], 2, 5e-5, 2e-6, kWait);
+  use(2, 6e-5);
+
+  EXPECT_EQ(mixed.size(), 4u + 3u * 4u);
+  EXPECT_EQ(mixed.size(), flat.size());
+  expect_same_intervals(every_interval(mixed), every_interval(flat),
+                        "for_each");
+  for (const auto ref : refs) {
+    const OccupancySampler::Intervals view = mixed.intervals(ref);
+    EXPECT_EQ(view.size(), flat.intervals(ref).size()) << mixed.name(ref);
+    const OccupancySampler::Intervals twin = flat.intervals(ref);
+    expect_same_intervals({view.begin(), view.end()},
+                          {twin.begin(), twin.end()}, mixed.name(ref));
+  }
+
+  RunReport report;
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    StepReport step;
+    step.label = "step " + std::to_string(s);
+    step.start = report.total_time;
+    step.duration = Seconds(2e-5);
+    report.step_reports.push_back(step);
+    report.total_time += step.duration;
+  }
+  report.steps = 3;
+  expect_same_analysis(analyze_utilization(report, mixed),
+                       analyze_utilization(report, flat), "mixed vs flat");
+  expect_same_analysis(analyze_utilization(report, mixed),
+                       reference_analyze(report, mixed), "mixed vs dense");
+}
+
+TEST(OccupancyPatterns, DropsNonPositiveSlices) {
+  OccupancySampler s;
+  const auto r = s.resource("r");
+  const OccSlice slices[] = {
+      {r, Seconds(0.0), Seconds(0.0), kTx, 1},
+      {r, Seconds(1e-6), Seconds(-1e-9), kRetune, 1},
+      {r, Seconds(2e-6), Seconds(1e-6), kWait, 1},
+  };
+  const auto p = s.add_pattern(slices);
+  s.record_pattern(p, 0, Seconds(0.0));
+  s.record_pattern(p, 1, Seconds(1e-5));
+  ASSERT_EQ(s.intervals(r).size(), 2u);
+  EXPECT_EQ(s.size(), 2u);
+  for (const OccInterval& i : s.intervals(r)) EXPECT_EQ(i.category, kWait);
+  // A pattern with nothing left still takes its place in the step order.
+  const auto nothing = s.add_pattern(std::span(slices, 2));
+  s.record_pattern(nothing, 3, Seconds(2e-5));
+  EXPECT_EQ(s.size(), 2u);
+  EXPECT_THROW(s.record(r, 2, Seconds(3e-5), Seconds(1e-6), kTx),
+               InvalidArgument);
+}
+
+TEST(OccupancyPatterns, UseAtALowerStepThrows) {
+  OccupancySampler s;
+  const auto r = s.resource("r");
+  const OccSlice slice{r, Seconds(0.0), Seconds(1e-6), kTx, 1};
+  const auto p = s.add_pattern(std::span(&slice, 1));
+  s.record(r, 2, Seconds(0.0), Seconds(1e-6), kTx);
+  EXPECT_THROW(s.record_pattern(p, 1, Seconds(1e-5)), InvalidArgument);
+  s.record_pattern(p, 2, Seconds(1e-5));
+  EXPECT_THROW(s.record(r, 1, Seconds(2e-5), Seconds(1e-6), kTx),
+               InvalidArgument);
+  EXPECT_THROW(s.record_pattern(p + 1, 2, Seconds(3e-5)), InvalidArgument);
+  // A pattern naming an unknown resource is rejected whole.
+  const OccSlice slices[] = {slice,
+                             {r + 1, Seconds(0.0), Seconds(1e-6), kTx, 1}};
+  EXPECT_THROW((void)s.add_pattern(slices), InvalidArgument);
+  EXPECT_EQ(s.add_pattern(std::span(&slice, 1)), p + 1);
+  EXPECT_EQ(s.intervals(r).size(), 2u);
+}
+
+TEST(OccupancyPatterns, ClearForgetsPatterns) {
+  OccupancySampler s;
+  const auto r = s.resource("r");
+  const OccSlice slice{r, Seconds(0.0), Seconds(1e-6), kTx, 1};
+  const auto p = s.add_pattern(std::span(&slice, 1));
+  s.record_pattern(p, 4, Seconds(0.0));
+  s.clear();
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_THROW(s.record_pattern(p, 4, Seconds(0.0)), InvalidArgument);
+  // The next run starts over: refs, pattern ids and the step order.
+  const auto again = s.resource("again");
+  EXPECT_EQ(again, r);
+  const OccSlice other{again, Seconds(1e-6), Seconds(2e-6), kRetune, 1};
+  EXPECT_EQ(s.add_pattern(std::span(&other, 1)), p);
+  s.record_pattern(p, 0, Seconds(0.0));
+  ASSERT_EQ(s.intervals(again).size(), 1u);
+  EXPECT_EQ(s.intervals(again).front().category, kRetune);
+  EXPECT_EQ(every_interval(s).size(), 1u);
+}
+
+TEST(OccupancyPatterns, SizeCountsExpandedIntervals) {
+  OccupancySampler s;
+  const auto a = s.resource("a");
+  const auto b = s.resource("b");
+  const OccSlice two_on_a[] = {{a, Seconds(0.0), Seconds(1e-6), kTx, 1},
+                               {b, Seconds(0.0), Seconds(1e-6), kTx, 1},
+                               {a, Seconds(2e-6), Seconds(1e-6), kWait, 1}};
+  const OccSlice one_on_b{b, Seconds(3e-6), Seconds(1e-6), kRetune, 1};
+  const auto p = s.add_pattern(two_on_a);
+  const auto q = s.add_pattern(std::span(&one_on_b, 1));
+  for (std::uint32_t step = 0; step < 5; ++step) {
+    s.record_pattern(p, step, Seconds(1e-5 * step));
+    if (step % 2 == 0) s.record_pattern(q, step, Seconds(1e-5 * step));
+    s.record(b, step, Seconds(1e-5 * step + 5e-6), Seconds(1e-6), kTx);
+  }
+  EXPECT_EQ(s.intervals(a).size(), 2u * 5u);
+  EXPECT_EQ(s.intervals(b).size(), 5u + 3u + 5u);
+  EXPECT_EQ(s.size(), 3u * 5u + 3u + 5u);
+  EXPECT_EQ(every_interval(s).size(), s.size());
+  for (const auto ref : {a, b}) {
+    const OccupancySampler::Intervals view = s.intervals(ref);
+    EXPECT_EQ(static_cast<std::size_t>(std::distance(view.begin(), view.end())),
+              view.size());
+  }
+}
+
+TEST(OccupancyPatterns, RecordNeverCoalescesIntoAPatternSlice) {
+  OccupancySampler s;
+  const auto r = s.resource("r");
+  const auto other = s.resource("other");
+  const OccSlice on_r{r, Seconds(0.0), Seconds(1e-6), kTx, 1};
+  const OccSlice on_other{other, Seconds(0.0), Seconds(1e-6), kTx, 1};
+  const auto p = s.add_pattern(std::span(&on_r, 1));
+  const auto q = s.add_pattern(std::span(&on_other, 1));
+  // Back to back with the slice a use wrote, same step/category/
+  // concurrency: still two intervals.
+  s.record_pattern(p, 0, Seconds(0.0));
+  s.record(r, 0, Seconds(1e-6), Seconds(1e-6), kTx);
+  EXPECT_EQ(s.intervals(r).size(), 2u);
+  // A use on another resource does not stand between r's records.
+  s.record_pattern(q, 0, Seconds(0.0));
+  s.record(r, 0, Seconds(2e-6), Seconds(1e-6), kTx);
+  ASSERT_EQ(s.intervals(r).size(), 2u);
+  // A use on r does.
+  s.record_pattern(p, 0, Seconds(3e-6));
+  s.record(r, 0, Seconds(4e-6), Seconds(1e-6), kTx);
+  EXPECT_EQ(s.intervals(r).size(), 4u);
+  const std::vector<OccInterval> got(s.intervals(r).begin(),
+                                     s.intervals(r).end());
+  ASSERT_EQ(got.size(), 4u);
+  const double starts[] = {0.0, 1e-6, 3e-6, 4e-6};
+  const double durations[] = {1e-6, 2e-6, 1e-6, 1e-6};
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_DOUBLE_EQ(got[k].start.count(), starts[k]) << k;
+    EXPECT_DOUBLE_EQ(got[k].duration.count(), durations[k]) << k;
+  }
+  EXPECT_EQ(s.size(), 5u);
+}
+
+
 // --------------------------------------------- sweep-level determinism
 
 TEST(EngineOccupancy, UtilizationIdenticalAcrossSweepThreadCounts) {
@@ -551,10 +770,17 @@ TEST(EngineOccupancy, UtilizationIdenticalAcrossSweepThreadCounts) {
   spec.workloads = {exp::Workload{"tiny", 4096}};
   spec.nodes = {16};
   spec.wavelengths = {4};
-  spec.series = {exp::Series{.name = "ring", .algorithm = "ring"},
-                 exp::Series{.name = "wrht", .algorithm = "wrht"},
-                 exp::Series{.name = "flow", .algorithm = "ring",
-                             .backend = "electrical-flow"}};
+  const auto series = [](const char* name, const char* algorithm,
+                          const char* backend) {
+    exp::Series out;
+    out.name = name;
+    out.algorithm = algorithm;
+    out.backend = backend;
+    return out;
+  };
+  spec.series = {series("ring", "ring", "optical-ring"),
+                 series("wrht", "wrht", "optical-ring"),
+                 series("flow", "ring", "electrical-flow")};
   spec.config.validate_node_capacity = false;
   spec.config.collect_utilization = true;
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "wrht/collectives/btree_allreduce.hpp"
 #include "wrht/collectives/hring_allreduce.hpp"
 #include "wrht/collectives/ring_allreduce.hpp"
@@ -154,12 +156,30 @@ TEST(RingNetwork, HringRunsWithinBudget) {
   EXPECT_EQ(res.steps, coll::hring_builder_steps(20, 5));
 }
 
+void expect_rejected_delay(const OpticalConfig& config,
+                           const std::string& field) {
+  try {
+    (void)RingNetwork(8, config);
+    ADD_FAILURE() << "a negative " << field << " was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(RingNetwork, Validation) {
   OpticalConfig cfg;
   cfg.wavelengths = 0;
   EXPECT_THROW(RingNetwork(8, cfg), InvalidArgument);
   const RingNetwork net(8, paper_config());
   EXPECT_THROW(net.execute(coll::ring_allreduce(16, 32)), InvalidArgument);
+  // Negative delays are config errors that name their field, not a
+  // failure deep in the run.
+  expect_rejected_delay(
+      paper_config().with_mrr_reconfig_delay(Seconds(-1e-3)),
+      "mrr_reconfig_delay");
+  expect_rejected_delay(paper_config().with_oeo_delay(Seconds(-1e-9)),
+                        "oeo_delay");
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // full-vector, so the element axis is structure-free and one element
 // proves the same linear combination), and hold the whole run
 // under a hard peak-RSS budget read from prof::peak_rss_bytes. A Fig. 5-
-// shaped sweep of N = 1024 rings holds the sweep cache to the same budget.
+// shaped sweep of N = 1024 rings holds the sweep cache to the same budget,
+// and so does an observed N = 1024 ring on the flow engine with its
+// utilization analysis.
 //
 // These run as their own single-shard Release CI job: they are memory- and
 // minutes-scale, not unit-test-scale.
@@ -19,9 +21,13 @@
 #include "wrht/core/planner.hpp"
 #include "wrht/core/torus_wrht.hpp"
 #include "wrht/core/wrht_schedule.hpp"
+#include "wrht/collectives/ring_allreduce.hpp"
 #include "wrht/dnn/zoo.hpp"
+#include "wrht/electrical/electrical_backend.hpp"
 #include "wrht/exp/sweep.hpp"
+#include "wrht/obs/analysis.hpp"
 #include "wrht/obs/counters.hpp"
+#include "wrht/obs/occupancy.hpp"
 #include "wrht/prof/prof.hpp"
 #include "wrht/topo/torus.hpp"
 #include "wrht/verify/invariants.hpp"
@@ -38,9 +44,10 @@ constexpr std::uint32_t kWavelengths = 64;
 /// the N = 10^5 ring schedule holds ~10^5-scale transfer lists, the
 /// 256x256 torus one is of comparable size, and the sampled oracle keeps
 /// one double per node. Measured peak is ~25 MB for those
-/// tests and ~73 MB for the ring sweep (one 67 MB ring in flight); the
-/// headroom absorbs allocator and libc variance across runners without
-/// letting an accidental O(N^2) path slip through.
+/// tests, ~73 MB for the ring sweep (one 67 MB ring in flight) and ~69 MB
+/// for the observed flow ring; the headroom absorbs allocator and libc
+/// variance across runners without letting an accidental O(N^2) path slip
+/// through.
 constexpr std::size_t kPeakRssBudgetBytes = 256ull * 1024 * 1024;
 
 TEST(ScaleSmoke, Ring100kWrhtScheduleBuildsAndVerifies) {
@@ -137,6 +144,32 @@ TEST(ScaleSmoke, Fig5ShapedRingSweepHoldsOneRingAtATime) {
     EXPECT_EQ(row.report.steps, 2u * (1024 - 1));
   }
   EXPECT_EQ(counters.value("sweep.schedule.builds"), 16u);
+  EXPECT_LE(prof::peak_rss_bytes(), kPeakRssBudgetBytes);
+}
+
+/// The largest observed flow run: an N = 1024 ring of 2^20 elements on
+/// the flow engine with an occupancy sampler attached, then its
+/// utilization analysis. Its 2 046 steps over 2 176 links read as 12.8 M
+/// intervals; written out one by one they took 461 MB, so the sampler
+/// must keep each step as one pattern use.
+TEST(ScaleSmoke, ObservedFlowRing1024StaysInBudget) {
+  constexpr std::uint32_t kNodes = 1024;
+  const coll::Schedule schedule =
+      coll::ring_allreduce(kNodes, std::size_t{1} << 20);
+  const elec::FlowBackend backend(kNodes, elec::ElectricalConfig{});
+  obs::OccupancySampler sampler;
+  obs::Probe probe;
+  probe.occupancy = &sampler;
+  const RunReport report = backend.execute(schedule, probe);
+  const obs::UtilizationAnalysis analysis =
+      obs::analyze_utilization(report, sampler);
+
+  EXPECT_EQ(report.steps, 2u * (kNodes - 1));
+  EXPECT_EQ(sampler.num_resources(), 2176u);
+  EXPECT_EQ(sampler.size(), 12832512u);
+  EXPECT_EQ(analysis.critical_path.size(), report.steps);
+  EXPECT_NEAR(analysis.critical_path_length.count(),
+              report.total_time.count(), 1e-9);
   EXPECT_LE(prof::peak_rss_bytes(), kPeakRssBudgetBytes);
 }
 

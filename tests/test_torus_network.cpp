@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "wrht/common/error.hpp"
 #include "wrht/core/planner.hpp"
 #include "wrht/core/torus_wrht.hpp"
@@ -124,6 +126,17 @@ TEST(TorusNetwork, TorusBeatsFlatRingForSameNodeCount) {
   EXPECT_LT(t_torus, 2.0 * (64 - 1) * 25e-6);
 }
 
+void expect_rejected_delay(const Torus& torus, const OpticalConfig& config,
+                           const std::string& field) {
+  try {
+    (void)TorusNetwork(torus, config);
+    ADD_FAILURE() << "a negative " << field << " was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(TorusNetwork, Validation) {
   const Torus torus(3, 3);
   OpticalConfig bad;
@@ -137,6 +150,13 @@ TEST(TorusNetwork, Validation) {
   OpticalConfig no_bytes;
   no_bytes.bytes_per_element = 0;
   EXPECT_THROW(TorusNetwork(torus, no_bytes), InvalidArgument);
+  // A negative delay would shorten rounds; a step takes its slowest ring's
+  // time, so a run could report zero. Each names its field.
+  expect_rejected_delay(
+      torus, OpticalConfig{}.with_mrr_reconfig_delay(Seconds(-1e-3)),
+      "mrr_reconfig_delay");
+  expect_rejected_delay(torus, OpticalConfig{}.with_oeo_delay(Seconds(-1e-9)),
+                        "oeo_delay");
 }
 
 }  // namespace
