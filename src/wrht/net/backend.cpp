@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "wrht/common/error.hpp"
+#include "wrht/net/round_clock.hpp"
 #include "wrht/obs/analysis.hpp"
 
 namespace wrht::net {
@@ -117,9 +118,9 @@ void RoundRecorder::record(const coll::Step& step,
         for (const RoundTransfer& routed : round.routing->transfers) {
           const coll::Transfer& t = step.transfers[routed.index];
           const Seconds duration =
-              lightpaths_ ? Seconds(static_cast<double>(t.count) *
-                                    lightpaths_->bytes_per_element /
-                                    lightpaths_->bytes_per_second)
+              lightpaths_ ? serialization_time(t.count,
+                                               lightpaths_->bytes_per_element,
+                                               lightpaths_->bytes_per_second)
                           : routed.duration;
           log_->transfer(obs::TransferTrace{
               priced.index, lane_id, r, t.src, t.dst, t.count,

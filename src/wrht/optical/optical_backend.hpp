@@ -2,9 +2,9 @@
 //
 // RingBackend and TorusBackend wrap one RingNetwork / TorusNetwork
 // instance behind the polymorphic Backend seam; the engines' native APIs
-// stay intact for callers that need round_time(), single_round_estimate()
-// or explicit Rng control. register_optical_backends() publishes the
-// "optical-ring" and "optical-torus" factories.
+// stay intact for callers that need explicit Rng control.
+// register_optical_backends() publishes the "optical-ring" and
+// "optical-torus" factories.
 #pragma once
 
 #include <cstdint>

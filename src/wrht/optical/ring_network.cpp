@@ -60,27 +60,6 @@ RingNetwork::RingNetwork(std::uint32_t num_nodes, OpticalConfig config)
   config_.validate();
 }
 
-Seconds RingNetwork::serialization_time(std::size_t elements) const {
-  const double bytes =
-      static_cast<double>(elements) * config_.bytes_per_element;
-  return Seconds(bytes / config_.bytes_per_second());
-}
-
-Seconds RingNetwork::round_time(std::size_t elements) const {
-  return config_.mrr_reconfig_delay + config_.oeo_delay +
-         serialization_time(elements);
-}
-
-Seconds RingNetwork::single_round_estimate(
-    const coll::Schedule& schedule) const {
-  Seconds total(0.0);
-  for (std::size_t s = 0; s < schedule.num_steps(); ++s) {
-    if (schedule.steps()[s].transfers.empty()) continue;
-    total += round_time(schedule.max_transfer_elements(s));
-  }
-  return total;
-}
-
 RingNetwork::PatternCost RingNetwork::evaluate_step(const coll::Step& step,
                                                     Rng* rng,
                                                     Detail detail) const {
@@ -113,11 +92,11 @@ RingNetwork::PatternCost RingNetwork::evaluate_step(const coll::Step& step,
       round_members.back().push_back(i);
     }
   }
-  return price_rounds(step, wavelengths_used, round_paths, round_members,
-                      detail);
+  return describe_rounds(step, wavelengths_used, round_paths, round_members,
+                         detail);
 }
 
-RingNetwork::PatternCost RingNetwork::price_rounds(
+RingNetwork::PatternCost RingNetwork::describe_rounds(
     const coll::Step& step, std::uint32_t wavelengths_used,
     const std::vector<std::vector<Lightpath>>& round_paths,
     const std::vector<std::vector<std::size_t>>& round_members,
@@ -136,7 +115,8 @@ RingNetwork::PatternCost RingNetwork::price_rounds(
     }
     out.cost.max_transfer_elements =
         std::max(out.cost.max_transfer_elements, max_elements);
-    out.round_serialization.push_back(serialization_time(max_elements));
+    out.round_serialization.push_back(
+        config_.serialization_time(max_elements));
     if (config_.validate_node_capacity ||
         config_.reconfig_policy == net::ReconfigPolicy::kOnRetune ||
         detail == Detail::kTuned) {
@@ -150,7 +130,7 @@ RingNetwork::PatternCost RingNetwork::price_rounds(
         const std::size_t index = round_members[r][j];
         routing.transfers.push_back(net::RoundTransfer{
             static_cast<std::uint32_t>(index), channel_of(round_paths[r][j]),
-            serialization_time(step.transfers[index].count)});
+            config_.serialization_time(step.transfers[index].count)});
       }
       routing.aggregate_channels();
     }
@@ -196,8 +176,8 @@ void RingNetwork::warm_pattern_cache(
   for (std::size_t s = 0; s < steps.size(); ++s) {
     pattern_cache_.emplace(
         uncached[s],
-        price_rounds(*steps[s], rounds[s].wavelengths_used, rounds[s].paths,
-                     rounds[s].rounds, detail));
+        describe_rounds(*steps[s], rounds[s].wavelengths_used,
+                        rounds[s].paths, rounds[s].rounds, detail));
   }
 }
 
@@ -245,15 +225,14 @@ OpticalRunResult RingNetwork::execute_scanned(const coll::Schedule& schedule,
   simulator.set_counters(probe.counters);
   std::size_t next_step = 0;
   const net::ReconfigPolicy policy = config_.reconfig_policy;
-  LastTuning previous_tuning;  // kOnRetune: last round's MRR state
-  // Blame retune walk: replicates the kOnRetune previous-tuning carry
-  // (including across steps) under ANY policy, so every RoundTrace can say
+  net::RoundClock clock(policy, config_.mrr_reconfig_delay,
+                        config_.oeo_delay);
+  // The retune walk: whether a round's MRR tuning differs from the previous
+  // round's, carried across steps. The clock reads it under kOnRetune, and
+  // a blamed run records it under any policy, so every RoundTrace can say
   // whether a retune-aware control plane would have charged it.
-  LastTuning blame_tuning;
-  // kOverlapped: the window the next round's retune can hide inside — the
-  // previous round's O/E/O + transmission time (zero before round 0, which
-  // has nothing to overlap with).
-  Seconds overlap_window(0.0);
+  const bool walk = policy == net::ReconfigPolicy::kOnRetune || blame;
+  LastTuning last_tuning;
   // The observed step's one lane, reused across steps.
   net::PricedStep priced;
   priced.lanes.push_back(net::PricedLane{"ring", {}});
@@ -287,67 +266,39 @@ OpticalRunResult RingNetwork::execute_scanned(const coll::Schedule& schedule,
     StepCost cost = pattern->cost;
     cost.label = step.label;
     cost.start = simulator.now();
-    if (policy == net::ReconfigPolicy::kEveryRound) {
-      result.reconfigurations += cost.rounds;
-      probe.count("optical.reconfig_charges", cost.rounds);
-    }
-    // Price each round under the policy, and describe it when observed.
+    const std::uint64_t charges_before = clock.charges();
+    // Price each round on the clock, and describe it when observed.
     rounds.clear();
     Seconds cursor = cost.start;
     for (std::size_t r = 0; r < pattern->round_serialization.size(); ++r) {
       const Seconds serialization = pattern->round_serialization[r];
-      Seconds reconfig = config_.mrr_reconfig_delay;
-      Seconds round = reconfig + config_.oeo_delay + serialization;
-      if (policy == net::ReconfigPolicy::kOnRetune) {
-        // A round pays the reconfiguration delay only if some micro-ring
-        // has to change state relative to the previous round.
+      bool retunes = true;
+      if (walk) {
         const TuningState& tuning = pattern->round_tunings[r];
-        const std::size_t retuned = previous_tuning.get().retune_count(tuning);
-        previous_tuning.set(tuning, pattern == &uncached);
-        if (retuned > 0) {
-          ++result.reconfigurations;
+        const std::size_t retuned = last_tuning.get().retune_count(tuning);
+        last_tuning.set(tuning, pattern == &uncached);
+        retunes = retuned > 0;
+        if (retunes && policy == net::ReconfigPolicy::kOnRetune) {
           result.retuned_mrrs += retuned;
-          probe.count("optical.reconfig_charges");
           probe.count("optical.retuned_mrrs", retuned);
-        } else {
-          reconfig = Seconds(0.0);
         }
-        // Grouped as reconfig + (O/E/O + serialization): the pinned engine
-        // records hold this policy's rounding to the bit.
-        round = reconfig + (config_.oeo_delay + serialization);
-      } else if (policy == net::ReconfigPolicy::kOverlapped) {
-        // Every round still retunes, but the retune for round k overlaps
-        // round k-1's O/E/O + transmission (the lookahead pipeline of
-        // SWOT); only the residual beyond that window lands on the
-        // critical path. Round 0 of the run pays in full.
-        reconfig = std::max(Seconds(0.0),
-                            config_.mrr_reconfig_delay - overlap_window);
-        if (reconfig.count() > 0.0) {
-          ++result.reconfigurations;
-          probe.count("optical.reconfig_charges");
-        }
-        result.overlap_hidden += config_.mrr_reconfig_delay - reconfig;
-        round = reconfig + config_.oeo_delay + serialization;
-        overlap_window = config_.oeo_delay + serialization;
       }
-      cost.duration += round;
+      const net::RoundClock::Round round = clock.next(serialization, retunes);
+      cost.duration += round.duration;
       if (!observed) continue;
       obs::RoundTrace trace;
       trace.start = cursor;
-      trace.reconfig = reconfig;
+      trace.reconfig = round.reconfig;
       trace.full_reconfig = config_.mrr_reconfig_delay;
       trace.conversion = config_.oeo_delay;
       trace.serialization = serialization;
-      trace.duration = round;
-      if (blame) {
-        const TuningState& tuning = pattern->round_tunings[r];
-        trace.retune = blame_tuning.get().retune_count(tuning) > 0;
-        blame_tuning.set(tuning, pattern == &uncached);
-      }
+      trace.duration = round.duration;
+      trace.retune = retunes;
       rounds.push_back(
           net::PricedRound{std::move(trace), &pattern->routing[r]});
-      cursor += round;
+      cursor += round.duration;
     }
+    probe.count("optical.reconfig_charges", clock.charges() - charges_before);
 
     result.step_costs.push_back(cost);
     result.total_rounds += cost.rounds;
@@ -412,6 +363,8 @@ OpticalRunResult RingNetwork::execute_scanned(const coll::Schedule& schedule,
 
   result.total_time = simulator.now();
   result.events_fired = simulator.events_fired();
+  result.reconfigurations = clock.charges();
+  result.overlap_hidden = clock.hidden();
   // Close the counter track so the last round's value does not hold past
   // the end of the run in the viewer.
   if (probe.trace != nullptr && result.total_rounds > 0) {

@@ -5,9 +5,10 @@
 //   * every step's transfers are routed and wavelength-assigned (RWA);
 //   * a step that needs more wavelengths than the fiber carries is split
 //     into sequential conflict-free rounds;
-//   * each round costs the MRR reconfiguration delay + O/E/O conversion +
-//     serialization of its largest transfer (circuit switching: all
-//     lightpaths of a round progress concurrently at full lane rate).
+//   * each round costs the MRR reconfiguration delay (as the policy
+//     charges it) + O/E/O conversion + serialization of its largest
+//     transfer, priced on one net::RoundClock per run (circuit switching:
+//     all lightpaths of a round progress concurrently at full lane rate).
 // Steps are driven through the discrete-event kernel; identical step
 // patterns (e.g. the 2(N-1) structurally equal Ring All-reduce steps) hit a
 // pattern cache so large runs stay fast.
@@ -25,6 +26,7 @@
 #include "wrht/net/rate_convention.hpp"
 #include "wrht/net/reconfig_policy.hpp"
 #include "wrht/net/resource_lease.hpp"
+#include "wrht/net/round_clock.hpp"
 #include "wrht/obs/run_report.hpp"
 #include "wrht/obs/trace.hpp"
 #include "wrht/optical/node.hpp"
@@ -89,6 +91,12 @@ struct OpticalConfig {
   [[nodiscard]] double bytes_per_second() const {
     return net::effective_bytes_per_second(wavelength_rate.count(),
                                            convention);
+  }
+
+  /// Serialization time of a transfer of `elements` elements.
+  [[nodiscard]] Seconds serialization_time(std::size_t elements) const {
+    return net::serialization_time(elements, bytes_per_element,
+                                   bytes_per_second());
   }
 
   // Fluent builders so call sites can assemble a config in one expression
@@ -196,19 +204,6 @@ class RingNetwork {
                                          const obs::Probe& probe,
                                          Rng* rng = nullptr) const;
 
-  /// Cost of one round carrying a largest transfer of `elements` elements:
-  /// reconfiguration + O/E/O + serialization (Eq. 6 per-step term).
-  [[nodiscard]] Seconds round_time(std::size_t elements) const;
-
-  /// Serialization-only time of a round's largest transfer.
-  [[nodiscard]] Seconds serialization_time(std::size_t elements) const;
-
-  /// Closed-form Eq. (6) estimate assuming every step fits in one round:
-  /// sum over steps of (a + max_payload/B). execute() returns exactly this
-  /// whenever no step splits (asserted by the consistency tests).
-  [[nodiscard]] Seconds single_round_estimate(
-      const coll::Schedule& schedule) const;
-
  private:
   /// What a priced pattern keeps besides its price.
   enum class Detail : std::uint8_t {
@@ -219,10 +214,10 @@ class RingNetwork {
 
   struct PatternCost {
     /// Rounds, wavelengths and largest transfer; execute() prices the
-    /// duration under the run's reconfiguration policy.
+    /// duration on the run's net::RoundClock.
     StepCost cost;
     std::uint32_t longest_hops = 0;
-    /// Per-round serialization and tuning, for retune-aware accounting.
+    /// Per-round serialization, and tuning for the retune walk.
     std::vector<Seconds> round_serialization;
     std::vector<TuningState> round_tunings;
     /// Per-round routed transfers and channel uses (kRouted and up).
@@ -233,9 +228,9 @@ class RingNetwork {
   [[nodiscard]] PatternCost evaluate_step(const coll::Step& step, Rng* rng,
                                           Detail detail) const;
 
-  /// Pure pricing arithmetic turning one step's RWA rounds into a
-  /// PatternCost; shared by the sequential path and the parallel pre-pass.
-  [[nodiscard]] PatternCost price_rounds(
+  /// Describes one step's RWA rounds as a PatternCost; shared by the
+  /// sequential path and the parallel pre-pass.
+  [[nodiscard]] PatternCost describe_rounds(
       const coll::Step& step, std::uint32_t wavelengths_used,
       const std::vector<std::vector<Lightpath>>& round_paths,
       const std::vector<std::vector<std::size_t>>& round_members,

@@ -46,21 +46,15 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
   result.steps = schedule.num_steps();
   result.step_costs.reserve(schedule.num_steps());
 
-  const bool overlapped =
-      config_.reconfig_policy == net::ReconfigPolicy::kOverlapped;
   const net::RoundRecorder recorder(
       probe, schedule,
       {"optical-torus", net::to_string(config_.reconfig_policy),
        config_.mrr_reconfig_delay, config_.oeo_delay},
       net::Lightpaths{config_.bytes_per_element, config_.bytes_per_second(),
                       config_.fibers_per_direction, true});
-  double now = 0.0;
+  Seconds now(0.0);
   std::size_t step_index = 0;
-  // kOverlapped: window the first round of a step can hide its retune in.
-  // Steps are barriers, so every ring's retune for step k proceeds during
-  // step k-1's transmissions; later rounds of a ring overlap their own
-  // previous round. Step 0 has nothing to overlap with.
-  double step_window = 0.0;
+  Seconds previous_step(0.0);  // step 0 has nothing to overlap with
   // A recorded step's description: one lane per ring, whose rounds point
   // into `routing`.
   net::PricedStep priced;
@@ -118,11 +112,11 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
     }
 
     StepCost cost;
-    cost.start = Seconds(now);
+    cost.start = now;
     std::uint32_t max_rounds = 0;
-    std::uint32_t max_paid_rounds = 0;
-    double slowest = 0.0;
-    double slowest_serial = 0.0;  // every-round pricing, for overlap_hidden
+    std::uint64_t max_charges = 0;
+    Seconds slowest(0.0);
+    Seconds slowest_serial(0.0);  // with nothing hidden, for overlap_hidden
     priced.lanes.clear();
     routing.clear();
     std::size_t share_index = 0;
@@ -133,26 +127,24 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
         lane = &priced.lanes.emplace_back();
         lane->name = (key.first ? "row" : "col") + std::to_string(key.second);
       }
-      double ring_time = 0.0;
-      double ring_time_serial = 0.0;
-      double window = step_window;  // per-ring overlap window (kOverlapped)
-      std::uint32_t paid_rounds = 0;
+      // One clock per ring per step. The torus control plane retunes every
+      // round, so kOnRetune prices like kEveryRound. Steps are barriers:
+      // under kOverlapped a ring's first retune hides in the previous step,
+      // and its later rounds in their own previous round.
+      net::RoundClock clock(config_.reconfig_policy,
+                            config_.mrr_reconfig_delay, config_.oeo_delay,
+                            previous_step);
+      Seconds ring_time(0.0);
       for (std::size_t r = 0; r < rounds.rounds.size(); ++r) {
         std::size_t max_elements = 0;
         for (const std::size_t idx : rounds.rounds[r]) {
           max_elements =
               std::max(max_elements, share.transfers[idx].count);
         }
-        const double serialization = static_cast<double>(max_elements) *
-                                     config_.bytes_per_element /
-                                     config_.bytes_per_second();
-        const double busy = config_.oeo_delay.count() + serialization;
-        const double full = config_.mrr_reconfig_delay.count();
-        const double reconfig =
-            overlapped ? std::max(0.0, full - window) : full;
-        const double round_time = reconfig + busy;
-        if (reconfig > 0.0) ++paid_rounds;
-        window = busy;
+        const Seconds serialization =
+            config_.serialization_time(max_elements);
+        const net::RoundClock::Round round =
+            clock.next(serialization, true);
         if (lane != nullptr) {
           net::RoundRouting& routed = routing.emplace_back();
           for (std::size_t j = 0; j < rounds.paths[r].size(); ++j) {
@@ -160,24 +152,19 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
             routed.transfers.push_back(net::RoundTransfer{
                 static_cast<std::uint32_t>(share.source[local]),
                 channel_of(rounds.paths[r][j]),
-                Seconds(static_cast<double>(share.transfers[local].count) *
-                        config_.bytes_per_element /
-                        config_.bytes_per_second())});
+                config_.serialization_time(share.transfers[local].count)});
           }
           routed.aggregate_channels();
-          // The torus control plane retunes every round (it prices
-          // kOnRetune like kEveryRound), so every round reports retune.
           obs::RoundTrace trace;
-          trace.start = cost.start + Seconds(ring_time);
-          trace.reconfig = Seconds(reconfig);
+          trace.start = cost.start + ring_time;
+          trace.reconfig = round.reconfig;
           trace.full_reconfig = config_.mrr_reconfig_delay;
           trace.conversion = config_.oeo_delay;
-          trace.serialization = Seconds(serialization);
-          trace.duration = Seconds(round_time);
+          trace.serialization = serialization;
+          trace.duration = round.duration;
           lane->rounds.push_back(net::PricedRound{std::move(trace), &routed});
         }
-        ring_time += round_time;
-        ring_time_serial += full + busy;
+        ring_time += round.duration;
         cost.max_transfer_elements =
             std::max(cost.max_transfer_elements, max_elements);
       }
@@ -191,32 +178,30 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
           std::max(cost.wavelengths_used, rounds.wavelengths_used);
       max_rounds = std::max(
           max_rounds, static_cast<std::uint32_t>(rounds.rounds.size()));
-      max_paid_rounds = std::max(max_paid_rounds, paid_rounds);
+      max_charges = std::max(max_charges, clock.charges());
       slowest = std::max(slowest, ring_time);
-      slowest_serial = std::max(slowest_serial, ring_time_serial);
+      slowest_serial = std::max(slowest_serial, ring_time + clock.hidden());
     }
 
     cost.label = step.label;
     cost.rounds = max_rounds;
-    cost.duration = Seconds(slowest);
+    cost.duration = slowest;
     priced.index = static_cast<std::uint32_t>(step_index);
     priced.start = cost.start;
     priced.duration = cost.duration;
     recorder.record(step, priced);
     result.total_rounds += max_rounds;
-    // Critical-path reconfiguration charges: under kOverlapped only rounds
-    // whose residual survived the overlap window count, and the hidden
-    // time is the step's serial-vs-overlapped delta on the slowest ring.
-    result.reconfigurations += overlapped ? max_paid_rounds : max_rounds;
-    result.overlap_hidden += Seconds(slowest_serial - slowest);
+    // A step's charges are its most-charged ring's; its hidden time is its
+    // duration with nothing hidden minus its priced duration.
+    result.reconfigurations += max_charges;
+    result.overlap_hidden += slowest_serial - slowest;
     result.max_wavelengths_used =
         std::max(result.max_wavelengths_used, cost.wavelengths_used);
     result.step_costs.push_back(cost);
 
     probe.count("optical.steps");
     probe.count("optical.rounds", max_rounds);
-    probe.count("optical.reconfig_charges",
-                overlapped ? max_paid_rounds : max_rounds);
+    probe.count("optical.reconfig_charges", max_charges);
     if (max_rounds > 1) probe.count("optical.multi_round_steps");
     probe.count_max("optical.max_wavelengths_used", cost.wavelengths_used);
     if (probe.trace != nullptr) {
@@ -233,10 +218,10 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
                            static_cast<double>(cost.wavelengths_used));
     }
     now += slowest;
-    step_window = slowest;
+    previous_step = slowest;
     ++step_index;
   }
-  result.total_time = Seconds(now);
+  result.total_time = now;
   if (probe.trace != nullptr && result.total_rounds > 0) {
     probe.counter_sample("wavelengths in use", result.total_time, 0.0);
   }

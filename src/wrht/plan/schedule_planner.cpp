@@ -6,54 +6,36 @@
 #include "wrht/common/error.hpp"
 #include "wrht/core/planner.hpp"
 #include "wrht/core/wrht_schedule.hpp"
+#include "wrht/net/round_clock.hpp"
 #include "wrht/topo/ring.hpp"
 
 namespace wrht::plan {
 
 namespace {
 
-/// One modelled round: its serialization time and whether its micro-ring
-/// tuning differs from the previous round's.
-struct RoundModel {
-  double serialization = 0.0;
-  bool retunes = true;
-};
-
-struct PricedRounds {
-  double time = 0.0;
-  std::uint64_t charges = 0;
-  double hidden = 0.0;
-};
-
-/// The exact per-round arithmetic RingNetwork performs, over modelled
-/// rounds instead of RWA output: every round costs reconfiguration (as the
-/// policy dictates) + O/E/O + serialization, and under kOverlapped the
-/// retune hides inside the previous round's O/E/O + serialization window.
-PricedRounds price_rounds(const std::vector<RoundModel>& rounds,
-                          const PlannerOptions& options) {
-  const double a = options.mrr_reconfig_delay.count();
-  const double oeo = options.oeo_delay.count();
-  PricedRounds out;
-  double window = 0.0;  // kOverlapped: zero before round 0
-  for (const RoundModel& round : rounds) {
-    double reconfig = 0.0;
-    switch (options.policy) {
-      case net::ReconfigPolicy::kEveryRound:
-        reconfig = a;
-        break;
-      case net::ReconfigPolicy::kOnRetune:
-        reconfig = round.retunes ? a : 0.0;
-        break;
-      case net::ReconfigPolicy::kOverlapped:
-        reconfig = std::max(0.0, a - window);
-        out.hidden += a - reconfig;
-        break;
-    }
-    if (reconfig > 0.0) ++out.charges;
-    out.time += reconfig + oeo + round.serialization;
-    window = oeo + round.serialization;
+/// A feasible candidate of `steps` steps whose `rounds` modelled rounds
+/// each serialize `elements` elements, priced on one net::RoundClock.
+/// `retunes(r)` says whether round r's micro-ring tuning differs from round
+/// r-1's.
+template <typename Retunes>
+Candidate priced(CandidateKind kind, std::uint64_t steps,
+                 std::uint64_t rounds, std::size_t elements,
+                 const PlannerOptions& options, Retunes retunes) {
+  const Seconds serialization = net::serialization_time(
+      elements, options.bytes_per_element, options.bytes_per_second());
+  net::RoundClock clock(options.policy, options.mrr_reconfig_delay,
+                        options.oeo_delay);
+  Candidate c;
+  c.kind = kind;
+  c.feasible = true;
+  c.steps = steps;
+  c.rounds = rounds;
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    c.predicted_time += clock.next(serialization, retunes(r)).duration;
   }
-  return out;
+  c.reconfig_charges = clock.charges();
+  c.overlap_hidden = clock.hidden();
+  return c;
 }
 
 /// ceil(d/N) elements — the largest chunk, which governs every
@@ -72,61 +54,41 @@ std::uint64_t alltoall_wavelengths(std::uint32_t n) {
 
 Candidate predict_wrht(std::uint32_t num_nodes, std::size_t elements,
                        const PlannerOptions& options) {
-  Candidate c;
-  c.kind = CandidateKind::kWrht;
   core::WrhtPlan wrht;
   try {
     wrht = core::plan_wrht(num_nodes, options.wavelengths);
   } catch (const Error& e) {
+    Candidate c;
+    c.kind = CandidateKind::kWrht;
     c.note = e.what();
     return c;
   }
   // Every WRHT step serializes the full vector in one round (the planner
   // keeps wavelengths_required <= w) and lights a fresh circuit set.
-  const double ser = static_cast<double>(elements) *
-                     options.bytes_per_element / options.bytes_per_second();
-  const std::vector<RoundModel> rounds(wrht.steps.total_steps,
-                                       RoundModel{ser, true});
-  const PricedRounds priced = price_rounds(rounds, options);
-  c.feasible = true;
-  c.predicted_time = Seconds(priced.time);
-  c.steps = wrht.steps.total_steps;
-  c.rounds = wrht.steps.total_steps;
-  c.reconfig_charges = priced.charges;
-  c.overlap_hidden = Seconds(priced.hidden);
-  return c;
+  const std::uint64_t steps = wrht.steps.total_steps;
+  return priced(CandidateKind::kWrht, steps, steps, elements, options,
+                [](std::uint64_t) { return true; });
 }
 
 Candidate predict_static_ring(std::uint32_t num_nodes, std::size_t elements,
                               const PlannerOptions& options) {
-  Candidate c;
-  c.kind = CandidateKind::kStaticRing;
   if (elements < num_nodes) {
+    Candidate c;
+    c.kind = CandidateKind::kStaticRing;
     c.note = "ring needs at least one element per chunk";
     return c;
   }
   // 2(N-1) steps of one round each (neighbour circuits use one wavelength);
   // every step reuses the identical clockwise circuits, so only round 0
   // retunes.
-  const double ser = static_cast<double>(max_chunk(elements, num_nodes)) *
-                     options.bytes_per_element / options.bytes_per_second();
-  std::vector<RoundModel> rounds(2ull * (num_nodes - 1),
-                                 RoundModel{ser, false});
-  rounds.front().retunes = true;
-  const PricedRounds priced = price_rounds(rounds, options);
-  c.feasible = true;
-  c.predicted_time = Seconds(priced.time);
-  c.steps = rounds.size();
-  c.rounds = rounds.size();
-  c.reconfig_charges = priced.charges;
-  c.overlap_hidden = Seconds(priced.hidden);
-  return c;
+  const std::uint64_t steps = 2ull * (num_nodes - 1);
+  return priced(CandidateKind::kStaticRing, steps, steps,
+                max_chunk(elements, num_nodes), options,
+                [](std::uint64_t r) { return r == 0; });
 }
 
 Candidate predict_flat_a2a(std::uint32_t num_nodes, std::size_t elements,
                            const PlannerOptions& options) {
-  Candidate c;
-  c.kind = CandidateKind::kFlatAllToAll;
   // Two steps, each split into R = ceil(load / w) RWA rounds. Both steps
   // light the identical circuit sets in the identical round partition, so
   // under retune-aware accounting the single-round case reuses step 1's
@@ -134,18 +96,9 @@ Candidate predict_flat_a2a(std::uint32_t num_nodes, std::size_t elements,
   const std::uint64_t rounds_per_step =
       (alltoall_wavelengths(num_nodes) + options.wavelengths - 1) /
       options.wavelengths;
-  const double ser = static_cast<double>(max_chunk(elements, num_nodes)) *
-                     options.bytes_per_element / options.bytes_per_second();
-  std::vector<RoundModel> rounds(2 * rounds_per_step, RoundModel{ser, true});
-  if (rounds_per_step == 1) rounds.back().retunes = false;
-  const PricedRounds priced = price_rounds(rounds, options);
-  c.feasible = true;
-  c.predicted_time = Seconds(priced.time);
-  c.steps = 2;
-  c.rounds = rounds.size();
-  c.reconfig_charges = priced.charges;
-  c.overlap_hidden = Seconds(priced.hidden);
-  return c;
+  return priced(CandidateKind::kFlatAllToAll, 2, 2 * rounds_per_step,
+                max_chunk(elements, num_nodes), options,
+                [&](std::uint64_t r) { return rounds_per_step > 1 || r == 0; });
 }
 
 }  // namespace
@@ -167,6 +120,14 @@ Candidate predict(CandidateKind kind, std::uint32_t num_nodes,
   require(num_nodes >= 2, "plan::predict: need at least 2 nodes");
   require(elements >= 1, "plan::predict: need at least 1 element");
   require(options.wavelengths >= 1, "plan::predict: need >= 1 wavelength");
+  require(options.mrr_reconfig_delay.count() >= 0.0,
+          "plan::predict: mrr_reconfig_delay must be >= 0");
+  require(options.oeo_delay.count() >= 0.0,
+          "plan::predict: oeo_delay must be >= 0");
+  require(options.bytes_per_element >= 1,
+          "plan::predict: bytes_per_element must be >= 1");
+  require(options.wavelength_rate.count() > 0.0,
+          "plan::predict: wavelength_rate must be positive");
   switch (kind) {
     case CandidateKind::kWrht:
       return predict_wrht(num_nodes, elements, options);

@@ -8,11 +8,12 @@
 // splits into many rounds. Which corner wins depends on (message size, N,
 // w) AND on how reconfiguration is charged (net::ReconfigPolicy).
 //
-// plan_allreduce() prices all three candidates with closed-form models —
-// the same per-round arithmetic the optical ring engine performs, O(steps)
-// instead of a simulation — picks the fastest, and builds its schedule.
-// bench_ablation_overlap sweeps the frontier; test_plan checks the
-// predictions against the simulator differentially.
+// plan_allreduce() prices all three candidates by stepping a
+// net::RoundClock, the optical engines' clock, through each candidate's
+// modelled rounds (O(rounds), no simulation), picks the fastest and builds
+// its schedule. WRHT and static-ring predictions equal a RingNetwork run to
+// the bit; the flat all-to-all's round count rests on the ~N^2/8 load
+// bound. bench_ablation_overlap sweeps the frontier; test_plan checks both.
 #pragma once
 
 #include <cstddef>
@@ -73,8 +74,8 @@ struct Candidate {
   Seconds predicted_time{0.0};
   std::uint64_t steps = 0;
   std::uint64_t rounds = 0;
-  /// Rounds whose reconfiguration delay (or overlap residual) lands on the
-  /// critical path under the options' policy.
+  /// Rounds the options' policy charges a reconfiguration, counted as the
+  /// ring engine counts OpticalRunResult::reconfigurations.
   std::uint64_t reconfig_charges = 0;
   /// Reconfiguration time hidden behind transmissions (kOverlapped only).
   Seconds overlap_hidden{0.0};
@@ -89,7 +90,10 @@ struct PlanResult {
 };
 
 /// Closed-form prediction for one candidate; `feasible == false` (with a
-/// note) when the candidate cannot be built for this configuration.
+/// note) when the candidate cannot be built for this configuration. Throws
+/// InvalidArgument, naming the field, on options OpticalConfig::validate()
+/// would reject (negative delays, a non-positive rate, no bytes per
+/// element).
 [[nodiscard]] Candidate predict(CandidateKind kind, std::uint32_t num_nodes,
                                 std::size_t elements,
                                 const PlannerOptions& options);

@@ -9,8 +9,8 @@
 //   * when steps split into multiple rounds the analytical model is a
 //     strict lower bound — extra rounds only add reconfiguration and
 //     serialization time, never remove it.
-// The analytical side is computed here from core::comm_time, NOT from
-// RingNetwork::single_round_estimate, so a pricing bug in either module
+// The analytical side is computed here from core::comm_time, NOT from the
+// net::RoundClock the engines price on, so a pricing bug in either module
 // surfaces as a disagreement.
 #pragma once
 

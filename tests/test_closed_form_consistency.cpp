@@ -1,14 +1,17 @@
 // Consistency property: whenever the wavelength budget carries every step
 // in a single round, the simulated optical time equals the closed-form
-// Eq. (6) arithmetic (sum over steps of a + max_payload/B) — for EVERY
-// registered algorithm. This pins the simulator to the paper's analytical
-// model on the configurations the paper evaluates.
+// Eq. (6) (sum over non-empty steps of a + max_payload/B) — for EVERY
+// registered algorithm. The closed form comes from core::comm_time, which
+// is written independently of the engines' net::RoundClock, as
+// verify::check_differential does. This pins the simulator to the paper's
+// analytical model on the configurations the paper evaluates.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <tuple>
 
 #include "wrht/collectives/registry.hpp"
+#include "wrht/core/analysis.hpp"
 #include "wrht/core/wrht_schedule.hpp"
 #include "wrht/optical/ring_network.hpp"
 
@@ -16,6 +19,23 @@ namespace wrht {
 namespace {
 
 using Case = std::tuple<std::string, std::uint32_t, std::size_t>;
+
+/// Eq. (6) over the non-empty steps of `schedule`: one core::comm_time
+/// step each, carrying the step's widest transfer.
+double eq6(const coll::Schedule& schedule, const optics::OpticalConfig& cfg) {
+  core::TimeModel model;
+  model.per_step_overhead = cfg.mrr_reconfig_delay + cfg.oeo_delay;
+  model.bytes_per_second = cfg.bytes_per_second();
+  double total = 0.0;
+  for (std::size_t s = 0; s < schedule.num_steps(); ++s) {
+    if (schedule.steps()[s].transfers.empty()) continue;
+    const Bytes payload{
+        static_cast<std::uint64_t>(schedule.max_transfer_elements(s)) *
+        cfg.bytes_per_element};
+    total += core::comm_time(1, payload, model).count();
+  }
+  return total;
+}
 
 class ClosedFormConsistency : public testing::TestWithParam<Case> {};
 
@@ -35,11 +55,11 @@ TEST_P(ClosedFormConsistency, SimulatorMatchesEq6WhenNoSplitting) {
   const optics::RingNetwork net(n, cfg);
   const auto res = net.execute(sched);
 
-  if (res.total_rounds != res.steps) {
-    GTEST_SKIP() << "budget forced multi-round steps";
+  // The grid is chosen so the budget never splits a step.
+  for (const optics::StepCost& cost : res.step_costs) {
+    ASSERT_LE(cost.rounds, 1u) << "step '" << cost.label << "' split";
   }
-  EXPECT_NEAR(res.total_time.count(),
-              net.single_round_estimate(sched).count(),
+  EXPECT_NEAR(res.total_time.count(), eq6(sched, cfg),
               1e-12 * res.total_time.count() + 1e-15)
       << name << " n=" << n;
 }
@@ -51,10 +71,10 @@ INSTANTIATE_TEST_SUITE_P(
                                      "wrht"),
                      testing::Values(16u, 33u, 64u, 128u),
                      testing::Values(512u, 100'000u)),
-    [](const testing::TestParamInfo<Case>& info) {
-      return std::get<0>(info.param) + "_n" +
-             std::to_string(std::get<1>(info.param)) + "_e" +
-             std::to_string(std::get<2>(info.param));
+    [](const testing::TestParamInfo<Case>& param) {
+      return std::get<0>(param.param) + "_n" +
+             std::to_string(std::get<1>(param.param)) + "_e" +
+             std::to_string(std::get<2>(param.param));
     });
 
 TEST(ClosedFormConsistency, EstimateCountsEmptyStepsAsFree) {
@@ -64,10 +84,13 @@ TEST(ClosedFormConsistency, EstimateCountsEmptyStepsAsFree) {
       coll::Transfer{0, 1, 0, 8, coll::TransferKind::kReduce, {}});
   optics::OpticalConfig cfg;
   const optics::RingNetwork net(4, cfg);
-  EXPECT_DOUBLE_EQ(net.single_round_estimate(s).count(),
-                   net.round_time(8).count());
-  EXPECT_DOUBLE_EQ(net.execute(s).total_time.count(),
-                   net.round_time(8).count());
+  // One Eq. (6) step of 8 four-byte elements.
+  core::TimeModel model;
+  model.per_step_overhead = cfg.mrr_reconfig_delay + cfg.oeo_delay;
+  model.bytes_per_second = cfg.bytes_per_second();
+  const double one_step = core::comm_time(1, Bytes{32}, model).count();
+  EXPECT_DOUBLE_EQ(eq6(s, cfg), one_step);
+  EXPECT_DOUBLE_EQ(net.execute(s).total_time.count(), one_step);
 }
 
 }  // namespace

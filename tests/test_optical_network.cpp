@@ -23,13 +23,6 @@ TEST(OpticalConfig, RateConventions) {
   EXPECT_DOUBLE_EQ(c.bytes_per_second(), 5e9);
 }
 
-TEST(RingNetwork, RoundTimeIsEq6PerStepTerm) {
-  const RingNetwork net(16, paper_config());
-  // a + d/B with a = 25 us + 497 fs and d = 4e6 bytes.
-  const Seconds t = net.round_time(1'000'000);
-  EXPECT_NEAR(t.count(), 25e-6 + 497e-15 + 4e6 / 40e9, 1e-15);
-}
-
 TEST(RingNetwork, RingAllreduceUsesOneWavelength) {
   const RingNetwork net(16, paper_config());
   const auto res = net.execute(coll::ring_allreduce(16, 32));

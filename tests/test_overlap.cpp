@@ -94,7 +94,7 @@ TEST(Overlap, LargePayloadHidesReconfigurationEntirely) {
   EXPECT_EQ(res.reconfigurations, 1u);
   EXPECT_NEAR(res.overlap_hidden.count(),
               25e-6 * static_cast<double>(res.total_rounds - 1),
-              1e-12 * res.total_rounds);
+              1e-12 * static_cast<double>(res.total_rounds));
 }
 
 TEST(Overlap, TinyPayloadStillPaysMostOfTheDelay) {

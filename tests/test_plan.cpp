@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "wrht/collectives/schedule.hpp"
+#include "wrht/common/error.hpp"
 #include "wrht/optical/ring_network.hpp"
 #include "wrht/plan/schedule_planner.hpp"
 #include "wrht/verify/oracle.hpp"
@@ -16,10 +18,10 @@
 namespace wrht::plan {
 namespace {
 
-/// Relative tolerance of closed-form predictions vs the simulator. WRHT
-/// and ring predictions are exact; the flat all-to-all's round count rests
-/// on the analytic ~N^2/8 load bound, which first-fit colouring can exceed
-/// slightly (DESIGN.md documents 1.5x as the operational budget).
+/// Relative tolerance of the flat all-to-all's prediction vs the
+/// simulator: its round count rests on the analytic ~N^2/8 load bound,
+/// which first-fit colouring can exceed slightly (DESIGN.md documents 1.5x
+/// as the operational budget). WRHT and ring predictions are exact.
 constexpr double kPredictionTolerance = 0.35;
 /// A chosen candidate must simulate within this factor of the true fastest
 /// (ties between near-equal candidates are fine either way).
@@ -29,15 +31,26 @@ optics::OpticalConfig sim_config(const PlannerOptions& options) {
   optics::OpticalConfig cfg;
   cfg.wavelengths = options.wavelengths;
   cfg.reconfig_policy = options.policy;
+  cfg.mrr_reconfig_delay = options.mrr_reconfig_delay;
+  cfg.oeo_delay = options.oeo_delay;
+  cfg.wavelength_rate = options.wavelength_rate;
+  cfg.convention = options.convention;
+  cfg.bytes_per_element = options.bytes_per_element;
   cfg.validate_node_capacity = false;  // the paper's sweep assumption
   return cfg;
 }
 
-double simulate(CandidateKind kind, std::uint32_t n, std::size_t elements,
-                const PlannerOptions& options) {
+optics::OpticalRunResult run(CandidateKind kind, std::uint32_t n,
+                             std::size_t elements,
+                             const PlannerOptions& options) {
   const coll::Schedule sched = build_candidate(kind, n, elements, options);
   const optics::RingNetwork net(n, sim_config(options));
-  return net.execute(sched).total_time.count();
+  return net.execute(sched);
+}
+
+double simulate(CandidateKind kind, std::uint32_t n, std::size_t elements,
+                const PlannerOptions& options) {
+  return run(kind, n, elements, options).total_time.count();
 }
 
 TEST(Plan, PredictionsMatchSimulatorOnPinnedGrid) {
@@ -58,8 +71,10 @@ TEST(Plan, PredictionsMatchSimulatorOnPinnedGrid) {
             const Candidate c = predict(kind, n, elements, options);
             if (!c.feasible) continue;
             const double sim = simulate(kind, n, elements, options);
-            EXPECT_NEAR(c.predicted_time.count(), sim,
-                        kPredictionTolerance * sim)
+            const double tolerance = kind == CandidateKind::kFlatAllToAll
+                                         ? kPredictionTolerance * sim
+                                         : 0.0;
+            EXPECT_NEAR(c.predicted_time.count(), sim, tolerance)
                 << to_string(kind) << " N=" << n << " w=" << w
                 << " d=" << elements << " policy="
                 << net::to_string(policy);
@@ -68,6 +83,84 @@ TEST(Plan, PredictionsMatchSimulatorOnPinnedGrid) {
       }
     }
   }
+}
+
+TEST(Plan, PredictsRingAndWrhtExactly) {
+  // The planner and the ring engine price every round on one RoundClock,
+  // so a candidate modelled round for round predicts its simulation to the
+  // bit: time, charges and hidden time. The payloads include sizes where
+  // a + (oeo + d/R) and (a + oeo) + d/R round apart, and a = 0 checks
+  // that a free retune still counts as a charge where the policy says so.
+  for (const std::uint32_t n : {8u, 16u, 32u}) {
+    for (const std::uint32_t w : {4u, 64u}) {
+      for (const std::size_t payload :
+           {std::size_t{6}, std::size_t{7}, std::size_t{22}, std::size_t{62},
+            std::size_t{100}, std::size_t{1000}}) {
+        for (const net::ReconfigPolicy policy :
+             {net::ReconfigPolicy::kEveryRound,
+              net::ReconfigPolicy::kOnRetune,
+              net::ReconfigPolicy::kOverlapped}) {
+          for (const Seconds a : {Seconds(25e-6), Seconds(0.0)}) {
+            PlannerOptions options;
+            options.wavelengths = w;
+            options.policy = policy;
+            options.mrr_reconfig_delay = a;
+            // WRHT serializes the whole vector every step; the static ring
+            // serializes one d/N chunk per step.
+            for (const auto& [kind, elements] :
+                 {std::pair{CandidateKind::kWrht, payload},
+                  std::pair{CandidateKind::kStaticRing, payload * n}}) {
+              SCOPED_TRACE(to_string(kind) + " N=" + std::to_string(n) +
+                           " w=" + std::to_string(w) +
+                           " d=" + std::to_string(elements) + " policy=" +
+                           net::to_string(policy) +
+                           " a=" + std::to_string(a.count()));
+              const Candidate c = predict(kind, n, elements, options);
+              ASSERT_TRUE(c.feasible) << c.note;
+              const optics::OpticalRunResult sim =
+                  run(kind, n, elements, options);
+              EXPECT_EQ(c.predicted_time.count(), sim.total_time.count());
+              EXPECT_EQ(c.reconfig_charges, sim.reconfigurations);
+              EXPECT_EQ(c.overlap_hidden.count(), sim.overlap_hidden.count());
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Plan, PredictRejectsOptionsItCannotPrice) {
+  // The same inputs OpticalConfig::validate() rejects, so a prediction
+  // never prices what no engine would run.
+  const auto rejects = [](const PlannerOptions& options,
+                          const std::string& field) {
+    try {
+      (void)predict(CandidateKind::kWrht, 8, 64, options);
+      ADD_FAILURE() << "accepted bad " << field;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  PlannerOptions options;
+  options.mrr_reconfig_delay = Seconds(-1e-3);
+  rejects(options, "mrr_reconfig_delay");
+  options = PlannerOptions{};
+  options.oeo_delay = Seconds(-1.0);
+  rejects(options, "oeo_delay");
+  options = PlannerOptions{};
+  options.bytes_per_element = 0;
+  rejects(options, "bytes_per_element");
+  for (const double rate : {0.0, -40e9}) {
+    options = PlannerOptions{};
+    options.wavelength_rate = BitsPerSecond(rate);
+    rejects(options, "wavelength_rate");
+  }
+  // plan_allreduce prices through predict and rejects them too.
+  options = PlannerOptions{};
+  options.oeo_delay = Seconds(-1.0);
+  EXPECT_THROW((void)plan_allreduce(8, 64, options), InvalidArgument);
 }
 
 TEST(Plan, ChoosesTheSimulatedFastestOnPinnedGrid) {
