@@ -2,39 +2,102 @@
 
 #include <charconv>
 #include <cstdio>
+#include <ostream>
 
 #include "wrht/common/error.hpp"
 
 namespace wrht::json {
 
+namespace {
+
+/// Hands `put` the pieces of escape(s) in order: runs of bytes that pass
+/// through, and the escape of each byte that does not.
+template <typename Put>
+void escape_into(std::string_view s, Put&& put) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    if (i > run) put(s.substr(run, i - run));
+    run = i + 1;
+    switch (c) {
+      case '"': put("\\\""); break;
+      case '\\': put("\\\\"); break;
+      case '\n': put("\\n"); break;
+      case '\t': put("\\t"); break;
+      case '\r': put("\\r"); break;
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        put(std::string_view(u, sizeof(u)));
+      }
+    }
+  }
+  if (run < s.size()) put(s.substr(run));
+}
+
+/// %.*g of `v` at `digits` into the Writer::kNumberChars bytes at `first`;
+/// returns the end of what it wrote.
+char* general(char* first, double v, int digits) {
+  require(digits >= 1 && digits <= 17, "json::number: digits must be 1..17");
+  return std::to_chars(first, first + Writer::kNumberChars, v,
+                       std::chars_format::general, digits)
+      .ptr;
+}
+
+}  // namespace
+
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  escape_into(s, [&out](std::string_view piece) { out += piece; });
   return out;
 }
 
 std::string number(double v, int digits) {
-  require(digits >= 1 && digits <= 17, "json::number: digits must be 1..17");
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
-  return buf;
+  char buf[Writer::kNumberChars];
+  return std::string(buf, general(buf, v, digits));
+}
+
+Writer::Writer(std::ostream& out)
+    : out_(out),
+      block_(std::make_unique_for_overwrite<char[]>(kBlockBytes)),
+      pos_(block_.get()),
+      end_(block_.get() + kBlockBytes) {}
+
+Writer& Writer::str(std::string_view s) {
+  escape_into(s, [this](std::string_view piece) { raw(piece); });
+  return *this;
+}
+
+Writer& Writer::number(double v, int digits) {
+  reserve(kNumberChars);
+  pos_ = general(pos_, v, digits);
+  return *this;
+}
+
+Writer& Writer::fixed(double v, int precision) {
+  require(precision >= 0 && precision <= 17,
+          "json::Writer::fixed: precision must be 0..17");
+  reserve(kFixedChars);
+  pos_ = std::to_chars(pos_, end_, v, std::chars_format::fixed, precision).ptr;
+  return *this;
+}
+
+void Writer::flush() {
+  out_.write(block_.get(), pos_ - block_.get());
+  pos_ = block_.get();
+}
+
+Writer& Writer::raw_spill(std::string_view s) {
+  while (s.size() > room()) {
+    const std::size_t n = room();
+    std::memcpy(pos_, s.data(), n);
+    pos_ += n;
+    s.remove_prefix(n);
+    flush();
+  }
+  return raw(s);
 }
 
 /// Recursive-descent parser over RFC 8259 JSON. It counts lines while

@@ -14,16 +14,14 @@ namespace wrht::diag {
 
 namespace {
 
-void write_categories(const BlameTotals& totals, const char* indent,
-                      std::ostream& out) {
+void write_categories(const BlameTotals& totals, json::Writer& w) {
   bool first = true;
   for (const BlameCategory category : all_blame_categories()) {
-    if (!first) out << ",\n";
+    w.raw(first ? "    \"" : ",\n    \"").raw(to_string(category));
+    w.raw("\": ").number(totals[category], 17);
     first = false;
-    out << indent << "\"" << to_string(category)
-        << "\": " << json::number(totals[category], 17);
   }
-  out << "\n";
+  w.raw("\n");
 }
 
 /// Reads an object of numbers (categories, what-if makespans) into `out`;
@@ -73,59 +71,54 @@ void write_blame_json(
     const BlameReport& report,
     const std::vector<std::pair<std::string, double>>& what_if,
     std::ostream& out) {
-  const auto num = [](double v) { return json::number(v, 17); };
-  out << "{\n";
-  out << "  \"schema\": \"" << kBlameSchema << "\",\n";
-  out << "  \"kind\": \"run\",\n";
-  out << "  \"backend\": \"" << json::escape(report.backend) << "\",\n";
-  out << "  \"reconfig_policy\": \"" << json::escape(report.reconfig_policy)
-      << "\",\n";
-  out << "  \"mrr_reconfig_delay\": " << num(report.mrr_reconfig_delay.count())
-      << ",\n";
-  out << "  \"oeo_delay\": " << num(report.oeo_delay.count()) << ",\n";
-  out << "  \"steps\": " << report.steps << ",\n";
-  out << "  \"rounds\": " << report.rounds << ",\n";
-  out << "  \"transfers\": " << report.transfers << ",\n";
-  out << "  \"total_time\": " << num(report.total_time.count()) << ",\n";
-  out << "  \"attributed_time\": " << num(report.attributed()) << ",\n";
-  out << "  \"categories\": {\n";
-  write_categories(report.categories, "    ", out);
-  out << "  },\n";
-  out << "  \"what_if\": {\n";
+  json::Writer w(out);
+  w.raw("{\n  \"schema\": \"").raw(kBlameSchema);
+  w.raw("\",\n  \"kind\": \"run\",\n  \"backend\": \"").str(report.backend);
+  w.raw("\",\n  \"reconfig_policy\": \"").str(report.reconfig_policy);
+  w.raw("\",\n  \"mrr_reconfig_delay\": ");
+  w.number(report.mrr_reconfig_delay.count(), 17);
+  w.raw(",\n  \"oeo_delay\": ").number(report.oeo_delay.count(), 17);
+  w.raw(",\n  \"steps\": ").integer(report.steps);
+  w.raw(",\n  \"rounds\": ").integer(report.rounds);
+  w.raw(",\n  \"transfers\": ").integer(report.transfers);
+  w.raw(",\n  \"total_time\": ").number(report.total_time.count(), 17);
+  w.raw(",\n  \"attributed_time\": ").number(report.attributed(), 17);
+  w.raw(",\n  \"categories\": {\n");
+  write_categories(report.categories, w);
+  w.raw("  },\n  \"what_if\": {\n");
   for (std::size_t i = 0; i < what_if.size(); ++i) {
-    out << "    \"" << json::escape(what_if[i].first)
-        << "\": " << num(what_if[i].second)
-        << (i + 1 < what_if.size() ? ",\n" : "\n");
+    w.raw("    \"").str(what_if[i].first).raw("\": ");
+    w.number(what_if[i].second, 17);
+    w.raw(i + 1 < what_if.size() ? ",\n" : "\n");
   }
-  out << "  },\n";
-  out << "  \"lanes\": [\n";
+  w.raw("  },\n  \"lanes\": [\n");
   for (std::size_t i = 0; i < report.lanes.size(); ++i) {
     const LaneBlame& lane = report.lanes[i];
-    out << "    {\"lane\": \"" << json::escape(lane.lane)
-        << "\", \"busy\": " << num(lane.busy.count());
+    w.raw("    {\"lane\": \"").str(lane.lane);
+    w.raw("\", \"busy\": ").number(lane.busy.count(), 17);
     for (const BlameCategory category : all_blame_categories()) {
-      out << ", \"" << to_string(category)
-          << "\": " << num(lane.totals[category]);
+      w.raw(", \"").raw(to_string(category)).raw("\": ");
+      w.number(lane.totals[category], 17);
     }
-    out << "}" << (i + 1 < report.lanes.size() ? ",\n" : "\n");
+    w.raw(i + 1 < report.lanes.size() ? "},\n" : "}\n");
   }
-  out << "  ],\n";
-  out << "  \"critical_path\": [\n";
+  w.raw("  ],\n  \"critical_path\": [\n");
   for (std::size_t i = 0; i < report.critical_path.size(); ++i) {
     const CriticalRound& r = report.critical_path[i];
-    out << "    {\"step\": " << r.step << ", \"lane\": \""
-        << json::escape(r.lane) << "\", \"round\": " << r.round
-        << ", \"start\": " << num(r.start.count())
-        << ", \"duration\": " << num(r.duration.count())
-        << ", \"reconfiguration\": " << num(r.reconfig.count())
-        << ", \"conversion\": " << num(r.conversion.count())
-        << ", \"transmission\": " << num(r.serialization.count())
-        << ", \"processing\": " << num(r.processing.count())
-        << ", \"retune\": " << (r.retune ? "true" : "false") << "}"
-        << (i + 1 < report.critical_path.size() ? ",\n" : "\n");
+    w.raw("    {\"step\": ").integer(r.step);
+    w.raw(", \"lane\": \"").str(r.lane);
+    w.raw("\", \"round\": ").integer(r.round);
+    w.raw(", \"start\": ").number(r.start.count(), 17);
+    w.raw(", \"duration\": ").number(r.duration.count(), 17);
+    w.raw(", \"reconfiguration\": ").number(r.reconfig.count(), 17);
+    w.raw(", \"conversion\": ").number(r.conversion.count(), 17);
+    w.raw(", \"transmission\": ").number(r.serialization.count(), 17);
+    w.raw(", \"processing\": ").number(r.processing.count(), 17);
+    w.raw(", \"retune\": ").raw(r.retune ? "true" : "false");
+    w.raw(i + 1 < report.critical_path.size() ? "},\n" : "}\n");
   }
-  out << "  ]\n";
-  out << "}\n";
+  w.raw("  ]\n}\n");
+  w.flush();
 }
 
 void write_blame_file(

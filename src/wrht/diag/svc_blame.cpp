@@ -224,38 +224,34 @@ std::string ServiceBlame::to_string() const {
 }
 
 void write_service_blame_json(const ServiceBlame& blame, std::ostream& out) {
-  const auto num = [](double v) { return json::number(v, 17); };
-  out << "{\n";
-  out << "  \"schema\": \"" << kBlameSchema << "\",\n";
-  out << "  \"kind\": \"service\",\n";
-  out << "  \"policy\": \"" << json::escape(blame.policy) << "\",\n";
-  out << "  \"fabric_wavelengths\": " << blame.fabric_wavelengths << ",\n";
-  out << "  \"jobs\": " << blame.jobs << ",\n";
-  out << "  \"total_time\": " << num(blame.total_jct.count()) << ",\n";
-  out << "  \"attributed_time\": " << num(blame.attributed()) << ",\n";
-  out << "  \"categories\": {\n";
+  json::Writer w(out);
+  w.raw("{\n  \"schema\": \"").raw(kBlameSchema);
+  w.raw("\",\n  \"kind\": \"service\",\n  \"policy\": \"").str(blame.policy);
+  w.raw("\",\n  \"fabric_wavelengths\": ").integer(blame.fabric_wavelengths);
+  w.raw(",\n  \"jobs\": ").integer(blame.jobs);
+  w.raw(",\n  \"total_time\": ").number(blame.total_jct.count(), 17);
+  w.raw(",\n  \"attributed_time\": ").number(blame.attributed(), 17);
+  w.raw(",\n  \"categories\": {\n");
   bool first = true;
   for (const BlameCategory category : all_blame_categories()) {
-    if (!first) out << ",\n";
+    w.raw(first ? "    \"" : ",\n    \"").raw(to_string(category));
+    w.raw("\": ").number(blame.categories[category], 17);
     first = false;
-    out << "    \"" << to_string(category)
-        << "\": " << num(blame.categories[category]);
   }
-  out << "\n  },\n";
-  out << "  \"tenants\": [\n";
+  w.raw("\n  },\n  \"tenants\": [\n");
   for (std::size_t i = 0; i < blame.tenants.size(); ++i) {
     const TenantBlame& tenant = blame.tenants[i];
-    out << "    {\"tenant\": " << tenant.tenant
-        << ", \"jobs\": " << tenant.jobs
-        << ", \"jct\": " << num(tenant.jct.count());
+    w.raw("    {\"tenant\": ").integer(tenant.tenant);
+    w.raw(", \"jobs\": ").integer(tenant.jobs);
+    w.raw(", \"jct\": ").number(tenant.jct.count(), 17);
     for (const BlameCategory category : all_blame_categories()) {
-      out << ", \"" << to_string(category)
-          << "\": " << num(tenant.totals[category]);
+      w.raw(", \"").raw(to_string(category)).raw("\": ");
+      w.number(tenant.totals[category], 17);
     }
-    out << "}" << (i + 1 < blame.tenants.size() ? ",\n" : "\n");
+    w.raw(i + 1 < blame.tenants.size() ? "},\n" : "}\n");
   }
-  out << "  ]\n";
-  out << "}\n";
+  w.raw("  ]\n}\n");
+  w.flush();
 }
 
 void write_service_blame_file(const ServiceBlame& blame,

@@ -62,18 +62,22 @@ ServiceEvent::Kind event_kind_from_string(const std::string& name) {
 }
 
 void EventLog::write_jsonl(std::ostream& out) const {
-  out << "{\"schema\": \"" << kSchema
-      << "\", \"fabric_wavelengths\": " << context_.fabric_wavelengths
-      << ", \"policy\": \"" << json::escape(context_.policy)
-      << "\", \"seed\": " << context_.seed
-      << ", \"events\": " << events_.size() << "}\n";
+  json::Writer w(out);
+  w.raw("{\"schema\": \"").raw(kSchema);
+  w.raw("\", \"fabric_wavelengths\": ").integer(context_.fabric_wavelengths);
+  w.raw(", \"policy\": \"").str(context_.policy);
+  w.raw("\", \"seed\": ").integer(context_.seed);
+  w.raw(", \"events\": ").integer(events_.size()).raw("}\n");
   for (const ServiceEvent& e : events_) {
-    out << "{\"kind\": \"" << to_string(e.kind)
-        << "\", \"t\": " << json::number(e.time.count(), 17)
-        << ", \"job\": " << e.job << ", \"tenant\": " << e.tenant
-        << ", \"w_lo\": " << e.w_lo << ", \"w_hi\": " << e.w_hi
-        << ", \"cause\": \"" << json::escape(e.cause) << "\"}\n";
+    w.raw("{\"kind\": \"").raw(to_string(e.kind));
+    w.raw("\", \"t\": ").number(e.time.count(), 17);
+    w.raw(", \"job\": ").integer(e.job);
+    w.raw(", \"tenant\": ").integer(e.tenant);
+    w.raw(", \"w_lo\": ").integer(e.w_lo);
+    w.raw(", \"w_hi\": ").integer(e.w_hi);
+    w.raw(", \"cause\": \"").str(e.cause).raw("\"}\n");
   }
+  w.flush();
 }
 
 void EventLog::write_file(const std::string& path) const {

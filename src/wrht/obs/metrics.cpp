@@ -263,40 +263,41 @@ void MetricsRegistry::write_json(std::ostream& out) const {
     return instruments_[a].name < instruments_[b].name;
   });
 
-  out << "{\n  \"schema\": \"wrht-metrics-1\",\n  \"instruments\": [";
+  json::Writer w(out);
+  w.raw("{\n  \"schema\": \"wrht-metrics-1\",\n  \"instruments\": [");
   bool first = true;
   for (const Id id : order) {
     const Instrument& inst = instruments_[id];
-    out << (first ? "\n" : ",\n");
+    w.raw(first ? "\n" : ",\n");
     first = false;
-    out << "    {\"name\": \"" << json::escape(inst.name)
-        << "\", \"kind\": \"" << obs::to_string(inst.kind)
-        << "\", \"value\": " << json::number(value(id), 9)
-        << ", \"samples\": " << inst.series.size()
-        << ", \"dropped\": " << inst.series.dropped();
+    w.raw("    {\"name\": \"").str(inst.name);
+    w.raw("\", \"kind\": \"").raw(obs::to_string(inst.kind));
+    w.raw("\", \"value\": ").number(value(id), 9);
+    w.raw(", \"samples\": ").integer(inst.series.size());
+    w.raw(", \"dropped\": ").integer(inst.series.dropped());
     if (inst.hist) {
-      out << ", \"sum\": " << json::number(inst.hist->sum(), 9)
-          << ", \"buckets\": [";
+      w.raw(", \"sum\": ").number(inst.hist->sum(), 9).raw(", \"buckets\": [");
       // Sparse: only non-empty buckets, as [index, count] pairs.
       bool first_bucket = true;
       const auto& counts = inst.hist->bucket_counts();
       for (std::size_t b = 0; b < counts.size(); ++b) {
         if (counts[b] == 0) continue;
-        out << (first_bucket ? "" : ", ") << "[" << b << ", " << counts[b]
-            << "]";
+        w.raw(first_bucket ? "[" : ", [").integer(b).raw(", ");
+        w.integer(counts[b]).raw("]");
         first_bucket = false;
       }
-      out << "]";
+      w.raw("]");
     }
-    out << ", \"series\": [";
+    w.raw(", \"series\": [");
     for (std::size_t i = 0; i < inst.series.size(); ++i) {
       const TimeSeriesPoint& p = inst.series[i];
-      out << (i == 0 ? "" : ", ") << "[" << json::number(p.time.count(), 9)
-          << ", " << json::number(p.value, 9) << "]";
+      w.raw(i == 0 ? "[" : ", [").number(p.time.count(), 9).raw(", ");
+      w.number(p.value, 9).raw("]");
     }
-    out << "]}";
+    w.raw("]}");
   }
-  out << "\n  ]\n}\n";
+  w.raw("\n  ]\n}\n");
+  w.flush();
 }
 
 void MetricsRegistry::write_json_file(const std::string& path) const {

@@ -13,15 +13,13 @@ namespace wrht {
 
 namespace {
 
-void write_breakdown_json(std::ostream& out, const TimeBreakdown& b) {
-  out << "{\"transmission_s\":" << json::number(b.transmission.count(), 9)
-      << ",\"reconfiguration_s\":"
-      << json::number(b.reconfiguration.count(), 9)
-      << ",\"conversion_s\":" << json::number(b.conversion.count(), 9)
-      << ",\"processing_s\":" << json::number(b.processing.count(), 9)
-      << ",\"straggler_wait_s\":"
-      << json::number(b.straggler_wait.count(), 9)
-      << ",\"idle_s\":" << json::number(b.idle.count(), 9) << "}";
+void write_breakdown_json(json::Writer& w, const TimeBreakdown& b) {
+  w.raw("{\"transmission_s\":").number(b.transmission.count(), 9);
+  w.raw(",\"reconfiguration_s\":").number(b.reconfiguration.count(), 9);
+  w.raw(",\"conversion_s\":").number(b.conversion.count(), 9);
+  w.raw(",\"processing_s\":").number(b.processing.count(), 9);
+  w.raw(",\"straggler_wait_s\":").number(b.straggler_wait.count(), 9);
+  w.raw(",\"idle_s\":").number(b.idle.count(), 9).raw("}");
 }
 
 }  // namespace
@@ -68,40 +66,39 @@ void RunReport::write_step_csv(const std::string& path) const {
 }
 
 void RunReport::write_json(std::ostream& out) const {
-  out << "{\n";
-  out << "  \"backend\": \"" << json::escape(backend) << "\",\n";
-  out << "  \"total_time_s\": " << json::number(total_time.count(), 9)
-      << ",\n";
-  out << "  \"steps\": " << steps << ",\n";
-  out << "  \"rounds\": " << rounds << ",\n";
-  out << "  \"events_fired\": " << events_fired << ",\n";
-  out << "  \"utilization\": " << json::number(utilization, 9) << ",\n";
-  out << "  \"resources_observed\": " << resources_observed << ",\n";
-  out << "  \"breakdown\": ";
-  write_breakdown_json(out, breakdown);
-  out << ",\n  \"step_reports\": [";
+  json::Writer w(out);
+  w.raw("{\n  \"backend\": \"").str(backend);
+  w.raw("\",\n  \"total_time_s\": ").number(total_time.count(), 9);
+  w.raw(",\n  \"steps\": ").integer(steps);
+  w.raw(",\n  \"rounds\": ").integer(rounds);
+  w.raw(",\n  \"events_fired\": ").integer(events_fired);
+  w.raw(",\n  \"utilization\": ").number(utilization, 9);
+  w.raw(",\n  \"resources_observed\": ").integer(resources_observed);
+  w.raw(",\n  \"breakdown\": ");
+  write_breakdown_json(w, breakdown);
+  w.raw(",\n  \"step_reports\": [");
   for (std::size_t i = 0; i < step_reports.size(); ++i) {
     const StepReport& s = step_reports[i];
-    out << (i == 0 ? "" : ",") << "\n    {\"step\":" << i << ",\"label\":\""
-        << json::escape(s.label)
-        << "\",\"start_s\":" << json::number(s.start.count(), 9)
-        << ",\"duration_s\":" << json::number(s.duration.count(), 9)
-        << ",\"rounds\":" << s.rounds
-        << ",\"wavelengths_used\":" << s.wavelengths_used
-        << ",\"breakdown\":";
-    write_breakdown_json(out, s.breakdown);
-    out << "}";
+    w.raw(i == 0 ? "\n    {\"step\":" : ",\n    {\"step\":").integer(i);
+    w.raw(",\"label\":\"").str(s.label);
+    w.raw("\",\"start_s\":").number(s.start.count(), 9);
+    w.raw(",\"duration_s\":").number(s.duration.count(), 9);
+    w.raw(",\"rounds\":").integer(s.rounds);
+    w.raw(",\"wavelengths_used\":").integer(s.wavelengths_used);
+    w.raw(",\"breakdown\":");
+    write_breakdown_json(w, s.breakdown);
+    w.raw("}");
   }
-  out << (step_reports.empty() ? "" : "\n  ") << "],\n";
-  out << "  \"counters\": {";
+  w.raw(step_reports.empty() ? "],\n" : "\n  ],\n");
+  w.raw("  \"counters\": {");
   bool first = true;
   for (const auto& [name, value] : counters) {
-    out << (first ? "" : ",") << "\n    \"" << json::escape(name)
-        << "\": " << value;
+    w.raw(first ? "\n    \"" : ",\n    \"").str(name).raw("\": ");
+    w.integer(value);
     first = false;
   }
-  out << (counters.empty() ? "" : "\n  ") << "}\n";
-  out << "}\n";
+  w.raw(counters.empty() ? "}\n}\n" : "\n  }\n}\n");
+  w.flush();
 }
 
 void RunReport::write_json_file(const std::string& path) const {

@@ -1,6 +1,6 @@
 #include "wrht/obs/trace_json.hpp"
 
-#include <cstdio>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 
@@ -8,29 +8,6 @@
 #include "wrht/common/json.hpp"
 
 namespace wrht::obs {
-
-namespace {
-
-/// Fixed-precision microseconds: deterministic across runs and platforms.
-std::string format_us(Seconds t) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", t.count() * 1e6);
-  return buf;
-}
-
-/// Counter values: integers print exactly ("6"), everything else with %g
-/// so the common whole-valued tracks stay clean in the JSON.
-std::string format_value(double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v))) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%g", v);
-  }
-  return buf;
-}
-
-}  // namespace
 
 ChromeTraceSink::ChromeTraceSink(std::string process_name)
     : process_name_(std::move(process_name)) {}
@@ -51,54 +28,75 @@ std::string ChromeTraceSink::escape(const std::string& s) {
 }
 
 void ChromeTraceSink::write(std::ostream& out) const {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  json::Writer w(out);
+  w.raw("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
   bool first = true;
   const auto sep = [&] {
-    if (!first) out << ",";
+    w.raw(first ? "\n" : ",\n");
     first = false;
-    out << "\n";
+  };
+  // Fixed-precision microseconds: deterministic across runs and platforms.
+  const auto us = [&w](Seconds t) { w.fixed(t.count() * 1e6, 6); };
+  // Counter values: whole values inside long long's range print exactly
+  // ("6"), everything else with %g, so the common whole-valued tracks stay
+  // clean in the JSON.
+  const auto value = [&w](double v) {
+    if (v >= -0x1p63 && v < 0x1p63 && v == std::trunc(v)) {
+      w.integer(static_cast<long long>(v));
+    } else {
+      w.number(v, 6);
+    }
   };
 
   // Metadata first: process name, then the named tracks (track id order —
   // std::map keeps this stable).
   sep();
-  out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
-      << "\"args\":{\"name\":\"" << json::escape(process_name_) << "\"}}";
+  w.raw("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+        "\"args\":{\"name\":\"")
+      .str(process_name_)
+      .raw("\"}}");
   for (const auto& [track, name] : track_names_) {
     sep();
-    out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << track
-        << ",\"args\":{\"name\":\"" << json::escape(name) << "\"}}";
+    w.raw("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":")
+        .integer(track)
+        .raw(",\"args\":{\"name\":\"")
+        .str(name)
+        .raw("\"}}");
   }
 
   for (const TraceSpan& s : spans_) {
     sep();
-    out << "{\"name\":\"" << json::escape(s.name) << "\",\"cat\":\""
-        << json::escape(s.category)
-        << "\",\"ph\":\"X\",\"ts\":" << format_us(s.start)
-        << ",\"dur\":" << format_us(s.duration) << ",\"pid\":0,\"tid\":"
-        << s.track << ",\"args\":{";
+    w.raw("{\"name\":\"").str(s.name).raw("\",\"cat\":\"").str(s.category);
+    w.raw("\",\"ph\":\"X\",\"ts\":");
+    us(s.start);
+    w.raw(",\"dur\":");
+    us(s.duration);
+    w.raw(",\"pid\":0,\"tid\":").integer(s.track).raw(",\"args\":{");
     bool first_arg = true;
-    for (const auto& [key, value] : s.args) {
-      if (!first_arg) out << ",";
+    for (const auto& [key, text] : s.args) {
+      if (!first_arg) w.raw(",");
       first_arg = false;
-      out << "\"" << json::escape(key) << "\":\"" << json::escape(value)
-          << "\"";
+      w.raw("\"").str(key).raw("\":\"").str(text).raw("\"");
     }
-    for (const auto& [key, value] : s.num_args) {
-      if (!first_arg) out << ",";
+    for (const auto& [key, number] : s.num_args) {
+      if (!first_arg) w.raw(",");
       first_arg = false;
-      out << "\"" << json::escape(key) << "\":" << format_value(value);
+      w.raw("\"").str(key).raw("\":");
+      value(number);
     }
-    out << "}}";
+    w.raw("}}");
   }
 
   // Counter tracks after the spans: "C" events keyed by name within a tid;
   // Perfetto draws each as a step function holding until the next sample.
   for (const CounterSample& c : counters_) {
     sep();
-    out << "{\"name\":\"" << json::escape(c.name) << "\",\"ph\":\"C\",\"ts\":"
-        << format_us(c.time) << ",\"pid\":0,\"tid\":" << c.track
-        << ",\"args\":{\"value\":" << format_value(c.value) << "}}";
+    w.raw("{\"name\":\"").str(c.name).raw("\",\"ph\":\"C\",\"ts\":");
+    us(c.time);
+    w.raw(",\"pid\":0,\"tid\":").integer(c.track);
+    w.raw(",\"args\":{\"value\":");
+    value(c.value);
+    w.raw("}}");
   }
 
   // Flow arrows last: each FlowArrow becomes an "s"/"f" pair sharing an
@@ -108,18 +106,19 @@ void ChromeTraceSink::write(std::ostream& out) const {
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     const FlowArrow& f = flows_[i];
     sep();
-    out << "{\"name\":\"" << json::escape(f.name) << "\",\"cat\":\""
-        << json::escape(f.category) << "\",\"ph\":\"s\",\"id\":" << i
-        << ",\"ts\":" << format_us(f.start) << ",\"pid\":0,\"tid\":"
-        << f.start_track << "}";
+    w.raw("{\"name\":\"").str(f.name).raw("\",\"cat\":\"").str(f.category);
+    w.raw("\",\"ph\":\"s\",\"id\":").integer(i).raw(",\"ts\":");
+    us(f.start);
+    w.raw(",\"pid\":0,\"tid\":").integer(f.start_track).raw("}");
     sep();
-    out << "{\"name\":\"" << json::escape(f.name) << "\",\"cat\":\""
-        << json::escape(f.category)
-        << "\",\"ph\":\"f\",\"bp\":\"e\",\"id\":" << i
-        << ",\"ts\":" << format_us(f.finish) << ",\"pid\":0,\"tid\":"
-        << f.finish_track << "}";
+    w.raw("{\"name\":\"").str(f.name).raw("\",\"cat\":\"").str(f.category);
+    w.raw("\",\"ph\":\"f\",\"bp\":\"e\",\"id\":").integer(i);
+    w.raw(",\"ts\":");
+    us(f.finish);
+    w.raw(",\"pid\":0,\"tid\":").integer(f.finish_track).raw("}");
   }
-  out << "\n]}\n";
+  w.raw("\n]}\n");
+  w.flush();
 }
 
 void ChromeTraceSink::write_file(const std::string& path) const {

@@ -66,8 +66,9 @@ class ChromeTraceSink final : public TraceSink {
   [[nodiscard]] std::size_t counter_count() const { return counters_.size(); }
   [[nodiscard]] std::size_t flow_count() const { return flows_.size(); }
 
-  /// Serializes the whole trace; `ts`/`dur` are microseconds with fixed
-  /// 6-digit precision.
+  /// Serializes the whole trace through json::Writer; `ts`/`dur` are
+  /// microseconds printed as %.6f (Writer::fixed), counter values as
+  /// integers when whole and %g otherwise, whatever the stream's locale.
   void write(std::ostream& out) const;
 
   /// write() to `path`; throws wrht::Error if the file cannot be opened.

@@ -47,15 +47,14 @@ void PerfReport::capture(const ProfRegistry& registry) {
 }
 
 void PerfReport::write_json(std::ostream& out) const {
-  out << "{\n";
-  out << "  \"schema\": \"wrht-perf-1\",\n";
-  out << "  \"name\": \"" << json::escape(name) << "\",\n";
-  out << "  \"repetitions\": " << repetitions << ",\n";
-  out << "  \"threads\": " << threads << ",\n";
-  out << "  \"wall_time_s\": " << json::number(wall_time_s, 9) << ",\n";
-  out << "  \"thread_efficiency\": " << json::number(thread_efficiency, 9)
-      << ",\n";
-  out << "  \"peak_rss_bytes\": " << peak_rss_bytes << ",\n";
+  json::Writer w(out);
+  w.raw("{\n  \"schema\": \"wrht-perf-1\",\n  \"name\": \"").str(name);
+  w.raw("\",\n  \"repetitions\": ").integer(repetitions);
+  w.raw(",\n  \"threads\": ").integer(threads);
+  w.raw(",\n  \"wall_time_s\": ").number(wall_time_s, 9);
+  w.raw(",\n  \"thread_efficiency\": ").number(thread_efficiency, 9);
+  w.raw(",\n  \"peak_rss_bytes\": ").integer(peak_rss_bytes);
+  w.raw(",\n");
 
   std::vector<const PerfMetric*> sorted;
   sorted.reserve(metrics.size());
@@ -64,24 +63,24 @@ void PerfReport::write_json(std::ostream& out) const {
             [](const PerfMetric* a, const PerfMetric* b) {
               return a->name < b->name;
             });
-  out << "  \"metrics\": {";
+  w.raw("  \"metrics\": {");
   for (std::size_t i = 0; i < sorted.size(); ++i) {
-    out << (i == 0 ? "" : ",") << "\n    \"" << json::escape(sorted[i]->name)
-        << "\": {\"value\": " << json::number(sorted[i]->value, 9)
-        << ", \"unit\": \"" << json::escape(sorted[i]->unit) << "\"}";
+    w.raw(i == 0 ? "\n    \"" : ",\n    \"").str(sorted[i]->name);
+    w.raw("\": {\"value\": ").number(sorted[i]->value, 9);
+    w.raw(", \"unit\": \"").str(sorted[i]->unit).raw("\"}");
   }
-  out << (sorted.empty() ? "" : "\n  ") << "},\n";
+  w.raw(sorted.empty() ? "},\n" : "\n  },\n");
 
-  out << "  \"phases\": {";
+  w.raw("  \"phases\": {");
   bool first = true;
   for (const auto& [phase, totals] : phases) {
-    out << (first ? "" : ",") << "\n    \"" << json::escape(phase)
-        << "\": {\"calls\": " << totals.calls
-        << ", \"seconds\": " << json::number(totals.seconds, 9) << "}";
+    w.raw(first ? "\n    \"" : ",\n    \"").str(phase);
+    w.raw("\": {\"calls\": ").integer(totals.calls);
+    w.raw(", \"seconds\": ").number(totals.seconds, 9).raw("}");
     first = false;
   }
-  out << (phases.empty() ? "" : "\n  ") << "}\n";
-  out << "}\n";
+  w.raw(phases.empty() ? "}\n}\n" : "\n  }\n}\n");
+  w.flush();
 }
 
 void PerfReport::write_json_file(const std::string& path) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "wrht/common/error.hpp"
@@ -30,16 +31,19 @@ DifferentialReport check_differential(const coll::Schedule& schedule,
     return report;
   }
   report.simulated_seconds = run.total_time.count();
-  report.single_round = run.rounds == run.steps;
 
-  // Eq. (6) from the analysis module: per step, overhead a plus the
-  // serialization of the step's widest transfer.
+  // Eq. (6) from the analysis module: per non-empty step, overhead a plus
+  // the serialization of the step's widest transfer. An empty step has no
+  // round to price, so it costs nothing and needs no round.
   core::TimeModel model;
   model.per_step_overhead =
       Seconds{cfg.mrr_reconfig_delay.count() + cfg.oeo_delay.count()};
   model.bytes_per_second = cfg.bytes_per_second();
   double analytical = 0.0;
+  std::uint64_t priced_steps = 0;
   for (const coll::Step& step : schedule.steps()) {
+    if (step.transfers.empty()) continue;
+    ++priced_steps;
     std::size_t widest = 0;
     for (const coll::Transfer& t : step.transfers) {
       widest = std::max(widest, t.count);
@@ -49,6 +53,7 @@ DifferentialReport check_differential(const coll::Schedule& schedule,
     analytical += core::comm_time(1, payload, model).count();
   }
   report.analytical_seconds = analytical;
+  report.single_round = run.rounds == priced_steps;
 
   const double diff = std::abs(report.simulated_seconds - analytical);
   report.rel_error = analytical > 0.0 ? diff / analytical : 0.0;

@@ -2,8 +2,10 @@
 //
 // The optical ring simulator (optics::RingNetwork) prices a schedule by
 // driving every step through RWA and the event kernel. The paper's Eq. (6)
-// model prices the same schedule as theta * (a + d/B). These are two
-// independent implementations of the same quantity, so they cross-check:
+// model prices the same schedule as theta * (a + d/B), theta counting the
+// non-empty steps (an empty step has no round and is free on both sides).
+// These are two independent implementations of the same quantity, so they
+// cross-check:
 //   * when every step fits in a single RWA round, the simulated time must
 //     match the analytical time within a relative tolerance (default 1%);
 //   * when steps split into multiple rounds the analytical model is a
@@ -39,8 +41,9 @@ struct DifferentialReport {
   double analytical_seconds = 0.0;
   /// |simulated - analytical| / analytical (0 when analytical is 0).
   double rel_error = 0.0;
-  /// True when no step needed more than one RWA round, i.e. the Eq. (6)
-  /// regime where the two models must agree tightly.
+  /// True when every non-empty step took exactly one RWA round (an empty
+  /// step takes none and is free on both sides), i.e. the Eq. (6) regime
+  /// where the two models must agree tightly.
   bool single_round = false;
 
   [[nodiscard]] bool ok() const { return result.ok(); }

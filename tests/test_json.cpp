@@ -1,15 +1,24 @@
 // json codec unit tests: the escape table round-trips through the parser,
-// numbers print with %.*g, u64() reads integer digits exactly, malformed
-// input is rejected, and every diagnostic names the right line.
+// numbers print exactly as printf's %.*g and %.6f (checked on seeded
+// doubles), integers as the classic-locale `<<`, the Writer hands its
+// stream whole blocks, u64() reads integer digits exactly, malformed input
+// is rejected, and every diagnostic names the right line.
 #include "wrht/common/json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <random>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "wrht/common/error.hpp"
+#include "wrht/obs/trace_json.hpp"
 
 namespace wrht::json {
 namespace {
@@ -77,6 +86,167 @@ TEST(Json, SeventeenDigitsRoundTripExactly) {
                          -4.9e-300, 0.0}) {
     EXPECT_EQ(Value::parse(number(v, 17)).number(), v);
   }
+}
+
+/// `v` through printf, the reference the writers' bytes were defined by.
+std::string printf_g(double v, int digits) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
+  return buf;
+}
+
+std::string printf_f6(double v) {
+  char buf[400];
+  std::snprintf(buf, sizeof(buf), "%.6f", v);
+  return buf;
+}
+
+/// What `append` writes through one Writer.
+template <typename Append>
+std::string through_writer(Append&& append) {
+  std::ostringstream out;
+  Writer w(out);
+  append(w);
+  w.flush();
+  return out.str();
+}
+
+TEST(Json, NumberMatchesPrintfOnSeededDoubles) {
+  std::vector<double> values = {
+      0.0, -0.0, std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(), 9007199254740991.0,
+      9007199254740992.0, 9007199254740993.0, -9007199254740993.0, 0x1p63,
+      -0x1p63, 0x1p64, 0.5, 0.1, 1e-7, 2.5e-7, 123456789.0, 1e21, 1e22};
+  std::mt19937_64 rng(20231030);
+  for (int i = 0; i < 3000; ++i) {
+    values.push_back(std::bit_cast<double>(rng()));
+  }
+  for (int i = 0; i < 3000; ++i) {
+    // Decimal-like: up to nine significant digits at a power of ten in
+    // [1e-15, 1e15], the shape of times, rates and byte counts.
+    const auto mantissa = static_cast<double>(rng() % 1000000000);
+    const auto exponent = static_cast<int>(rng() % 31) - 15;
+    values.push_back((rng() % 2 == 0 ? 1.0 : -1.0) * mantissa *
+                     std::pow(10.0, exponent));
+  }
+
+  std::string expected;
+  for (const double v : values) {
+    for (int digits = 1; digits <= 17; ++digits) {
+      const std::string reference = printf_g(v, digits);
+      ASSERT_EQ(number(v, digits), reference)
+          << "%." << digits << "g of bits "
+          << std::bit_cast<std::uint64_t>(v);
+      expected += reference;
+      expected += ' ';
+    }
+    expected += printf_f6(v * 1e6);
+    expected += '\n';
+  }
+  // The Writer's appenders, block boundaries included, give the same bytes.
+  EXPECT_EQ(through_writer([&](Writer& w) {
+              for (const double v : values) {
+                for (int digits = 1; digits <= 17; ++digits) {
+                  w.number(v, digits).raw(" ");
+                }
+                w.fixed(v * 1e6, 6).raw("\n");
+              }
+            }),
+            expected);
+
+  // Integers: `<<` under the classic locale, at the 64-bit extremes too.
+  for (const std::int64_t i :
+       {std::int64_t{0}, std::int64_t{-1}, std::int64_t{9007199254740993},
+        std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max()}) {
+    std::ostringstream classic;
+    classic << i;
+    EXPECT_EQ(through_writer([&](Writer& w) { w.integer(i); }), classic.str());
+  }
+  EXPECT_EQ(through_writer([](Writer& w) {
+              w.integer(std::numeric_limits<std::uint64_t>::max());
+            }),
+            "18446744073709551615");
+  EXPECT_EQ(through_writer([](Writer& w) {
+              w.integer(std::numeric_limits<std::uint32_t>::max());
+            }),
+            "4294967295");
+
+  // The Chrome trace's counter rule: a whole value that fits a long long
+  // prints as %lld, anything else as %g; timestamps are %.6f microseconds.
+  obs::ChromeTraceSink trace;
+  std::string events =
+      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+      "\"args\":{\"name\":\"wrht\"}}";
+  for (std::size_t i = 0; i < 200 && i < values.size(); ++i) {
+    const double v = values[i];
+    const Seconds t{std::abs(values[values.size() - 1 - i]) * 1e-9};
+    trace.counter(obs::CounterSample{"c", t, v, 0});
+    char value[64];
+    if (v >= -0x1p63 && v < 0x1p63 && v == std::trunc(v)) {
+      std::snprintf(value, sizeof(value), "%lld", static_cast<long long>(v));
+    } else {
+      std::snprintf(value, sizeof(value), "%g", v);
+    }
+    events += ",\n{\"name\":\"c\",\"ph\":\"C\",\"ts\":" +
+              printf_f6(t.count() * 1e6) +
+              ",\"pid\":0,\"tid\":0,\"args\":{\"value\":" + value + "}}";
+  }
+  events += "\n]}\n";
+  std::ostringstream written;
+  trace.write(written);
+  EXPECT_EQ(written.str(), events);
+
+  EXPECT_THROW(through_writer([](Writer& w) { w.number(1.0, 0); }), Error);
+  EXPECT_THROW(through_writer([](Writer& w) { w.fixed(1.0, 18); }), Error);
+}
+
+/// Counts the writes that reach it.
+class CountingBuf final : public std::stringbuf {
+ public:
+  std::vector<std::streamsize> writes;
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    writes.push_back(n);
+    return std::stringbuf::xsputn(s, n);
+  }
+};
+
+TEST(Json, WriterHandsTheStreamWholeBlocks) {
+  CountingBuf buf;
+  std::ostream out(&buf);
+  Writer w(out);
+  std::string expected;
+  const std::string long_piece(3 * Writer::kBlockBytes / 2, 'x');
+  for (int i = 0; i < 20000; ++i) {
+    w.raw("{\"i\": ").integer(i).raw(", \"s\": \"").str("a\"b\n").raw("\"}\n");
+    expected += "{\"i\": " + std::to_string(i) + ", \"s\": \"a\\\"b\\n\"}\n";
+    if (i == 10000) {
+      w.raw(long_piece);
+      expected += long_piece;
+    }
+  }
+  // Nothing is handed over piecemeal: every write but the last is one
+  // block of at most kBlockBytes, and the stream sees no bytes until a
+  // block fills.
+  ASSERT_FALSE(buf.writes.empty());
+  for (const std::streamsize n : buf.writes) {
+    EXPECT_LE(static_cast<std::size_t>(n), Writer::kBlockBytes);
+    EXPECT_GT(static_cast<std::size_t>(n), Writer::kBlockBytes - 64);
+  }
+  const std::size_t before = buf.writes.size();
+  w.flush();
+  EXPECT_EQ(buf.writes.size(), before + 1);
+  EXPECT_EQ(buf.str(), expected);
 }
 
 TEST(Json, U64IsExactAtTheTopOfTheRange) {

@@ -6,6 +6,7 @@
 
 #include "wrht/collectives/btree_allreduce.hpp"
 #include "wrht/collectives/ring_allreduce.hpp"
+#include "wrht/core/analysis.hpp"
 #include "wrht/core/planner.hpp"
 #include "wrht/core/wrht_schedule.hpp"
 #include "wrht/optical/optical_backend.hpp"
@@ -105,6 +106,26 @@ TEST(VerifyDifferential, MultiRoundRunsNeverBeatTheAnalyticalBound) {
   EXPECT_TRUE(report.ok()) << report.result.summary();
   EXPECT_FALSE(report.single_round);
   EXPECT_GE(report.simulated_seconds, report.analytical_seconds);
+}
+
+TEST(VerifyDifferential, EmptyStepIsFree) {
+  // An empty step has no round to price, so it adds nothing to either side
+  // and does not make a one-round-per-step run count as multi-round.
+  coll::Schedule sched("manual", 4, 8);
+  sched.add_step();
+  sched.add_step().transfers.push_back(
+      coll::Transfer{0, 1, 0, 8, coll::TransferKind::kReduce, {}});
+
+  const DifferentialReport report = verify::check_differential(sched);
+  EXPECT_TRUE(report.ok()) << report.result.summary();
+  EXPECT_TRUE(report.single_round);
+  const optics::OpticalConfig cfg;
+  core::TimeModel model;
+  model.per_step_overhead = cfg.mrr_reconfig_delay + cfg.oeo_delay;
+  model.bytes_per_second = cfg.bytes_per_second();
+  EXPECT_EQ(report.analytical_seconds,
+            core::comm_time(1, Bytes{32}, model).count());
+  EXPECT_LE(report.rel_error, 1e-12);
 }
 
 TEST(VerifyDifferential, ReportCarriesBothPrices) {
