@@ -6,18 +6,6 @@ namespace wrht::net {
 
 namespace {
 
-/// murmur3's 64-bit finalizer: a bijection on 64-bit words whose every
-/// output bit depends on every input bit, so a plain sum of mixed keys
-/// is a multiset hash.
-std::uint64_t fmix64(std::uint64_t k) {
-  k ^= k >> 33;
-  k *= 0xff51afd7ed558ccdull;
-  k ^= k >> 33;
-  k *= 0xc4ceb9fe1a85ec53ull;
-  k ^= k >> 33;
-  return k;
-}
-
 /// One step's key as its transfers are read: the sum of their mixed
 /// words, then the mixed largest count, tagged with the top bit.
 class StepKey {

@@ -26,6 +26,19 @@
 
 namespace wrht::net {
 
+/// murmur3's 64-bit finalizer: a bijection on 64-bit words whose every
+/// output bit depends on every input bit, so a plain sum of mixed keys
+/// is a multiset hash. The RWA's arc keys and the torus's ring-share keys
+/// sum it over their words the same way.
+[[nodiscard]] constexpr std::uint64_t fmix64(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdull;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ull;
+  k ^= k >> 33;
+  return k;
+}
+
 /// The word one transfer contributes to a key: src in bits 34 and up, dst
 /// from bit 4, and in the low bits the transfer's direction hint byte
 /// (0 none, 1 clockwise, 2 counter-clockwise) when `include_direction`,

@@ -7,9 +7,11 @@
 #include <exception>
 #include <numeric>
 #include <thread>
+#include <unordered_map>
 
 #include "wrht/common/env.hpp"
 #include "wrht/common/error.hpp"
+#include "wrht/net/pattern_key.hpp"
 #include "wrht/prof/prof.hpp"
 
 namespace wrht::optics {
@@ -33,6 +35,13 @@ constexpr std::uint64_t bit(std::uint32_t lambda) {
   return std::uint64_t{1} << (lambda % 64);
 }
 
+/// Where one transfer is placed: its round and its (fiber, wavelength).
+struct Placement {
+  std::uint32_t round = 0;
+  std::uint32_t fiber = 0;
+  std::uint32_t wavelength = kNoWavelength;
+};
+
 /// Occupancy bookkeeping: for each (direction, fiber), one run of
 /// ceil(w/64) words per fiber segment, where bit lambda of a segment's words
 /// means "wavelength lambda is lit on this segment". A span is read once for
@@ -40,19 +49,23 @@ constexpr std::uint64_t bit(std::uint32_t lambda) {
 /// anywhere on it, so a conflict check costs O(hops) whatever the budget.
 class OccupancyMap {
  public:
-  OccupancyMap(std::uint32_t n, const RwaOptions& opt)
-      : n_(n),
-        words_(opt.wavelengths / 64 + (opt.wavelengths % 64 != 0 ? 1 : 0)),
+  explicit OccupancyMap(const RwaOptions& opt)
+      : words_(opt.wavelengths / 64 + (opt.wavelengths % 64 != 0 ? 1 : 0)),
         fibers_(opt.fibers_per_direction),
         lo_word_(opt.wavelength_lo / 64),
         hi_word_((opt.wavelengths - 1) / 64),
         slice_(words_, 0),
-        lit_on_span_(words_, 0),
-        lit_(std::size_t{2} * fibers_ * n_ * words_, 0) {
+        lit_on_span_(words_, 0) {
     for (std::uint32_t lambda = opt.wavelength_lo; lambda < opt.wavelengths;
          ++lambda) {
       slice_[lambda / 64] |= bit(lambda);
     }
+  }
+
+  /// Sizes the map for a ring of `n` segments, every wavelength dark.
+  void reset(std::uint32_t n) {
+    n_ = n;
+    lit_.assign(std::size_t{2} * fibers_ * n_ * words_, 0);
   }
 
   /// Lowest slice wavelength dark on every segment of `span`, or
@@ -81,16 +94,20 @@ class OccupancyMap {
     return kNoWavelength;
   }
 
-  void place(const Lightpath& path) {
-    const std::uint64_t lambda = bit(path.wavelength);
-    for_each_segment(path, [&](std::uint64_t& segment) { segment |= lambda; });
+  void place(topo::Direction dir, const SegmentSpan& span,
+             const Placement& at) {
+    const std::uint64_t lambda = bit(at.wavelength);
+    for_each_segment(dir, span, at,
+                     [&](std::uint64_t& segment) { segment |= lambda; });
   }
 
-  /// Darkens the words `path` lit. Between rounds every lit word belongs to
-  /// a placement of the round just ended, so clearing those resets the map
-  /// without touching the rest of it.
-  void clear(const Lightpath& path) {
-    for_each_segment(path, [](std::uint64_t& segment) { segment = 0; });
+  /// Darkens the words a placement lit. Between rounds every lit word
+  /// belongs to a placement of the round just ended, so clearing those
+  /// resets the map without touching the rest of it.
+  void clear(topo::Direction dir, const SegmentSpan& span,
+             const Placement& at) {
+    for_each_segment(dir, span, at,
+                     [](std::uint64_t& segment) { segment = 0; });
   }
 
  private:
@@ -112,10 +129,10 @@ class OccupancyMap {
   }
 
   template <typename F>
-  void for_each_segment(const Lightpath& path, F&& f) {
-    std::uint64_t* words =
-        &lit_[row(path.direction, path.fiber) + path.wavelength / 64];
-    for (const Run& run : split({path.first_segment, path.hops})) {
+  void for_each_segment(topo::Direction dir, const SegmentSpan& span,
+                        const Placement& at, F&& f) {
+    std::uint64_t* words = &lit_[row(dir, at.fiber) + at.wavelength / 64];
+    for (const Run& run : split(span)) {
       std::uint64_t* word = words + std::size_t{run.first} * words_;
       for (std::uint32_t h = 0; h < run.count; ++h, word += words_) f(*word);
     }
@@ -157,7 +174,7 @@ class OccupancyMap {
     return true;
   }
 
-  std::uint32_t n_;
+  std::uint32_t n_ = 0;
   std::uint32_t words_;
   std::uint32_t fibers_;
   std::uint32_t lo_word_;
@@ -167,66 +184,381 @@ class OccupancyMap {
   std::vector<std::uint64_t> lit_;          ///< row(dir, fiber) + seg * words_
 };
 
-/// Longest lightpaths first: first-fit packs nested WRHT group paths and
-/// all-to-all exchanges tightly when the most constrained path goes first.
-std::vector<std::size_t> order_by_hops(
-    const topo::Ring& ring, std::span<const coll::Transfer> transfers) {
-  std::vector<std::uint32_t> distance(transfers.size());
-  for (std::size_t i = 0; i < transfers.size(); ++i) {
-    distance[i] = ring.distance(transfers[i].src, transfers[i].dst);
+/// Longest lightpaths first (by ring.distance, ties in input order):
+/// first-fit packs nested WRHT group paths and all-to-all exchanges
+/// tightly when the most constrained path goes first. A counting sort: its
+/// buckets cost at most N/2, less than the boundary pass over N.
+std::vector<std::uint32_t> order_by_hops(
+    std::span<const std::uint32_t> distance) {
+  const auto count = static_cast<std::uint32_t>(distance.size());
+  std::vector<std::uint32_t> order(count);
+  const std::uint32_t longest =
+      count == 0 ? 0 : *std::max_element(distance.begin(), distance.end());
+  // next[d]: where the next transfer at distance d goes, longest first.
+  std::vector<std::uint32_t> next(std::size_t{longest} + 1, 0);
+  for (const std::uint32_t d : distance) ++next[d];
+  std::uint32_t at = 0;
+  for (std::uint32_t d = longest + 1; d-- > 0;) {
+    const std::uint32_t here = next[d];
+    next[d] = at;
+    at += here;
   }
-  std::vector<std::size_t> order(transfers.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return distance[a] > distance[b];
-                   });
+  for (std::uint32_t i = 0; i < count; ++i) order[next[distance[i]]++] = i;
   return order;
 }
 
-topo::Direction pick_direction(const topo::Ring& ring,
-                               const coll::Transfer& t) {
-  return t.direction ? *t.direction : ring.shortest_direction(t.src, t.dst);
+/// A step as both policies read it, each array parallel to the input:
+/// every transfer's direction (its hint, else the shortest) and segment
+/// span, and the hop order it is placed in. A transfer from a node to
+/// itself keeps an empty span and sorts last; it is rejected where the
+/// walk reaches it.
+struct StepSpans {
+  std::vector<std::uint32_t> order;
+  std::vector<SegmentSpan> span;
+  std::vector<topo::Direction> dir;
+  std::uint32_t loops = 0;  ///< transfers from a node to itself
+};
+
+StepSpans read_step(const topo::Ring& ring,
+                    std::span<const coll::Transfer> transfers) {
+  require(transfers.size() < UINT32_MAX,
+          "RWA: a step holds fewer than 2^32 - 1 transfers");
+  const auto count = static_cast<std::uint32_t>(transfers.size());
+  StepSpans step;
+  {
+    // Every distance before any span, so a node id out of range is
+    // reported before a transfer from a node to itself.
+    std::vector<std::uint32_t> distance(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      distance[i] = ring.distance(transfers[i].src, transfers[i].dst);
+      if (distance[i] == 0) ++step.loops;
+    }
+    step.order = order_by_hops(distance);
+  }
+  step.span.resize(count);
+  step.dir.resize(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const coll::Transfer& t = transfers[i];
+    if (t.src == t.dst) continue;
+    step.dir[i] =
+        t.direction ? *t.direction : ring.shortest_direction(t.src, t.dst);
+    step.span[i] = segment_span(ring, t.src, t.dst, step.dir[i]);
+  }
+  return step;
 }
 
-/// Tries to place one transfer; returns true and fills `out` on success.
-/// First-fit takes the lowest slice wavelength dark on the whole span;
-/// random-fit shuffles a wavelength permutation through `rng` exactly as
-/// the paper's Random-Fit does (one Fisher-Yates pass per transfer, drawn
-/// before any probe) and takes the first dark one in that order.
-bool try_assign(const topo::Ring& ring, const coll::Transfer& t,
-                const RwaOptions& opt, OccupancyMap& occupancy, Rng* rng,
-                Lightpath& out) {
-  const topo::Direction dir = pick_direction(ring, t);
-  const SegmentSpan span = segment_span(ring, t.src, t.dst, dir);
+/// Throws what segment_span() throws for a transfer from a node to itself.
+void reject_loop(const topo::Ring& ring, const coll::Transfer& t) {
+  (void)segment_span(ring, t.src, t.dst, topo::Direction::kClockwise);
+}
 
-  std::vector<std::uint32_t> lambda_order;
-  if (opt.policy == RwaPolicy::kRandomFit) {
+/// The first fiber, in index order, on which `pick` finds a wavelength.
+template <typename Pick>
+Placement first_fiber(const RwaOptions& options, Pick&& pick) {
+  for (std::uint32_t fiber = 0; fiber < options.fibers_per_direction;
+       ++fiber) {
+    const std::uint32_t lambda = pick(fiber);
+    if (lambda != kNoWavelength) return Placement{0, fiber, lambda};
+  }
+  return Placement{};
+}
+
+/// The greedy round loop of one RWA problem. Walks `remaining` (positions
+/// into `span`, `dir` and `out`, in hop order), places each transfer `fit`
+/// finds a channel for, and defers the rest, in order, to the next round
+/// on a cleared map. With `one_round` it returns false at the first
+/// transfer that does not fit.
+template <typename Fit>
+bool place_rounds(std::vector<std::uint32_t> remaining, bool one_round,
+                  const RwaOptions& options, OccupancyMap& map,
+                  std::span<const SegmentSpan> span,
+                  std::span<const topo::Direction> dir, Fit&& fit,
+                  std::span<Placement> out) {
+  std::vector<std::uint32_t> deferred;
+  std::vector<std::uint32_t> placed;
+  for (std::uint32_t round = 0; !remaining.empty(); ++round) {
+    for (const std::uint32_t p : remaining) {
+      const Placement at = fit(p);
+      if (at.wavelength == kNoWavelength) {
+        if (one_round) return false;
+        deferred.push_back(p);
+        continue;
+      }
+      out[p] = Placement{round, at.fiber, at.wavelength};
+      map.place(dir[p], span[p], out[p]);
+      placed.push_back(p);
+    }
+    if (placed.empty()) {
+      throw InfeasibleSchedule(
+          "RWA: a transfer cannot be routed even in an empty round "
+          "(wavelength budget " +
+          std::to_string(options.wavelengths - options.wavelength_lo) + ")");
+    }
+    if (!deferred.empty()) {
+      for (const std::uint32_t p : placed) map.clear(dir[p], span[p], out[p]);
+    }
+    placed.clear();
+    remaining.swap(deferred);
+    deferred.clear();
+  }
+  return true;
+}
+
+/// Random-fit: one walk over the whole ring in hop order. Each visit
+/// shuffles a wavelength permutation through `rng` exactly as the paper's
+/// Random-Fit does (one Fisher-Yates pass per transfer, drawn before any
+/// probe, retries included) and takes the first dark one in that order.
+bool random_fit(const topo::Ring& ring,
+                std::span<const coll::Transfer> transfers,
+                const StepSpans& step, const RwaOptions& options, Rng* rng,
+                bool one_round, std::span<Placement> placed) {
+  OccupancyMap map(options);
+  map.reset(ring.size());
+  // The permutation covers the leased slice only, and the Fisher-Yates
+  // draw sequence depends on the slice WIDTH alone — a leased random-fit
+  // run consumes the Rng exactly like a full run on a narrower fiber, so
+  // the slice-equivalence invariant holds for random-fit too.
+  const std::uint32_t slice = options.wavelengths - options.wavelength_lo;
+  std::vector<std::uint32_t> lambda_order(slice);
+  const auto fit = [&](std::uint32_t i) {
+    if (step.span[i].hops == 0) reject_loop(ring, transfers[i]);
     require(rng != nullptr, "RWA: random-fit needs an Rng");
-    // The permutation covers the leased slice only, and the Fisher-Yates
-    // draw sequence depends on the slice WIDTH alone — a leased random-fit
-    // run consumes the Rng exactly like a full run on a narrower fiber, so
-    // the slice-equivalence invariant holds for random-fit too.
-    const std::uint32_t slice = opt.wavelengths - opt.wavelength_lo;
-    lambda_order.resize(slice);
-    std::iota(lambda_order.begin(), lambda_order.end(), opt.wavelength_lo);
-    for (std::uint32_t i = slice; i > 1; --i) {
-      const auto j = static_cast<std::uint32_t>(rng->uniform_int(0, i - 1));
-      std::swap(lambda_order[i - 1], lambda_order[j]);
+    std::iota(lambda_order.begin(), lambda_order.end(), options.wavelength_lo);
+    for (std::uint32_t k = slice; k > 1; --k) {
+      const auto j = static_cast<std::uint32_t>(rng->uniform_int(0, k - 1));
+      std::swap(lambda_order[k - 1], lambda_order[j]);
+    }
+    return first_fiber(options, [&](std::uint32_t fiber) {
+      return map.first_in(step.dir[i], fiber, step.span[i], lambda_order);
+    });
+  };
+  return place_rounds(step.order, one_round, options, map, step.span,
+                      step.dir, fit, placed);
+}
+
+/// First-fit, solved arc by arc (DESIGN.md "Arc-by-arc first-fit"). The
+/// ring is cut at every boundary no span crosses, whatever its direction
+/// or fiber. Spans on different arcs share no segment, so first-fit's
+/// choice for a transfer depends only on the transfers before it on its
+/// own arc, in the same relative order. Each distinct arc is solved once,
+/// on the segments between its distinct endpoints, and its placements are
+/// copied to every translated copy. With `one_round` it returns false when
+/// some transfer needs a second round.
+bool first_fit(std::uint32_t n, const StepSpans& step,
+               const RwaOptions& options, bool one_round,
+               std::span<Placement> placed) {
+  const std::span<const std::uint32_t> order(step.order.data(),
+                                             step.order.size() - step.loops);
+  if (order.empty()) return true;
+  const std::vector<SegmentSpan>& spans = step.span;
+
+  // at[b] first counts the spans crossing boundary b (between segments
+  // b - 1 and b), through a difference array.
+  std::vector<std::uint32_t> at(std::size_t{n} + 1, 0);
+  for (const std::uint32_t i : order) {
+    const SegmentSpan span = spans[i];
+    if (span.hops < 2) continue;
+    const std::uint32_t from = (span.first + 1) % n;
+    const std::uint64_t to = std::uint64_t{from} + span.hops - 1;
+    ++at[from];
+    if (to <= n) {
+      --at[to];
+    } else {
+      --at[n];
+      ++at[0];
+      --at[to - n];
     }
   }
-  for (std::uint32_t fiber = 0; fiber < opt.fibers_per_direction; ++fiber) {
-    const std::uint32_t lambda =
-        opt.policy == RwaPolicy::kFirstFit
-            ? occupancy.first_fit(dir, fiber, span)
-            : occupancy.first_in(dir, fiber, span, lambda_order);
-    if (lambda != kNoWavelength) {
-      out = Lightpath{t.src, t.dst, dir, fiber, lambda, span.first, span.hops};
-      occupancy.place(out);
-      return true;
+  std::uint32_t crossing = 0;
+  for (std::uint32_t b = 0; b < n; ++b) {
+    crossing += at[b];
+    at[b] = crossing;
+  }
+  // An arc starts at every uncrossed boundary a span starts at; then at[s]
+  // becomes the arc segment s lies on. Segments before the first start lie
+  // on the last arc, which wraps. With no start every boundary is crossed,
+  // and the whole ring is one arc starting at segment 0.
+  constexpr std::uint32_t kStart = UINT32_MAX;
+  std::uint32_t arcs = 0;
+  for (const std::uint32_t i : order) {
+    std::uint32_t& boundary = at[spans[i].first];
+    if (boundary == 0) {
+      boundary = kStart;
+      ++arcs;
     }
   }
-  return false;
+  std::vector<std::uint32_t> arc_start;
+  if (arcs == 0) {
+    arcs = 1;
+    arc_start.push_back(0);
+    std::fill(at.begin(), at.end(), 0);
+  } else {
+    arc_start.resize(arcs);
+    std::uint32_t arc = arcs - 1;
+    std::uint32_t next = 0;
+    for (std::uint32_t s = 0; s < n; ++s) {
+      if (at[s] == kStart) {
+        arc = next++;
+        arc_start[arc] = s;
+      }
+      at[s] = arc;
+    }
+  }
+
+  // Each arc's transfers, in hop order: members[arc_begin[a], arc_begin[a+1]).
+  std::vector<std::uint32_t> arc_begin(std::size_t{arcs} + 1, 0);
+  for (const std::uint32_t i : order) ++arc_begin[at[spans[i].first] + 1];
+  std::partial_sum(arc_begin.begin(), arc_begin.end(), arc_begin.begin());
+  std::vector<std::uint32_t> members(order.size());
+  {
+    std::vector<std::uint32_t> fill(arc_begin.begin(), arc_begin.end() - 1);
+    for (const std::uint32_t i : order) {
+      members[fill[at[spans[i].first]]++] = i;
+    }
+  }
+  at = {};
+  const auto arc_members = [&](std::uint32_t a) {
+    return std::span<const std::uint32_t>(members.data() + arc_begin[a],
+                                          arc_begin[a + 1] - arc_begin[a]);
+  };
+  const auto offset = [&](std::uint32_t i, std::uint32_t a) {
+    const std::uint32_t first = spans[i].first;
+    return first >= arc_start[a] ? first - arc_start[a]
+                                 : first + (n - arc_start[a]);
+  };
+
+  // An arc's key: its transfers in hop order, each as (offset from the
+  // arc's start, hops, direction). The hash only picks candidates: it is
+  // the pattern keys' order-blind sum, so arcs that differ only in hop
+  // order share it, and a match is confirmed element by element.
+  const auto same_key = [&](std::uint32_t a, std::uint32_t b) {
+    const auto x = arc_members(a);
+    const auto y = arc_members(b);
+    if (x.size() != y.size()) return false;
+    for (std::size_t p = 0; p < x.size(); ++p) {
+      if (offset(x[p], a) != offset(y[p], b) ||
+          spans[x[p]].hops != spans[y[p]].hops ||
+          step.dir[x[p]] != step.dir[y[p]]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::vector<std::uint32_t> solution_of(arcs);
+  std::vector<std::uint32_t> distinct;  // one arc per distinct key
+  // Distinct key d's placements: solution[solution_begin[d], ...[d + 1]).
+  std::vector<std::uint32_t> solution_begin{0};
+  std::unordered_multimap<std::uint64_t, std::uint32_t> by_hash;
+  for (std::uint32_t a = 0; a < arcs; ++a) {
+    std::uint64_t hash = 0;
+    for (const std::uint32_t i : arc_members(a)) {
+      const std::uint64_t ccw = step.dir[i] == topo::Direction::kClockwise
+                                    ? 0
+                                    : std::uint64_t{1} << 63;
+      hash += net::fmix64(ccw ^
+                          (std::uint64_t{offset(i, a)} << 32 | spans[i].hops));
+    }
+    const auto [lo, hi] = by_hash.equal_range(hash);
+    const auto match = std::find_if(lo, hi, [&](const auto& candidate) {
+      return same_key(distinct[candidate.second], a);
+    });
+    if (match != hi) {
+      solution_of[a] = match->second;
+      continue;
+    }
+    solution_of[a] = static_cast<std::uint32_t>(distinct.size());
+    by_hash.emplace(hash, solution_of[a]);
+    distinct.push_back(a);
+    solution_begin.push_back(solution_begin.back() + arc_begin[a + 1] -
+                             arc_begin[a]);
+  }
+
+  // Solve each distinct arc on its elementary segments, the runs between
+  // consecutive distinct endpoints: compressing them keeps every overlap.
+  std::vector<Placement> solution(solution_begin.back());
+  OccupancyMap map(options);
+  std::vector<std::uint32_t> points;
+  std::vector<SegmentSpan> local_span;
+  std::vector<topo::Direction> local_dir;
+  const auto fit = [&](std::uint32_t p) {
+    return first_fiber(options, [&](std::uint32_t fiber) {
+      return map.first_fit(local_dir[p], fiber, local_span[p]);
+    });
+  };
+  for (std::size_t d = 0; d < distinct.size(); ++d) {
+    const std::uint32_t a = distinct[d];
+    const auto arc = arc_members(a);
+    const auto end_of = [&](std::uint32_t i) {
+      return static_cast<std::uint32_t>(
+          (std::uint64_t{offset(i, a)} + spans[i].hops) % n);
+    };
+    points.clear();
+    for (const std::uint32_t i : arc) {
+      points.push_back(offset(i, a));
+      points.push_back(end_of(i));
+    }
+    std::sort(points.begin(), points.end());
+    points.erase(std::unique(points.begin(), points.end()), points.end());
+    const auto segments = static_cast<std::uint32_t>(points.size());
+    const auto index = [&](std::uint32_t point) {
+      return static_cast<std::uint32_t>(
+          std::lower_bound(points.begin(), points.end(), point) -
+          points.begin());
+    };
+    local_span.resize(arc.size());
+    local_dir.resize(arc.size());
+    for (std::size_t p = 0; p < arc.size(); ++p) {
+      const std::uint32_t first = index(offset(arc[p], a));
+      const std::uint32_t last = index(end_of(arc[p]));
+      local_span[p] = {first, (last + segments - first) % segments};
+      local_dir[p] = step.dir[arc[p]];
+    }
+    map.reset(segments);
+    std::vector<std::uint32_t> walk(arc.size());
+    std::iota(walk.begin(), walk.end(), 0u);
+    if (!place_rounds(std::move(walk), one_round, options, map, local_span,
+                      local_dir, fit,
+                      std::span<Placement>(solution).subspan(
+                          solution_begin[d], arc.size()))) {
+      return false;
+    }
+  }
+
+  for (std::uint32_t a = 0; a < arcs; ++a) {
+    const Placement* from = solution.data() + solution_begin[solution_of[a]];
+    for (const std::uint32_t i : arc_members(a)) placed[i] = *from++;
+  }
+  return true;
+}
+
+/// Places every transfer of `step` under `options.policy`. With
+/// `one_round` it returns false, as soon as it knows, when some transfer
+/// does not fit in the first round.
+bool place_step(const topo::Ring& ring,
+                std::span<const coll::Transfer> transfers,
+                const StepSpans& step, const RwaOptions& options, Rng* rng,
+                bool one_round, std::span<Placement> placed) {
+  if (options.policy == RwaPolicy::kRandomFit) {
+    return random_fit(ring, transfers, step, options, rng, one_round,
+                      placed);
+  }
+  if (!first_fit(ring.size(), step, options, one_round, placed)) {
+    return false;
+  }
+  // A transfer from a node to itself sorts last: the walk reaches it once
+  // every other transfer has been tried in the first round.
+  if (step.loops > 0) {
+    reject_loop(ring, transfers[step.order[step.order.size() - step.loops]]);
+  }
+  return true;
+}
+
+Lightpath lightpath(const coll::Transfer& t, const StepSpans& step,
+                    std::uint32_t i, const Placement& at) {
+  return Lightpath{t.src,         t.dst,
+                   step.dir[i],   at.fiber,
+                   at.wavelength, step.span[i].first,
+                   step.span[i].hops};
 }
 
 }  // namespace
@@ -236,18 +568,19 @@ RwaResult assign_wavelengths(const topo::Ring& ring,
                              const RwaOptions& options, Rng* rng) {
   const prof::ScopedTimer timer("optical.rwa.assign");
   require_valid(options);
+  const StepSpans step = read_step(ring, transfers);
   RwaResult result;
-  result.paths.resize(transfers.size());
-  OccupancyMap occupancy(ring.size(), options);
-
-  for (const std::size_t idx : order_by_hops(ring, transfers)) {
-    Lightpath path;
-    if (!try_assign(ring, transfers[idx], options, occupancy, rng, path)) {
-      return RwaResult{};  // ok = false
+  {
+    std::vector<Placement> placed(transfers.size());
+    if (!place_step(ring, transfers, step, options, rng, true, placed)) {
+      return result;  // ok = false
     }
-    result.paths[idx] = path;
-    result.wavelengths_used =
-        std::max(result.wavelengths_used, path.wavelength + 1);
+    result.paths.resize(transfers.size());
+    for (std::uint32_t i = 0; i < placed.size(); ++i) {
+      result.paths[i] = lightpath(transfers[i], step, i, placed[i]);
+      result.wavelengths_used =
+          std::max(result.wavelengths_used, placed[i].wavelength + 1);
+    }
   }
   result.ok = true;
   return result;
@@ -257,39 +590,29 @@ RoundsResult assign_rounds(const topo::Ring& ring,
                            std::span<const coll::Transfer> transfers,
                            const RwaOptions& options, Rng* rng) {
   require_valid(options);
+  const StepSpans step = read_step(ring, transfers);
+  std::vector<Placement> placed(transfers.size());
+  (void)place_step(ring, transfers, step, options, rng, false, placed);
+
+  // Round r lists its transfers in hop order.
+  std::vector<std::uint32_t> sizes;
+  for (const Placement& at : placed) {
+    if (at.round >= sizes.size()) sizes.resize(std::size_t{at.round} + 1, 0);
+    ++sizes[at.round];
+  }
   RoundsResult result;
-  std::vector<std::size_t> remaining = order_by_hops(ring, transfers);
-  OccupancyMap occupancy(ring.size(), options);
-
-  while (!remaining.empty()) {
-    std::vector<std::size_t> round;
-    std::vector<Lightpath> paths;
-    std::vector<std::size_t> deferred;
-
-    for (const std::size_t idx : remaining) {
-      Lightpath path;
-      if (try_assign(ring, transfers[idx], options, occupancy, rng, path)) {
-        round.push_back(idx);
-        paths.push_back(path);
-        result.wavelengths_used =
-            std::max(result.wavelengths_used, path.wavelength + 1);
-      } else {
-        deferred.push_back(idx);
-      }
-    }
-
-    if (round.empty()) {
-      throw InfeasibleSchedule(
-          "RWA: a transfer cannot be routed even in an empty round "
-          "(wavelength budget " +
-          std::to_string(options.wavelengths - options.wavelength_lo) + ")");
-    }
-    if (!deferred.empty()) {
-      for (const Lightpath& path : paths) occupancy.clear(path);
-    }
-    result.rounds.push_back(std::move(round));
-    result.paths.push_back(std::move(paths));
-    remaining = std::move(deferred);
+  result.rounds.resize(sizes.size());
+  result.paths.resize(sizes.size());
+  for (std::size_t r = 0; r < sizes.size(); ++r) {
+    result.rounds[r].reserve(sizes[r]);
+    result.paths[r].reserve(sizes[r]);
+  }
+  for (const std::uint32_t i : step.order) {
+    const Placement& at = placed[i];
+    result.rounds[at.round].push_back(i);
+    result.paths[at.round].push_back(lightpath(transfers[i], step, i, at));
+    result.wavelengths_used =
+        std::max(result.wavelengths_used, at.wavelength + 1);
   }
   return result;
 }

@@ -9,8 +9,16 @@
 //
 // Occupancy is one run of ceil(w/64) words per fiber segment for each
 // (direction, fiber), bit lambda meaning "lit", so a transfer reads its span
-// once for every wavelength instead of probing wavelengths one at a time:
-// host time grows with the hops placed, not with wavelengths x hops.
+// once for every wavelength instead of probing wavelengths one at a time.
+//
+// First-fit cuts the ring at every boundary no span crosses. Spans on
+// different arcs share no segment, so each distinct arc (its transfers in
+// hop order as offset, hops and direction) is solved once, on the
+// segments between its distinct endpoints, and copied to every translated
+// copy: a WRHT level's groups cost one group's RWA plus a linear pass,
+// bit for bit the walk over the whole ring. Random-fit walks the whole
+// ring in hop order, drawing from its Rng per visit. See DESIGN.md
+// "Arc-by-arc first-fit".
 //
 // Steps are independent RWA problems (occupancy never carries across
 // steps), so assign_rounds_batch() solves many steps in parallel. The

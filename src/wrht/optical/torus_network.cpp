@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
+#include <numeric>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "wrht/common/error.hpp"
+#include "wrht/net/pattern_key.hpp"
 #include "wrht/optical/rwa.hpp"
 
 namespace wrht::optics {
@@ -37,11 +39,162 @@ OpticalRunResult TorusNetwork::execute(const coll::Schedule& schedule,
   return execute_scanned(schedule, probe, rng);
 }
 
+TorusNetwork::Shares TorusNetwork::partition(const coll::Step& step) const {
+  const std::uint32_t cols = torus_.cols();
+  Shares shares;
+  shares.begin.assign(std::size_t{cols} + torus_.rows() + 1, 0);
+  std::vector<std::uint32_t> slot_of(step.transfers.size());
+  for (std::size_t t_index = 0; t_index < step.transfers.size(); ++t_index) {
+    const coll::Transfer& t = step.transfers[t_index];
+    if (torus_.row_of(t.src) == torus_.row_of(t.dst)) {
+      slot_of[t_index] = cols + torus_.row_of(t.src);
+    } else if (torus_.col_of(t.src) == torus_.col_of(t.dst)) {
+      slot_of[t_index] = torus_.col_of(t.src);
+    } else {
+      throw InfeasibleSchedule(
+          "TorusNetwork: transfer " + std::to_string(t.src) + "->" +
+          std::to_string(t.dst) + " crosses both torus dimensions");
+    }
+    ++shares.begin[slot_of[t_index] + 1];
+  }
+  std::partial_sum(shares.begin.begin(), shares.begin.end(),
+                   shares.begin.begin());
+
+  // Remap node ids to ring-local positions, each slot's transfers in step
+  // order. Hints are flat-ring specific, so they are dropped.
+  shares.transfers.resize(step.transfers.size());
+  shares.source.resize(step.transfers.size());
+  std::vector<std::uint32_t> fill(shares.begin.begin(),
+                                  shares.begin.end() - 1);
+  for (std::size_t t_index = 0; t_index < step.transfers.size(); ++t_index) {
+    const coll::Transfer& t = step.transfers[t_index];
+    const std::uint32_t slot = slot_of[t_index];
+    coll::Transfer local = t;
+    local.direction = std::nullopt;
+    if (slot >= cols) {
+      local.src = torus_.col_of(t.src);
+      local.dst = torus_.col_of(t.dst);
+    } else {
+      local.src = torus_.row_of(t.src);
+      local.dst = torus_.row_of(t.dst);
+    }
+    const std::uint32_t at = fill[slot]++;
+    shares.transfers[at] = local;
+    shares.source[at] = static_cast<std::uint32_t>(t_index);
+  }
+  for (std::uint32_t slot = 0; slot + 1 < shares.begin.size(); ++slot) {
+    if (shares.begin[slot + 1] > shares.begin[slot]) {
+      shares.used.push_back(slot);
+    }
+  }
+  return shares;
+}
+
+std::string TorusNetwork::ring_name(std::uint32_t slot,
+                                    const char* separator) const {
+  const bool row = slot >= torus_.cols();
+  return (row ? "row" : "col") + std::string(separator) +
+         std::to_string(row ? slot - torus_.cols() : slot);
+}
+
+std::vector<RoundsResult> TorusNetwork::solve(const coll::Step& step,
+                                              const Shares& shares,
+                                              std::vector<std::uint32_t>& of,
+                                              Rng* rng) const {
+  const RwaOptions options = config_.rwa_options();
+  const auto problem = [&](std::uint32_t slot) {
+    return RwaStep{slot >= torus_.cols() ? &row_ring_ : &col_ring_,
+                   shares.share(slot)};
+  };
+  // With multi-round splitting off, a ring either fits its share in one
+  // round or rejects the step, as RingNetwork does.
+  const auto assign = [&](std::uint32_t slot, Rng* with) {
+    const RwaStep p = problem(slot);
+    if (config_.allow_multi_round_steps) {
+      return assign_rounds(*p.ring, p.transfers, options, with);
+    }
+    RwaResult rwa = assign_wavelengths(*p.ring, p.transfers, options, with);
+    if (!rwa.ok) {
+      throw InfeasibleSchedule(
+          "TorusNetwork: step '" + step.label + "' on " +
+          ring_name(slot, " ") + " needs more than " +
+          std::to_string(config_.lease.width(config_.wavelengths)) +
+          " wavelengths (lease " + config_.lease.to_string() +
+          ") and multi-round splitting is disabled");
+    }
+    RoundsResult rounds;
+    rounds.wavelengths_used = rwa.wavelengths_used;
+    rounds.rounds.emplace_back(p.transfers.size());
+    std::iota(rounds.rounds[0].begin(), rounds.rounds[0].end(),
+              std::size_t{0});
+    rounds.paths.push_back(std::move(rwa.paths));
+    return rounds;
+  };
+
+  of.resize(shares.used.size());
+  std::vector<RoundsResult> solved;
+  if (config_.rwa_policy != RwaPolicy::kFirstFit) {
+    // Random-fit draws from one Rng, ring by ring in slot order.
+    for (std::size_t u = 0; u < shares.used.size(); ++u) {
+      of[u] = static_cast<std::uint32_t>(u);
+      solved.push_back(assign(shares.used[u], rng));
+    }
+    return solved;
+  }
+
+  // First-fit is a pure function of (ring, local transfer list), so each
+  // distinct share is solved once. The hash only picks candidates: it is
+  // the pattern keys' order-blind sum over the (src, dst) words, without
+  // the ring, so a match is confirmed ring size first, then element by
+  // element.
+  std::vector<std::uint32_t> distinct;  // a slot per distinct share
+  std::unordered_multimap<std::uint64_t, std::uint32_t> by_hash;
+  for (std::size_t u = 0; u < shares.used.size(); ++u) {
+    const std::uint32_t slot = shares.used[u];
+    const RwaStep p = problem(slot);
+    std::uint64_t hash = 0;
+    for (const coll::Transfer& t : p.transfers) {
+      hash += net::fmix64(std::uint64_t{t.src} << 32 | t.dst);
+    }
+    const auto same = [&](std::uint32_t d) {
+      const RwaStep q = problem(distinct[d]);
+      return q.ring->size() == p.ring->size() &&
+             std::equal(q.transfers.begin(), q.transfers.end(),
+                        p.transfers.begin(), p.transfers.end(),
+                        [](const coll::Transfer& a, const coll::Transfer& b) {
+                          return a.src == b.src && a.dst == b.dst;
+                        });
+    };
+    const auto [lo, hi] = by_hash.equal_range(hash);
+    const auto match = std::find_if(
+        lo, hi, [&](const auto& entry) { return same(entry.second); });
+    if (match != hi) {
+      of[u] = match->second;
+      continue;
+    }
+    of[u] = static_cast<std::uint32_t>(distinct.size());
+    by_hash.emplace(hash, of[u]);
+    distinct.push_back(slot);
+  }
+  if (config_.allow_multi_round_steps) {
+    // Distinct shares are independent problems: batch-solve them (in
+    // parallel when rwa_threads resolves past 1), results in slot order.
+    std::vector<RwaStep> problems;
+    problems.reserve(distinct.size());
+    for (const std::uint32_t slot : distinct) {
+      problems.push_back(problem(slot));
+    }
+    return assign_rounds_batch(problems, options, config_.rwa_threads);
+  }
+  for (const std::uint32_t slot : distinct) {
+    solved.push_back(assign(slot, nullptr));
+  }
+  return solved;
+}
+
 OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
                                                const obs::Probe& probe,
                                                Rng* rng) const {
-  const RwaOptions options = config_.rwa_options();
-
   OpticalRunResult result;
   result.steps = schedule.num_steps();
   result.step_costs.reserve(schedule.num_steps());
@@ -59,55 +212,17 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
   // into `routing`.
   net::PricedStep priced;
   std::deque<net::RoundRouting> routing;
+  std::vector<std::uint32_t> result_of;
   for (const auto& step : schedule.steps()) {
-    // Partition the step's transfers onto their row/column rings,
-    // remapping node ids to ring-local positions.
-    // Key: (true, row index) for rows, (false, column index) for columns.
-    std::map<std::pair<bool, std::uint32_t>, RingShare> shares;
-    for (std::size_t t_index = 0; t_index < step.transfers.size();
-         ++t_index) {
-      const coll::Transfer& t = step.transfers[t_index];
-      coll::Transfer local = t;
-      local.direction = std::nullopt;  // hints are flat-ring specific
-      if (torus_.row_of(t.src) == torus_.row_of(t.dst)) {
-        local.src = torus_.col_of(t.src);
-        local.dst = torus_.col_of(t.dst);
-        RingShare& share = shares[{true, torus_.row_of(t.src)}];
-        share.transfers.push_back(local);
-        share.source.push_back(t_index);
-      } else if (torus_.col_of(t.src) == torus_.col_of(t.dst)) {
-        local.src = torus_.row_of(t.src);
-        local.dst = torus_.row_of(t.dst);
-        RingShare& share = shares[{false, torus_.col_of(t.src)}];
-        share.transfers.push_back(local);
-        share.source.push_back(t_index);
-      } else {
-        throw InfeasibleSchedule(
-            "TorusNetwork: transfer " + std::to_string(t.src) + "->" +
-            std::to_string(t.dst) + " crosses both torus dimensions");
-      }
-    }
-
-    // Per-ring RWA. The rings of a step are independent problems, so the
-    // first-fit path batch-solves them (parallel when rwa_threads resolves
-    // past 1) and the fold below consumes the results in the shares map's
-    // deterministic key order; random-fit keeps the sequential Rng walk.
-    std::vector<RoundsResult> ring_rounds;
-    if (config_.rwa_policy == RwaPolicy::kFirstFit) {
-      std::vector<RwaStep> problems;
-      problems.reserve(shares.size());
-      for (const auto& [key, share] : shares) {
-        problems.push_back(RwaStep{key.first ? &row_ring_ : &col_ring_,
-                                   share.transfers});
-      }
-      ring_rounds =
-          assign_rounds_batch(problems, options, config_.rwa_threads);
-    } else {
-      ring_rounds.reserve(shares.size());
-      for (const auto& [key, share] : shares) {
-        const topo::Ring& ring = key.first ? row_ring_ : col_ring_;
-        ring_rounds.push_back(
-            assign_rounds(ring, share.transfers, options, rng));
+    const Shares shares = partition(step);
+    const std::vector<RoundsResult> ring_rounds =
+        solve(step, shares, result_of, rng);
+    for (const RoundsResult& rounds : ring_rounds) {
+      for (const auto& round : rounds.paths) {
+        for (const Lightpath& p : round) {
+          result.longest_lightpath_hops =
+              std::max(result.longest_lightpath_hops, p.hops);
+        }
       }
     }
 
@@ -119,13 +234,15 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
     Seconds slowest_serial(0.0);  // with nothing hidden, for overlap_hidden
     priced.lanes.clear();
     routing.clear();
-    std::size_t share_index = 0;
-    for (const auto& [key, share] : shares) {
-      const RoundsResult& rounds = ring_rounds[share_index++];
+    for (std::size_t u = 0; u < shares.used.size(); ++u) {
+      const std::uint32_t slot = shares.used[u];
+      const RoundsResult& rounds = ring_rounds[result_of[u]];
+      const std::span<const coll::Transfer> share = shares.share(slot);
+      const std::uint32_t* source = shares.source.data() + shares.begin[slot];
       net::PricedLane* lane = nullptr;
       if (recorder.active()) {
         lane = &priced.lanes.emplace_back();
-        lane->name = (key.first ? "row" : "col") + std::to_string(key.second);
+        lane->name = ring_name(slot, "");
       }
       // One clock per ring per step. The torus control plane retunes every
       // round, so kOnRetune prices like kEveryRound. Steps are barriers:
@@ -138,8 +255,7 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
       for (std::size_t r = 0; r < rounds.rounds.size(); ++r) {
         std::size_t max_elements = 0;
         for (const std::size_t idx : rounds.rounds[r]) {
-          max_elements =
-              std::max(max_elements, share.transfers[idx].count);
+          max_elements = std::max(max_elements, share[idx].count);
         }
         const Seconds serialization =
             config_.serialization_time(max_elements);
@@ -150,9 +266,8 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
           for (std::size_t j = 0; j < rounds.paths[r].size(); ++j) {
             const std::size_t local = rounds.rounds[r][j];
             routed.transfers.push_back(net::RoundTransfer{
-                static_cast<std::uint32_t>(share.source[local]),
-                channel_of(rounds.paths[r][j]),
-                config_.serialization_time(share.transfers[local].count)});
+                source[local], channel_of(rounds.paths[r][j]),
+                config_.serialization_time(share[local].count)});
           }
           routed.aggregate_channels();
           obs::RoundTrace trace;
@@ -167,12 +282,6 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
         ring_time += round.duration;
         cost.max_transfer_elements =
             std::max(cost.max_transfer_elements, max_elements);
-      }
-      for (const auto& round : rounds.paths) {
-        for (const Lightpath& p : round) {
-          result.longest_lightpath_hops =
-              std::max(result.longest_lightpath_hops, p.hops);
-        }
       }
       cost.wavelengths_used =
           std::max(cost.wavelengths_used, rounds.wavelengths_used);
@@ -212,7 +321,7 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
       span.duration = cost.duration;
       span.args = {{"rounds", std::to_string(cost.rounds)},
                    {"wavelengths", std::to_string(cost.wavelengths_used)},
-                   {"rings", std::to_string(shares.size())}};
+                   {"rings", std::to_string(shares.used.size())}};
       probe.span(span);
       probe.counter_sample("wavelengths in use", cost.start,
                            static_cast<double>(cost.wavelengths_used));

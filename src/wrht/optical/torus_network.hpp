@@ -3,19 +3,28 @@
 // Every row and every column of the torus is a WDM optical ring with its
 // own fibers and wavelength budget (the natural generalisation of the
 // TeraRack ring). A communication step may use many rows/columns at once;
-// each ring prices its share exactly like RingNetwork (RWA + rounds) and
+// each ring prices its share exactly like RingNetwork (RWA + rounds, or
+// one round or InfeasibleSchedule when multi-round splitting is off) and
 // the step lasts as long as the slowest ring. Transfers that are neither
 // row-local nor column-local are rejected — torus schedules route
 // dimension by dimension, as the paper's §6.1 sketch does.
+//
+// Under first-fit a ring's RWA depends only on its ring size and its
+// local (src, dst) list, so a step solves each distinct share once: the
+// 1,024 identical row shares of a 1024 x 1024 WRHT row step are one
+// problem. Each ring still prices its own transfer counts and records its
+// own lane.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "wrht/collectives/schedule.hpp"
 #include "wrht/common/rng.hpp"
 #include "wrht/optical/ring_network.hpp"
+#include "wrht/optical/rwa.hpp"
 #include "wrht/topo/torus.hpp"
 
 namespace wrht::optics {
@@ -54,13 +63,43 @@ class TorusNetwork {
       Rng* rng) const;
   friend class TorusBackend;
 
-  struct RingShare {
-    /// Transfers remapped to ring-local node positions.
+  /// A step's transfers partitioned onto the torus's rings in flat slots:
+  /// column c is slot c, row r is slot cols + r.
+  struct Shares {
+    /// Slot s holds transfers[begin[s], begin[s + 1]).
+    std::vector<std::uint32_t> begin;
+    /// Transfers remapped to ring-local node positions, each slot's in
+    /// step order, direction hints dropped.
     std::vector<coll::Transfer> transfers;
-    /// Index of each remapped transfer in the step's original transfer
-    /// list, so recorded transfers keep their global node ids.
-    std::vector<std::size_t> source;
+    /// Index of each remapped transfer in the step's transfer list, so
+    /// recorded transfers keep their global node ids.
+    std::vector<std::uint32_t> source;
+    /// The slots holding a transfer, in slot order: the order the step's
+    /// rings are solved, priced and recorded in.
+    std::vector<std::uint32_t> used;
+
+    [[nodiscard]] std::span<const coll::Transfer> share(
+        std::uint32_t slot) const {
+      return {transfers.data() + begin[slot], begin[slot + 1] - begin[slot]};
+    }
   };
+
+  /// Partitions `step` onto the rings. Throws InfeasibleSchedule for a
+  /// transfer that leaves both its row and its column.
+  [[nodiscard]] Shares partition(const coll::Step& step) const;
+
+  /// RWA for every ring of a step: one result per distinct first-fit
+  /// share (its ring's size and its local (src, dst) list), or per share
+  /// under random-fit; `of[u]` is the result of `shares.used[u]`. With
+  /// multi-round splitting off, throws InfeasibleSchedule naming the step
+  /// and the first ring that needs a second round.
+  [[nodiscard]] std::vector<RoundsResult> solve(
+      const coll::Step& step, const Shares& shares,
+      std::vector<std::uint32_t>& of, Rng* rng) const;
+
+  /// "row" or "col", `separator`, then the ring's index.
+  [[nodiscard]] std::string ring_name(std::uint32_t slot,
+                                      const char* separator) const;
 
   topo::Torus torus_;
   OpticalConfig config_;

@@ -420,6 +420,67 @@ std::vector<Transfer> random_step(Rng& rng, std::uint32_t n,
   return step;
 }
 
+struct ReferenceStep {
+  std::string name;
+  std::uint32_t n;
+  std::vector<Transfer> transfers;
+};
+
+/// Compares assign_wavelengths and assign_rounds with the reference, bit
+/// for bit and in Rng consumption, on the w / lo / fibers / policy grid.
+/// `compared` counts the grid points and seeds each step's Rngs.
+void expect_reference_grid(const ReferenceStep& step, std::size_t& compared) {
+  const Ring ring(step.n);
+  const std::uint64_t seed = 17 * compared + 1;
+  for (const std::uint32_t w :
+       {1u, 2u, 3u, 4u, 16u, 63u, 64u, 65u, 128u, 200u, 256u}) {
+    for (const std::uint32_t lo : {0u, 1u, 3u}) {
+      if (lo >= w) continue;
+      for (const std::uint32_t fibers : {1u, 2u}) {
+        for (const RwaPolicy policy :
+             {RwaPolicy::kFirstFit, RwaPolicy::kRandomFit}) {
+          RwaOptions opt{w, fibers, policy, lo};
+          const std::string where =
+              step.name + " w=" + std::to_string(w) + " lo=" +
+              std::to_string(lo) + " fibers=" + std::to_string(fibers) +
+              (policy == RwaPolicy::kFirstFit ? " first-fit" : " random-fit");
+          {
+            Rng rng(seed), ref_rng(seed);
+            const RwaResult got =
+                assign_wavelengths(ring, step.transfers, opt, &rng);
+            const RwaResult want = reference::reference_assign_wavelengths(
+                ring, step.transfers, opt, &ref_rng);
+            ASSERT_EQ(got.ok, want.ok) << where;
+            ASSERT_EQ(got.wavelengths_used, want.wavelengths_used) << where;
+            expect_same_paths(got.paths, want.paths, where);
+            ASSERT_EQ(rng.uniform_int(0, 1u << 30),
+                      ref_rng.uniform_int(0, 1u << 30))
+                << where << ": Rng consumption differs";
+          }
+          {
+            Rng rng(seed), ref_rng(seed);
+            const RoundsResult got =
+                assign_rounds(ring, step.transfers, opt, &rng);
+            const RoundsResult want = reference::reference_assign_rounds(
+                ring, step.transfers, opt, &ref_rng);
+            ASSERT_EQ(got.wavelengths_used, want.wavelengths_used) << where;
+            ASSERT_EQ(got.rounds, want.rounds) << where;
+            ASSERT_EQ(got.paths.size(), want.paths.size()) << where;
+            for (std::size_t r = 0; r < got.paths.size(); ++r) {
+              expect_same_paths(got.paths[r], want.paths[r],
+                                where + " round " + std::to_string(r));
+            }
+            ASSERT_EQ(rng.uniform_int(0, 1u << 30),
+                      ref_rng.uniform_int(0, 1u << 30))
+                << where << ": Rng consumption differs";
+          }
+          ++compared;
+        }
+      }
+    }
+  }
+}
+
 TEST(RwaReference, AssignmentsEqualThePerWavelengthProbe) {
   struct Problem {
     std::string name;
@@ -449,12 +510,7 @@ TEST(RwaReference, AssignmentsEqualThePerWavelengthProbe) {
   problems.push_back({"all-to-all 7", plan::flat_alltoall_allreduce(7, 7)});
   problems.push_back({"all-to-all 16", plan::flat_alltoall_allreduce(16, 16)});
 
-  struct Step {
-    std::string name;
-    std::uint32_t n;
-    std::vector<Transfer> transfers;
-  };
-  std::vector<Step> steps;
+  std::vector<ReferenceStep> steps;
   for (const Problem& p : problems) {
     const auto& all = p.schedule.steps();
     // First and middle step: a collective's distinct shapes without
@@ -477,59 +533,208 @@ TEST(RwaReference, AssignmentsEqualThePerWavelengthProbe) {
   }
 
   std::size_t compared = 0;
-  for (const Step& step : steps) {
-    const Ring ring(step.n);
-    const std::uint64_t seed = 17 * compared + 1;
-    for (const std::uint32_t w :
-         {1u, 2u, 3u, 4u, 16u, 63u, 64u, 65u, 128u, 200u, 256u}) {
-      for (const std::uint32_t lo : {0u, 1u, 3u}) {
-        if (lo >= w) continue;
-        for (const std::uint32_t fibers : {1u, 2u}) {
-          for (const RwaPolicy policy :
-               {RwaPolicy::kFirstFit, RwaPolicy::kRandomFit}) {
-            RwaOptions opt{w, fibers, policy, lo};
-            const std::string where =
-                step.name + " w=" + std::to_string(w) + " lo=" +
-                std::to_string(lo) + " fibers=" + std::to_string(fibers) +
-                (policy == RwaPolicy::kFirstFit ? " first-fit"
-                                                : " random-fit");
-            {
-              Rng rng(seed), ref_rng(seed);
-              const RwaResult got =
-                  assign_wavelengths(ring, step.transfers, opt, &rng);
-              const RwaResult want = reference::reference_assign_wavelengths(
-                  ring, step.transfers, opt, &ref_rng);
-              ASSERT_EQ(got.ok, want.ok) << where;
-              ASSERT_EQ(got.wavelengths_used, want.wavelengths_used) << where;
-              expect_same_paths(got.paths, want.paths, where);
-              ASSERT_EQ(rng.uniform_int(0, 1u << 30),
-                        ref_rng.uniform_int(0, 1u << 30))
-                  << where << ": Rng consumption differs";
-            }
-            {
-              Rng rng(seed), ref_rng(seed);
-              const RoundsResult got =
-                  assign_rounds(ring, step.transfers, opt, &rng);
-              const RoundsResult want = reference::reference_assign_rounds(
-                  ring, step.transfers, opt, &ref_rng);
-              ASSERT_EQ(got.wavelengths_used, want.wavelengths_used) << where;
-              ASSERT_EQ(got.rounds, want.rounds) << where;
-              ASSERT_EQ(got.paths.size(), want.paths.size()) << where;
-              for (std::size_t r = 0; r < got.paths.size(); ++r) {
-                expect_same_paths(got.paths[r], want.paths[r],
-                                  where + " round " + std::to_string(r));
-              }
-              ASSERT_EQ(rng.uniform_int(0, 1u << 30),
-                        ref_rng.uniform_int(0, 1u << 30))
-                  << where << ": Rng consumption differs";
-            }
-            ++compared;
-          }
+  for (const ReferenceStep& step : steps) {
+    expect_reference_grid(step, compared);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(compared, 1000u);
+}
+
+
+/// `arc` (transfers on nodes 0, 1, ...) moved to start at node `start` of
+/// an n-node ring, hints kept.
+std::vector<Transfer> rotated(const std::vector<Transfer>& arc,
+                              std::uint32_t start, std::uint32_t n) {
+  std::vector<Transfer> out = arc;
+  for (Transfer& tr : out) {
+    tr.src = (tr.src + start) % n;
+    tr.dst = (tr.dst + start) % n;
+  }
+  return out;
+}
+
+std::vector<Transfer> joined(
+    std::initializer_list<std::vector<Transfer>> parts) {
+  std::vector<Transfer> out;
+  for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
+
+/// Steps built by hand to hit each rule of the arc-by-arc first-fit: where
+/// the ring is cut, which arcs are copies, and how rounds are emitted.
+TEST(RwaReference, HandBuiltArcStepsEqualThePerWavelengthProbe) {
+  std::vector<ReferenceStep> steps;
+  {
+    // Arcs that only touch: N one-hop arcs, both ways round.
+    std::vector<Transfer> cw, ccw;
+    for (topo::NodeId i = 0; i < 12; ++i) {
+      cw.push_back(t(i, (i + 1) % 12, Direction::kClockwise));
+      ccw.push_back(t((i + 1) % 12, i));
+    }
+    steps.push_back({"ring neighbours cw", 12, cw});
+    steps.push_back({"ring neighbours ccw", 12, ccw});
+  }
+  {
+    // Every boundary crossed: the whole ring is one arc, and it wraps.
+    std::vector<Transfer> all;
+    for (topo::NodeId i = 0; i < 10; ++i) all.push_back(t(i, (i + 3) % 10));
+    steps.push_back({"one wrapping arc", 10, all});
+  }
+  {
+    // The only uncrossed boundary is at segment 0, then at segment N - 1:
+    // one arc as long as the ring.
+    const std::vector<Transfer> at0 = {t(0, 4, Direction::kClockwise),
+                                       t(3, 7, Direction::kClockwise),
+                                       t(6, 0, Direction::kClockwise),
+                                       t(1, 3)};
+    steps.push_back({"only boundary 0 uncut", 10, at0});
+    steps.push_back({"only boundary N-1 uncut", 10, rotated(at0, 9, 10)});
+  }
+  {
+    // Copies of one arc, the first wrapping past N - 1.
+    const std::vector<Transfer> arc = {t(0, 3, Direction::kClockwise),
+                                       t(1, 3), t(5, 3), t(4, 3)};
+    steps.push_back({"wrapping copies", 24,
+                     joined({rotated(arc, 22, 24), rotated(arc, 6, 24),
+                             rotated(arc, 14, 24)})});
+  }
+  {
+    // Arcs needing 5, 2 and 1 rounds at one wavelength.
+    std::vector<Transfer> step;
+    for (topo::NodeId i = 0; i < 5; ++i) step.push_back(t(i, 5));
+    step.push_back(t(20, 23));
+    step.push_back(t(21, 23));
+    step.push_back(t(30, 31));
+    steps.push_back({"different round counts", 40, step});
+  }
+  {
+    // Duplicate transfers, in copies.
+    const std::vector<Transfer> arc = {t(3, 7), t(3, 7), t(4, 6), t(3, 7),
+                                       t(4, 6)};
+    steps.push_back({"duplicates", 30,
+                     joined({arc, rotated(arc, 10, 30), rotated(arc, 20, 30)})});
+  }
+  {
+    // Mixed directions inside one arc, and a copy with one flipped.
+    const std::vector<Transfer> arc = {
+        t(2, 6, Direction::kClockwise), t(8, 4, Direction::kCounterClockwise),
+        t(5, 9), t(7, 3), t(3, 8, Direction::kClockwise)};
+    std::vector<Transfer> flipped = rotated(arc, 20, 40);
+    flipped[4] = t(28, 23, Direction::kCounterClockwise);
+    steps.push_back({"mixed directions", 40,
+                     joined({arc, rotated(arc, 10, 40), flipped})});
+  }
+  {
+    // The paper's m = 2w + 1 = 129 at N = 1000: the short last group (97
+    // nodes) is not a translated copy of the others.
+    const coll::Schedule wrht =
+        core::wrht_allreduce(1000, 1000, core::WrhtOptions{129, 64});
+    for (const std::size_t s : {std::size_t{0}, wrht.num_steps() / 2}) {
+      const auto& transfers = wrht.steps()[s].transfers;
+      steps.push_back({"wrht 1000/129 step " + std::to_string(s), 1000,
+                       std::vector<Transfer>(transfers.begin(),
+                                             transfers.end())});
+    }
+  }
+
+  std::size_t compared = 0;
+  for (const ReferenceStep& step : steps) {
+    expect_reference_grid(step, compared);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(compared, 1000u);
+}
+
+/// One random arc copied to random rotations, some gapped and some
+/// touching, copies interleaved in the input. Then one copy is perturbed:
+/// one endpoint moved, one direction flipped (same segments), or two
+/// equal-length transfers swapped in hop order (the same multiset of
+/// transfers in another order).
+ReferenceStep perturbed_copies(Rng& rng, int index) {
+  const auto n = static_cast<std::uint32_t>(40 + rng.uniform_int(0, 120));
+  const auto length = static_cast<std::uint32_t>(2 + rng.uniform_int(0, 8));
+  const auto size = static_cast<std::uint32_t>(1 + rng.uniform_int(0, 5));
+  std::vector<Transfer> arc;
+  for (std::uint32_t j = 0; j < size; ++j) {
+    const auto a = static_cast<topo::NodeId>(rng.uniform_int(0, length - 1));
+    const auto b = static_cast<topo::NodeId>(rng.uniform_int(a + 1, length));
+    const bool ccw = rng.uniform_int(0, 1) == 1;
+    const bool hinted = rng.uniform_int(0, 1) == 1;
+    std::optional<Direction> dir;
+    if (hinted) dir = ccw ? Direction::kCounterClockwise : Direction::kClockwise;
+    arc.push_back(ccw ? t(b, a, dir) : t(a, b, dir));
+  }
+  std::vector<std::uint32_t> starts;
+  const auto first = static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
+  for (std::uint32_t used = 0; used + length <= n;) {
+    starts.push_back((first + used) % n);
+    const auto gap = rng.uniform_int(0, 1) == 0
+                         ? 0u
+                         : static_cast<std::uint32_t>(rng.uniform_int(1, 3));
+    used += length + gap;
+  }
+  // Transfer j of every copy, then transfer j + 1 of every copy, ...
+  std::vector<Transfer> step;
+  for (std::uint32_t j = 0; j < size; ++j) {
+    for (const std::uint32_t start : starts) {
+      step.push_back(rotated({arc[j]}, start, n)[0]);
+    }
+  }
+  const auto copies = static_cast<std::uint32_t>(starts.size());
+  const auto copy = static_cast<std::uint32_t>(rng.uniform_int(0, copies - 1));
+  const Ring ring(n);
+  std::string how;
+  auto kind = rng.uniform_int(0, 2);
+  if (kind == 2) {
+    // Two transfers of one length swap places in the input.
+    std::optional<std::pair<std::uint32_t, std::uint32_t>> pair;
+    for (std::uint32_t x = 0; x < size && !pair; ++x) {
+      for (std::uint32_t y = x + 1; y < size && !pair; ++y) {
+        if (ring.distance(arc[x].src, arc[x].dst) ==
+                ring.distance(arc[y].src, arc[y].dst) &&
+            (arc[x].src != arc[y].src || arc[x].dst != arc[y].dst ||
+             arc[x].direction != arc[y].direction)) {
+          pair = {x, y};
         }
       }
     }
+    if (pair) {
+      std::swap(step[pair->first * copies + copy],
+                step[pair->second * copies + copy]);
+      how = "swapped";
+    } else {
+      kind = 1;
+    }
   }
-  EXPECT_GT(compared, 1000u);
+  Transfer& victim = step[static_cast<std::uint32_t>(
+                              rng.uniform_int(0, size - 1)) *
+                              copies +
+                          copy];
+  if (kind == 1) {
+    // The same segments the other way round.
+    std::swap(victim.src, victim.dst);
+    if (victim.direction) victim.direction = topo::opposite(*victim.direction);
+    how = "flipped";
+  } else if (kind == 0) {
+    const topo::NodeId moved =
+        rng.uniform_int(0, 1) == 0 ? (victim.dst + 1) % n
+                                   : (victim.dst + n - 1) % n;
+    if (moved != victim.src) victim.dst = moved;
+    how = "moved";
+  }
+  return {"copies " + std::to_string(index) + " (n=" + std::to_string(n) +
+              ", " + std::to_string(copies) + " copies, " + how + ")",
+          n, step};
+}
+
+TEST(RwaReference, PerturbedArcCopiesEqualThePerWavelengthProbe) {
+  Rng draw(31);
+  std::size_t compared = 0;
+  for (int index = 0; index < 60; ++index) {
+    expect_reference_grid(perturbed_copies(draw, index), compared);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(compared, 5000u);
 }
 
 }  // namespace

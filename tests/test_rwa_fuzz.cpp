@@ -85,6 +85,42 @@ TEST_P(RwaFuzz, RoundsPartitionAndStayConflictFree) {
   for (const int c : seen) EXPECT_EQ(c, 1);
 }
 
+TEST_P(RwaFuzz, RotatingEveryNodeShiftsOnlyTheSegments) {
+  // The ring has no origin: rotating every node id by k keeps each
+  // lightpath's round, direction, fiber and wavelength, and shifts its
+  // first segment by k.
+  Rng rng(GetParam() + 4000);
+  const std::uint32_t n =
+      8 + static_cast<std::uint32_t>(rng.uniform_int(0, 56));
+  const Ring ring(n);
+  const auto transfers = random_transfers(rng, n, 2 * n);
+  const auto k = static_cast<std::uint32_t>(rng.uniform_int(1, n - 1));
+  std::vector<Transfer> turned = transfers;
+  for (Transfer& t : turned) {
+    t.src = (t.src + k) % n;
+    t.dst = (t.dst + k) % n;
+  }
+  for (const std::uint32_t budget : {1u, 3u, 64u}) {
+    for (const std::uint32_t fibers : {1u, 2u}) {
+      const RwaOptions options{budget, fibers};
+      const RoundsResult base = assign_rounds(ring, transfers, options);
+      const RoundsResult moved = assign_rounds(ring, turned, options);
+      ASSERT_EQ(moved.rounds, base.rounds) << "w=" << budget;
+      EXPECT_EQ(moved.wavelengths_used, base.wavelengths_used);
+      for (std::size_t r = 0; r < base.paths.size(); ++r) {
+        for (std::size_t j = 0; j < base.paths[r].size(); ++j) {
+          const Lightpath& a = base.paths[r][j];
+          const Lightpath& b = moved.paths[r][j];
+          EXPECT_TRUE(b.direction == a.direction && b.fiber == a.fiber &&
+                      b.wavelength == a.wavelength && b.hops == a.hops &&
+                      b.first_segment == (a.first_segment + k) % n)
+              << "w=" << budget << " round " << r << " path " << j;
+        }
+      }
+    }
+  }
+}
+
 TEST_P(RwaFuzz, CorruptedAssignmentsAreDetected) {
   Rng rng(GetParam() + 3000);
   const std::uint32_t n = 16;

@@ -91,6 +91,16 @@ void expect_deltas_equal(const coll::Schedule& a, const coll::Schedule& b,
   }
 }
 
+/// A series whose fields are set by name; the rest keep their defaults.
+exp::Series series(const std::string& name, const std::string& algorithm,
+                   const std::string& backend = "optical-ring") {
+  exp::Series s;
+  s.name = name;
+  s.algorithm = algorithm;
+  s.backend = backend;
+  return s;
+}
+
 /// The seeded grid every old-vs-new comparison runs over: three element
 /// sizes (exercising the incremental cache's rescale tier on the
 /// full-vector series), two node counts, two wavelength budgets, and six
@@ -102,38 +112,33 @@ exp::SweepSpec grid_spec() {
                     exp::Workload{"w3", 3072}};
   spec.nodes = {8, 16};
   spec.wavelengths = {4, 8};
-  spec.series = {
-      // Full-vector schedules on the optical ring: the incremental cache
-      // serves w2/w3 by patching w1's build.
-      exp::Series{.name = "wrht", .algorithm = "wrht"},
-      exp::Series{.name = "btree", .algorithm = "btree"},
-      // Chunked schedule: the cache must rebuild, never patch.
-      exp::Series{.name = "ring_flow", .algorithm = "ring",
-                  .backend = "electrical-flow"},
-      exp::Series{.name = "wrht_packet", .algorithm = "wrht",
-                  .backend = "electrical-packet"},
-      // Random-fit RWA: the per-transfer Fisher-Yates rng draw sequence
-      // must survive the first-fit fast-path split untouched.
-      exp::Series{.name = "wrht_rf", .algorithm = "wrht",
-                  .configure = [](const exp::SweepPoint&,
-                                  net::BackendConfig& c) {
-                    c.random_fit_rwa = true;
-                  }},
-      // Dimension-local torus WRHT through a custom builder (the cache's
-      // always-rebuild tier for builder series).
-      exp::Series{.name = "torus_wrht", .backend = "optical-torus",
-                  .builder = [](const exp::SweepPoint& point) {
-                    // The optical-torus factory's default shape, so the
-                    // builder and the backend agree on the grid.
-                    const auto [rows, cols] = topo::near_square(point.nodes);
-                    core::WrhtOptions options;
-                    options.wavelengths = point.wavelengths;
-                    options.group_size =
-                        core::plan_wrht(rows, point.wavelengths).group_size;
-                    return core::torus_wrht_allreduce(
-                        topo::Torus(rows, cols), point.workload.elements,
-                        options);
-                  }},
+  // Full-vector schedules on the optical ring: the incremental cache
+  // serves w2/w3 by patching w1's build.
+  spec.series.push_back(series("wrht", "wrht"));
+  spec.series.push_back(series("btree", "btree"));
+  // Chunked schedule: the cache must rebuild, never patch.
+  spec.series.push_back(series("ring_flow", "ring", "electrical-flow"));
+  spec.series.push_back(series("wrht_packet", "wrht", "electrical-packet"));
+  // Random-fit RWA: the per-transfer Fisher-Yates rng draw sequence
+  // must survive the first-fit fast-path split untouched.
+  exp::Series& random_fit =
+      spec.series.emplace_back(series("wrht_rf", "wrht"));
+  random_fit.configure = [](const exp::SweepPoint&, net::BackendConfig& c) {
+    c.random_fit_rwa = true;
+  };
+  // Dimension-local torus WRHT through a custom builder (the cache's
+  // always-rebuild tier for builder series).
+  exp::Series& torus = spec.series.emplace_back(
+      series("torus_wrht", "", "optical-torus"));
+  torus.builder = [](const exp::SweepPoint& point) {
+    // The optical-torus factory's default shape, so the builder and the
+    // backend agree on the grid.
+    const auto [rows, cols] = topo::near_square(point.nodes);
+    core::WrhtOptions options;
+    options.wavelengths = point.wavelengths;
+    options.group_size = core::plan_wrht(rows, point.wavelengths).group_size;
+    return core::torus_wrht_allreduce(topo::Torus(rows, cols),
+                                      point.workload.elements, options);
   };
   spec.config.validate_node_capacity = false;
   return spec;
