@@ -103,7 +103,7 @@ int analyze_service(const std::string& events_path) {
   // terminal (the full series is in the summary for tooling).
   const std::size_t n = summary.queue_depth.size();
   if (n > 0) {
-    std::printf("\nqueue depth over time (%zu transitions, every %zu-th):\n",
+    std::printf("\nqueue depth over time (%zu events, every %zu-th):\n",
                 n, std::max<std::size_t>(1, n / 8));
     for (std::size_t i = 0; i < n; i += std::max<std::size_t>(1, n / 8)) {
       std::printf("  t=%8.4fs  depth=%-4.0f in_use=%.0f\n",

@@ -34,6 +34,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "wrht/collectives/ring_allreduce.hpp"
@@ -263,7 +264,7 @@ int run_scale(const Options& opt) {
       for (std::uint32_t r = 0; r < opt.reps; ++r) {
         const prof::ScopedTimer timer("suite.rwa_assign_large");
         samples.push_back(time_once([&] {
-          (void)optics::assign_wavelengths(
+          (void)optics::assign_rounds(
               rwa_ring, rwa_sched.steps().front().transfers, rwa);
         }));
       }
@@ -280,8 +281,11 @@ int run_scale(const Options& opt) {
       const std::size_t workload_count = opt.tiny ? 4 : 8;
       for (std::size_t i = 0; i < workload_count; ++i) {
         const std::size_t elements = std::size_t{1024} << i;
-        spec.workloads.push_back(
-            exp::Workload{"s" + std::to_string(elements), elements});
+        // Appended rather than `"s" + std::to_string(...)`: GCC 12 flags
+        // that operator+ with a false -Wrestrict once it is inlined.
+        std::string name = "s";
+        name.append(std::to_string(elements));
+        spec.workloads.push_back(exp::Workload{std::move(name), elements});
       }
       spec.nodes = opt.tiny ? std::vector<std::uint32_t>{40, 80, 160}
                             : std::vector<std::uint32_t>{160, 320, 640};
@@ -453,7 +457,7 @@ int main(int argc, char** argv) {
        [&] {
          optics::RwaOptions rwa;
          rwa.wavelengths = sched_w;
-         (void)optics::assign_wavelengths(
+         (void)optics::assign_rounds(
              sched_ring, wrht_sched.steps().front().transfers, rwa);
        }},
       {"optical_ring_execute",

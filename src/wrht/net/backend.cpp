@@ -38,12 +38,10 @@ std::string step_label(const coll::Step& step, std::size_t index) {
   return step.label.empty() ? "step " + std::to_string(index) : step.label;
 }
 
-std::string channel_name(std::string_view lane, const Channel& channel,
-                         std::uint32_t fibers_per_direction) {
+std::string channel_name(std::string_view lane, const Channel& channel) {
   std::string name(lane);
   if (!name.empty()) name += '/';
   name += channel.direction == 0 ? "cw" : "ccw";
-  if (fibers_per_direction > 1) name += "/f" + std::to_string(channel.fiber);
   name += "/w" + std::to_string(channel.wavelength);
   return name;
 }
@@ -150,8 +148,8 @@ void RoundRecorder::record_channels(const PricedStep& priced) const {
     for (const PricedRound& round : lane.rounds) {
       const Seconds round_end = cursor + round.trace.duration;
       for (const ChannelUse& use : round.routing->channels) {
-        const auto ref = channels_->resource(channel_name(
-            prefix, use.channel, lightpaths_->fibers_per_direction));
+        const auto ref =
+            channels_->resource(channel_name(prefix, use.channel));
         Seconds at = cursor;
         channels_->record(ref, priced.index, at, round.trace.reconfig,
                           obs::OccCategory::kReconfiguration);

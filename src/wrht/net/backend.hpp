@@ -122,20 +122,18 @@ class ScopedUtilization {
 /// The step's own label, or "step <index>" when the schedule left it empty.
 [[nodiscard]] std::string step_label(const coll::Step& step, std::size_t index);
 
-/// One WDM channel of a ring: the wavelength on one fiber of one direction.
+/// One WDM channel of a ring: one wavelength on one direction's fiber.
 struct Channel {
   std::uint8_t direction = 0;  ///< 0 = clockwise, 1 = counter-clockwise
-  std::uint32_t fiber = 0;
   std::uint32_t wavelength = 0;
 
   friend auto operator<=>(const Channel&, const Channel&) = default;
 };
 
-/// Occupancy resource name of `channel`: "cw/w3", "cw/f1/w3" when a
-/// direction has several fibers, and "row3/cw/w3" under lane "row3".
+/// Occupancy resource name of `channel`: "cw/w3", and "row3/cw/w3" under
+/// lane "row3".
 [[nodiscard]] std::string channel_name(std::string_view lane,
-                                       const Channel& channel,
-                                       std::uint32_t fibers_per_direction);
+                                       const Channel& channel);
 
 /// One transfer of a priced round: its index in the step, the channel its
 /// lightpath takes (none on the electrical fabric) and how long it runs
@@ -195,7 +193,6 @@ struct Lightpaths {
   /// channel's use.
   std::uint32_t bytes_per_element = 0;
   double bytes_per_second = 0.0;
-  std::uint32_t fibers_per_direction = 1;
   /// Each lane owns its channels (the torus's row and column rings): the
   /// lane prefixes their names, and a lane that finishes early holds them
   /// in straggler wait until the step ends. Otherwise the engine's one

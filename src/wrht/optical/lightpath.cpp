@@ -30,8 +30,7 @@ bool spans_overlap(const SegmentSpan& a, const SegmentSpan& b,
 
 bool lightpaths_conflict(const Lightpath& a, const Lightpath& b,
                          std::uint32_t ring_size) {
-  if (a.direction != b.direction || a.fiber != b.fiber ||
-      a.wavelength != b.wavelength) {
+  if (a.direction != b.direction || a.wavelength != b.wavelength) {
     return false;
   }
   return spans_overlap(SegmentSpan{a.first_segment, a.hops},

@@ -1,9 +1,9 @@
 // Lightpaths on the WDM double ring.
 //
-// A lightpath is the circuit carrying one Transfer: a direction, a fiber
-// index within that direction, a wavelength, and the contiguous run of
-// fiber segments between source and destination. Two lightpaths conflict
-// when they share (direction, fiber, wavelength) and at least one segment.
+// A lightpath is the circuit carrying one Transfer: a direction (each
+// direction is one fiber), a wavelength, and the contiguous run of fiber
+// segments between source and destination. Two lightpaths conflict when
+// they share (direction, wavelength) and at least one segment.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,6 @@ struct Lightpath {
   topo::NodeId src = 0;
   topo::NodeId dst = 0;
   topo::Direction direction = topo::Direction::kClockwise;
-  std::uint32_t fiber = 0;
   std::uint32_t wavelength = 0;
   /// First segment index occupied (see topo::Ring for segment numbering).
   std::uint32_t first_segment = 0;
@@ -39,8 +38,8 @@ struct SegmentSpan {
 [[nodiscard]] bool spans_overlap(const SegmentSpan& a, const SegmentSpan& b,
                                  std::uint32_t n);
 
-/// True when lightpaths a and b conflict: same (direction, fiber,
-/// wavelength) and overlapping segments.
+/// True when lightpaths a and b conflict: same (direction, wavelength) and
+/// overlapping segments.
 [[nodiscard]] bool lightpaths_conflict(const Lightpath& a, const Lightpath& b,
                                        std::uint32_t ring_size);
 

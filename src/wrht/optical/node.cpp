@@ -18,11 +18,11 @@ TuningState TuningState::from_lightpaths(const std::vector<Lightpath>& paths,
   for (const Lightpath& p : paths) {
     const bool tx_inserted =
         state.tunings_
-            .insert(Tuning{p.src, p.direction, p.fiber, p.wavelength, true})
+            .insert(Tuning{p.src, p.direction, p.wavelength, true})
             .second;
     const bool rx_inserted =
         state.tunings_
-            .insert(Tuning{p.dst, p.direction, p.fiber, p.wavelength, false})
+            .insert(Tuning{p.dst, p.direction, p.wavelength, false})
             .second;
     if (tx_inserted) ++tx_load[{p.src, p.direction}];
     if (rx_inserted) ++rx_load[{p.dst, p.direction}];

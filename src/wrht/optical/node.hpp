@@ -33,11 +33,10 @@ struct NodeHardware {
 };
 
 /// One tuned micro-ring: node `node` couples wavelength `wavelength` on
-/// (direction, fiber) as transmitter (`tx` true) or receiver.
+/// direction `direction`'s fiber as transmitter (`tx` true) or receiver.
 struct Tuning {
   topo::NodeId node = 0;
   topo::Direction direction = topo::Direction::kClockwise;
-  std::uint32_t fiber = 0;
   std::uint32_t wavelength = 0;
   bool tx = false;
 

@@ -43,8 +43,6 @@ class LastTuning {
 
 void OpticalConfig::validate() const {
   require(wavelengths >= 1, "OpticalConfig: need >= 1 wavelength");
-  require(fibers_per_direction >= 1,
-          "OpticalConfig: need >= 1 fiber per direction");
   require(bytes_per_element >= 1,
           "OpticalConfig: bytes_per_element must be >= 1");
   require(wavelength_rate.count() > 0.0,
@@ -63,54 +61,32 @@ RingNetwork::RingNetwork(std::uint32_t num_nodes, OpticalConfig config)
 RingNetwork::PatternCost RingNetwork::evaluate_step(const coll::Step& step,
                                                     Rng* rng,
                                                     Detail detail) const {
-  PatternCost out{};
-  if (step.transfers.empty()) return out;
-
-  const RwaOptions options = config_.rwa_options();
-
-  std::vector<std::vector<Lightpath>> round_paths;
-  std::vector<std::vector<std::size_t>> round_members;
-  std::uint32_t wavelengths_used = 0;
-  if (config_.allow_multi_round_steps) {
-    RoundsResult rounds = assign_rounds(ring_, step.transfers, options, rng);
-    wavelengths_used = rounds.wavelengths_used;
-    round_paths = std::move(rounds.paths);
-    round_members = std::move(rounds.rounds);
-  } else {
-    RwaResult rwa = assign_wavelengths(ring_, step.transfers, options, rng);
-    if (!rwa.ok) {
-      throw InfeasibleSchedule(
-          "RingNetwork: step '" + step.label + "' needs more than " +
-          std::to_string(config_.lease.width(config_.wavelengths)) +
-          " wavelengths (lease " + config_.lease.to_string() +
-          ") and multi-round splitting is disabled");
-    }
-    wavelengths_used = rwa.wavelengths_used;
-    round_paths.push_back(std::move(rwa.paths));
-    round_members.emplace_back();
-    for (std::size_t i = 0; i < step.transfers.size(); ++i) {
-      round_members.back().push_back(i);
-    }
-  }
-  return describe_rounds(step, wavelengths_used, round_paths, round_members,
-                         detail);
+  if (step.transfers.empty()) return PatternCost{};
+  return describe_rounds(
+      step,
+      assign_rounds(ring_, step.transfers, config_.rwa_options(), rng),
+      detail);
 }
 
 RingNetwork::PatternCost RingNetwork::describe_rounds(
-    const coll::Step& step, std::uint32_t wavelengths_used,
-    const std::vector<std::vector<Lightpath>>& round_paths,
-    const std::vector<std::vector<std::size_t>>& round_members,
-    Detail detail) const {
+    const coll::Step& step, const RoundsResult& rounds, Detail detail) const {
+  if (!config_.allow_multi_round_steps && rounds.rounds.size() > 1) {
+    throw InfeasibleSchedule(
+        "RingNetwork: step '" + step.label + "' needs more than " +
+        std::to_string(config_.lease.width(config_.wavelengths)) +
+        " wavelengths (lease " + config_.lease.to_string() +
+        ") and multi-round splitting is disabled");
+  }
   PatternCost out{};
   out.detail = detail;
-  out.cost.wavelengths_used = wavelengths_used;
-  out.cost.rounds = static_cast<std::uint32_t>(round_paths.size());
-  for (std::size_t r = 0; r < round_paths.size(); ++r) {
+  out.cost.wavelengths_used = rounds.wavelengths_used;
+  out.cost.rounds = static_cast<std::uint32_t>(rounds.paths.size());
+  for (std::size_t r = 0; r < rounds.paths.size(); ++r) {
     std::size_t max_elements = 0;
-    for (const std::size_t idx : round_members[r]) {
+    for (const std::size_t idx : rounds.rounds[r]) {
       max_elements = std::max(max_elements, step.transfers[idx].count);
     }
-    for (const Lightpath& path : round_paths[r]) {
+    for (const Lightpath& path : rounds.paths[r]) {
       out.longest_hops = std::max(out.longest_hops, path.hops);
     }
     out.cost.max_transfer_elements =
@@ -121,15 +97,15 @@ RingNetwork::PatternCost RingNetwork::describe_rounds(
         config_.reconfig_policy == net::ReconfigPolicy::kOnRetune ||
         detail == Detail::kTuned) {
       out.round_tunings.push_back(TuningState::from_lightpaths(
-          round_paths[r], config_.node_hardware));
+          rounds.paths[r], config_.node_hardware));
     }
     if (detail != Detail::kLean) {
       net::RoundRouting& routing = out.routing.emplace_back();
-      routing.transfers.reserve(round_paths[r].size());
-      for (std::size_t j = 0; j < round_paths[r].size(); ++j) {
-        const std::size_t index = round_members[r][j];
+      routing.transfers.reserve(rounds.paths[r].size());
+      for (std::size_t j = 0; j < rounds.paths[r].size(); ++j) {
+        const std::size_t index = rounds.rounds[r][j];
         routing.transfers.push_back(net::RoundTransfer{
-            static_cast<std::uint32_t>(index), channel_of(round_paths[r][j]),
+            static_cast<std::uint32_t>(index), channel_of(rounds.paths[r][j]),
             config_.serialization_time(step.transfers[index].count)});
       }
       routing.aggregate_channels();
@@ -147,7 +123,6 @@ void RingNetwork::warm_pattern_cache(
     const coll::Schedule& schedule,
     const std::vector<std::uint64_t>& signatures, Detail detail) const {
   if (config_.rwa_policy != RwaPolicy::kFirstFit) return;
-  if (!config_.allow_multi_round_steps) return;
   const unsigned workers = resolve_rwa_threads(config_.rwa_threads);
   if (workers <= 1) return;
 
@@ -174,10 +149,8 @@ void RingNetwork::warm_pattern_cache(
   const std::vector<RoundsResult> rounds =
       assign_rounds_batch(ring_, spans, options, workers);
   for (std::size_t s = 0; s < steps.size(); ++s) {
-    pattern_cache_.emplace(
-        uncached[s],
-        describe_rounds(*steps[s], rounds[s].wavelengths_used,
-                        rounds[s].paths, rounds[s].rounds, detail));
+    pattern_cache_.emplace(uncached[s],
+                           describe_rounds(*steps[s], rounds[s], detail));
   }
 }
 
@@ -207,7 +180,7 @@ OpticalRunResult RingNetwork::execute_scanned(const coll::Schedule& schedule,
       {"optical-ring", net::to_string(config_.reconfig_policy),
        config_.mrr_reconfig_delay, config_.oeo_delay},
       net::Lightpaths{config_.bytes_per_element, config_.bytes_per_second(),
-                      config_.fibers_per_direction, false});
+                      false});
   const bool blame = probe.transfers != nullptr;
   const bool observed = probe.trace != nullptr || recorder.active();
   const Detail detail = blame      ? Detail::kTuned

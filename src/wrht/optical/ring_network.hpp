@@ -2,9 +2,11 @@
 // interconnect system simulator").
 //
 // Executes a coll::Schedule step by step on a WDM double ring:
-//   * every step's transfers are routed and wavelength-assigned (RWA);
+//   * every step's transfers are routed and wavelength-assigned (RWA) on
+//     one fiber per direction;
 //   * a step that needs more wavelengths than the fiber carries is split
-//     into sequential conflict-free rounds;
+//     into sequential conflict-free rounds, or rejected when splitting is
+//     off;
 //   * each round costs the MRR reconfiguration delay (as the policy
 //     charges it) + O/E/O conversion + serialization of its largest
 //     transfer, priced on one net::RoundClock per run (circuit switching:
@@ -36,25 +38,25 @@
 namespace wrht::optics {
 
 struct OpticalConfig {
-  std::uint32_t wavelengths = 64;          ///< per fiber (Table 2)
-  std::uint32_t fibers_per_direction = 1;  ///< wavelength-planning default
-  BitsPerSecond wavelength_rate{40e9};     ///< nominal line rate per lambda
-  Seconds mrr_reconfig_delay{25e-6};       ///< per communication step
-  Seconds oeo_delay{497e-15};              ///< O/E/O conversion per packet
-  std::uint32_t bytes_per_element = 4;     ///< float32 gradients
+  std::uint32_t wavelengths = 64;       ///< per fiber (Table 2)
+  BitsPerSecond wavelength_rate{40e9};  ///< nominal line rate per lambda
+  Seconds mrr_reconfig_delay{25e-6};    ///< per communication step
+  Seconds oeo_delay{497e-15};           ///< O/E/O conversion per packet
+  std::uint32_t bytes_per_element = 4;  ///< float32 gradients
 
   /// The Eq. (6) rate convention (see net/rate_convention.hpp).
   net::RateConvention convention = net::RateConvention::kPaperConvention;
 
   RwaPolicy rwa_policy = RwaPolicy::kFirstFit;
   /// Split wavelength-starved steps into sequential rounds instead of
-  /// failing; each extra round pays the reconfiguration delay again.
+  /// failing; each extra round pays the reconfiguration delay again. Off,
+  /// a step whose RWA takes a second round throws InfeasibleSchedule.
   bool allow_multi_round_steps = true;
 
   /// Wavelength slice this job may touch (multi-tenant fabrics; see
   /// net/resource_lease.hpp). The default full lease is the historical
   /// exclusive-fabric behaviour, byte-identical to pre-lease runs. RWA is
-  /// constrained to [lease.w_lo, lease.w_hi) on every fiber; a leased run
+  /// constrained to [lease.w_lo, lease.w_hi) on both fibers; a leased run
   /// prices exactly like a full run on a lease-width fiber.
   net::ResourceLease lease{};
 
@@ -81,10 +83,9 @@ struct OpticalConfig {
   net::ReconfigPolicy reconfig_policy = net::ReconfigPolicy::kEveryRound;
 
   /// Throws InvalidArgument unless a run can be priced: at least one
-  /// wavelength and one fiber per direction, a positive line rate, at
-  /// least one byte per element, no negative MRR reconfiguration or O/E/O
-  /// delay and a lease inside the wavelength budget. Every optical engine
-  /// checks its config here.
+  /// wavelength, a positive line rate, at least one byte per element, no
+  /// negative MRR reconfiguration or O/E/O delay and a lease inside the
+  /// wavelength budget. Every optical engine checks its config here.
   void validate() const;
 
   /// Effective serialization rate in bytes per second.
@@ -131,7 +132,6 @@ struct OpticalConfig {
   [[nodiscard]] RwaOptions rwa_options() const {
     RwaOptions options;
     options.wavelengths = lease.clamp_hi(wavelengths);
-    options.fibers_per_direction = fibers_per_direction;
     options.policy = rwa_policy;
     options.wavelength_lo = lease.full() ? 0 : lease.w_lo;
     return options;
@@ -147,7 +147,7 @@ struct OpticalConfig {
   return net::Channel{
       static_cast<std::uint8_t>(
           path.direction == topo::Direction::kClockwise ? 0 : 1),
-      path.fiber, path.wavelength};
+      path.wavelength};
 }
 
 struct StepCost {
@@ -191,9 +191,9 @@ class RingNetwork {
   [[nodiscard]] const topo::Ring& ring() const { return ring_; }
   [[nodiscard]] const OpticalConfig& config() const { return config_; }
 
-  /// Simulates the schedule; throws InfeasibleSchedule when a transfer
-  /// cannot be carried at all (and multi-round splitting is disabled or
-  /// cannot help). `rng` is required only for random-fit RWA.
+  /// Simulates the schedule; throws InfeasibleSchedule when a step needs
+  /// a second round and multi-round splitting is disabled. `rng` is
+  /// required only for random-fit RWA.
   [[nodiscard]] OpticalRunResult execute(const coll::Schedule& schedule,
                                          Rng* rng = nullptr) const;
 
@@ -229,12 +229,11 @@ class RingNetwork {
                                           Detail detail) const;
 
   /// Describes one step's RWA rounds as a PatternCost; shared by the
-  /// sequential path and the parallel pre-pass.
-  [[nodiscard]] PatternCost describe_rounds(
-      const coll::Step& step, std::uint32_t wavelengths_used,
-      const std::vector<std::vector<Lightpath>>& round_paths,
-      const std::vector<std::vector<std::size_t>>& round_members,
-      Detail detail) const;
+  /// sequential path and the parallel pre-pass. With multi-round
+  /// splitting off, throws InfeasibleSchedule for more than one round.
+  [[nodiscard]] PatternCost describe_rounds(const coll::Step& step,
+                                            const RoundsResult& rounds,
+                                            Detail detail) const;
 
   /// First-fit only: batch-solves the schedule's distinct uncached step
   /// patterns with assign_rounds_batch and fills pattern_cache_, so the

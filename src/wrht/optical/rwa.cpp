@@ -19,8 +19,7 @@ namespace wrht::optics {
 namespace {
 
 void require_valid(const RwaOptions& options) {
-  require(options.wavelengths >= 1 && options.fibers_per_direction >= 1,
-          "RWA: need at least one wavelength and fiber");
+  require(options.wavelengths >= 1, "RWA: need at least one wavelength");
   if (options.wavelength_lo >= options.wavelengths) {
     throw InvalidArgument("RWA: leased slice [" +
                           std::to_string(options.wavelength_lo) + ", " +
@@ -35,23 +34,21 @@ constexpr std::uint64_t bit(std::uint32_t lambda) {
   return std::uint64_t{1} << (lambda % 64);
 }
 
-/// Where one transfer is placed: its round and its (fiber, wavelength).
+/// Where one transfer is placed: its round and its wavelength.
 struct Placement {
   std::uint32_t round = 0;
-  std::uint32_t fiber = 0;
   std::uint32_t wavelength = kNoWavelength;
 };
 
-/// Occupancy bookkeeping: for each (direction, fiber), one run of
-/// ceil(w/64) words per fiber segment, where bit lambda of a segment's words
-/// means "wavelength lambda is lit on this segment". A span is read once for
+/// Occupancy bookkeeping: for each direction, one run of ceil(w/64) words
+/// per fiber segment, where bit lambda of a segment's words means
+/// "wavelength lambda is lit on this segment". A span is read once for
 /// every wavelength: OR-ing its segments' words gives the wavelengths lit
 /// anywhere on it, so a conflict check costs O(hops) whatever the budget.
 class OccupancyMap {
  public:
   explicit OccupancyMap(const RwaOptions& opt)
       : words_(opt.wavelengths / 64 + (opt.wavelengths % 64 != 0 ? 1 : 0)),
-        fibers_(opt.fibers_per_direction),
         lo_word_(opt.wavelength_lo / 64),
         hi_word_((opt.wavelengths - 1) / 64),
         slice_(words_, 0),
@@ -65,15 +62,14 @@ class OccupancyMap {
   /// Sizes the map for a ring of `n` segments, every wavelength dark.
   void reset(std::uint32_t n) {
     n_ = n;
-    lit_.assign(std::size_t{2} * fibers_ * n_ * words_, 0);
+    lit_.assign(std::size_t{2} * n_ * words_, 0);
   }
 
   /// Lowest slice wavelength dark on every segment of `span`, or
   /// kNoWavelength.
   [[nodiscard]] std::uint32_t first_fit(topo::Direction dir,
-                                        std::uint32_t fiber,
                                         const SegmentSpan& span) {
-    if (!gather(dir, fiber, span)) return kNoWavelength;
+    if (!gather(dir, span)) return kNoWavelength;
     for (std::uint32_t k = lo_word_; k <= hi_word_; ++k) {
       const std::uint64_t dark = slice_[k] & ~lit_on_span_[k];
       if (dark != 0) return k * 64 + std::countr_zero(dark);
@@ -84,10 +80,9 @@ class OccupancyMap {
   /// First wavelength of `order` dark on every segment of `span`, or
   /// kNoWavelength.
   [[nodiscard]] std::uint32_t first_in(topo::Direction dir,
-                                       std::uint32_t fiber,
                                        const SegmentSpan& span,
                                        std::span<const std::uint32_t> order) {
-    if (!gather(dir, fiber, span)) return kNoWavelength;
+    if (!gather(dir, span)) return kNoWavelength;
     for (const std::uint32_t lambda : order) {
       if ((lit_on_span_[lambda / 64] & bit(lambda)) == 0) return lambda;
     }
@@ -122,16 +117,14 @@ class OccupancyMap {
     return {Run{span.first, head}, Run{0, span.hops - head}};
   }
 
-  [[nodiscard]] std::size_t row(topo::Direction dir,
-                                std::uint32_t fiber) const {
-    const std::size_t d = dir == topo::Direction::kClockwise ? 0 : 1;
-    return (d * fibers_ + fiber) * n_ * words_;
+  [[nodiscard]] std::size_t row(topo::Direction dir) const {
+    return dir == topo::Direction::kClockwise ? 0 : std::size_t{n_} * words_;
   }
 
   template <typename F>
   void for_each_segment(topo::Direction dir, const SegmentSpan& span,
                         const Placement& at, F&& f) {
-    std::uint64_t* words = &lit_[row(dir, at.fiber) + at.wavelength / 64];
+    std::uint64_t* words = &lit_[row(dir) + at.wavelength / 64];
     for (const Run& run : split(span)) {
       std::uint64_t* word = words + std::size_t{run.first} * words_;
       for (std::uint32_t h = 0; h < run.count; ++h, word += words_) f(*word);
@@ -141,9 +134,8 @@ class OccupancyMap {
   /// ORs the words of every segment on `span` into lit_on_span_. Returns
   /// false, and stops reading, as soon as every slice wavelength is lit
   /// somewhere on the span: nothing can fit then.
-  [[nodiscard]] bool gather(topo::Direction dir, std::uint32_t fiber,
-                            const SegmentSpan& span) {
-    const std::uint64_t* words = &lit_[row(dir, fiber)];
+  [[nodiscard]] bool gather(topo::Direction dir, const SegmentSpan& span) {
+    const std::uint64_t* words = &lit_[row(dir)];
     if (lo_word_ == hi_word_) {
       // The whole slice sits in one word: keep the union in a register.
       const std::uint64_t slice = slice_[lo_word_];
@@ -176,12 +168,11 @@ class OccupancyMap {
 
   std::uint32_t n_ = 0;
   std::uint32_t words_;
-  std::uint32_t fibers_;
   std::uint32_t lo_word_;
   std::uint32_t hi_word_;
   std::vector<std::uint64_t> slice_;        ///< bits of [lo, w_hi)
   std::vector<std::uint64_t> lit_on_span_;  ///< gather()'s union
-  std::vector<std::uint64_t> lit_;          ///< row(dir, fiber) + seg * words_
+  std::vector<std::uint64_t> lit_;          ///< row(dir) + seg * words_
 };
 
 /// Longest lightpaths first (by ring.distance, ties in input order):
@@ -252,24 +243,12 @@ void reject_loop(const topo::Ring& ring, const coll::Transfer& t) {
   (void)segment_span(ring, t.src, t.dst, topo::Direction::kClockwise);
 }
 
-/// The first fiber, in index order, on which `pick` finds a wavelength.
-template <typename Pick>
-Placement first_fiber(const RwaOptions& options, Pick&& pick) {
-  for (std::uint32_t fiber = 0; fiber < options.fibers_per_direction;
-       ++fiber) {
-    const std::uint32_t lambda = pick(fiber);
-    if (lambda != kNoWavelength) return Placement{0, fiber, lambda};
-  }
-  return Placement{};
-}
-
 /// The greedy round loop of one RWA problem. Walks `remaining` (positions
 /// into `span`, `dir` and `out`, in hop order), places each transfer `fit`
-/// finds a channel for, and defers the rest, in order, to the next round
-/// on a cleared map. With `one_round` it returns false at the first
-/// transfer that does not fit.
+/// finds a wavelength for, and defers the rest, in order, to the next
+/// round on a cleared map.
 template <typename Fit>
-bool place_rounds(std::vector<std::uint32_t> remaining, bool one_round,
+void place_rounds(std::vector<std::uint32_t> remaining,
                   const RwaOptions& options, OccupancyMap& map,
                   std::span<const SegmentSpan> span,
                   std::span<const topo::Direction> dir, Fit&& fit,
@@ -278,13 +257,12 @@ bool place_rounds(std::vector<std::uint32_t> remaining, bool one_round,
   std::vector<std::uint32_t> placed;
   for (std::uint32_t round = 0; !remaining.empty(); ++round) {
     for (const std::uint32_t p : remaining) {
-      const Placement at = fit(p);
-      if (at.wavelength == kNoWavelength) {
-        if (one_round) return false;
+      const std::uint32_t lambda = fit(p);
+      if (lambda == kNoWavelength) {
         deferred.push_back(p);
         continue;
       }
-      out[p] = Placement{round, at.fiber, at.wavelength};
+      out[p] = Placement{round, lambda};
       map.place(dir[p], span[p], out[p]);
       placed.push_back(p);
     }
@@ -301,17 +279,16 @@ bool place_rounds(std::vector<std::uint32_t> remaining, bool one_round,
     remaining.swap(deferred);
     deferred.clear();
   }
-  return true;
 }
 
 /// Random-fit: one walk over the whole ring in hop order. Each visit
 /// shuffles a wavelength permutation through `rng` exactly as the paper's
 /// Random-Fit does (one Fisher-Yates pass per transfer, drawn before any
 /// probe, retries included) and takes the first dark one in that order.
-bool random_fit(const topo::Ring& ring,
+void random_fit(const topo::Ring& ring,
                 std::span<const coll::Transfer> transfers,
                 const StepSpans& step, const RwaOptions& options, Rng* rng,
-                bool one_round, std::span<Placement> placed) {
+                std::span<Placement> placed) {
   OccupancyMap map(options);
   map.reset(ring.size());
   // The permutation covers the leased slice only, and the Fisher-Yates
@@ -328,28 +305,23 @@ bool random_fit(const topo::Ring& ring,
       const auto j = static_cast<std::uint32_t>(rng->uniform_int(0, k - 1));
       std::swap(lambda_order[k - 1], lambda_order[j]);
     }
-    return first_fiber(options, [&](std::uint32_t fiber) {
-      return map.first_in(step.dir[i], fiber, step.span[i], lambda_order);
-    });
+    return map.first_in(step.dir[i], step.span[i], lambda_order);
   };
-  return place_rounds(step.order, one_round, options, map, step.span,
-                      step.dir, fit, placed);
+  place_rounds(step.order, options, map, step.span, step.dir, fit, placed);
 }
 
 /// First-fit, solved arc by arc (DESIGN.md "Arc-by-arc first-fit"). The
-/// ring is cut at every boundary no span crosses, whatever its direction
-/// or fiber. Spans on different arcs share no segment, so first-fit's
-/// choice for a transfer depends only on the transfers before it on its
-/// own arc, in the same relative order. Each distinct arc is solved once,
-/// on the segments between its distinct endpoints, and its placements are
-/// copied to every translated copy. With `one_round` it returns false when
-/// some transfer needs a second round.
-bool first_fit(std::uint32_t n, const StepSpans& step,
-               const RwaOptions& options, bool one_round,
-               std::span<Placement> placed) {
+/// ring is cut at every boundary no span crosses, whatever its direction.
+/// Spans on different arcs share no segment, so first-fit's choice for a
+/// transfer depends only on the transfers before it on its own arc, in the
+/// same relative order. Each distinct arc is solved once, on the segments
+/// between its distinct endpoints, and its placements are copied to every
+/// translated copy.
+void first_fit(std::uint32_t n, const StepSpans& step,
+               const RwaOptions& options, std::span<Placement> placed) {
   const std::span<const std::uint32_t> order(step.order.data(),
                                              step.order.size() - step.loops);
-  if (order.empty()) return true;
+  if (order.empty()) return;
   const std::vector<SegmentSpan>& spans = step.span;
 
   // at[b] first counts the spans crossing boundary b (between segments
@@ -481,9 +453,7 @@ bool first_fit(std::uint32_t n, const StepSpans& step,
   std::vector<SegmentSpan> local_span;
   std::vector<topo::Direction> local_dir;
   const auto fit = [&](std::uint32_t p) {
-    return first_fiber(options, [&](std::uint32_t fiber) {
-      return map.first_fit(local_dir[p], fiber, local_span[p]);
-    });
+    return map.first_fit(local_dir[p], local_span[p]);
   };
   for (std::size_t d = 0; d < distinct.size(); ++d) {
     const std::uint32_t a = distinct[d];
@@ -516,75 +486,18 @@ bool first_fit(std::uint32_t n, const StepSpans& step,
     map.reset(segments);
     std::vector<std::uint32_t> walk(arc.size());
     std::iota(walk.begin(), walk.end(), 0u);
-    if (!place_rounds(std::move(walk), one_round, options, map, local_span,
-                      local_dir, fit,
-                      std::span<Placement>(solution).subspan(
-                          solution_begin[d], arc.size()))) {
-      return false;
-    }
+    place_rounds(std::move(walk), options, map, local_span, local_dir, fit,
+                 std::span<Placement>(solution).subspan(solution_begin[d],
+                                                        arc.size()));
   }
 
   for (std::uint32_t a = 0; a < arcs; ++a) {
     const Placement* from = solution.data() + solution_begin[solution_of[a]];
     for (const std::uint32_t i : arc_members(a)) placed[i] = *from++;
   }
-  return true;
-}
-
-/// Places every transfer of `step` under `options.policy`. With
-/// `one_round` it returns false, as soon as it knows, when some transfer
-/// does not fit in the first round.
-bool place_step(const topo::Ring& ring,
-                std::span<const coll::Transfer> transfers,
-                const StepSpans& step, const RwaOptions& options, Rng* rng,
-                bool one_round, std::span<Placement> placed) {
-  if (options.policy == RwaPolicy::kRandomFit) {
-    return random_fit(ring, transfers, step, options, rng, one_round,
-                      placed);
-  }
-  if (!first_fit(ring.size(), step, options, one_round, placed)) {
-    return false;
-  }
-  // A transfer from a node to itself sorts last: the walk reaches it once
-  // every other transfer has been tried in the first round.
-  if (step.loops > 0) {
-    reject_loop(ring, transfers[step.order[step.order.size() - step.loops]]);
-  }
-  return true;
-}
-
-Lightpath lightpath(const coll::Transfer& t, const StepSpans& step,
-                    std::uint32_t i, const Placement& at) {
-  return Lightpath{t.src,         t.dst,
-                   step.dir[i],   at.fiber,
-                   at.wavelength, step.span[i].first,
-                   step.span[i].hops};
 }
 
 }  // namespace
-
-RwaResult assign_wavelengths(const topo::Ring& ring,
-                             std::span<const coll::Transfer> transfers,
-                             const RwaOptions& options, Rng* rng) {
-  const prof::ScopedTimer timer("optical.rwa.assign");
-  require_valid(options);
-  const StepSpans step = read_step(ring, transfers);
-  RwaResult result;
-  {
-    std::vector<Placement> placed(transfers.size());
-    if (!place_step(ring, transfers, step, options, rng, true, placed)) {
-      return result;  // ok = false
-    }
-    result.paths.resize(transfers.size());
-    for (std::uint32_t i = 0; i < placed.size(); ++i) {
-      result.paths[i] = lightpath(transfers[i], step, i, placed[i]);
-      result.wavelengths_used =
-          std::max(result.wavelengths_used, placed[i].wavelength + 1);
-    }
-  }
-  result.ok = true;
-  return result;
-}
 
 RoundsResult assign_rounds(const topo::Ring& ring,
                            std::span<const coll::Transfer> transfers,
@@ -592,7 +505,16 @@ RoundsResult assign_rounds(const topo::Ring& ring,
   require_valid(options);
   const StepSpans step = read_step(ring, transfers);
   std::vector<Placement> placed(transfers.size());
-  (void)place_step(ring, transfers, step, options, rng, false, placed);
+  if (options.policy == RwaPolicy::kRandomFit) {
+    random_fit(ring, transfers, step, options, rng, placed);
+  } else {
+    first_fit(ring.size(), step, options, placed);
+    // A transfer from a node to itself sorts last: the walk reaches it once
+    // every other transfer has been tried in the first round.
+    if (step.loops > 0) {
+      reject_loop(ring, transfers[step.order[step.order.size() - step.loops]]);
+    }
+  }
 
   // Round r lists its transfers in hop order.
   std::vector<std::uint32_t> sizes;
@@ -610,7 +532,9 @@ RoundsResult assign_rounds(const topo::Ring& ring,
   for (const std::uint32_t i : step.order) {
     const Placement& at = placed[i];
     result.rounds[at.round].push_back(i);
-    result.paths[at.round].push_back(lightpath(transfers[i], step, i, at));
+    result.paths[at.round].push_back(
+        Lightpath{transfers[i].src, transfers[i].dst, step.dir[i],
+                  at.wavelength, step.span[i].first, step.span[i].hops});
     result.wavelengths_used =
         std::max(result.wavelengths_used, at.wavelength + 1);
   }

@@ -1,15 +1,16 @@
 // Routing and Wavelength Assignment (RWA) for one communication step.
 //
 // Given the concurrent transfers of a step, assign each a direction (honour
-// the schedule's hint, else shortest path) and a (fiber, wavelength) pair
-// such that no two lightpaths share a wavelength on an overlapping segment
-// of the same fiber. Supports the paper's First-Fit and Random-Fit policies
-// and, when a step needs more wavelengths than the fiber carries, a greedy
-// split of the step into sequential conflict-free rounds.
+// the schedule's hint, else shortest path) and a wavelength such that no
+// two lightpaths of one direction share a wavelength on an overlapping
+// segment. Supports the paper's First-Fit and Random-Fit policies and, when
+// a step needs more wavelengths than the fiber carries, a greedy split of
+// the step into sequential conflict-free rounds: assign_rounds() is the one
+// entry point, and a step that fits returns a single round.
 //
 // Occupancy is one run of ceil(w/64) words per fiber segment for each
-// (direction, fiber), bit lambda meaning "lit", so a transfer reads its span
-// once for every wavelength instead of probing wavelengths one at a time.
+// direction, bit lambda meaning "lit", so a transfer reads its span once
+// for every wavelength instead of probing wavelengths one at a time.
 //
 // First-fit cuts the ring at every boundary no span crosses. Spans on
 // different arcs share no segment, so each distinct arc (its transfers in
@@ -47,7 +48,6 @@ enum class RwaPolicy {
 
 struct RwaOptions {
   std::uint32_t wavelengths = 64;
-  std::uint32_t fibers_per_direction = 1;
   RwaPolicy policy = RwaPolicy::kFirstFit;
   /// First wavelength index the assignment may use: both policies scan
   /// [wavelength_lo, wavelengths) only, so a tenant holding a
@@ -58,32 +58,20 @@ struct RwaOptions {
   std::uint32_t wavelength_lo = 0;
 };
 
-struct RwaResult {
-  bool ok = false;
-  /// Parallel to the input transfers; valid only when ok.
-  std::vector<Lightpath> paths;
+struct RoundsResult {
+  /// rounds[r] lists indices into the input transfer vector, in hop order.
+  std::vector<std::vector<std::size_t>> rounds;
+  /// Per-round assignments, parallel to `rounds`.
+  std::vector<std::vector<Lightpath>> paths;
   /// Highest wavelength index used + 1 (0 when no transfers).
   std::uint32_t wavelengths_used = 0;
 };
 
-/// Assigns all transfers in one round. When the wavelength budget does not
-/// suffice, returns ok=false (paths empty).
-[[nodiscard]] RwaResult assign_wavelengths(
-    const topo::Ring& ring, std::span<const coll::Transfer> transfers,
-    const RwaOptions& options, Rng* rng = nullptr);
-
-struct RoundsResult {
-  /// rounds[r] lists indices into the input transfer vector.
-  std::vector<std::vector<std::size_t>> rounds;
-  /// Per-round assignments, parallel to `rounds`.
-  std::vector<std::vector<Lightpath>> paths;
-  std::uint32_t wavelengths_used = 0;
-};
-
 /// Greedily packs the transfers into as few sequential rounds as possible,
-/// each conflict-free within the wavelength budget. Throws InvalidArgument
-/// for zero wavelengths or fibers or an empty leased slice, and
-/// InfeasibleSchedule if some transfer cannot be routed even alone.
+/// each conflict-free within the wavelength budget: one round when the
+/// budget suffices. Throws InvalidArgument for zero wavelengths or an empty
+/// leased slice, and InfeasibleSchedule if some transfer cannot be routed
+/// even alone.
 [[nodiscard]] RoundsResult assign_rounds(
     const topo::Ring& ring, std::span<const coll::Transfer> transfers,
     const RwaOptions& options, Rng* rng = nullptr);

@@ -97,38 +97,13 @@ std::string TorusNetwork::ring_name(std::uint32_t slot,
          std::to_string(row ? slot - torus_.cols() : slot);
 }
 
-std::vector<RoundsResult> TorusNetwork::solve(const coll::Step& step,
-                                              const Shares& shares,
+std::vector<RoundsResult> TorusNetwork::solve(const Shares& shares,
                                               std::vector<std::uint32_t>& of,
                                               Rng* rng) const {
   const RwaOptions options = config_.rwa_options();
   const auto problem = [&](std::uint32_t slot) {
     return RwaStep{slot >= torus_.cols() ? &row_ring_ : &col_ring_,
                    shares.share(slot)};
-  };
-  // With multi-round splitting off, a ring either fits its share in one
-  // round or rejects the step, as RingNetwork does.
-  const auto assign = [&](std::uint32_t slot, Rng* with) {
-    const RwaStep p = problem(slot);
-    if (config_.allow_multi_round_steps) {
-      return assign_rounds(*p.ring, p.transfers, options, with);
-    }
-    RwaResult rwa = assign_wavelengths(*p.ring, p.transfers, options, with);
-    if (!rwa.ok) {
-      throw InfeasibleSchedule(
-          "TorusNetwork: step '" + step.label + "' on " +
-          ring_name(slot, " ") + " needs more than " +
-          std::to_string(config_.lease.width(config_.wavelengths)) +
-          " wavelengths (lease " + config_.lease.to_string() +
-          ") and multi-round splitting is disabled");
-    }
-    RoundsResult rounds;
-    rounds.wavelengths_used = rwa.wavelengths_used;
-    rounds.rounds.emplace_back(p.transfers.size());
-    std::iota(rounds.rounds[0].begin(), rounds.rounds[0].end(),
-              std::size_t{0});
-    rounds.paths.push_back(std::move(rwa.paths));
-    return rounds;
   };
 
   of.resize(shares.used.size());
@@ -137,7 +112,8 @@ std::vector<RoundsResult> TorusNetwork::solve(const coll::Step& step,
     // Random-fit draws from one Rng, ring by ring in slot order.
     for (std::size_t u = 0; u < shares.used.size(); ++u) {
       of[u] = static_cast<std::uint32_t>(u);
-      solved.push_back(assign(shares.used[u], rng));
+      const RwaStep p = problem(shares.used[u]);
+      solved.push_back(assign_rounds(*p.ring, p.transfers, options, rng));
     }
     return solved;
   }
@@ -147,17 +123,16 @@ std::vector<RoundsResult> TorusNetwork::solve(const coll::Step& step,
   // the pattern keys' order-blind sum over the (src, dst) words, without
   // the ring, so a match is confirmed ring size first, then element by
   // element.
-  std::vector<std::uint32_t> distinct;  // a slot per distinct share
+  std::vector<RwaStep> distinct;  // one problem per distinct share
   std::unordered_multimap<std::uint64_t, std::uint32_t> by_hash;
   for (std::size_t u = 0; u < shares.used.size(); ++u) {
-    const std::uint32_t slot = shares.used[u];
-    const RwaStep p = problem(slot);
+    const RwaStep p = problem(shares.used[u]);
     std::uint64_t hash = 0;
     for (const coll::Transfer& t : p.transfers) {
       hash += net::fmix64(std::uint64_t{t.src} << 32 | t.dst);
     }
     const auto same = [&](std::uint32_t d) {
-      const RwaStep q = problem(distinct[d]);
+      const RwaStep& q = distinct[d];
       return q.ring->size() == p.ring->size() &&
              std::equal(q.transfers.begin(), q.transfers.end(),
                         p.transfers.begin(), p.transfers.end(),
@@ -174,22 +149,11 @@ std::vector<RoundsResult> TorusNetwork::solve(const coll::Step& step,
     }
     of[u] = static_cast<std::uint32_t>(distinct.size());
     by_hash.emplace(hash, of[u]);
-    distinct.push_back(slot);
+    distinct.push_back(p);
   }
-  if (config_.allow_multi_round_steps) {
-    // Distinct shares are independent problems: batch-solve them (in
-    // parallel when rwa_threads resolves past 1), results in slot order.
-    std::vector<RwaStep> problems;
-    problems.reserve(distinct.size());
-    for (const std::uint32_t slot : distinct) {
-      problems.push_back(problem(slot));
-    }
-    return assign_rounds_batch(problems, options, config_.rwa_threads);
-  }
-  for (const std::uint32_t slot : distinct) {
-    solved.push_back(assign(slot, nullptr));
-  }
-  return solved;
+  // Distinct shares are independent problems: batch-solve them (in
+  // parallel when rwa_threads resolves past 1), results in slot order.
+  return assign_rounds_batch(distinct, options, config_.rwa_threads);
 }
 
 OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
@@ -204,7 +168,7 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
       {"optical-torus", net::to_string(config_.reconfig_policy),
        config_.mrr_reconfig_delay, config_.oeo_delay},
       net::Lightpaths{config_.bytes_per_element, config_.bytes_per_second(),
-                      config_.fibers_per_direction, true});
+                      true});
   Seconds now(0.0);
   std::size_t step_index = 0;
   Seconds previous_step(0.0);  // step 0 has nothing to overlap with
@@ -216,7 +180,7 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
   for (const auto& step : schedule.steps()) {
     const Shares shares = partition(step);
     const std::vector<RoundsResult> ring_rounds =
-        solve(step, shares, result_of, rng);
+        solve(shares, result_of, rng);
     for (const RoundsResult& rounds : ring_rounds) {
       for (const auto& round : rounds.paths) {
         for (const Lightpath& p : round) {
@@ -237,6 +201,16 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
     for (std::size_t u = 0; u < shares.used.size(); ++u) {
       const std::uint32_t slot = shares.used[u];
       const RoundsResult& rounds = ring_rounds[result_of[u]];
+      // With multi-round splitting off, a ring either fits its share in
+      // one round or rejects the step, as RingNetwork does.
+      if (!config_.allow_multi_round_steps && rounds.rounds.size() > 1) {
+        throw InfeasibleSchedule(
+            "TorusNetwork: step '" + step.label + "' on " +
+            ring_name(slot, " ") + " needs more than " +
+            std::to_string(config_.lease.width(config_.wavelengths)) +
+            " wavelengths (lease " + config_.lease.to_string() +
+            ") and multi-round splitting is disabled");
+      }
       const std::span<const coll::Transfer> share = shares.share(slot);
       const std::uint32_t* source = shares.source.data() + shares.begin[slot];
       net::PricedLane* lane = nullptr;

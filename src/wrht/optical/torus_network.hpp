@@ -1,13 +1,14 @@
 // Optical torus interconnect simulator (§6.1 extension substrate).
 //
 // Every row and every column of the torus is a WDM optical ring with its
-// own fibers and wavelength budget (the natural generalisation of the
-// TeraRack ring). A communication step may use many rows/columns at once;
-// each ring prices its share exactly like RingNetwork (RWA + rounds, or
-// one round or InfeasibleSchedule when multi-round splitting is off) and
-// the step lasts as long as the slowest ring. Transfers that are neither
-// row-local nor column-local are rejected — torus schedules route
-// dimension by dimension, as the paper's §6.1 sketch does.
+// own fiber per direction and wavelength budget (the natural
+// generalisation of the TeraRack ring). A communication step may use many
+// rows/columns at once; each ring prices its share exactly like
+// RingNetwork (RWA + rounds; with multi-round splitting off, a share that
+// needs a second round rejects the step) and the step lasts as long as the
+// slowest ring. Transfers that are neither row-local nor column-local are
+// rejected — torus schedules route dimension by dimension, as the paper's
+// §6.1 sketch does.
 //
 // Under first-fit a ring's RWA depends only on its ring size and its
 // local (src, dst) list, so a step solves each distinct share once: the
@@ -90,12 +91,9 @@ class TorusNetwork {
 
   /// RWA for every ring of a step: one result per distinct first-fit
   /// share (its ring's size and its local (src, dst) list), or per share
-  /// under random-fit; `of[u]` is the result of `shares.used[u]`. With
-  /// multi-round splitting off, throws InfeasibleSchedule naming the step
-  /// and the first ring that needs a second round.
+  /// under random-fit; `of[u]` is the result of `shares.used[u]`.
   [[nodiscard]] std::vector<RoundsResult> solve(
-      const coll::Step& step, const Shares& shares,
-      std::vector<std::uint32_t>& of, Rng* rng) const;
+      const Shares& shares, std::vector<std::uint32_t>& of, Rng* rng) const;
 
   /// "row" or "col", `separator`, then the ring's index.
   [[nodiscard]] std::string ring_name(std::uint32_t slot,

@@ -85,6 +85,8 @@ ReplaySummary replay_events(const obs::EventLog& log) {
   Seconds last{0.0};
   bool any = false;
 
+  out.queue_depth.reserve(log.size());
+  out.wavelengths_in_use.reserve(log.size());
   std::size_t index = 0;  // 0-based event index; JSONL line = index + 2
   for (const obs::ServiceEvent& e : log.events()) {
     ++index;
@@ -95,9 +97,13 @@ ReplaySummary replay_events(const obs::EventLog& log) {
     try {
       switch (e.kind) {
         case obs::ServiceEvent::Kind::kSubmit: {
-          Pending& p = pending[e.job];
-          p.arrival = e.time;
-          p.tenant = e.tenant;
+          const auto [it, fresh] = pending.try_emplace(e.job);
+          if (!fresh) {
+            throw InvalidArgument("second submit of pending job " +
+                                  std::to_string(e.job));
+          }
+          it->second.arrival = e.time;
+          it->second.tenant = e.tenant;
           ++depth;
           break;
         }
@@ -164,8 +170,8 @@ ReplaySummary replay_events(const obs::EventLog& log) {
     depth_mean.step(e.time, static_cast<double>(depth));
     util_mean.step(e.time,
                    static_cast<double>(in_use) / static_cast<double>(fabric));
-    out.queue_depth.push(e.time, static_cast<double>(depth));
-    out.wavelengths_in_use.push(e.time, static_cast<double>(in_use));
+    out.queue_depth.push_back({e.time, static_cast<double>(depth)});
+    out.wavelengths_in_use.push_back({e.time, static_cast<double>(in_use)});
   }
   if (!pending.empty()) {
     throw InvalidArgument("replay_events: " + std::to_string(pending.size()) +

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "wrht/obs/event_log.hpp"
 #include "wrht/obs/metrics.hpp"
@@ -27,9 +28,9 @@ struct ReplaySummary {
   ServiceReport report;
   /// Events per kind name, e.g. {"submit": 32, "grant": 32, ...}.
   std::map<std::string, std::uint64_t> event_counts;
-  /// Signal value after each transition that moved it.
-  obs::TimeSeries queue_depth;
-  obs::TimeSeries wavelengths_in_use;
+  /// Signal value after every event of the log, one sample per event.
+  std::vector<obs::TimeSeriesPoint> queue_depth;
+  std::vector<obs::TimeSeriesPoint> wavelengths_in_use;
   std::uint64_t peak_queue_depth = 0;
   /// Time-weighted means over [first event, last completion].
   double mean_queue_depth = 0.0;
@@ -42,8 +43,9 @@ struct ReplaySummary {
 };
 
 /// Replays a log produced by FabricService with TelemetryConfig::events.
-/// Throws InvalidArgument on an inconsistent log (grant without submit,
-/// complete without grant, unknown policy name).
+/// Throws InvalidArgument on an inconsistent log (a second submit of a
+/// pending job, grant without submit, complete without grant, unknown
+/// policy name).
 [[nodiscard]] ReplaySummary replay_events(const obs::EventLog& log);
 
 }  // namespace wrht::svc

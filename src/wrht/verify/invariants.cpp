@@ -66,7 +66,6 @@ CheckResult check_conflict_freedom(const coll::Schedule& schedule,
   const topo::Ring ring(ring_size);
   optics::RwaOptions rwa;
   rwa.wavelengths = options.wavelengths;
-  rwa.fibers_per_direction = options.fibers_per_direction;
   rwa.policy = options.rwa_policy;
   // Random-fit draws wavelengths; seed deterministically so the check is
   // reproducible.

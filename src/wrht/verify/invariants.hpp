@@ -32,7 +32,6 @@ namespace wrht::verify {
 struct InvariantOptions {
   /// Fiber wavelength budget w the schedule must respect.
   std::uint32_t wavelengths = 64;
-  std::uint32_t fibers_per_direction = 1;
   optics::RwaPolicy rwa_policy = optics::RwaPolicy::kFirstFit;
 };
 

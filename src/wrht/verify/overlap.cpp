@@ -24,7 +24,6 @@ CheckResult check_overlap_consistency(const coll::Schedule& schedule,
 
   optics::OpticalConfig base;
   base.wavelengths = options.wavelengths;
-  base.fibers_per_direction = options.fibers_per_direction;
   base.validate_node_capacity = false;  // capacity is a separate checker
 
   optics::OpticalConfig overlapped_cfg = base;
@@ -118,7 +117,6 @@ CheckResult check_overlap_consistency(const coll::Schedule& schedule,
   // for serial schedules — overlapping must not have relaxed it.
   InvariantOptions inv;
   inv.wavelengths = options.wavelengths;
-  inv.fibers_per_direction = options.fibers_per_direction;
   result.merge(check_conflict_freedom(schedule, ring_size, inv));
 
   return result;

@@ -26,7 +26,6 @@ namespace wrht::verify {
 
 struct OverlapOptions {
   std::uint32_t wavelengths = 64;
-  std::uint32_t fibers_per_direction = 1;
   /// Relative tolerance for the time identities (floating-point sums).
   double tolerance = 1e-9;
 };

@@ -372,8 +372,8 @@ std::vector<std::string> all_backend_names() {
 
 INSTANTIATE_TEST_SUITE_P(AllRegisteredBackends, BackendConformance,
                          testing::ValuesIn(all_backend_names()),
-                         [](const testing::TestParamInfo<std::string>& info) {
-                           std::string name = info.param;
+                         [](const testing::TestParamInfo<std::string>& param) {
+                           std::string name = param.param;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

@@ -151,7 +151,6 @@ struct Case {
   /// The run's budget; multi-round cases set it below the one the
   /// schedule was planned for.
   std::uint32_t wavelengths = 8;
-  std::uint32_t fibers = 1;
   bool random_fit = false;
   net::ReconfigPolicy policy = net::ReconfigPolicy::kEveryRound;
 };
@@ -181,7 +180,6 @@ std::unique_ptr<net::Backend> make_backend(const Case& c) {
     case Engine::kTorus: {
       optics::OpticalConfig config;
       config.wavelengths = c.wavelengths;
-      config.fibers_per_direction = c.fibers;
       config.reconfig_policy = c.policy;
       config.rwa_policy = c.random_fit ? optics::RwaPolicy::kRandomFit
                                        : optics::RwaPolicy::kFirstFit;
@@ -233,7 +231,6 @@ std::vector<Case> all_cases() {
     Engine engine;
     std::function<coll::Schedule()> schedule;
     std::uint32_t wavelengths = 8;
-    std::uint32_t fibers = 1;
     bool random_fit = false;
   };
   const auto ring = [] { return coll::ring_allreduce(kNodes, kElements); };
@@ -250,8 +247,7 @@ std::vector<Case> all_cases() {
       // rounds.
       {"ring/wrht/w2", Engine::kRing, wrht, 2},
       {"ring/wrht4/w2", Engine::kRing, wrht4, 2},
-      {"ring/wrht/w2/f2", Engine::kRing, wrht, 2, 2},
-      {"ring/wrht/w2/random", Engine::kRing, wrht, 2, 1, true},
+      {"ring/wrht/w2/random", Engine::kRing, wrht, 2, true},
       {"torus/wrht", Engine::kTorus, torus},
       {"torus/wrht/w2", Engine::kTorus, torus, 2},
       {"flow/ring", Engine::kFlow, ring},
@@ -267,8 +263,7 @@ std::vector<Case> all_cases() {
          {net::ReconfigPolicy::kEveryRound, net::ReconfigPolicy::kOnRetune,
           net::ReconfigPolicy::kOverlapped}) {
       out.push_back(Case{s.name + "/" + net::to_string(policy), s.engine,
-                         s.schedule, s.wavelengths, s.fibers, s.random_fit,
-                         policy});
+                         s.schedule, s.wavelengths, s.random_fit, policy});
     }
   }
   return out;
@@ -326,15 +321,6 @@ const Expected kExpected[] = {
     {"ring/wrht4/w2/overlapped",
      {0x638eb6f30b89214bULL, 0x3977c68c44f252b4ULL, 0x94eec8dbbf3e61bfULL,
       0x0507bf450de46137ULL, 0x66075b7fe6b11014ULL}},
-    {"ring/wrht/w2/f2/every_round",
-     {0x349606dbf91255acULL, 0xb0cecea3ea5689b9ULL, 0xcd7ab22b12e46d25ULL,
-      0x041c012c70e9969cULL, 0xd2d03c1ad889bfa2ULL}},
-    {"ring/wrht/w2/f2/on_retune",
-     {0x6110998d70a89185ULL, 0xb0cecea3ea5689b9ULL, 0xcd7ab22b12e46d25ULL,
-      0xc287ffdb7a107a5aULL, 0xd2d03c1ad889bfa2ULL}},
-    {"ring/wrht/w2/f2/overlapped",
-     {0xf23d2c4b99973c17ULL, 0xae7b8032e997a940ULL, 0x62aca0181c9edcbaULL,
-      0x041c012c70e9969cULL, 0xa1036372643da1a8ULL}},
     {"ring/wrht/w2/random/every_round",
      {0x5016e6a76f16a4d7ULL, 0x9cbd733370518deeULL, 0xb2dbfb4c0e064c60ULL,
       0x4d03ee83339a4264ULL, 0x0d649c7e1a6f4c1aULL}},

@@ -9,15 +9,15 @@ namespace {
 
 Lightpath lp(topo::NodeId src, topo::NodeId dst, std::uint32_t lambda,
              topo::Direction dir = topo::Direction::kClockwise) {
-  return Lightpath{src, dst, dir, 0, lambda, src, 1};
+  return Lightpath{src, dst, dir, lambda, src, 1};
 }
 
 TEST(TuningState, DerivesTxAndRxPerLightpath) {
   const auto state =
       TuningState::from_lightpaths({lp(0, 1, 3)}, NodeHardware{});
   ASSERT_EQ(state.size(), 2u);
-  const Tuning tx{0, topo::Direction::kClockwise, 0, 3, true};
-  const Tuning rx{1, topo::Direction::kClockwise, 0, 3, false};
+  const Tuning tx{0, topo::Direction::kClockwise, 3, true};
+  const Tuning rx{1, topo::Direction::kClockwise, 3, false};
   EXPECT_TRUE(state.tunings().count(tx));
   EXPECT_TRUE(state.tunings().count(rx));
 }

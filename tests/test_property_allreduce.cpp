@@ -48,9 +48,9 @@ INSTANTIATE_TEST_SUITE_P(
                                      "wrht"),
                      testing::Values(2u, 3u, 4u, 5u, 8u, 12u, 16u, 27u, 32u,
                                      45u, 64u)),
-    [](const testing::TestParamInfo<AlgoCase>& info) {
-      return std::get<0>(info.param) + "_n" +
-             std::to_string(std::get<1>(info.param));
+    [](const testing::TestParamInfo<AlgoCase>& param) {
+      return std::get<0>(param.param) + "_n" +
+             std::to_string(std::get<1>(param.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -145,10 +145,10 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(16u, 33u, 64u, 100u),
                      testing::Values(3u, 5u, 9u, 17u),
                      testing::Values(2u, 4u, 8u, 64u)),
-    [](const testing::TestParamInfo<WrhtCase>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_m" +
-             std::to_string(std::get<1>(info.param)) + "_w" +
-             std::to_string(std::get<2>(info.param));
+    [](const testing::TestParamInfo<WrhtCase>& param) {
+      return "n" + std::to_string(std::get<0>(param.param)) + "_m" +
+             std::to_string(std::get<1>(param.param)) + "_w" +
+             std::to_string(std::get<2>(param.param));
     });
 
 // ---------------------------------------------------------------------------

@@ -162,10 +162,6 @@ TEST(RequireMessage, RwaRejectsEmptyLeasedSlice) {
   options.wavelength_lo = 4;
   const std::string expected = "RWA: leased slice [4, 4) is empty";
   EXPECT_EQ(invalid_argument_message([&] {
-              (void)optics::assign_wavelengths(ring, transfers, options);
-            }),
-            expected);
-  EXPECT_EQ(invalid_argument_message([&] {
               (void)optics::assign_rounds(ring, transfers, options);
             }),
             expected);

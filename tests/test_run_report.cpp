@@ -256,7 +256,6 @@ TEST(FluentConfig, OpticalSettersMatchAggregateInit) {
   EXPECT_EQ(fluent.convention, aggregate.convention);
   EXPECT_EQ(fluent.validate_node_capacity, aggregate.validate_node_capacity);
   // Untouched fields keep their defaults.
-  EXPECT_EQ(fluent.fibers_per_direction, 1u);
   EXPECT_EQ(fluent.bytes_per_element, 4u);
 }
 

@@ -205,6 +205,60 @@ TEST(SvcTelemetry, ReplayRejectsInconsistentLogs) {
               std::string::npos)
         << e.what();
   }
+
+  // A second submit of a job still queued would leave a phantom job in the
+  // queue-depth signal for the rest of the run, though every job completes.
+  obs::EventLog resubmitted;
+  resubmitted.set_context(obs::EventLog::Context{8, "fifo", 1});
+  resubmitted.record(obs::ServiceEvent{Kind::kSubmit, Seconds(0.0), 1, 0, 0,
+                                       0, "arrival"});
+  resubmitted.record(obs::ServiceEvent{Kind::kSubmit, Seconds(0.5), 1, 0, 0,
+                                       0, "arrival"});
+  resubmitted.record(obs::ServiceEvent{Kind::kAdmit, Seconds(1.0), 1, 0, 0,
+                                       0, "fifo"});
+  resubmitted.record(obs::ServiceEvent{Kind::kGrant, Seconds(1.0), 1, 0, 0,
+                                       4, "alg=wrht"});
+  resubmitted.record(obs::ServiceEvent{Kind::kComplete, Seconds(2.0), 1, 0,
+                                       0, 4, "release"});
+  try {
+    (void)replay_events(resubmitted);
+    FAIL() << "replay accepted a second submit of a pending job";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "second submit of pending job 1 (event 2, line 3)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SvcTelemetry, ReplayKeepsOneSamplePerEvent) {
+  // More events than a default obs::TimeSeries ring holds (4096): the
+  // replayed signals keep every event's sample, from the first event on.
+  using Kind = obs::ServiceEvent::Kind;
+  obs::EventLog log;
+  log.set_context(obs::EventLog::Context{8, "fifo", 1});
+  constexpr std::uint64_t kJobs = 1100;
+  for (std::uint64_t job = 0; job < kJobs; ++job) {
+    const Seconds arrival(0.25 + static_cast<double>(job));
+    log.record(obs::ServiceEvent{Kind::kSubmit, arrival, job, 0, 0, 0,
+                                 "arrival"});
+    log.record(obs::ServiceEvent{Kind::kAdmit, arrival, job, 0, 0, 0,
+                                 "fifo"});
+    log.record(obs::ServiceEvent{Kind::kGrant, arrival, job, 0, 0, 2,
+                                 "alg=wrht"});
+    log.record(obs::ServiceEvent{Kind::kComplete, arrival + Seconds(0.5), job,
+                                 0, 0, 2, "release"});
+  }
+  ASSERT_GT(log.size(), 4096u);
+  const ReplaySummary replay = replay_events(log);
+  ASSERT_EQ(replay.queue_depth.size(), log.size());
+  ASSERT_EQ(replay.wavelengths_in_use.size(), log.size());
+  EXPECT_EQ(replay.queue_depth[0].time.count(), 0.25);
+  EXPECT_EQ(replay.queue_depth[0].value, 1.0);
+  EXPECT_EQ(replay.wavelengths_in_use[2].value, 2.0);
+  const std::size_t last = log.size() - 1;
+  EXPECT_EQ(replay.queue_depth[last].time.count(), 1099.75);
+  EXPECT_EQ(replay.wavelengths_in_use[last].value, 0.0);
 }
 
 TEST(SvcTelemetry, TraceLanesSplitByTenantWithCounterTracks) {
