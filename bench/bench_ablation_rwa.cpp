@@ -38,13 +38,15 @@ void run_pattern(const std::string& table_label,
   spec.nodes = {n};
   spec.wavelengths = std::move(budgets);
   const auto builder = [pattern](const exp::SweepPoint&) { return pattern; };
-  spec.series = {
-      exp::Series{.name = "first_fit", .builder = builder},
-      exp::Series{.name = "random_fit", .builder = builder,
-                  .configure =
-                      [](const exp::SweepPoint&, net::BackendConfig& c) {
-                        c.random_fit_rwa = true;
-                      }}};
+  exp::Series first_fit;
+  first_fit.name = "first_fit";
+  first_fit.builder = builder;
+  exp::Series random_fit = first_fit;
+  random_fit.name = "random_fit";
+  random_fit.configure = [](const exp::SweepPoint&, net::BackendConfig& c) {
+    c.random_fit_rwa = true;
+  };
+  spec.series = {first_fit, random_fit};
   // Nested group lightpaths exceed the per-node MRR budget by design here;
   // the ablation measures RWA pressure, not hardware feasibility.
   spec.config.validate_node_capacity = false;

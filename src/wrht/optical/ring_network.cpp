@@ -70,7 +70,7 @@ RingNetwork::PatternCost RingNetwork::evaluate_step(const coll::Step& step,
 
 RingNetwork::PatternCost RingNetwork::describe_rounds(
     const coll::Step& step, const RoundsResult& rounds, Detail detail) const {
-  if (!config_.allow_multi_round_steps && rounds.rounds.size() > 1) {
+  if (!config_.allow_multi_round_steps && rounds.rounds > 1) {
     throw InfeasibleSchedule(
         "RingNetwork: step '" + step.label + "' needs more than " +
         std::to_string(config_.lease.width(config_.wavelengths)) +
@@ -80,32 +80,46 @@ RingNetwork::PatternCost RingNetwork::describe_rounds(
   PatternCost out{};
   out.detail = detail;
   out.cost.wavelengths_used = rounds.wavelengths_used;
-  out.cost.rounds = static_cast<std::uint32_t>(rounds.paths.size());
-  for (std::size_t r = 0; r < rounds.paths.size(); ++r) {
-    std::size_t max_elements = 0;
-    for (const std::size_t idx : rounds.rounds[r]) {
-      max_elements = std::max(max_elements, step.transfers[idx].count);
-    }
-    for (const Lightpath& path : rounds.paths[r]) {
-      out.longest_hops = std::max(out.longest_hops, path.hops);
-    }
+  out.cost.rounds = rounds.rounds;
+  out.longest_hops = rounds.longest_hops;
+  // Each round's largest transfer, in one pass over the placements.
+  std::vector<std::size_t> largest(rounds.rounds, 0);
+  for (std::size_t i = 0; i < rounds.placements.size(); ++i) {
+    std::size_t& max_elements = largest[rounds.placements[i].round];
+    max_elements = std::max(max_elements, step.transfers[i].count);
+  }
+  for (const std::size_t max_elements : largest) {
     out.cost.max_transfer_elements =
         std::max(out.cost.max_transfer_elements, max_elements);
     out.round_serialization.push_back(
         config_.serialization_time(max_elements));
-    if (config_.validate_node_capacity ||
-        config_.reconfig_policy == net::ReconfigPolicy::kOnRetune ||
-        detail == Detail::kTuned) {
-      out.round_tunings.push_back(TuningState::from_lightpaths(
-          rounds.paths[r], config_.node_hardware));
+  }
+  if (config_.validate_node_capacity ||
+      config_.reconfig_policy == net::ReconfigPolicy::kOnRetune ||
+      detail == Detail::kTuned) {
+    // A TuningState is a set: each round's lightpaths in input order.
+    std::vector<std::vector<Lightpath>> paths(rounds.rounds);
+    for (std::size_t i = 0; i < rounds.placements.size(); ++i) {
+      const Placement& at = rounds.placements[i];
+      paths[at.round].push_back(
+          lightpath_of(ring_, step.transfers[i], at.wavelength));
     }
-    if (detail != Detail::kLean) {
+    for (const std::vector<Lightpath>& round : paths) {
+      out.round_tunings.push_back(
+          TuningState::from_lightpaths(round, config_.node_hardware));
+    }
+  }
+  if (detail != Detail::kLean) {
+    // A routed round lists its transfers in hop order, as the transfer log
+    // records them.
+    const HopOrderedRounds lists = hop_ordered(ring_, step.transfers, rounds);
+    for (std::size_t r = 0; r < lists.rounds.size(); ++r) {
       net::RoundRouting& routing = out.routing.emplace_back();
-      routing.transfers.reserve(rounds.paths[r].size());
-      for (std::size_t j = 0; j < rounds.paths[r].size(); ++j) {
-        const std::size_t index = rounds.rounds[r][j];
+      routing.transfers.reserve(lists.rounds[r].size());
+      for (std::size_t j = 0; j < lists.rounds[r].size(); ++j) {
+        const std::size_t index = lists.rounds[r][j];
         routing.transfers.push_back(net::RoundTransfer{
-            static_cast<std::uint32_t>(index), channel_of(rounds.paths[r][j]),
+            static_cast<std::uint32_t>(index), channel_of(lists.paths[r][j]),
             config_.serialization_time(step.transfers[index].count)});
       }
       routing.aggregate_channels();

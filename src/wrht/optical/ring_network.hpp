@@ -207,18 +207,27 @@ class RingNetwork {
  private:
   /// What a priced pattern keeps besides its price.
   enum class Detail : std::uint8_t {
-    kLean,    ///< unobserved and counters-only runs
-    kRouted,  ///< + each round's routing (trace, occupancy, transfer log)
-    kTuned,   ///< + each round's tuning, for the transfer log's retune walk
+    /// Unobserved and counters-only runs: the price alone, read from the
+    /// RWA's per-transfer placements.
+    kLean,
+    /// + each round's routing in hop order, from optics::hop_ordered (trace,
+    /// occupancy, transfer log).
+    kRouted,
+    /// + each round's tuning, for the transfer log's retune walk.
+    kTuned,
   };
 
   struct PatternCost {
-    /// Rounds, wavelengths and largest transfer; execute() prices the
-    /// duration on the run's net::RoundClock.
+    /// Rounds, wavelengths and largest transfer, read in one pass over the
+    /// placements; execute() prices the duration on the run's
+    /// net::RoundClock.
     StepCost cost;
     std::uint32_t longest_hops = 0;
-    /// Per-round serialization, and tuning for the retune walk.
+    /// Per-round serialization.
     std::vector<Seconds> round_serialization;
+    /// Per-round tuning, built from the round's lightpaths in input order
+    /// (a TuningState is a set) when node capacity is checked, under
+    /// kOnRetune, and at kTuned.
     std::vector<TuningState> round_tunings;
     /// Per-round routed transfers and channel uses (kRouted and up).
     std::vector<net::RoundRouting> routing;

@@ -34,12 +34,6 @@ constexpr std::uint64_t bit(std::uint32_t lambda) {
   return std::uint64_t{1} << (lambda % 64);
 }
 
-/// Where one transfer is placed: its round and its wavelength.
-struct Placement {
-  std::uint32_t round = 0;
-  std::uint32_t wavelength = kNoWavelength;
-};
-
 /// Occupancy bookkeeping: for each direction, one run of ceil(w/64) words
 /// per fiber segment, where bit lambda of a segment's words means
 /// "wavelength lambda is lit on this segment". A span is read once for
@@ -200,40 +194,50 @@ std::vector<std::uint32_t> order_by_hops(
 
 /// A step as both policies read it, each array parallel to the input:
 /// every transfer's direction (its hint, else the shortest) and segment
-/// span, and the hop order it is placed in. A transfer from a node to
-/// itself keeps an empty span and sorts last; it is rejected where the
-/// walk reaches it.
+/// span. A transfer from a node to itself keeps an empty span, sorts last
+/// in hop order and is rejected where the walk reaches it.
 struct StepSpans {
-  std::vector<std::uint32_t> order;
   std::vector<SegmentSpan> span;
   std::vector<topo::Direction> dir;
-  std::uint32_t loops = 0;  ///< transfers from a node to itself
+  std::uint32_t loops = 0;         ///< transfers from a node to itself
+  std::uint32_t longest_hops = 0;  ///< the longest span
 };
 
+/// ring.distance of a span's ends: whichever way round is shorter.
+std::uint32_t hop_distance(const SegmentSpan& span, std::uint32_t n) {
+  return std::min(span.hops, n - span.hops);
+}
+
+/// One pass in input order: ring.distance's range check, then
+/// shortest_direction and segment_span by plain arithmetic.
 StepSpans read_step(const topo::Ring& ring,
                     std::span<const coll::Transfer> transfers) {
   require(transfers.size() < UINT32_MAX,
           "RWA: a step holds fewer than 2^32 - 1 transfers");
-  const auto count = static_cast<std::uint32_t>(transfers.size());
+  const std::uint32_t n = ring.size();
   StepSpans step;
-  {
-    // Every distance before any span, so a node id out of range is
-    // reported before a transfer from a node to itself.
-    std::vector<std::uint32_t> distance(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      distance[i] = ring.distance(transfers[i].src, transfers[i].dst);
-      if (distance[i] == 0) ++step.loops;
-    }
-    step.order = order_by_hops(distance);
-  }
-  step.span.resize(count);
-  step.dir.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
+  step.span.resize(transfers.size());
+  step.dir.resize(transfers.size());
+  for (std::size_t i = 0; i < transfers.size(); ++i) {
     const coll::Transfer& t = transfers[i];
-    if (t.src == t.dst) continue;
-    step.dir[i] =
-        t.direction ? *t.direction : ring.shortest_direction(t.src, t.dst);
-    step.span[i] = segment_span(ring, t.src, t.dst, step.dir[i]);
+    // Throws for a node id out of range, before any transfer from a node
+    // to itself is rejected.
+    if (t.src >= n || t.dst >= n) (void)ring.distance(t.src, t.dst);
+    const std::uint32_t cw =
+        t.dst >= t.src ? t.dst - t.src : n - (t.src - t.dst);
+    if (cw == 0) {
+      ++step.loops;
+      continue;
+    }
+    const std::uint32_t ccw = n - cw;
+    const topo::Direction dir =
+        t.direction ? *t.direction
+                    : (cw <= ccw ? topo::Direction::kClockwise
+                                 : topo::Direction::kCounterClockwise);
+    step.dir[i] = dir;
+    step.span[i] = dir == topo::Direction::kClockwise ? SegmentSpan{t.src, cw}
+                                                      : SegmentSpan{t.dst, ccw};
+    step.longest_hops = std::max(step.longest_hops, step.span[i].hops);
   }
   return step;
 }
@@ -307,28 +311,32 @@ void random_fit(const topo::Ring& ring,
     }
     return map.first_in(step.dir[i], step.span[i], lambda_order);
   };
-  place_rounds(step.order, options, map, step.span, step.dir, fit, placed);
+  std::vector<std::uint32_t> distance(step.span.size());
+  for (std::size_t i = 0; i < distance.size(); ++i) {
+    distance[i] = hop_distance(step.span[i], ring.size());
+  }
+  place_rounds(order_by_hops(distance), options, map, step.span, step.dir,
+               fit, placed);
 }
 
 /// First-fit, solved arc by arc (DESIGN.md "Arc-by-arc first-fit"). The
 /// ring is cut at every boundary no span crosses, whatever its direction.
 /// Spans on different arcs share no segment, so first-fit's choice for a
 /// transfer depends only on the transfers before it on its own arc, in the
-/// same relative order. Each distinct arc is solved once, on the segments
-/// between its distinct endpoints, and its placements are copied to every
-/// translated copy.
+/// same relative hop order. Every pass over the step reads it in input
+/// order; each distinct arc is put into hop order and solved once, on the
+/// segments between its distinct endpoints, and its placements are copied
+/// to every translated copy. Transfers from a node to itself take no part.
 void first_fit(std::uint32_t n, const StepSpans& step,
                const RwaOptions& options, std::span<Placement> placed) {
-  const std::span<const std::uint32_t> order(step.order.data(),
-                                             step.order.size() - step.loops);
-  if (order.empty()) return;
   const std::vector<SegmentSpan>& spans = step.span;
+  const auto count = static_cast<std::uint32_t>(spans.size());
+  if (count == step.loops) return;
 
   // at[b] first counts the spans crossing boundary b (between segments
   // b - 1 and b), through a difference array.
   std::vector<std::uint32_t> at(std::size_t{n} + 1, 0);
-  for (const std::uint32_t i : order) {
-    const SegmentSpan span = spans[i];
+  for (const SegmentSpan& span : spans) {
     if (span.hops < 2) continue;
     const std::uint32_t from = (span.first + 1) % n;
     const std::uint64_t to = std::uint64_t{from} + span.hops - 1;
@@ -352,8 +360,9 @@ void first_fit(std::uint32_t n, const StepSpans& step,
   // and the whole ring is one arc starting at segment 0.
   constexpr std::uint32_t kStart = UINT32_MAX;
   std::uint32_t arcs = 0;
-  for (const std::uint32_t i : order) {
-    std::uint32_t& boundary = at[spans[i].first];
+  for (const SegmentSpan& span : spans) {
+    if (span.hops == 0) continue;
+    std::uint32_t& boundary = at[span.first];
     if (boundary == 0) {
       boundary = kStart;
       ++arcs;
@@ -377,15 +386,18 @@ void first_fit(std::uint32_t n, const StepSpans& step,
     }
   }
 
-  // Each arc's transfers, in hop order: members[arc_begin[a], arc_begin[a+1]).
+  // Each arc's transfers, in input order:
+  // members[arc_begin[a], arc_begin[a + 1]).
   std::vector<std::uint32_t> arc_begin(std::size_t{arcs} + 1, 0);
-  for (const std::uint32_t i : order) ++arc_begin[at[spans[i].first] + 1];
+  for (const SegmentSpan& span : spans) {
+    if (span.hops != 0) ++arc_begin[at[span.first] + 1];
+  }
   std::partial_sum(arc_begin.begin(), arc_begin.end(), arc_begin.begin());
-  std::vector<std::uint32_t> members(order.size());
+  std::vector<std::uint32_t> members(count - step.loops);
   {
     std::vector<std::uint32_t> fill(arc_begin.begin(), arc_begin.end() - 1);
-    for (const std::uint32_t i : order) {
-      members[fill[at[spans[i].first]]++] = i;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      if (spans[i].hops != 0) members[fill[at[spans[i].first]]++] = i;
     }
   }
   at = {};
@@ -399,10 +411,11 @@ void first_fit(std::uint32_t n, const StepSpans& step,
                                  : first + (n - arc_start[a]);
   };
 
-  // An arc's key: its transfers in hop order, each as (offset from the
-  // arc's start, hops, direction). The hash only picks candidates: it is
-  // the pattern keys' order-blind sum, so arcs that differ only in hop
-  // order share it, and a match is confirmed element by element.
+  // An arc's key: its transfers in input order, each as (offset from the
+  // arc's start, hops, direction). A transfer's ring.distance is a
+  // function of its hops, so equal keys give equal hop orders and equal
+  // placements. The hash only picks candidates: it is the pattern keys'
+  // order-blind sum, and a match is confirmed element by element.
   const auto same_key = [&](std::uint32_t a, std::uint32_t b) {
     const auto x = arc_members(a);
     const auto y = arc_members(b);
@@ -418,7 +431,8 @@ void first_fit(std::uint32_t n, const StepSpans& step,
   };
   std::vector<std::uint32_t> solution_of(arcs);
   std::vector<std::uint32_t> distinct;  // one arc per distinct key
-  // Distinct key d's placements: solution[solution_begin[d], ...[d + 1]).
+  // Distinct key d's placements, in its arc's input order:
+  // solution[solution_begin[d], solution_begin[d + 1]).
   std::vector<std::uint32_t> solution_begin{0};
   std::unordered_multimap<std::uint64_t, std::uint32_t> by_hash;
   for (std::uint32_t a = 0; a < arcs; ++a) {
@@ -445,11 +459,13 @@ void first_fit(std::uint32_t n, const StepSpans& step,
                              arc_begin[a]);
   }
 
-  // Solve each distinct arc on its elementary segments, the runs between
-  // consecutive distinct endpoints: compressing them keeps every overlap.
+  // Solve each distinct arc in its hop order on its elementary segments,
+  // the runs between consecutive distinct endpoints: compressing them
+  // keeps every overlap.
   std::vector<Placement> solution(solution_begin.back());
   OccupancyMap map(options);
   std::vector<std::uint32_t> points;
+  std::vector<std::uint32_t> local_distance;
   std::vector<SegmentSpan> local_span;
   std::vector<topo::Direction> local_dir;
   const auto fit = [&](std::uint32_t p) {
@@ -475,18 +491,19 @@ void first_fit(std::uint32_t n, const StepSpans& step,
           std::lower_bound(points.begin(), points.end(), point) -
           points.begin());
     };
+    local_distance.resize(arc.size());
     local_span.resize(arc.size());
     local_dir.resize(arc.size());
     for (std::size_t p = 0; p < arc.size(); ++p) {
       const std::uint32_t first = index(offset(arc[p], a));
       const std::uint32_t last = index(end_of(arc[p]));
+      local_distance[p] = hop_distance(spans[arc[p]], n);
       local_span[p] = {first, (last + segments - first) % segments};
       local_dir[p] = step.dir[arc[p]];
     }
     map.reset(segments);
-    std::vector<std::uint32_t> walk(arc.size());
-    std::iota(walk.begin(), walk.end(), 0u);
-    place_rounds(std::move(walk), options, map, local_span, local_dir, fit,
+    place_rounds(order_by_hops(local_distance), options, map, local_span,
+                 local_dir, fit,
                  std::span<Placement>(solution).subspan(solution_begin[d],
                                                         arc.size()));
   }
@@ -504,41 +521,69 @@ RoundsResult assign_rounds(const topo::Ring& ring,
                            const RwaOptions& options, Rng* rng) {
   require_valid(options);
   const StepSpans step = read_step(ring, transfers);
-  std::vector<Placement> placed(transfers.size());
+  RoundsResult result;
+  result.placements.resize(transfers.size());
   if (options.policy == RwaPolicy::kRandomFit) {
-    random_fit(ring, transfers, step, options, rng, placed);
+    random_fit(ring, transfers, step, options, rng, result.placements);
   } else {
-    first_fit(ring.size(), step, options, placed);
-    // A transfer from a node to itself sorts last: the walk reaches it once
-    // every other transfer has been tried in the first round.
+    first_fit(ring.size(), step, options, result.placements);
+    // A transfer from a node to itself sorts last: the walk reaches the
+    // first of them once every other transfer has been tried in the first
+    // round.
     if (step.loops > 0) {
-      reject_loop(ring, transfers[step.order[step.order.size() - step.loops]]);
+      for (std::size_t i = 0; i < transfers.size(); ++i) {
+        if (step.span[i].hops == 0) reject_loop(ring, transfers[i]);
+      }
     }
   }
-
-  // Round r lists its transfers in hop order.
-  std::vector<std::uint32_t> sizes;
-  for (const Placement& at : placed) {
-    if (at.round >= sizes.size()) sizes.resize(std::size_t{at.round} + 1, 0);
-    ++sizes[at.round];
-  }
-  RoundsResult result;
-  result.rounds.resize(sizes.size());
-  result.paths.resize(sizes.size());
-  for (std::size_t r = 0; r < sizes.size(); ++r) {
-    result.rounds[r].reserve(sizes[r]);
-    result.paths[r].reserve(sizes[r]);
-  }
-  for (const std::uint32_t i : step.order) {
-    const Placement& at = placed[i];
-    result.rounds[at.round].push_back(i);
-    result.paths[at.round].push_back(
-        Lightpath{transfers[i].src, transfers[i].dst, step.dir[i],
-                  at.wavelength, step.span[i].first, step.span[i].hops});
+  for (const Placement& at : result.placements) {
+    result.rounds = std::max(result.rounds, at.round + 1);
     result.wavelengths_used =
         std::max(result.wavelengths_used, at.wavelength + 1);
   }
+  result.longest_hops = step.longest_hops;
   return result;
+}
+
+Lightpath lightpath_of(const topo::Ring& ring, const coll::Transfer& t,
+                       std::uint32_t wavelength) {
+  const topo::Direction dir =
+      t.direction ? *t.direction : ring.shortest_direction(t.src, t.dst);
+  const SegmentSpan span = segment_span(ring, t.src, t.dst, dir);
+  return Lightpath{t.src, t.dst, dir, wavelength, span.first, span.hops};
+}
+
+HopOrderedRounds hop_ordered(const topo::Ring& ring,
+                             std::span<const coll::Transfer> transfers,
+                             const RoundsResult& result) {
+  require(result.placements.size() == transfers.size(),
+          "hop_ordered: the result holds one placement per transfer");
+  std::vector<std::uint32_t> distance(transfers.size());
+  std::vector<std::uint32_t> sizes(result.rounds, 0);
+  for (std::size_t i = 0; i < transfers.size(); ++i) {
+    distance[i] = ring.distance(transfers[i].src, transfers[i].dst);
+    const std::uint32_t round = result.placements[i].round;
+    if (round >= result.rounds) {
+      throw InvalidArgument("hop_ordered: transfer " + std::to_string(i) +
+                            " is placed in round " + std::to_string(round) +
+                            " of " + std::to_string(result.rounds));
+    }
+    ++sizes[round];
+  }
+  HopOrderedRounds out;
+  out.rounds.resize(result.rounds);
+  out.paths.resize(result.rounds);
+  for (std::size_t r = 0; r < sizes.size(); ++r) {
+    out.rounds[r].reserve(sizes[r]);
+    out.paths[r].reserve(sizes[r]);
+  }
+  for (const std::uint32_t i : order_by_hops(distance)) {
+    const Placement& at = result.placements[i];
+    out.rounds[at.round].push_back(i);
+    out.paths[at.round].push_back(
+        lightpath_of(ring, transfers[i], at.wavelength));
+  }
+  return out;
 }
 
 unsigned resolve_rwa_threads(unsigned threads) {

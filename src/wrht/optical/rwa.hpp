@@ -8,18 +8,27 @@
 // the step into sequential conflict-free rounds: assign_rounds() is the one
 // entry point, and a step that fits returns a single round.
 //
+// The result is the decision alone, in input order: each transfer's round
+// and wavelength (8 B), plus the round count, the wavelength high-water
+// mark and the longest span, which is all Eq. (6) pricing reads. Both
+// policies place transfers in hop order (ring.distance longest first, ties
+// in input order); hop_ordered() derives that order's per-round lists of
+// indices and lightpaths from a result, for the callers that can observe
+// it (routed round descriptions, the invariant checks, the tests).
+//
 // Occupancy is one run of ceil(w/64) words per fiber segment for each
 // direction, bit lambda meaning "lit", so a transfer reads its span once
 // for every wavelength instead of probing wavelengths one at a time.
 //
-// First-fit cuts the ring at every boundary no span crosses. Spans on
-// different arcs share no segment, so each distinct arc (its transfers in
-// hop order as offset, hops and direction) is solved once, on the
-// segments between its distinct endpoints, and copied to every translated
-// copy: a WRHT level's groups cost one group's RWA plus a linear pass,
-// bit for bit the walk over the whole ring. Random-fit walks the whole
-// ring in hop order, drawing from its Rng per visit. See DESIGN.md
-// "Arc-by-arc first-fit".
+// First-fit reads the step in input order and cuts the ring at every
+// boundary no span crosses. Spans on different arcs share no segment, so
+// each distinct arc (its transfers in input order as offset, hops and
+// direction) is put into hop order and solved once, on the segments
+// between its distinct endpoints, and copied to every translated copy: a
+// WRHT level's groups cost one group's RWA plus a linear pass, bit for bit
+// the walk over the whole ring. Random-fit walks the whole ring in hop
+// order, drawing from its Rng per visit. See DESIGN.md "Arc-by-arc
+// first-fit".
 //
 // Steps are independent RWA problems (occupancy never carries across
 // steps), so assign_rounds_batch() solves many steps in parallel. The
@@ -58,13 +67,23 @@ struct RwaOptions {
   std::uint32_t wavelength_lo = 0;
 };
 
+/// Where assign_rounds placed one transfer.
+struct Placement {
+  std::uint32_t round = 0;
+  std::uint32_t wavelength = 0;
+
+  friend bool operator==(const Placement&, const Placement&) = default;
+};
+
 struct RoundsResult {
-  /// rounds[r] lists indices into the input transfer vector, in hop order.
-  std::vector<std::vector<std::size_t>> rounds;
-  /// Per-round assignments, parallel to `rounds`.
-  std::vector<std::vector<Lightpath>> paths;
+  /// placements[i] places input transfer i.
+  std::vector<Placement> placements;
+  /// Number of rounds (0 when no transfers).
+  std::uint32_t rounds = 0;
   /// Highest wavelength index used + 1 (0 when no transfers).
   std::uint32_t wavelengths_used = 0;
+  /// Hop count of the longest lightpath (0 when no transfers).
+  std::uint32_t longest_hops = 0;
 };
 
 /// Greedily packs the transfers into as few sequential rounds as possible,
@@ -75,6 +94,28 @@ struct RoundsResult {
 [[nodiscard]] RoundsResult assign_rounds(
     const topo::Ring& ring, std::span<const coll::Transfer> transfers,
     const RwaOptions& options, Rng* rng = nullptr);
+
+/// The lightpath assign_rounds routes `t` on at `wavelength`: the
+/// transfer's hint, else its shortest direction, and that direction's
+/// segment span.
+[[nodiscard]] Lightpath lightpath_of(const topo::Ring& ring,
+                                     const coll::Transfer& t,
+                                     std::uint32_t wavelength);
+
+/// A result as per-round lists in the order assign_rounds placed them:
+/// rounds[r] holds round r's input indices in hop order (ring.distance
+/// longest first, ties in input order), paths[r] their lightpaths.
+struct HopOrderedRounds {
+  std::vector<std::vector<std::size_t>> rounds;
+  std::vector<std::vector<Lightpath>> paths;
+};
+
+/// Derives the hop-ordered lists of `result`, an assign_rounds result for
+/// `transfers` on `ring`. Throws InvalidArgument unless the result holds
+/// one placement per transfer, each in one of its rounds.
+[[nodiscard]] HopOrderedRounds hop_ordered(
+    const topo::Ring& ring, std::span<const coll::Transfer> transfers,
+    const RoundsResult& result);
 
 /// Worker count for assign_rounds_batch: `threads` if >= 1, else
 /// WRHT_RWA_THREADS when set to a valid positive integer (bad values warn

@@ -177,17 +177,14 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
   net::PricedStep priced;
   std::deque<net::RoundRouting> routing;
   std::vector<std::uint32_t> result_of;
+  std::vector<std::size_t> largest;
   for (const auto& step : schedule.steps()) {
     const Shares shares = partition(step);
     const std::vector<RoundsResult> ring_rounds =
         solve(shares, result_of, rng);
     for (const RoundsResult& rounds : ring_rounds) {
-      for (const auto& round : rounds.paths) {
-        for (const Lightpath& p : round) {
-          result.longest_lightpath_hops =
-              std::max(result.longest_lightpath_hops, p.hops);
-        }
-      }
+      result.longest_lightpath_hops =
+          std::max(result.longest_lightpath_hops, rounds.longest_hops);
     }
 
     StepCost cost;
@@ -203,7 +200,7 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
       const RoundsResult& rounds = ring_rounds[result_of[u]];
       // With multi-round splitting off, a ring either fits its share in
       // one round or rejects the step, as RingNetwork does.
-      if (!config_.allow_multi_round_steps && rounds.rounds.size() > 1) {
+      if (!config_.allow_multi_round_steps && rounds.rounds > 1) {
         throw InfeasibleSchedule(
             "TorusNetwork: step '" + step.label + "' on " +
             ring_name(slot, " ") + " needs more than " +
@@ -213,10 +210,20 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
       }
       const std::span<const coll::Transfer> share = shares.share(slot);
       const std::uint32_t* source = shares.source.data() + shares.begin[slot];
+      // Each round's largest transfer of this ring's own share, in one pass
+      // over the placements.
+      largest.assign(rounds.rounds, 0);
+      for (std::size_t i = 0; i < share.size(); ++i) {
+        std::size_t& max_elements = largest[rounds.placements[i].round];
+        max_elements = std::max(max_elements, share[i].count);
+      }
       net::PricedLane* lane = nullptr;
+      HopOrderedRounds lists;  // a recorded lane's rounds, in hop order
       if (recorder.active()) {
         lane = &priced.lanes.emplace_back();
         lane->name = ring_name(slot, "");
+        lists = hop_ordered(slot >= torus_.cols() ? row_ring_ : col_ring_,
+                            share, rounds);
       }
       // One clock per ring per step. The torus control plane retunes every
       // round, so kOnRetune prices like kEveryRound. Steps are barriers:
@@ -226,21 +233,18 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
                             config_.mrr_reconfig_delay, config_.oeo_delay,
                             previous_step);
       Seconds ring_time(0.0);
-      for (std::size_t r = 0; r < rounds.rounds.size(); ++r) {
-        std::size_t max_elements = 0;
-        for (const std::size_t idx : rounds.rounds[r]) {
-          max_elements = std::max(max_elements, share[idx].count);
-        }
+      for (std::size_t r = 0; r < rounds.rounds; ++r) {
+        const std::size_t max_elements = largest[r];
         const Seconds serialization =
             config_.serialization_time(max_elements);
         const net::RoundClock::Round round =
             clock.next(serialization, true);
         if (lane != nullptr) {
           net::RoundRouting& routed = routing.emplace_back();
-          for (std::size_t j = 0; j < rounds.paths[r].size(); ++j) {
-            const std::size_t local = rounds.rounds[r][j];
+          for (std::size_t j = 0; j < lists.rounds[r].size(); ++j) {
+            const std::size_t local = lists.rounds[r][j];
             routed.transfers.push_back(net::RoundTransfer{
-                source[local], channel_of(rounds.paths[r][j]),
+                source[local], channel_of(lists.paths[r][j]),
                 config_.serialization_time(share[local].count)});
           }
           routed.aggregate_channels();
@@ -259,8 +263,7 @@ OpticalRunResult TorusNetwork::execute_scanned(const coll::Schedule& schedule,
       }
       cost.wavelengths_used =
           std::max(cost.wavelengths_used, rounds.wavelengths_used);
-      max_rounds = std::max(
-          max_rounds, static_cast<std::uint32_t>(rounds.rounds.size()));
+      max_rounds = std::max(max_rounds, rounds.rounds);
       max_charges = std::max(max_charges, clock.charges());
       slowest = std::max(slowest, ring_time);
       slowest_serial = std::max(slowest_serial, ring_time + clock.hidden());

@@ -13,8 +13,9 @@
 // Under first-fit a ring's RWA depends only on its ring size and its
 // local (src, dst) list, so a step solves each distinct share once: the
 // 1,024 identical row shares of a 1024 x 1024 WRHT row step are one
-// problem. Each ring still prices its own transfer counts and records its
-// own lane.
+// problem. Each ring still prices its own transfer counts, each round's
+// largest read in one pass over its share's placements, and only a
+// recorded lane derives the round's hop-ordered lists.
 #pragma once
 
 #include <cstdint>

@@ -70,6 +70,9 @@ ReplaySummary replay_events(const obs::EventLog& log) {
     std::uint32_t w_lo = 0;
     std::uint32_t w_hi = 0;
     bool granted = false;
+    /// Waiting in the queue: since its submit or its last preempt, and
+    /// not admitted since.
+    bool queued = true;
   };
   std::map<std::uint64_t, Pending> pending;  // job id -> timeline so far
   std::vector<JobRecord> records;            // completion order
@@ -108,15 +111,27 @@ ReplaySummary replay_events(const obs::EventLog& log) {
           break;
         }
         case obs::ServiceEvent::Kind::kAdmit: {
-          if (pending.count(e.job) == 0) {
+          const auto it = pending.find(e.job);
+          if (it == pending.end()) {
             throw InvalidArgument("admit of job " + std::to_string(e.job) +
                                   " without a submit");
           }
           require(depth > 0, "admit from an empty queue");
+          it->second.queued = false;
           --depth;
           break;
         }
         case obs::ServiceEvent::Kind::kPreempt: {
+          const auto it = pending.find(e.job);
+          if (it == pending.end()) {
+            throw InvalidArgument("preempt of job " + std::to_string(e.job) +
+                                  " without a submit");
+          }
+          if (it->second.queued) {
+            throw InvalidArgument("preempt of queued job " +
+                                  std::to_string(e.job));
+          }
+          it->second.queued = true;
           ++depth;  // back to the queue
           break;
         }

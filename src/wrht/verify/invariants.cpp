@@ -84,33 +84,39 @@ CheckResult check_conflict_freedom(const coll::Schedule& schedule,
       continue;
     }
 
-    // Rounds must partition the step's transfers.
-    std::vector<std::uint32_t> seen(transfers.size(), 0);
-    for (const auto& round : rounds.rounds) {
-      for (const std::size_t idx : round) {
-        if (idx >= transfers.size()) {
-          result.add("invariant.rwa.partition",
-                     "round references transfer " + std::to_string(idx) +
-                         " of " + std::to_string(transfers.size()) +
-                         at_step(s));
-        } else {
-          ++seen[idx];
-        }
-      }
+    // Rounds must partition the step's transfers: one placement per
+    // transfer, each in one of the result's rounds.
+    if (rounds.placements.size() != transfers.size()) {
+      result.add("invariant.rwa.partition",
+                 std::to_string(rounds.placements.size()) +
+                     " placements for " + std::to_string(transfers.size()) +
+                     " transfers" + at_step(s));
+      continue;
     }
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-      if (seen[i] != 1) {
+    bool partitioned = true;
+    for (std::size_t i = 0; i < transfers.size(); ++i) {
+      if (rounds.placements[i].round >= rounds.rounds) {
         result.add("invariant.rwa.partition",
-                   "transfer " + std::to_string(i) + " scheduled " +
-                       std::to_string(seen[i]) + " times" + at_step(s));
+                   "transfer " + std::to_string(i) + " placed in round " +
+                       std::to_string(rounds.placements[i].round) + " of " +
+                       std::to_string(rounds.rounds) + at_step(s));
+        partitioned = false;
       }
     }
+    if (!partitioned) continue;
 
-    // Every round independently re-verified: endpoints match, budget
-    // respected, and zero conflicting lightpath pairs.
-    for (std::size_t r = 0; r < rounds.paths.size(); ++r) {
-      const auto& paths = rounds.paths[r];
-      const auto& members = rounds.rounds[r];
+    // Every round independently re-verified as the lightpaths it lights:
+    // endpoints match, budget respected, and zero conflicting pairs.
+    const optics::HopOrderedRounds lists =
+        optics::hop_ordered(ring, transfers, rounds);
+    for (std::size_t r = 0; r < lists.paths.size(); ++r) {
+      const auto& paths = lists.paths[r];
+      const auto& members = lists.rounds[r];
+      if (paths.empty()) {
+        result.add("invariant.rwa.partition",
+                   "round " + std::to_string(r) + " places nothing" +
+                       at_step(s));
+      }
       for (std::size_t i = 0; i < paths.size() && i < members.size(); ++i) {
         const coll::Transfer& t = transfers[members[i]];
         if (paths[i].src != t.src || paths[i].dst != t.dst) {

@@ -54,9 +54,9 @@ TEST(Rwa, DisjointNeighbourTransfersShareOneWavelength) {
     step.push_back(t(i, (i + 1) % 8, Direction::kClockwise));
   }
   const RoundsResult res = assign_rounds(ring, step, RwaOptions{64});
-  ASSERT_EQ(res.rounds.size(), 1u);
+  ASSERT_EQ(res.rounds, 1u);
   EXPECT_EQ(res.wavelengths_used, 1u);
-  expect_conflict_free(ring, res.paths[0]);
+  expect_conflict_free(ring, hop_ordered(ring, step, res).paths[0]);
 }
 
 TEST(Rwa, NestedPathsNeedDistinctWavelengths) {
@@ -67,9 +67,9 @@ TEST(Rwa, NestedPathsNeedDistinctWavelengths) {
     step.push_back(t(i, 4, Direction::kClockwise));
   }
   const RoundsResult res = assign_rounds(ring, step, RwaOptions{64});
-  ASSERT_EQ(res.rounds.size(), 1u);
+  ASSERT_EQ(res.rounds, 1u);
   EXPECT_EQ(res.wavelengths_used, 4u);
-  expect_conflict_free(ring, res.paths[0]);
+  expect_conflict_free(ring, hop_ordered(ring, step, res).paths[0]);
 }
 
 TEST(Rwa, TwoDirectionsReuseWavelengths) {
@@ -81,30 +81,34 @@ TEST(Rwa, TwoDirectionsReuseWavelengths) {
     step.push_back(t(i, 4, Direction::kCounterClockwise));
   }
   const RoundsResult res = assign_rounds(ring, step, RwaOptions{64});
-  ASSERT_EQ(res.rounds.size(), 1u);
+  ASSERT_EQ(res.rounds, 1u);
   EXPECT_EQ(res.wavelengths_used, 2u);  // floor(m/2) with m=5
-  expect_conflict_free(ring, res.paths[0]);
+  expect_conflict_free(ring, hop_ordered(ring, step, res).paths[0]);
 }
 
 TEST(Rwa, HintRespected) {
   const Ring ring(10);
   const std::vector<Transfer> step = {t(0, 3, Direction::kCounterClockwise)};
   const RoundsResult res = assign_rounds(ring, step, RwaOptions{4});
-  ASSERT_EQ(res.rounds.size(), 1u);
-  EXPECT_EQ(res.paths[0][0].direction, Direction::kCounterClockwise);
-  EXPECT_EQ(res.paths[0][0].hops, 7u);
+  ASSERT_EQ(res.rounds, 1u);
+  EXPECT_EQ(res.longest_hops, 7u);
+  const Lightpath path = hop_ordered(ring, step, res).paths[0][0];
+  EXPECT_EQ(path.direction, Direction::kCounterClockwise);
+  EXPECT_EQ(path.hops, 7u);
 }
 
 TEST(Rwa, ShortestDirectionChosenWithoutHint) {
   const Ring ring(10);
-  const RoundsResult cw =
-      assign_rounds(ring, std::vector<Transfer>{t(0, 3)}, RwaOptions{4});
-  ASSERT_EQ(cw.rounds.size(), 1u);
-  EXPECT_EQ(cw.paths[0][0].direction, Direction::kClockwise);
-  const RoundsResult ccw =
-      assign_rounds(ring, std::vector<Transfer>{t(0, 8)}, RwaOptions{4});
-  ASSERT_EQ(ccw.rounds.size(), 1u);
-  EXPECT_EQ(ccw.paths[0][0].direction, Direction::kCounterClockwise);
+  const std::vector<Transfer> to3{t(0, 3)};
+  const RoundsResult cw = assign_rounds(ring, to3, RwaOptions{4});
+  ASSERT_EQ(cw.rounds, 1u);
+  EXPECT_EQ(hop_ordered(ring, to3, cw).paths[0][0].direction,
+            Direction::kClockwise);
+  const std::vector<Transfer> to8{t(0, 8)};
+  const RoundsResult ccw = assign_rounds(ring, to8, RwaOptions{4});
+  ASSERT_EQ(ccw.rounds, 1u);
+  EXPECT_EQ(hop_ordered(ring, to8, ccw).paths[0][0].direction,
+            Direction::kCounterClockwise);
 }
 
 TEST(Rwa, FailsWhenBudgetExceeded) {
@@ -114,7 +118,7 @@ TEST(Rwa, FailsWhenBudgetExceeded) {
     step.push_back(t(i, 4, Direction::kClockwise));
   }
   const RoundsResult res = assign_rounds(ring, step, RwaOptions{3});
-  EXPECT_GT(res.rounds.size(), 1u);
+  EXPECT_GT(res.rounds, 1u);
 }
 
 TEST(Rwa, RandomFitIsConflictFreeAndSeedStable) {
@@ -127,12 +131,9 @@ TEST(Rwa, RandomFitIsConflictFreeAndSeedStable) {
   Rng rng_a(7), rng_b(7);
   const RoundsResult a = assign_rounds(ring, step, opt, &rng_a);
   const RoundsResult b = assign_rounds(ring, step, opt, &rng_b);
-  ASSERT_EQ(a.rounds.size(), 1u);
-  expect_conflict_free(ring, a.paths[0]);
-  ASSERT_EQ(a.rounds, b.rounds);
-  for (std::size_t i = 0; i < a.paths[0].size(); ++i) {
-    EXPECT_EQ(a.paths[0][i].wavelength, b.paths[0][i].wavelength);
-  }
+  ASSERT_EQ(a.rounds, 1u);
+  expect_conflict_free(ring, hop_ordered(ring, step, a).paths[0]);
+  EXPECT_EQ(a.placements, b.placements);
 }
 
 TEST(Rwa, RandomFitRequiresRng) {
@@ -175,8 +176,8 @@ TEST(Rwa, AllToAllStaysNearLiangShenBound) {
         static_cast<std::uint32_t>(core::all_to_all_wavelengths(k));
     const RoundsResult res =
         assign_rounds(ring, step, RwaOptions{4 * bound});
-    ASSERT_EQ(res.rounds.size(), 1u) << "k=" << k;
-    expect_conflict_free(ring, res.paths[0]);
+    ASSERT_EQ(res.rounds, 1u) << "k=" << k;
+    expect_conflict_free(ring, hop_ordered(ring, step, res).paths[0]);
     EXPECT_LE(res.wavelengths_used, (3 * bound + 1) / 2) << "k=" << k;
   }
 }
@@ -188,8 +189,8 @@ TEST(RwaRounds, SingleRoundWhenBudgetSuffices) {
     step.push_back(t(i, 4, Direction::kClockwise));
   }
   const RoundsResult res = assign_rounds(ring, step, RwaOptions{4});
-  EXPECT_EQ(res.rounds.size(), 1u);
-  EXPECT_EQ(res.rounds[0].size(), 4u);
+  EXPECT_EQ(res.rounds, 1u);
+  EXPECT_EQ(hop_ordered(ring, step, res).rounds[0].size(), 4u);
 }
 
 TEST(RwaRounds, SplitsWhenStarved) {
@@ -199,9 +200,9 @@ TEST(RwaRounds, SplitsWhenStarved) {
     step.push_back(t(i, 4, Direction::kClockwise));
   }
   const RoundsResult res = assign_rounds(ring, step, RwaOptions{2});
-  EXPECT_EQ(res.rounds.size(), 2u);
+  EXPECT_EQ(res.rounds, 2u);
   std::size_t total = 0;
-  for (const auto& r : res.rounds) total += r.size();
+  for (const auto& r : hop_ordered(ring, step, res).rounds) total += r.size();
   EXPECT_EQ(total, 4u);
   EXPECT_LE(res.wavelengths_used, 2u);
 }
@@ -214,7 +215,7 @@ TEST(RwaRounds, EveryTransferAssignedExactlyOnce) {
   }
   const RoundsResult res = assign_rounds(ring, step, RwaOptions{1});
   std::vector<int> seen(step.size(), 0);
-  for (const auto& round : res.rounds) {
+  for (const auto& round : hop_ordered(ring, step, res).rounds) {
     for (const std::size_t idx : round) ++seen[idx];
   }
   for (const int c : seen) EXPECT_EQ(c, 1);
@@ -338,10 +339,17 @@ OneRound reference_one_round(const Ring& ring,
   return result;
 }
 
-RoundsResult reference_assign_rounds(const Ring& ring,
-                                     std::span<const Transfer> transfers,
-                                     const RwaOptions& options, Rng* rng) {
-  RoundsResult result;
+/// The round loop's assignment: round r's input indices and lightpaths in
+/// hop order.
+struct Rounds {
+  HopOrderedRounds lists;
+  std::uint32_t wavelengths_used = 0;
+};
+
+Rounds reference_assign_rounds(const Ring& ring,
+                               std::span<const Transfer> transfers,
+                               const RwaOptions& options, Rng* rng) {
+  Rounds result;
   std::vector<std::size_t> remaining = order_by_hops(ring, transfers);
   while (!remaining.empty()) {
     OccupancyMap occupancy(ring.size(), options);
@@ -361,8 +369,8 @@ RoundsResult reference_assign_rounds(const Ring& ring,
     }
     EXPECT_FALSE(round.empty());
     if (round.empty()) break;
-    result.rounds.push_back(std::move(round));
-    result.paths.push_back(std::move(paths));
+    result.lists.rounds.push_back(std::move(round));
+    result.lists.paths.push_back(std::move(paths));
     remaining = std::move(deferred);
   }
   return result;
@@ -386,6 +394,54 @@ void expect_same_paths(const std::vector<Lightpath>& got,
         << "), reference lambda " << w.wavelength << " dir "
         << static_cast<int>(w.direction);
   }
+}
+
+/// The lists hop_ordered() derives from `got` agree with its placements
+/// transfer by transfer: every transfer is listed once, in the round and
+/// on the wavelength it is placed at, each round in hop order (longest
+/// ring.distance first, ties in input order), and the result's round
+/// count, wavelength high-water mark and longest span are the lists'.
+void expect_lists_agree(const Ring& ring, std::span<const Transfer> transfers,
+                        const RoundsResult& got, const HopOrderedRounds& lists,
+                        const std::string& where) {
+  ASSERT_EQ(got.placements.size(), transfers.size()) << where;
+  ASSERT_EQ(lists.rounds.size(), got.rounds) << where;
+  ASSERT_EQ(lists.paths.size(), got.rounds) << where;
+  std::vector<int> seen(transfers.size(), 0);
+  std::uint32_t wavelengths = 0;
+  std::uint32_t longest = 0;
+  for (std::uint32_t r = 0; r < got.rounds; ++r) {
+    ASSERT_EQ(lists.paths[r].size(), lists.rounds[r].size()) << where;
+    for (std::size_t j = 0; j < lists.rounds[r].size(); ++j) {
+      const std::size_t i = lists.rounds[r][j];
+      ASSERT_LT(i, transfers.size()) << where;
+      ++seen[i];
+      const Lightpath& path = lists.paths[r][j];
+      ASSERT_EQ(got.placements[i], (Placement{r, path.wavelength}))
+          << where << ": transfer " << i << " listed in round " << r
+          << " on wavelength " << path.wavelength << ", placed in round "
+          << got.placements[i].round << " on wavelength "
+          << got.placements[i].wavelength;
+      ASSERT_TRUE(path.src == transfers[i].src &&
+                  path.dst == transfers[i].dst)
+          << where << ": transfer " << i;
+      if (j > 0) {
+        const std::size_t before = lists.rounds[r][j - 1];
+        const std::uint32_t d = ring.distance(path.src, path.dst);
+        const std::uint32_t d_before =
+            ring.distance(transfers[before].src, transfers[before].dst);
+        ASSERT_TRUE(d_before > d || (d_before == d && before < i))
+            << where << ": round " << r << " leaves hop order at " << j;
+      }
+      wavelengths = std::max(wavelengths, path.wavelength + 1);
+      longest = std::max(longest, path.hops);
+    }
+  }
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    ASSERT_EQ(seen[i], 1) << where << ": transfer " << i;
+  }
+  ASSERT_EQ(got.wavelengths_used, wavelengths) << where;
+  ASSERT_EQ(got.longest_hops, longest) << where;
 }
 
 /// Random transfers with random or absent direction hints: long spans in
@@ -438,12 +494,14 @@ void expect_reference_grid(const ReferenceStep& step, std::size_t& compared) {
               assign_rounds(ring, step.transfers, opt, &rng);
           const reference::OneRound want = reference::reference_one_round(
               ring, step.transfers, opt, &ref_rng);
-          ASSERT_EQ(got.rounds.size() == 1, want.ok) << where;
+          ASSERT_EQ(got.rounds == 1, want.ok) << where;
           if (want.ok) {
             ASSERT_EQ(got.wavelengths_used, want.wavelengths_used) << where;
-            std::vector<Lightpath> by_input(got.paths[0].size());
+            const HopOrderedRounds lists =
+                hop_ordered(ring, step.transfers, got);
+            std::vector<Lightpath> by_input(lists.paths[0].size());
             for (std::size_t j = 0; j < by_input.size(); ++j) {
-              by_input[got.rounds[0][j]] = got.paths[0][j];
+              by_input[lists.rounds[0][j]] = lists.paths[0][j];
             }
             expect_same_paths(by_input, want.paths, where);
             ASSERT_EQ(rng.uniform_int(0, 1u << 30),
@@ -455,13 +513,16 @@ void expect_reference_grid(const ReferenceStep& step, std::size_t& compared) {
           Rng rng(seed), ref_rng(seed);
           const RoundsResult got =
               assign_rounds(ring, step.transfers, opt, &rng);
-          const RoundsResult want = reference::reference_assign_rounds(
+          const reference::Rounds want = reference::reference_assign_rounds(
               ring, step.transfers, opt, &ref_rng);
           ASSERT_EQ(got.wavelengths_used, want.wavelengths_used) << where;
-          ASSERT_EQ(got.rounds, want.rounds) << where;
-          ASSERT_EQ(got.paths.size(), want.paths.size()) << where;
-          for (std::size_t r = 0; r < got.paths.size(); ++r) {
-            expect_same_paths(got.paths[r], want.paths[r],
+          const HopOrderedRounds lists = hop_ordered(ring, step.transfers, got);
+          expect_lists_agree(ring, step.transfers, got, lists, where);
+          if (testing::Test::HasFatalFailure()) return;
+          ASSERT_EQ(lists.rounds, want.lists.rounds) << where;
+          ASSERT_EQ(lists.paths.size(), want.lists.paths.size()) << where;
+          for (std::size_t r = 0; r < lists.paths.size(); ++r) {
+            expect_same_paths(lists.paths[r], want.lists.paths[r],
                               where + " round " + std::to_string(r));
           }
           ASSERT_EQ(rng.uniform_int(0, 1u << 30),

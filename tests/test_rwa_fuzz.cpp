@@ -49,8 +49,9 @@ TEST_P(RwaFuzz, SingleRoundAssignmentsAreAlwaysConflictFree) {
   const Ring ring(n);
   const auto transfers = random_transfers(rng, n, 2 * n);
   const RoundsResult res = assign_rounds(ring, transfers, RwaOptions{4 * n});
-  ASSERT_EQ(res.rounds.size(), 1u);
-  EXPECT_EQ(count_conflicts(res.paths[0], n), 0u);
+  ASSERT_EQ(res.rounds, 1u);
+  EXPECT_EQ(count_conflicts(hop_ordered(ring, transfers, res).paths[0], n),
+            0u);
   EXPECT_LE(res.wavelengths_used, 4 * n);
 }
 
@@ -60,11 +61,12 @@ TEST_P(RwaFuzz, HintsAlwaysHonoured) {
   const Ring ring(n);
   const auto transfers = random_transfers(rng, n, n);
   const RoundsResult res = assign_rounds(ring, transfers, RwaOptions{4 * n});
-  ASSERT_EQ(res.rounds.size(), 1u);
-  for (std::size_t j = 0; j < res.rounds[0].size(); ++j) {
-    const Transfer& t = transfers[res.rounds[0][j]];
+  ASSERT_EQ(res.rounds, 1u);
+  const HopOrderedRounds lists = hop_ordered(ring, transfers, res);
+  for (std::size_t j = 0; j < lists.rounds[0].size(); ++j) {
+    const Transfer& t = transfers[lists.rounds[0][j]];
     if (t.direction) {
-      EXPECT_EQ(res.paths[0][j].direction, *t.direction);
+      EXPECT_EQ(lists.paths[0][j].direction, *t.direction);
     }
   }
 }
@@ -78,11 +80,12 @@ TEST_P(RwaFuzz, RoundsPartitionAndStayConflictFree) {
       2 + static_cast<std::uint32_t>(rng.uniform_int(0, 6));
   const RoundsResult res =
       assign_rounds(ring, transfers, RwaOptions{budget});
+  const HopOrderedRounds lists = hop_ordered(ring, transfers, res);
   std::vector<int> seen(transfers.size(), 0);
-  for (std::size_t r = 0; r < res.rounds.size(); ++r) {
-    EXPECT_EQ(count_conflicts(res.paths[r], n), 0u) << "round " << r;
-    for (const std::size_t idx : res.rounds[r]) ++seen[idx];
-    for (const auto& path : res.paths[r]) {
+  for (std::size_t r = 0; r < res.rounds; ++r) {
+    EXPECT_EQ(count_conflicts(lists.paths[r], n), 0u) << "round " << r;
+    for (const std::size_t idx : lists.rounds[r]) ++seen[idx];
+    for (const auto& path : lists.paths[r]) {
       EXPECT_LT(path.wavelength, budget);
     }
   }
@@ -108,12 +111,17 @@ TEST_P(RwaFuzz, RotatingEveryNodeShiftsOnlyTheSegments) {
     const RwaOptions options{budget};
     const RoundsResult base = assign_rounds(ring, transfers, options);
     const RoundsResult moved = assign_rounds(ring, turned, options);
-    ASSERT_EQ(moved.rounds, base.rounds) << "w=" << budget;
+    ASSERT_EQ(moved.placements, base.placements) << "w=" << budget;
+    EXPECT_EQ(moved.rounds, base.rounds);
     EXPECT_EQ(moved.wavelengths_used, base.wavelengths_used);
-    for (std::size_t r = 0; r < base.paths.size(); ++r) {
-      for (std::size_t j = 0; j < base.paths[r].size(); ++j) {
-        const Lightpath& a = base.paths[r][j];
-        const Lightpath& b = moved.paths[r][j];
+    EXPECT_EQ(moved.longest_hops, base.longest_hops);
+    const HopOrderedRounds base_lists = hop_ordered(ring, transfers, base);
+    const HopOrderedRounds moved_lists = hop_ordered(ring, turned, moved);
+    ASSERT_EQ(moved_lists.rounds, base_lists.rounds) << "w=" << budget;
+    for (std::size_t r = 0; r < base_lists.paths.size(); ++r) {
+      for (std::size_t j = 0; j < base_lists.paths[r].size(); ++j) {
+        const Lightpath& a = base_lists.paths[r][j];
+        const Lightpath& b = moved_lists.paths[r][j];
         EXPECT_TRUE(b.direction == a.direction &&
                     b.wavelength == a.wavelength && b.hops == a.hops &&
                     b.first_segment == (a.first_segment + k) % n)
@@ -188,7 +196,7 @@ TEST_P(RwaFuzz, SplittingOffRejectsExactlyTheMultiRoundSteps) {
         // The ring: one assign_rounds over the step.
         Rng rwa_rng(seed);
         const bool ring_splits =
-            assign_rounds(ring, transfers, options, &rwa_rng).rounds.size() > 1;
+            assign_rounds(ring, transfers, options, &rwa_rng).rounds > 1;
         Rng off_rng(seed), on_rng(seed);
         const RingNetwork ring_off(n, off);
         if (ring_splits) {
@@ -212,7 +220,7 @@ TEST_P(RwaFuzz, SplittingOffRejectsExactlyTheMultiRoundSteps) {
         for (std::uint32_t r = 0; r < kRows; ++r) {
           const RoundsResult row =
               assign_rounds(ring, share, options, &share_rng);
-          torus_splits = torus_splits || row.rounds.size() > 1;
+          torus_splits = torus_splits || row.rounds > 1;
         }
         Rng torus_off_rng(seed), torus_on_rng(seed);
         const TorusNetwork torus_off(torus, off);

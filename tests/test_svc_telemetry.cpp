@@ -229,6 +229,59 @@ TEST(SvcTelemetry, ReplayRejectsInconsistentLogs) {
               std::string::npos)
         << e.what();
   }
+
+  // A preempt puts a running job back in the queue. One of a job never
+  // submitted would leave a phantom job in the queue-depth signal (peak 4,
+  // mean 1.36 instead of 3 and 0.36 here), and so would one of a job still
+  // queued. The log is `wrht_svc 6 8 fifo 8 0.5 --events`, with the
+  // preempt inserted after line 4.
+  WorkloadConfig workload;
+  workload.num_jobs = 6;
+  workload.fabric_wavelengths = 8;
+  workload.mean_interarrival = Seconds(8e-3);
+  workload.burstiness = 0.5;
+  ServiceConfig config;
+  config.fabric_wavelengths = 8;
+  config.policy = PolicyKind::kFifo;
+  config.telemetry.events = true;
+  config.telemetry.seed = workload.seed;
+  FabricService service(config);
+  (void)service.run(generate_workload(workload));
+  const obs::EventLog& clean = *service.event_log();
+  ASSERT_EQ(clean.size(), 32u);
+  const ReplaySummary baseline = replay_events(clean);
+  EXPECT_EQ(baseline.peak_queue_depth, 3u);
+  const auto with_preempt = [&](std::uint64_t job, std::size_t after) {
+    obs::EventLog edited;
+    edited.set_context(clean.context());
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+      edited.record(clean.events()[i]);
+      if (i + 1 == after) {
+        obs::ServiceEvent preempt = clean.events()[i];
+        preempt.kind = Kind::kPreempt;
+        preempt.job = job;
+        edited.record(preempt);
+      }
+    }
+    return edited;
+  };
+  // Lines 2-4 are job 0's submit, admit and grant.
+  const struct {
+    std::uint64_t job;
+    std::size_t after;
+    std::string message;
+  } preempts[] = {
+      {999, 3, "preempt of job 999 without a submit (event 4, line 5)"},
+      {0, 1, "preempt of queued job 0 (event 2, line 3)"}};
+  for (const auto& bad : preempts) {
+    try {
+      (void)replay_events(with_preempt(bad.job, bad.after));
+      FAIL() << "replay accepted: " << bad.message;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.message), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SvcTelemetry, ReplayKeepsOneSamplePerEvent) {

@@ -253,15 +253,17 @@ TEST(TorusNetwork, DistinctSharesPriceLikeOneRwaPerShare) {
         if (share.empty()) continue;
         const std::string lane = (row ? "row" : "col") + std::to_string(index);
         lanes.push_back(lane);
-        const RoundsResult rr = assign_rounds(row ? row_ring : col_ring, share,
-                                              config.rwa_options());
+        const topo::Ring& ring = row ? row_ring : col_ring;
+        const RoundsResult rr =
+            assign_rounds(ring, share, config.rwa_options());
+        const HopOrderedRounds lists = hop_ordered(ring, share, rr);
         net::RoundClock clock(config.reconfig_policy,
                               config.mrr_reconfig_delay, config.oeo_delay,
                               previous);
         Seconds ring_time(0.0);
-        for (std::uint32_t r = 0; r < rr.rounds.size(); ++r) {
+        for (std::uint32_t r = 0; r < rr.rounds; ++r) {
           std::size_t max_elements = 0;
-          for (const std::size_t idx : rr.rounds[r]) {
+          for (const std::size_t idx : lists.rounds[r]) {
             max_elements = std::max(max_elements, share[idx].count);
           }
           obs::RoundTrace round;
@@ -270,9 +272,9 @@ TEST(TorusNetwork, DistinctSharesPriceLikeOneRwaPerShare) {
           round.round = r;
           round.serialization = config.serialization_time(max_elements);
           rounds_want.push_back(round);
-          for (std::size_t j = 0; j < rr.rounds[r].size(); ++j) {
-            const coll::Transfer& t = step[source[rr.rounds[r][j]]];
-            const Lightpath& path = rr.paths[r][j];
+          for (std::size_t j = 0; j < lists.rounds[r].size(); ++j) {
+            const coll::Transfer& t = step[source[lists.rounds[r][j]]];
+            const Lightpath& path = lists.paths[r][j];
             obs::TransferTrace transfer;
             transfer.step = s;
             transfer.round = r;
@@ -290,8 +292,7 @@ TEST(TorusNetwork, DistinctSharesPriceLikeOneRwaPerShare) {
         }
         want.wavelengths_used =
             std::max(want.wavelengths_used, rr.wavelengths_used);
-        max_rounds =
-            std::max(max_rounds, static_cast<std::uint32_t>(rr.rounds.size()));
+        max_rounds = std::max(max_rounds, rr.rounds);
         max_charges = std::max(max_charges, clock.charges());
         slowest = std::max(slowest, ring_time);
       }
